@@ -18,7 +18,7 @@ from .network import (ChannelState, Topology, build_topology, compute_noise,
                       draw_channels, normalize_channels, realize_network)
 from .refim import (feedback_bits, invert_rank_r, leakage_refim,
                     reference_map, select_references)
-from .solver import (KKTReport, Leakage, SolverTrace, beta, gamma_direct,
+from .solver import (DualEvaluator, KKTReport, SolverTrace, beta, gamma_direct,
                      gamma_sherman_morrison, interference, kkt_report,
                      lambda_bisection, leakage_full, solve, update_beams)
 
@@ -34,7 +34,7 @@ __all__ = [
     "compute_noise", "normalize_channels", "realize_network",
     "select_references", "reference_map", "leakage_refim", "invert_rank_r",
     "feedback_bits",
-    "Leakage", "SolverTrace", "KKTReport", "leakage_full", "gamma_direct",
+    "DualEvaluator", "SolverTrace", "KKTReport", "leakage_full", "gamma_direct",
     "gamma_sherman_morrison", "beta", "interference", "lambda_bisection",
     "update_beams", "solve", "kkt_report",
 ]

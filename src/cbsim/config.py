@@ -11,16 +11,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-#: Reference scenario: 3 coordinated cells, 3 subchannels, 3 users per cell,
-#: 3 transmit antennas, transmit SNR 30 dB.
-DEFAULTS = dict(M=3, N=3, K=3, Nt=3, pmax=1.0, gamma_db=30.0,
-                trials=100, seed=0, refs=1, qbits=8, workers=1,
-                init="mslnr")
-
-
 @dataclass
 class NetworkConfig:
     """Static description of one coordinated cluster.
+
+    The defaults are the reference scenario: 3 coordinated cells, 3
+    subchannels, 3 users per cell, 3 transmit antennas, transmit SNR 30 dB.
 
     M:  coordinated base stations (1..3 supported by the layout generator)
     N:  OFDMA subchannels
@@ -52,6 +48,9 @@ class NetworkConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
+        if self.M > 3:
+            raise ConfigurationError(
+                f"M must be 1..3, the cluster sizes the layout generator places; got M={self.M}")
         if self.Pmax <= 0:
             raise ConfigurationError(f"Pmax must be > 0, got {self.Pmax!r}")
         if self.lambda_min <= 0:
@@ -184,20 +183,19 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
+#: config-file key -> NetworkConfig field, for the keys that describe the network.
+_NETWORK_KEYS = {"M": "M", "N": "N", "K": "K", "Nt": "Nt", "pmax": "Pmax",
+                 "L_in_max": "L_in_max", "L_out_max": "L_out_max",
+                 "lambda_min": "lambda_min", "inner_tol": "inner_tol",
+                 "outer_tol": "outer_tol"}
+
+
 def network_config_from_values(values: dict, gamma_db: float | None = None) -> NetworkConfig:
-    """Build a NetworkConfig from parsed config values; defaults fill the gaps."""
-    gammas = values.get("gamma_db", (DEFAULTS["gamma_db"],))
-    if gamma_db is None:
-        gamma_db = gammas[0]
-    kwargs = dict(
-        M=values.get("M", DEFAULTS["M"]),
-        N=values.get("N", DEFAULTS["N"]),
-        K=values.get("K", DEFAULTS["K"]),
-        Nt=values.get("Nt", DEFAULTS["Nt"]),
-        Pmax=values.get("pmax", DEFAULTS["pmax"]),
-        gamma_db=float(gamma_db),
-    )
-    for key in ("L_in_max", "L_out_max", "lambda_min", "inner_tol", "outer_tol"):
-        if key in values:
-            kwargs[key] = values[key]
+    """Build a NetworkConfig from parsed config values; the NetworkConfig
+    defaults fill the gaps. ``gamma_db`` defaults to the file's first value."""
+    kwargs = {name: values[key] for key, name in _NETWORK_KEYS.items() if key in values}
+    if gamma_db is None and "gamma_db" in values:
+        gamma_db = values["gamma_db"][0]
+    if gamma_db is not None:
+        kwargs["gamma_db"] = float(gamma_db)
     return NetworkConfig(**kwargs)

@@ -19,14 +19,14 @@ from __future__ import annotations
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import initializers, metrics, refim, solver
-from .config import DEFAULTS, NetworkConfig
+from .config import NetworkConfig
 from .errors import CbsimError, ConfigurationError, InvalidStateError
 from .network import (apply_noise, build_topology, draw_channels,
                       dump_channels_csv, dump_topology_csv)
@@ -41,14 +41,14 @@ DEFAULT_ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 class ExperimentSpec:
     """What to run and where to write it."""
     kind: str
-    trials: int = DEFAULTS["trials"]
-    seed: int = DEFAULTS["seed"]
-    gamma_db: tuple[float, ...] = (DEFAULTS["gamma_db"],)
+    trials: int = 100
+    seed: int = 0
+    gamma_db: tuple[float, ...] = (30.0,)
     algos: tuple[str, ...] = DEFAULT_ALGOS
-    init: str = DEFAULTS["init"]
-    refs: int = DEFAULTS["refs"]
-    workers: int = DEFAULTS["workers"]
-    qbits: int = DEFAULTS["qbits"]
+    init: str = "mslnr"
+    refs: int = 1
+    workers: int = 1
+    qbits: int = 8
     k_list: tuple[int, ...] = tuple(range(2, 11))
     nt_list: tuple[int, ...] = (2, 3, 4)
     out: str = "results.csv"
@@ -76,20 +76,14 @@ def spec_from_values(kind: str, values: dict, overrides: dict | None = None) -> 
     merged = dict(values)
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = dict(kind=kind)
-    for name, key in [("trials", "trials"), ("seed", "seed"), ("init", "init"),
-                      ("refs", "refs"), ("workers", "workers"), ("qbits", "qbits"),
-                      ("out", "out"), ("timestamp", "timestamp"),
-                      ("k_list", "k_list"), ("nt_list", "nt_list"),
-                      ("dump_prefix", "dump_prefix")]:
-        if key in merged:
-            kwargs[name] = merged[key]
+    kwargs = {f.name: merged[f.name] for f in fields(ExperimentSpec)
+              if f.name != "kind" and f.name in merged}
     if "gamma_db" in merged:
         g = merged["gamma_db"]
         kwargs["gamma_db"] = tuple(g) if isinstance(g, (tuple, list)) else (float(g),)
     if "algos" in merged:
         kwargs["algos"] = tuple(merged["algos"])
-    return ExperimentSpec(**kwargs)
+    return ExperimentSpec(kind=kind, **kwargs)
 
 
 def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
@@ -109,14 +103,6 @@ class TrialResult:
     max_power: float = 0.0
 
 
-def _algo_beams(channels, config, algo, init_name, refs):
-    if algo in BASELINE_ALGOS:
-        return initializers.make_initial_beams(algo, channels, config), None
-    beams0 = initializers.make_initial_beams(init_name, channels, config)
-    beams, trace = solver.solve(channels, config, beams0, algo, ref_count=refs)
-    return beams, trace
-
-
 def _outer_series(trace, config: NetworkConfig, wsr_final: float) -> list[float]:
     """Sum-rate at the end of each outer iteration, continued when the solver
     stopped early so every algorithm reports L_out_max points."""
@@ -133,7 +119,9 @@ def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
     """One channel realization: initialize, solve per algorithm and gamma.
 
     The raw fading/shadowing draw is shared across gamma points; only the
-    noise normalization changes with the transmit SNR.
+    noise normalization changes with the transmit SNR. Each initializer runs
+    once per gamma, and its beams serve both its own baseline row and every
+    solver that starts from it.
     """
     s_topo, s_chan = trial_seeds(spec.seed, trial)
     topology = build_topology(config, s_topo)
@@ -145,14 +133,20 @@ def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
         if spec.dump_prefix and trial == 0 and gamma == spec.gamma_db[0]:
             dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
             dump_channels_csv(channels, f"{spec.dump_prefix}_channels.csv")
+        starts = {}
         for algo in spec.algos:
             if algo == "cb_refim" and ref_counts is not None:
                 sweeps = ref_counts
             else:
                 sweeps = (None,)
+            name = algo if algo in BASELINE_ALGOS else spec.init
+            if name not in starts:
+                starts[name] = initializers.make_initial_beams(name, channels, cfg)
             for refs in sweeps:
-                beams, trace = _algo_beams(channels, cfg, algo, spec.init,
-                                           spec.refs if refs is None else refs)
+                beams, trace = starts[name], None
+                if algo in SOLVER_ALGOS:
+                    beams, trace = solver.solve(channels, cfg, beams, algo,
+                                                ref_count=spec.refs if refs is None else refs)
                 report = metrics.rate_report(channels, beams, cfg)
                 key = (algo, gamma) if refs is None else (algo, gamma, refs)
                 result.final_wsr[key] = report.weighted_sum_rate

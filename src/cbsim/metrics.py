@@ -5,9 +5,7 @@ noise floor of exactly 1. Rates are base-2 (bits per channel use) throughout.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,28 +27,31 @@ def check_active(config: NetworkConfig, m: int, k: int, n: int) -> None:
         raise UsageError(f"triple (m={m}, k={k}, n={n}) is not active")
 
 
-def received_powers(channels: ChannelState, beams: np.ndarray) -> np.ndarray:
-    """|h_{j,g}(n)^H v_{j,u}(n)|^2 for every beam (j,u) and receiver g.
+def link_state(channels: ChannelState, beams: np.ndarray,
+               config: NetworkConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes, total received power and signal power of every link.
 
-    Returns shape (M, K, MK, N); inactive beams contribute exact zeros.
+    amps[j, u, g, n] = h_{j,g}(n)^H v_{j,u}(n), shape (M, K, MK, N);
+    total[g, n] is the power user g receives from every active beam on n and
+    signal[g, n] the part of it from the user's own beam, both (MK, N).
+    Inactive beams contribute exact zeros.
     """
     h = channels.normalized
     amps = np.einsum("jgna,juna->jugn", h.conj(), beams)
-    return np.abs(amps) ** 2
+    p = np.abs(amps) ** 2
+    total = np.einsum("jugn,jun->gn", p, config.assignment.astype(float))
+    gids = np.arange(config.n_users)
+    signal = p[gids // config.K, gids % config.K, gids, :]
+    return amps, total, signal
 
 
 def sinr_all(channels: ChannelState, beams: np.ndarray,
              config: NetworkConfig) -> np.ndarray:
     """SINR per active triple, shape (M, K, N); zeros where inactive."""
-    p = received_powers(channels, beams)
-    active = config.assignment
-    total = np.einsum("jugn,jun->gn", p, active.astype(float))   # (MK, N)
-    gids = np.arange(config.n_users)
-    sig = p[gids // config.K, gids % config.K, gids, :].reshape(
-        config.M, config.K, config.N)
-    interf = total.reshape(config.M, config.K, config.N) - sig
-    out = np.where(active, sig / (1.0 + interf), 0.0)
-    return out
+    _, total, sig = link_state(channels, beams, config)
+    shape = (config.M, config.K, config.N)
+    return np.where(config.assignment,
+                    sig.reshape(shape) / (1.0 + (total - sig).reshape(shape)), 0.0)
 
 
 def sinr(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
@@ -117,20 +118,6 @@ class RateReport:
     user_rates: np.ndarray    # (M, K), total rate per user across subchannels
     powers: np.ndarray        # (M,)
 
-    def csv_rows(self, trial: int, algo: str) -> list[list]:
-        rows = []
-        m_count, k_count, n_count = self.sinr.shape
-        for m in range(m_count):
-            for k in range(k_count):
-                for n in range(n_count):
-                    rows.append([trial, algo, m, k, n,
-                                 f"{self.sinr[m, k, n]:.10g}",
-                                 f"{self.rate[m, k, n]:.10g}"])
-        return rows
-
-
-RATE_REPORT_HEADER = ["trial", "algo", "m", "k", "n", "sinr", "rate"]
-
 
 def rate_report(channels: ChannelState, beams: np.ndarray,
                 config: NetworkConfig) -> RateReport:
@@ -147,11 +134,3 @@ def per_user_rate_samples(reports: list[RateReport]) -> np.ndarray:
     samples = np.concatenate([rep.user_rates.ravel() for rep in reports])
     return np.sort(samples)
 
-
-def write_rate_reports_csv(path: str | Path,
-                           rows: list[tuple[int, str, RateReport]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RATE_REPORT_HEADER)
-        for trial, algo, rep in rows:
-            writer.writerows(rep.csv_rows(trial, algo))

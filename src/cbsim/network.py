@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import ConfigurationError, DegenerateChannelError, InvalidStateError
+from .errors import DegenerateChannelError, InvalidStateError
 
 INTER_SITE_M = 2000.0
 USER_RADIUS_MIN_M = 500.0
@@ -108,23 +108,16 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
     hexagonal-lattice points nearest to the cluster centroid (ties broken by
     coordinates), which reproduces the two surrounding tiers.
     """
-    if config.M > 3:
-        raise ConfigurationError(
-            f"layout generator supports 1..3 coordinated BSs, got M={config.M}")
     rng = np.random.default_rng(seed)
     cluster = _cluster_sites(config.M)
     centroid = cluster.mean(axis=0)
 
     a = np.array([INTER_SITE_M, 0.0])
     b = np.array([INTER_SITE_M / 2.0, INTER_SITE_M * np.sqrt(3.0) / 2.0])
-    lattice = []
-    for i in range(-6, 7):
-        for j in range(-6, 7):
-            p = i * a + j * b
-            if any(np.allclose(p, c, atol=1e-6) for c in cluster):
-                continue
-            lattice.append(p)
-    lattice = np.array(lattice)
+    i, j = np.meshgrid(np.arange(-6, 7), np.arange(-6, 7), indexing="ij")
+    lattice = i.reshape(-1, 1) * a + j.reshape(-1, 1) * b
+    on_cluster = np.isclose(lattice[:, None], cluster, atol=1e-6).all(axis=-1).any(axis=1)
+    lattice = lattice[~on_cluster]
     dist = np.linalg.norm(lattice - centroid, axis=1)
     # sort by distance, then coordinates, for a fully deterministic ring order
     order = np.lexsort((lattice[:, 1], lattice[:, 0], np.round(dist, 6)))

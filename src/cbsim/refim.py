@@ -20,7 +20,7 @@ from .config import NetworkConfig
 from .errors import ConfigurationError
 from .metrics import check_active
 from .network import ChannelState
-from .solver import LN2, Leakage, q_coefficients
+from .solver import LN2, _all_leakages
 
 
 def neighbour_sets(config: NetworkConfig) -> list[set[int]]:
@@ -79,35 +79,33 @@ def reference_map(channels: ChannelState, config: NetworkConfig,
     return refs
 
 
-def leakage_refim_from_q(channels: ChannelState, config: NetworkConfig,
-                         q: np.ndarray, m: int, k: int, n: int,
-                         refs: list[tuple[int, int]]) -> Leakage:
-    h = channels.normalized
-    nt = config.Nt
-    mat = np.zeros((nt, nt), dtype=complex)
-    terms = []
-    for (j, u) in refs:
-        g = config.user_id(j, u)
-        hu = h[m, g, n]
-        coeff = float(q[g, n])
-        mat += coeff * np.outer(hu, hu.conj())
-        terms.append((coeff, hu))
-    return Leakage(matrix=mat, rank_hint=len(refs), terms=terms)
+def _mask_from_refs(config: NetworkConfig, refmap: dict) -> np.ndarray:
+    mask = np.zeros((config.M, config.K, config.N, config.n_users), dtype=bool)
+    for (m, k, n), refs in refmap.items():
+        for (j, u) in refs:
+            mask[m, k, n, config.user_id(j, u)] = True
+    return mask
+
+
+def reference_mask(channels: ChannelState, config: NetworkConfig,
+                   r_count: int) -> np.ndarray:
+    """Victim mask (M, K, N, MK) of the truncated leakage: mask[m, k, n, g]
+    is set when user g is one of beam (m, k, n)'s reference users."""
+    return _mask_from_refs(config, reference_map(channels, config, r_count))
 
 
 def leakage_refim(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
                   m: int, k: int, n: int,
-                  refs: list[tuple[int, int]]) -> Leakage:
-    """Rank-limited leakage: only the reference users' terms are summed.
+                  refs: list[tuple[int, int]]) -> np.ndarray:
+    """Rank-limited (Nt, Nt) leakage: only the reference users' terms are summed.
 
     An empty reference list yields the zero matrix (selfish single-cell
     mode); passing every candidate reproduces the full leakage matrix
-    exactly. The rank-one terms are kept so the inverse can be built without
-    any dense factorization.
+    exactly.
     """
     check_active(config, m, k, n)
-    q = q_coefficients(channels, beams, config)
-    return leakage_refim_from_q(channels, config, q, m, k, n, refs)
+    mask = _mask_from_refs(config, {(m, k, n): refs})
+    return _all_leakages(channels, beams, config, mask)[1][m, k, n]
 
 
 def invert_rank_r(terms: list[tuple[float, np.ndarray]], lam: float,

@@ -34,13 +34,12 @@ import scipy.linalg
 
 from .config import NetworkConfig
 from .errors import BracketError, ConfigurationError, InvalidStateError, UsageError
-from .metrics import (bs_powers, check_active, empty_beams, received_powers,
+from .metrics import (bs_powers, check_active, empty_beams, link_state,
                       weighted_sum_rate)
 from .network import ChannelState
 
 LN2 = float(np.log(2.0))
 
-GAMMA_MODES = ("direct", "sherman_morrison", "rank_r")
 ALGORITHMS = ("icbf", "icbf_wi", "cb_refim")
 _ALGO_GAMMA = {"icbf": "direct", "icbf_wi": "sherman_morrison", "cb_refim": "rank_r"}
 
@@ -49,27 +48,10 @@ BISECT_WIDTH_RTOL = 1e-12   # bracket width relative to the upper bound
 BISECT_POWER_RTOL = 1e-6    # accepted gap between f(lambda) and Pmax
 
 
-@dataclass
-class Leakage:
-    """Hermitian PSD leakage matrix with bookkeeping.
-
-    matrix:    (Nt, Nt) sum of q * h h^H terms
-    rank_hint: number of rank-one terms summed
-    terms:     optional list of (q, h) pairs, kept when the low-rank structure
-               is needed downstream (reference-user mode)
-    """
-    matrix: np.ndarray
-    rank_hint: int
-    terms: list[tuple[float, np.ndarray]] | None = None
-
-
 def interference_all(channels: ChannelState, beams: np.ndarray,
                      config: NetworkConfig) -> np.ndarray:
     """Co-channel interference i_{m,k}(n) for every triple, shape (M, K, N)."""
-    p = received_powers(channels, beams)
-    total = np.einsum("jugn,jun->gn", p, config.assignment.astype(float))
-    gids = np.arange(config.n_users)
-    sig = p[gids // config.K, gids % config.K, gids, :]
+    _, total, sig = link_state(channels, beams, config)
     return (total - sig).reshape(config.M, config.K, config.N)
 
 
@@ -80,6 +62,13 @@ def interference(channels: ChannelState, beams: np.ndarray, config: NetworkConfi
     return float(interference_all(channels, beams, config)[m, k, n])
 
 
+def _q_from_link(config: NetworkConfig, total: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    sinr = sig / (1.0 + total - sig)
+    w = config.weights.reshape(config.n_users, config.N)
+    active = config.assignment.reshape(config.n_users, config.N)
+    return np.where(active, w * sinr / (1.0 + total), 0.0)
+
+
 def q_coefficients(channels: ChannelState, beams: np.ndarray,
                    config: NetworkConfig) -> np.ndarray:
     """Leakage weights q per (global user, subchannel), shape (MK, N).
@@ -88,56 +77,52 @@ def q_coefficients(channels: ChannelState, beams: np.ndarray,
     where the denominator includes the user's own desired-signal term.
     Inactive users get q = 0.
     """
-    p = received_powers(channels, beams)
-    total = np.einsum("jugn,jun->gn", p, config.assignment.astype(float))
+    _, total, sig = link_state(channels, beams, config)
+    return _q_from_link(config, total, sig)
+
+
+def full_mask(config: NetworkConfig) -> np.ndarray:
+    """Victim mask of the full leakage, shape (M, K, N, MK).
+
+    mask[m, k, n, g] is set when beam (m, k, n) is active and g is an active
+    user on subchannel n other than the beam's own user.
+    """
     gids = np.arange(config.n_users)
-    sig = p[gids // config.K, gids % config.K, gids, :]
-    sinr = sig / (1.0 + total - sig)
-    w = config.weights.reshape(config.n_users, config.N)
-    active = config.assignment.reshape(config.n_users, config.N)
-    return np.where(active, w * sinr / (1.0 + total), 0.0)
+    not_own = gids.reshape(config.M, config.K, 1, 1) != gids
+    victims = config.assignment.reshape(config.n_users, config.N).T     # (N, MK)
+    return config.assignment[..., None] & victims & not_own
 
 
-def _leakage_full_from_q(channels: ChannelState, config: NetworkConfig,
-                         q: np.ndarray, m: int, k: int, n: int) -> Leakage:
+def _all_leakages(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
+                  mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Victim weights W[m,k,n,g] = mask[m,k,n,g] * q[g,n] and the leakage
+    matrices L[m,k,n] = sum_g W[m,k,n,g] h_{m,g}(n) h_{m,g}(n)^H."""
+    w = mask * q_coefficients(channels, beams, config).T
     h = channels.normalized
-    own = config.user_id(m, k)
-    mat = np.zeros((config.Nt, config.Nt), dtype=complex)
-    count = 0
-    for j in range(config.M):
-        for u in range(config.K):
-            g = config.user_id(j, u)
-            if g == own or not config.is_active(j, u, n):
-                continue
-            hu = h[m, g, n]
-            mat += q[g, n] * np.outer(hu, hu.conj())
-            count += 1
-    return Leakage(matrix=mat, rank_hint=count)
+    return w, np.einsum("mkng,mgna,mgnb->mknab", w, h, h.conj())
 
 
 def leakage_full(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
-                 m: int, k: int, n: int) -> Leakage:
-    """Full leakage matrix of beam (m, k, n).
+                 m: int, k: int, n: int) -> np.ndarray:
+    """Full (Nt, Nt) leakage matrix of beam (m, k, n).
 
     L = sum over every other active co-subchannel user u (all cells) of
     q_u(n) * h_{m,u}(n) h_{m,u}(n)^H -- the harm BS m causes while serving
     user k, weighted by how much each victim's rate reacts.
     """
     check_active(config, m, k, n)
-    q = q_coefficients(channels, beams, config)
-    return _leakage_full_from_q(channels, config, q, m, k, n)
+    return _all_leakages(channels, beams, config, full_mask(config))[1][m, k, n]
 
 
-def gamma_direct(leakage: Leakage | np.ndarray, lam: float) -> np.ndarray:
+def gamma_direct(leakage: np.ndarray, lam: float) -> np.ndarray:
     """Exact Gamma = (L + lambda*ln2*I)^{-1} via a Hermitian PD solve."""
-    mat = leakage.matrix if isinstance(leakage, Leakage) else leakage
-    nt = mat.shape[0]
-    t = mat + lam * LN2 * np.eye(nt)
+    nt = leakage.shape[0]
+    t = leakage + lam * LN2 * np.eye(nt)
     gamma = scipy.linalg.solve(t, np.eye(nt, dtype=complex), assume_a="pos")
     return 0.5 * (gamma + gamma.conj().T)
 
 
-def gamma_sherman_morrison(leakage: Leakage | np.ndarray, lam: float) -> np.ndarray:
+def gamma_sherman_morrison(leakage: np.ndarray, lam: float) -> np.ndarray:
     """Inverse-free Gamma: (I - L / (lambda*ln2 + tr L)) / (lambda*ln2).
 
     A rank-one downdate identity makes this the exact inverse whenever
@@ -145,23 +130,25 @@ def gamma_sherman_morrison(leakage: Leakage | np.ndarray, lam: float) -> np.ndar
     returned as-is. Always Hermitian positive definite, because every
     eigenvalue of L is at most tr L.
     """
-    mat = leakage.matrix if isinstance(leakage, Leakage) else leakage
-    nt = mat.shape[0]
+    nt = leakage.shape[0]
     x = lam * LN2
-    gamma = (np.eye(nt) - mat / (x + np.trace(mat).real)) / x
+    gamma = (np.eye(nt) - leakage / (x + np.trace(leakage).real)) / x
     return 0.5 * (gamma + gamma.conj().T)
 
 
-def _gamma_for_mode(leakage: Leakage, lam: float, gamma_mode: str) -> np.ndarray:
+def _gamma_for_mode(leakage: np.ndarray, weights: np.ndarray, victims: np.ndarray,
+                    lam: float, gamma_mode: str) -> np.ndarray:
+    """Gamma of one beam from its leakage matrix, or for rank_r from its
+    victim weights (MK,) and the BS's channels to the victims (MK, Nt)."""
     if gamma_mode == "direct":
         return gamma_direct(leakage, lam)
     if gamma_mode == "sherman_morrison":
         return gamma_sherman_morrison(leakage, lam)
     if gamma_mode == "rank_r":
         from .refim import invert_rank_r
-        if leakage.terms is None:
-            raise UsageError("rank_r mode needs a leakage built from rank-one terms")
-        return invert_rank_r(leakage.terms, lam, nt=leakage.matrix.shape[0])
+        refs = np.flatnonzero(weights)
+        return invert_rank_r(list(zip(weights[refs], victims[refs])), lam,
+                             nt=leakage.shape[0])
     raise ConfigurationError(f"unknown gamma mode '{gamma_mode}'")
 
 
@@ -188,11 +175,13 @@ def beta(channels: ChannelState, config: NetworkConfig, m: int, k: int, n: int,
     return float(np.sqrt(num) / u)
 
 
-class _DualEvaluator:
+class DualEvaluator:
     """Fast (u, ||Gamma h||^2) evaluation over one BS's active triples.
 
-    For the exact-inverse modes the leakage matrices are eigendecomposed once,
-    after which every dual value costs O(Nt) per triple:
+    Built once per leakage, i.e. once per outer iteration. The triples of BS
+    m are taken in (n, k) order. For the exact-inverse modes the leakage
+    matrices are eigendecomposed once, after which every dual value costs
+    O(Nt) per triple:
 
         u(lam)  = sum_i p_i / (e_i + lam*ln2)
         g2(lam) = sum_i p_i / (e_i + lam*ln2)^2
@@ -202,15 +191,15 @@ class _DualEvaluator:
     to rounding.
     """
 
-    def __init__(self, channels: ChannelState, leakages: dict, config: NetworkConfig,
-                 m: int, gamma_mode: str):
+    def __init__(self, channels: ChannelState, leakages: np.ndarray,
+                 config: NetworkConfig, m: int, gamma_mode: str):
+        self.m = m
         self.exact = gamma_mode in ("direct", "rank_r")
-        triples = [(k, n) for n in range(config.N) for k in range(config.K)
-                   if config.is_active(m, k, n)]
-        self.triples = triples
-        hs = np.stack([channels.normalized[m, config.user_id(m, k), n]
-                       for k, n in triples])                       # (A, Nt)
-        mats = np.stack([leakages[(m, k, n)].matrix for k, n in triples])
+        self.active = config.assignment[m].T                          # (N, K)
+        own = slice(m * config.K, (m + 1) * config.K)                 # users of cell m
+        hs = channels.normalized[m, own].transpose(1, 0, 2)[self.active]  # (A, Nt)
+        mats = leakages[m].transpose(1, 0, 2, 3)[self.active]        # (A, Nt, Nt)
+        self.weights = config.weights[m].T[self.active]
         self.hh = np.sum(np.abs(hs) ** 2, axis=1)
         if self.exact:
             evals, vecs = np.linalg.eigh(mats)
@@ -237,18 +226,23 @@ class _DualEvaluator:
         g2 = np.sum(np.abs(r) ** 2, axis=1) / x ** 2
         return u, g2
 
+    def unpack(self, values: np.ndarray) -> np.ndarray:
+        """Per-triple values as a (K, N) array, zero at inactive triples."""
+        out = np.zeros(self.active.shape)
+        out[self.active] = values
+        return out.T
 
-def _betas_power(ev: _DualEvaluator, lam: float, weights: np.ndarray,
+
+def _betas_power(ev: DualEvaluator, lam: float,
                  interf: np.ndarray) -> tuple[np.ndarray, float]:
     u, g2 = ev.u_g2(lam)
-    b2 = np.clip(weights * u - interf - 1.0, 0.0, None) / u ** 2
+    b2 = np.clip(ev.weights * u - interf - 1.0, 0.0, None) / u ** 2
     return np.sqrt(b2), float(np.sum(b2 * g2))
 
 
-def lambda_bisection(channels: ChannelState, leakages: dict, interference_map: np.ndarray,
-                     config: NetworkConfig, m: int,
-                     gamma_mode: str) -> tuple[float, np.ndarray]:
-    """Per-BS dual variable and beam scalings.
+def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
+                     config: NetworkConfig) -> tuple[float, np.ndarray]:
+    """Dual variable and beam scalings of the evaluator's BS.
 
     Returns the smallest lambda in [lambda_min, lambda_upper] whose implied
     transmit power f(lambda) fits the budget, exploiting that f is
@@ -257,25 +251,17 @@ def lambda_bisection(channels: ChannelState, leakages: dict, interference_map: n
     feasible point. The returned beta array has shape (K, N) with zeros at
     inactive triples.
     """
-    ev = _DualEvaluator(channels, leakages, config, m, gamma_mode)
-    if not ev.triples:
+    if not ev.active.any():
         return config.lambda_min, np.zeros((config.K, config.N))
-    weights = np.array([config.weights[m, k, n] for k, n in ev.triples])
-    interf = np.array([interference_map[m, k, n] for k, n in ev.triples])
-
-    def pack(betas: np.ndarray) -> np.ndarray:
-        out = np.zeros((config.K, config.N))
-        for idx, (k, n) in enumerate(ev.triples):
-            out[k, n] = betas[idx]
-        return out
+    interf = interference_map[ev.m].T[ev.active]
 
     pmax = config.Pmax
-    betas_lo, f_lo = _betas_power(ev, config.lambda_min, weights, interf)
+    betas_lo, f_lo = _betas_power(ev, config.lambda_min, interf)
     if f_lo <= pmax:
-        return config.lambda_min, pack(betas_lo)
+        return config.lambda_min, ev.unpack(betas_lo)
 
-    lam_up = float(np.max(weights * ev.hh) / LN2)
-    betas_hi, f_hi = _betas_power(ev, lam_up, weights, interf)
+    lam_up = float(np.max(ev.weights * ev.hh) / LN2)
+    betas_hi, f_hi = _betas_power(ev, lam_up, interf)
     if f_hi > pmax:
         raise BracketError(
             f"power at the dual upper bound exceeds the budget: f({lam_up}) = {f_hi}")
@@ -287,50 +273,26 @@ def lambda_bisection(channels: ChannelState, leakages: dict, interference_map: n
         if pmax - f_hi <= BISECT_POWER_RTOL * pmax:
             break
         mid = 0.5 * (lo + hi)
-        betas_mid, f_mid = _betas_power(ev, mid, weights, interf)
+        betas_mid, f_mid = _betas_power(ev, mid, interf)
         if f_mid <= pmax:
             hi, betas_hi, f_hi = mid, betas_mid, f_mid
         else:
             lo = mid
-    return float(hi), pack(betas_hi)
+    return float(hi), ev.unpack(betas_hi)
 
 
-def update_beams(channels: ChannelState, leakages: dict, duals: np.ndarray,
-                 betas: np.ndarray, config: NetworkConfig,
+def update_beams(channels: ChannelState, weights: np.ndarray, leakages: np.ndarray,
+                 duals: np.ndarray, betas: np.ndarray, config: NetworkConfig,
                  gamma_mode: str) -> np.ndarray:
-    """Fresh beams v = beta * Gamma * h for every active triple."""
+    """Fresh beams v = beta * Gamma * h for every active triple with beta > 0,
+    from the victim weights and leakage matrices of :func:`_all_leakages`."""
     beams = empty_beams(config)
     h = channels.normalized
-    for m in range(config.M):
-        for n in range(config.N):
-            for k in range(config.K):
-                if not config.is_active(m, k, n):
-                    continue
-                b = betas[m, k, n]
-                if b == 0.0:
-                    continue
-                gamma = _gamma_for_mode(leakages[(m, k, n)], float(duals[m]), gamma_mode)
-                beams[m, k, n] = b * (gamma @ h[m, config.user_id(m, k), n])
+    for m, k, n in zip(*np.nonzero(betas * config.assignment)):
+        gamma = _gamma_for_mode(leakages[m, k, n], weights[m, k, n], h[m, :, n],
+                                float(duals[m]), gamma_mode)
+        beams[m, k, n] = betas[m, k, n] * (gamma @ h[m, config.user_id(m, k), n])
     return beams
-
-
-def _all_leakages(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
-                  algo: str, refmap: dict | None) -> dict:
-    q = q_coefficients(channels, beams, config)
-    leakages = {}
-    for m in range(config.M):
-        for n in range(config.N):
-            for k in range(config.K):
-                if not config.is_active(m, k, n):
-                    continue
-                if algo == "cb_refim":
-                    from .refim import leakage_refim_from_q
-                    leakages[(m, k, n)] = leakage_refim_from_q(
-                        channels, config, q, m, k, n, refmap[(m, k, n)])
-                else:
-                    leakages[(m, k, n)] = _leakage_full_from_q(
-                        channels, config, q, m, k, n)
-    return leakages
 
 
 @dataclass
@@ -371,11 +333,12 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
           algo: str, ref_count: int = 1) -> tuple[np.ndarray, SolverTrace]:
     """Run the double-loop coordinated beamforming algorithm.
 
-    Outer iterations recompute leakage matrices (and, for cb_refim, the
-    reference users); inner iterations recompute interference, per-BS duals,
-    beam scalings and beams, stopping on relative sum-rate stagnation or the
-    iteration caps. The best iterate seen (the initializer included) is
-    returned, so the result never degrades the starting point.
+    Outer iterations recompute the leakage matrices and each BS's dual
+    evaluator; cb_refim's reference users depend only on the channels and are
+    selected once per solve. Inner iterations recompute interference, per-BS
+    duals, beam scalings and beams, stopping on relative sum-rate stagnation
+    or the iteration caps. The best iterate seen (the initializer included)
+    is returned, so the result never degrades the starting point.
     """
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm '{algo}', expected one of {ALGORITHMS}")
@@ -383,6 +346,11 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
     if np.any(powers0 > config.Pmax * (1.0 + 1e-9)):
         raise UsageError(f"initial beams violate the power budget: {powers0}")
     gamma_mode = _ALGO_GAMMA[algo]
+    if algo == "cb_refim":
+        from .refim import reference_mask
+        mask = reference_mask(channels, config, ref_count)
+    else:
+        mask = full_mask(config)
 
     beams = init.copy()
     trace = SolverTrace(algo=algo)
@@ -393,20 +361,18 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
 
     prev_outer_wsr = wsr
     for outer in range(config.L_out_max):
-        refmap = None
-        if algo == "cb_refim":
-            from .refim import reference_map
-            refmap = reference_map(channels, config, ref_count)
-        leakages = _all_leakages(channels, beams, config, algo, refmap)
+        weights, leakages = _all_leakages(channels, beams, config, mask)
+        evaluators = [DualEvaluator(channels, leakages, config, m, gamma_mode)
+                      for m in range(config.M)]
 
         prev_inner_wsr = wsr
         for inner in range(config.L_in_max):
             interf = interference_all(channels, beams, config)
             betas = np.zeros((config.M, config.K, config.N))
-            for m in range(config.M):
-                duals[m], betas[m] = lambda_bisection(
-                    channels, leakages, interf, config, m, gamma_mode)
-            beams = update_beams(channels, leakages, duals, betas, config, gamma_mode)
+            for m, ev in enumerate(evaluators):
+                duals[m], betas[m] = lambda_bisection(ev, interf, config)
+            beams = update_beams(channels, weights, leakages, duals, betas, config,
+                                 gamma_mode)
 
             wsr = weighted_sum_rate(channels, beams, config)
             res = float(np.max(stationarity_residuals(channels, beams, duals, config)))
@@ -447,18 +413,21 @@ def lagrangian_value(channels: ChannelState, beams: np.ndarray, duals: np.ndarra
     return weighted_sum_rate(channels, beams, config) + float(np.dot(duals, slack))
 
 
-def _amp_q_totals(channels: ChannelState, beams: np.ndarray, config: NetworkConfig):
+def _stationarity_terms(channels: ChannelState, beams: np.ndarray,
+                        config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the stationarity equation without the dual term, each
+    (M, K, N, Nt): the leakage term L v, and the own-link term
+    w G v / (1 + total received power)."""
     h = channels.normalized
-    amps = np.einsum("jgna,juna->jugn", h.conj(), beams)   # h^H v per (j,u,g,n)
-    p = np.abs(amps) ** 2
-    total = np.einsum("jugn,jun->gn", p, config.assignment.astype(float))
+    amps, total, sig = link_state(channels, beams, config)
+    weights = full_mask(config) * _q_from_link(config, total, sig).T
+    leak = np.einsum("mkng,mkgn,mgna->mkna", weights, amps, h)
+    shape = (config.M, config.K, config.N)
     gids = np.arange(config.n_users)
-    sig = p[gids // config.K, gids % config.K, gids, :]
-    sinr = sig / (1.0 + total - sig)
-    w = config.weights.reshape(config.n_users, config.N)
-    active = config.assignment.reshape(config.n_users, config.N)
-    q = np.where(active, w * sinr / (1.0 + total), 0.0)
-    return amps, q, total
+    own_h = h[gids // config.K, gids].reshape(shape + (config.Nt,))
+    own = own_h * amps[gids // config.K, gids % config.K, gids].reshape(shape)[..., None]
+    gain = config.weights / (1.0 + total.reshape(shape))
+    return leak, gain[..., None] * own
 
 
 def lagrangian_gradient(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
@@ -469,23 +438,9 @@ def lagrangian_gradient(channels: ChannelState, beams: np.ndarray, duals: np.nda
     conjugate Wirtinger derivative, which is what central finite differences
     of the real-valued Lagrangian reproduce component-wise.
     """
-    h = channels.normalized
-    amps, q, total = _amp_q_totals(channels, beams, config)
-    # sum over victims: q_g' * (h_{m,g'}^H v_{m,k}) * h_{m,g'}
-    full = np.einsum("gn,mkgn,mgna->mkna", q, amps, h)
-    grad = np.zeros_like(beams)
-    for m in range(config.M):
-        for k in range(config.K):
-            g = config.user_id(m, k)
-            for n in range(config.N):
-                if not config.is_active(m, k, n):
-                    continue
-                own = h[m, g, n] * amps[m, k, g, n]
-                leak = full[m, k, n] - q[g, n] * own
-                grad[m, k, n] = (2.0 / LN2) * (
-                    config.weights[m, k, n] * own / (1.0 + total[g, n]) - leak
-                ) - 2.0 * duals[m] * beams[m, k, n]
-    return grad
+    leak, own = _stationarity_terms(channels, beams, config)
+    grad = (2.0 / LN2) * (own - leak) - 2.0 * duals[:, None, None, None] * beams
+    return np.where(config.assignment[..., None], grad, 0.0)
 
 
 def finite_difference_gradient(channels: ChannelState, beams: np.ndarray,
@@ -517,26 +472,12 @@ def stationarity_residuals(channels: ChannelState, beams: np.ndarray,
     || (L + lambda*ln2*I) v - w G v / (1 + v^H G v + i) || / ||v||
     with L and i recomputed from the given beams; zero where the beam is off.
     """
-    h = channels.normalized
-    amps, q, total = _amp_q_totals(channels, beams, config)
-    full = np.einsum("gn,mkgn,mgna->mkna", q, amps, h)
-    res = np.zeros((config.M, config.K, config.N))
-    for m in range(config.M):
-        for k in range(config.K):
-            g = config.user_id(m, k)
-            for n in range(config.N):
-                if not config.is_active(m, k, n):
-                    continue
-                v = beams[m, k, n]
-                norm = np.linalg.norm(v)
-                if norm == 0.0:
-                    continue
-                own = h[m, g, n] * amps[m, k, g, n]
-                leak = full[m, k, n] - q[g, n] * own
-                lhs = leak + duals[m] * LN2 * v
-                rhs = config.weights[m, k, n] * own / (1.0 + total[g, n])
-                res[m, k, n] = np.linalg.norm(lhs - rhs) / norm
-    return res
+    leak, own = _stationarity_terms(channels, beams, config)
+    lhs = leak + (duals * LN2)[:, None, None, None] * beams
+    norm = np.linalg.norm(beams, axis=-1)
+    on = config.assignment & (norm > 0.0)
+    res = np.linalg.norm(lhs - own, axis=-1)
+    return np.where(on, res / np.where(on, norm, 1.0), 0.0)
 
 
 @dataclass

@@ -21,9 +21,9 @@ from cbsim.network import (ChannelState, apply_noise, build_topology,
                            draw_channels, realize_network)
 from cbsim import refim
 from cbsim.experiments import ExperimentSpec, feedback_table, trial_seeds
-from cbsim.solver import (beta, gamma_direct, gamma_sherman_morrison,
-                          kkt_report, leakage_full, q_coefficients, solve,
-                          stationarity_residuals)
+from cbsim.solver import (_all_leakages, beta, full_mask, gamma_direct,
+                          gamma_sherman_morrison, interference_all, kkt_report,
+                          leakage_full, solve, stationarity_residuals)
 
 TRIALS = 100
 MASTER_SEED = 2024
@@ -224,17 +224,16 @@ def test_criterion_6_reference_count_sweep(suite):
     config = NetworkConfig()
     _, channels = realize_network(config, 17)
     beams, _ = solve(channels, config, init_mslnr(channels, config), "icbf_wi")
-    q = q_coefficients(channels, beams, config)
     worst = 0.0
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
                 refs = refim.select_references(channels, config, m, k, n,
                                                config.M * config.K - 1)
-                truncated = refim.leakage_refim_from_q(channels, config, q, m, k, n, refs)
+                truncated = refim.leakage_refim(channels, beams, config, m, k, n, refs)
                 full = leakage_full(channels, beams, config, m, k, n)
-                scale = max(np.linalg.norm(full.matrix), 1e-300)
-                worst = max(worst, np.linalg.norm(truncated.matrix - full.matrix) / scale)
+                scale = max(np.linalg.norm(full), 1e-300)
+                worst = max(worst, np.linalg.norm(truncated - full) / scale)
     ok = ratio >= 0.88 and worst <= 1e-10
     _check(6, "reference-count sweep", ok,
            f"R=1 / R=MK-1 mean ratio {ratio:.4f} (need >=0.88); "
@@ -326,11 +325,8 @@ def test_criterion_9_power_feasibility_and_dual_monotonicity(suite):
         beams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         from cbsim.metrics import bs_powers
         beams *= np.sqrt(config.Pmax / bs_powers(beams).max())
-        q = q_coefficients(channels, beams, config)
-        from cbsim.solver import _leakage_full_from_q, interference_all
         interf = interference_all(channels, beams, config)
-        leak = {(m, k, n): _leakage_full_from_q(channels, config, q, m, k, n)
-                for m in range(2) for k in range(2) for n in range(2)}
+        _, leak = _all_leakages(channels, beams, config, full_mask(config))
         for mode, gamma_fn in (("direct", gamma_direct),
                                ("sherman_morrison", gamma_sherman_morrison)):
             m = 0

@@ -3,6 +3,7 @@ import csv
 
 import pytest
 
+from cbsim import initializers
 from cbsim.cli import main, parse_config
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError
@@ -138,6 +139,22 @@ def test_trial_results_independent_of_other_trials():
     assert solo.final_wsr[key] == again.final_wsr[key]
 
 
+def test_each_initializer_runs_once_per_gamma(monkeypatch):
+    """The mslnr beams serve the baseline row and every solver start."""
+    calls = []
+    mslnr = initializers.INITIALIZERS["mslnr"]
+
+    def counting(channels, cfg):
+        calls.append(cfg.gamma_db)
+        return mslnr(channels, cfg)
+
+    monkeypatch.setitem(initializers.INITIALIZERS, "mslnr", counting)
+    spec = small_spec("ref_sweep", "unused.csv", gamma_db=(10.0, 30.0),
+                      algos=("mslnr", "icbf", "cb_refim"))
+    run_solver_trial(small_config(), spec, 0, ref_counts=(0, 1, 2))
+    assert calls == [10.0, 30.0]
+
+
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         ExperimentSpec(kind="plot")
@@ -188,6 +205,17 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg.write_text("K = 0\n")
     code = main(["cdf", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 1
+
+
+def test_cli_rejects_unsupported_cluster_size_at_config_time(tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("M = 4\n")
+    out = tmp_path / "x.csv"
+    code = main(["snr_sweep", "--config", str(cfg), "--trials", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "M=4" in err and "every trial failed" not in err
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_algorithm(tmp_path):

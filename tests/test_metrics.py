@@ -198,12 +198,3 @@ def test_per_user_rate_samples_trivial():
     rep = rate_report(state, beams, config)
     assert per_user_rate_samples([rep]).tolist() == [pytest.approx(2.0)]
 
-
-def test_rate_report_csv_rows():
-    config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    state = synthetic_channels(config, seed=33)
-    beams = empty_beams(config)
-    rep = rate_report(state, beams, config)
-    rows = rep.csv_rows(trial=3, algo="cm")
-    assert len(rows) == config.M * config.K * config.N
-    assert rows[0][:2] == [3, "cm"]

@@ -54,8 +54,8 @@ def test_topology_deterministic():
 
 
 def test_unsupported_cluster_size_rejected():
-    with pytest.raises(ConfigurationError):
-        build_topology(NetworkConfig(M=4), seed=0)
+    with pytest.raises(ConfigurationError, match="M=4"):
+        NetworkConfig(M=4)
 
 
 def test_small_clusters_supported():

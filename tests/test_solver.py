@@ -10,11 +10,12 @@ from cbsim.errors import UsageError
 from cbsim.initializers import init_cm, init_mslnr
 from cbsim.metrics import bs_powers, empty_beams, sinr, weighted_sum_rate
 from cbsim.network import ChannelState, realize_network
-from cbsim.solver import (LN2, Leakage, beta, finite_difference_gradient,
-                          gamma_direct, gamma_sherman_morrison, interference,
+from cbsim.solver import (LN2, DualEvaluator, _all_leakages, beta,
+                          finite_difference_gradient, full_mask, gamma_direct,
+                          gamma_sherman_morrison, interference, interference_all,
                           kkt_report, lagrangian_gradient, lagrangian_value,
-                          lambda_bisection, leakage_full, q_coefficients,
-                          solve, stationarity_residuals, update_beams)
+                          lambda_bisection, leakage_full, solve,
+                          stationarity_residuals, update_beams)
 
 complex_entries = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
                                      allow_nan=False, allow_infinity=False)
@@ -94,8 +95,7 @@ def test_leakage_zero_for_lone_user():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
     state = synthetic_channels(config)
     leak = leakage_full(state, random_beams(config, 4), config, 0, 0, 0)
-    assert np.allclose(leak.matrix, 0.0)
-    assert leak.rank_hint == 0
+    assert np.allclose(leak, 0.0)
 
 
 def test_leakage_zero_when_other_beams_off():
@@ -104,7 +104,7 @@ def test_leakage_zero_when_other_beams_off():
     beams = empty_beams(config)
     beams[0, 0, 0] = [1.0, 0.5]
     leak = leakage_full(state, beams, config, 0, 0, 0)
-    assert np.allclose(leak.matrix, 0.0)
+    assert np.allclose(leak, 0.0)
 
 
 def test_leakage_matches_scalar_oracle():
@@ -114,15 +114,14 @@ def test_leakage_matches_scalar_oracle():
     for (m, k, n) in [(0, 0, 0), (1, 1, 1), (0, 1, 1)]:
         got = leakage_full(state, beams, config, m, k, n)
         want = reference.leakage_scalar(state, beams, config, m, k, n)
-        assert np.allclose(got.matrix, want, rtol=1e-10, atol=1e-14)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
 def test_leakage_invariants():
     config = NetworkConfig(M=2, N=1, K=3, Nt=3)
     state = synthetic_channels(config, 8)
     beams = random_beams(config, 9)
-    leak = leakage_full(state, beams, config, 0, 1, 0)
-    mat = leak.matrix
+    mat = leakage_full(state, beams, config, 0, 1, 0)
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
     evals = np.linalg.eigvalsh(mat)
     assert evals.min() >= -1e-10 * np.trace(mat).real
@@ -263,23 +262,20 @@ def bisection_setup(seed, gamma_db=30.0):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2, gamma_db=gamma_db)
     _, state = realize_network(config, seed)
     beams = init_mslnr(state, config)
-    q = q_coefficients(state, beams, config)
-    leakages = {}
-    from cbsim.solver import _leakage_full_from_q, interference_all
-    for m in range(config.M):
-        for k in range(config.K):
-            for n in range(config.N):
-                leakages[(m, k, n)] = _leakage_full_from_q(state, config, q, m, k, n)
-    return config, state, leakages, interference_all(state, beams, config)
+    weights, leakages = _all_leakages(state, beams, config, full_mask(config))
+    return config, state, weights, leakages, interference_all(state, beams, config)
+
+
+def bisect(state, leakages, interf, config, m, mode):
+    return lambda_bisection(DualEvaluator(state, leakages, config, m, mode), interf, config)
 
 
 def test_bisection_returns_floor_when_beams_off():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2,
                            weights=np.zeros((1, 1, 1)))   # w = 0 kills the beam
     state = synthetic_channels(config, 14)
-    leakages = {(0, 0, 0): Leakage(np.zeros((2, 2), dtype=complex), 0)}
-    lam, betas = lambda_bisection(state, leakages, np.zeros((1, 1, 1)),
-                                  config, 0, "direct")
+    leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
+    lam, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, 0, "direct")
     assert lam == config.lambda_min == 1e-10
     assert np.all(betas == 0.0)
 
@@ -289,9 +285,8 @@ def test_bisection_inactive_constraint_keeps_floor():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2, weights=np.ones((1, 1, 1)))
     h = np.full((1, 1, 1, 2), 1e-6, dtype=complex)
     state = ChannelState(normalized=h, n_coordinated=1)
-    leakages = {(0, 0, 0): Leakage(np.zeros((2, 2), dtype=complex), 0)}
-    lam, betas = lambda_bisection(state, leakages, np.zeros((1, 1, 1)),
-                                  config, 0, "direct")
+    leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
+    lam, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, 0, "direct")
     assert lam == config.lambda_min
     # power implied by the returned betas stays within budget
     gamma = gamma_direct(leakages[(0, 0, 0)], lam)
@@ -301,9 +296,9 @@ def test_bisection_inactive_constraint_keeps_floor():
 
 @pytest.mark.parametrize("mode", ["direct", "sherman_morrison"])
 def test_bisection_against_dense_scan(mode):
-    config, state, leakages, interf = bisection_setup(17)
+    config, state, _, leakages, interf = bisection_setup(17)
     m = 0
-    lam_star, betas = lambda_bisection(state, leakages, interf, config, m, mode)
+    lam_star, betas = bisect(state, leakages, interf, config, m, mode)
 
     def power_at(lam):
         total = 0.0
@@ -336,13 +331,12 @@ def test_bisection_against_dense_scan(mode):
 
 def test_bisected_power_feasible_every_bs():
     for seed in (21, 22):
-        config, state, leakages, interf = bisection_setup(seed)
+        config, state, weights, leakages, interf = bisection_setup(seed)
         betas = np.zeros((config.M, config.K, config.N))
         duals = np.zeros(config.M)
         for m in range(config.M):
-            duals[m], betas[m] = lambda_bisection(state, leakages, interf,
-                                                  config, m, "direct")
-        beams = update_beams(state, leakages, duals, betas, config, "direct")
+            duals[m], betas[m] = bisect(state, leakages, interf, config, m, "direct")
+        beams = update_beams(state, weights, leakages, duals, betas, config, "direct")
         assert np.all(bs_powers(beams) <= config.Pmax * (1.0 + 1e-9))
 
 
@@ -353,13 +347,13 @@ def test_bisected_power_feasible_every_bs():
 def test_update_beams_recovers_matched_direction():
     config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
     state = synthetic_channels(config, 23)
-    leakages = {(0, 0, 0): Leakage(np.zeros((3, 3), dtype=complex), 0)}
+    leakages = np.zeros((1, 1, 1, 3, 3), dtype=complex)
     duals = np.array([0.5])
     h = state.normalized[0, 0, 0]
     gamma = gamma_direct(leakages[(0, 0, 0)], duals[0])
     b = beta(state, config, 0, 0, 0, gamma, 0.0)
-    beams = update_beams(state, leakages, duals, np.full((1, 1, 1), b),
-                         config, "direct")
+    beams = update_beams(state, np.zeros((1, 1, 1, 1)), leakages, duals,
+                         np.full((1, 1, 1), b), config, "direct")
     v = beams[0, 0, 0]
     assert abs(np.vdot(v, h)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(h))
 
@@ -367,8 +361,8 @@ def test_update_beams_recovers_matched_direction():
 def test_update_beams_zero_beta_switches_off():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
     state = synthetic_channels(config, 24)
-    leakages = {(0, 0, 0): Leakage(np.zeros((2, 2), dtype=complex), 0)}
-    beams = update_beams(state, leakages, np.array([1.0]),
+    leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
+    beams = update_beams(state, np.zeros((1, 1, 1, 1)), leakages, np.array([1.0]),
                          np.zeros((1, 1, 1)), config, "direct")
     assert np.all(beams == 0.0)
 
@@ -376,13 +370,12 @@ def test_update_beams_zero_beta_switches_off():
 def test_update_beams_stationarity_for_given_state():
     """Fresh beams satisfy the stationarity equation under the leakage and
     interference they were computed from (exact-inverse mode)."""
-    config, state, leakages, interf = bisection_setup(25)
+    config, state, weights, leakages, interf = bisection_setup(25)
     duals = np.zeros(config.M)
     betas = np.zeros((config.M, config.K, config.N))
     for m in range(config.M):
-        duals[m], betas[m] = lambda_bisection(state, leakages, interf,
-                                              config, m, "direct")
-    beams = update_beams(state, leakages, duals, betas, config, "direct")
+        duals[m], betas[m] = bisect(state, leakages, interf, config, m, "direct")
+    beams = update_beams(state, weights, leakages, duals, betas, config, "direct")
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
@@ -390,7 +383,7 @@ def test_update_beams_stationarity_for_given_state():
                 if np.linalg.norm(v) == 0.0:
                     continue
                 h = state.normalized[m, config.user_id(m, k), n]
-                t = leakages[(m, k, n)].matrix + duals[m] * LN2 * np.eye(config.Nt)
+                t = leakages[m, k, n] + duals[m] * LN2 * np.eye(config.Nt)
                 sig = abs(np.vdot(h, v)) ** 2
                 lhs = t @ v
                 rhs = (config.weights[m, k, n] * h * np.vdot(h, v)
@@ -541,6 +534,33 @@ def test_stationarity_residual_skips_off_beams():
     assert res[0, 0, 0] > 0.0
 
 
+def test_stationarity_residual_matches_scalar_oracle():
+    """The array form agrees with the per-triple equation built from the
+    scalar leakage and interference oracles, with inactive and off beams."""
+    config = NetworkConfig(M=2, N=2, K=2, Nt=3)
+    config.assignment[1, 0, 1] = False
+    state = synthetic_channels(config, 43)
+    beams = random_beams(config, 44)
+    beams[0, 1, 0] = 0.0
+    duals = np.array([0.3, 0.05])
+    res = stationarity_residuals(state, beams, duals, config)
+    for m in range(config.M):
+        for k in range(config.K):
+            for n in range(config.N):
+                v = beams[m, k, n]
+                if not config.assignment[m, k, n] or not v.any():
+                    assert res[m, k, n] == 0.0
+                    continue
+                h = state.normalized[m, config.user_id(m, k), n]
+                t = (reference.leakage_scalar(state, beams, config, m, k, n)
+                     + duals[m] * LN2 * np.eye(config.Nt))
+                i = reference.interference_scalar(state, beams, config, m, k, n)
+                rhs = (config.weights[m, k, n] * h * np.vdot(h, v)
+                       / (1.0 + abs(np.vdot(h, v)) ** 2 + i))
+                want = np.linalg.norm(t @ v - rhs) / np.linalg.norm(v)
+                assert res[m, k, n] == pytest.approx(want, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # configuration edge cases
 # ---------------------------------------------------------------------------
@@ -578,7 +598,6 @@ def test_dual_evaluator_stable_at_floor_with_aligned_rank_one_leakage():
     """At the dual floor, rank-one leakage aligned with the channel makes the
     inverse-free power expression cancel almost completely; the evaluator must
     still agree (in sign and value) with the literal Gamma-based computation."""
-    from cbsim.solver import _DualEvaluator
     rng = np.random.default_rng(46)
     config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
     for _ in range(25):
@@ -589,8 +608,7 @@ def test_dual_evaluator_stable_at_floor_with_aligned_rank_one_leakage():
         other = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         mat = (rng.uniform(0.5, 2.0) * np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
                + mix * np.outer(other, other.conj()) / np.linalg.norm(other) ** 2)
-        leakages = {(0, 0, 0): Leakage(mat, 2)}
-        ev = _DualEvaluator(state, leakages, config, 0, "sherman_morrison")
+        ev = DualEvaluator(state, mat[None, None, None], config, 0, "sherman_morrison")
         for lam in (1e-10, 1e-6, 1e-2):
             u, g2 = ev.u_g2(lam)
             gam = gamma_sherman_morrison(mat, lam)
