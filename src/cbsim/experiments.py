@@ -21,6 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ EXPERIMENT_KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf", "feedback")
 SOLVER_ALGOS = set(solver.ALGORITHMS)
 BASELINE_ALGOS = set(initializers.INITIALIZERS)
 DEFAULT_ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
+#: Errors that exclude one trial; numpy's LinAlgError is also scipy.linalg's.
+TRIAL_ERRORS = (CbsimError, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -161,28 +164,25 @@ def _run_trials(config: NetworkConfig, spec: ExperimentSpec,
                 ref_counts: tuple[int, ...] | None = None) -> tuple[list[TrialResult], int]:
     """Run all trials (optionally in worker processes); order is by trial index.
 
-    Failed trials are excluded from the aggregates, never retried; the
-    exclusion count is reported so the statistics stay honest.
+    Failed trials (a cbsim error or a singular linear solve) are excluded
+    from the aggregates, never retried; the exclusion count is reported so
+    the statistics stay honest. Any other exception ends the run.
     """
-    results: list[TrialResult | None] = [None] * spec.trials
-    failures = 0
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {t: pool.submit(run_solver_trial, config, spec, t, ref_counts)
-                       for t in range(spec.trials)}
-            for t, fut in futures.items():
-                try:
-                    results[t] = fut.result()
-                except CbsimError as exc:
-                    failures += 1
-                    print(f"warning: trial {t} failed: {exc}", file=sys.stderr)
+            calls = [pool.submit(run_solver_trial, config, spec, t, ref_counts).result
+                     for t in range(spec.trials)]
     else:
-        for t in range(spec.trials):
-            try:
-                results[t] = run_solver_trial(config, spec, t, ref_counts)
-            except CbsimError as exc:
-                failures += 1
-                print(f"warning: trial {t} failed: {exc}", file=sys.stderr)
+        calls = [partial(run_solver_trial, config, spec, t, ref_counts)
+                 for t in range(spec.trials)]
+    results: list[TrialResult | None] = [None] * spec.trials
+    failures = 0
+    for t, call in enumerate(calls):
+        try:
+            results[t] = call()
+        except TRIAL_ERRORS as exc:
+            failures += 1
+            print(f"warning: trial {t} failed: {exc}", file=sys.stderr)
     kept = [r for r in results if r is not None]
     if not kept:
         raise InvalidStateError(f"every trial failed ({failures} errors)")

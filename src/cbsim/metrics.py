@@ -45,10 +45,10 @@ def link_state(channels: ChannelState, beams: np.ndarray,
     return amps, total, signal
 
 
-def sinr_all(channels: ChannelState, beams: np.ndarray,
-             config: NetworkConfig) -> np.ndarray:
-    """SINR per active triple, shape (M, K, N); zeros where inactive."""
-    _, total, sig = link_state(channels, beams, config)
+def sinr_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
+    """SINR per active triple from a :func:`link_state`, shape (M, K, N);
+    zeros where inactive."""
+    _, total, sig = link
     shape = (config.M, config.K, config.N)
     return np.where(config.assignment,
                     sig.reshape(shape) / (1.0 + (total - sig).reshape(shape)), 0.0)
@@ -58,19 +58,19 @@ def sinr(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
          m: int, k: int, n: int) -> float:
     """Desired power over (1 + co-subchannel interference) for user (m, k)."""
     check_active(config, m, k, n)
-    return float(sinr_all(channels, beams, config)[m, k, n])
+    return float(sinr_of_link(config, link_state(channels, beams, config))[m, k, n])
 
 
-def rates_all(channels: ChannelState, beams: np.ndarray,
-              config: NetworkConfig) -> np.ndarray:
-    return np.log2(1.0 + sinr_all(channels, beams, config))
+def sum_rate_of_link(config: NetworkConfig, link: tuple) -> float:
+    """Weighted sum-rate from a :func:`link_state`."""
+    rates = np.log2(1.0 + sinr_of_link(config, link))
+    return float(np.sum(config.weights * rates * config.assignment))
 
 
 def weighted_sum_rate(channels: ChannelState, beams: np.ndarray,
                       config: NetworkConfig) -> float:
     """sum over active (m, k, n) of w_k(n) * log2(1 + SINR_{m,k}(n))."""
-    rates = rates_all(channels, beams, config)
-    return float(np.sum(config.weights * rates * config.assignment))
+    return sum_rate_of_link(config, link_state(channels, beams, config))
 
 
 def bs_power(beams: np.ndarray, m: int) -> float:
@@ -121,7 +121,7 @@ class RateReport:
 
 def rate_report(channels: ChannelState, beams: np.ndarray,
                 config: NetworkConfig) -> RateReport:
-    s = sinr_all(channels, beams, config)
+    s = sinr_of_link(config, link_state(channels, beams, config))
     r = np.log2(1.0 + s)
     wsr = float(np.sum(config.weights * r * config.assignment))
     user_rates = np.sum(r * config.assignment, axis=2)

@@ -20,7 +20,7 @@ from .config import NetworkConfig
 from .errors import ConfigurationError
 from .metrics import check_active
 from .network import ChannelState
-from .solver import LN2, _all_leakages
+from .solver import LN2, _all_leakages, q_coefficients
 
 
 def neighbour_sets(config: NetworkConfig) -> list[set[int]]:
@@ -105,30 +105,32 @@ def leakage_refim(channels: ChannelState, beams: np.ndarray, config: NetworkConf
     """
     check_active(config, m, k, n)
     mask = _mask_from_refs(config, {(m, k, n): refs})
-    return _all_leakages(channels, beams, config, mask)[1][m, k, n]
+    q = q_coefficients(channels, beams, config)
+    return _all_leakages(channels, q, mask)[1][m, k, n]
 
 
-def invert_rank_r(terms: list[tuple[float, np.ndarray]], lam: float,
-                  nt: int | None = None) -> np.ndarray:
-    """Exact inverse of (lambda*ln2*I + sum_r q_r h_r h_r^H) by sequential
-    rank-one updates.
+def invert_rank_r(coeffs: np.ndarray, vecs: np.ndarray, lam) -> np.ndarray:
+    """Exact inverses of (lambda*ln2*I + sum_r q_r h_r h_r^H) by sequential
+    rank-one updates, batched over leading axes.
 
-    Each update divides by 1 + q * h^H A^{-1} h > 0 (the terms are PSD), so
-    the recursion never degenerates. With a single term this reduces to the
-    closed inverse-free expression.
+    coeffs (..., R) holds the q_r >= 0 and vecs (..., R, Nt) the h_r; lam
+    broadcasts against the leading axes. Each update divides by
+    1 + q * h^H A^{-1} h >= 1 (the terms are PSD), so the recursion never
+    degenerates, and a zero coefficient leaves the inverse unchanged. With a
+    single term this reduces to the closed inverse-free expression.
     """
-    if nt is None:
-        if not terms:
-            raise ConfigurationError("need nt when the term list is empty")
-        nt = terms[0][1].shape[0]
-    gamma = np.eye(nt, dtype=complex) / (lam * LN2)
-    for coeff, vec in terms:
-        if coeff == 0.0:
+    nt = vecs.shape[-1]
+    x = np.asarray(lam) * LN2
+    gamma = np.eye(nt, dtype=complex) / x[..., None, None]
+    gamma = np.broadcast_to(gamma, coeffs.shape[:-1] + (nt, nt))
+    for r in range(coeffs.shape[-1]):
+        q, vec = coeffs[..., r], vecs[..., r, :]
+        if not q.any():
             continue
-        gv = gamma @ vec
-        denom = 1.0 + coeff * np.vdot(vec, gv).real
-        gamma = gamma - (coeff / denom) * np.outer(gv, gv.conj())
-    return 0.5 * (gamma + gamma.conj().T)
+        gv = (gamma @ vec[..., None])[..., 0]
+        denom = 1.0 + q * np.sum(vec.conj() * gv, axis=-1).real
+        gamma = gamma - (q / denom)[..., None, None] * (gv[..., :, None] * gv.conj()[..., None, :])
+    return 0.5 * (gamma + gamma.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +150,9 @@ def out_of_cell_reference_counts(config: NetworkConfig,
     its own users), and a user referenced by several of BS m's beams is
     fetched once.
     """
-    counts = np.zeros((config.M, config.N), dtype=int)
-    for m in range(config.M):
-        for n in range(config.N):
-            distinct = set()
-            for k in range(config.K):
-                for (j, u) in refmap.get((m, k, n), []):
-                    if j != m:
-                        distinct.add((j, u))
-            counts[m, n] = len(distinct)
-    return counts
+    referenced = _mask_from_refs(config, refmap).any(axis=1)           # (M, N, MK)
+    own_cell = np.arange(config.n_users) // config.K == np.arange(config.M)[:, None]
+    return np.sum(referenced & ~own_cell[:, None], axis=-1)
 
 
 def feedback_bits(config: NetworkConfig, algo: str,
@@ -181,17 +176,12 @@ def feedback_bits(config: NetworkConfig, algo: str,
     if algo not in ("icbf", "icbf_wi", "cb_refim"):
         raise ConfigurationError(f"no feedback model for algorithm '{algo}'")
     hoods = neighbour_sets(config)
-    reals = 0
-    for m in range(config.M):
-        for n in range(config.N):
-            others = sum(1 for j in hoods[m] if j != m
-                         for u in range(config.K) if config.is_active(j, u, n))
-            if algo == "cb_refim":
-                if out_of_cell_refs is None:
-                    raise ConfigurationError(
-                        "cb_refim feedback accounting needs reference counts")
-                reals += others * 2 * config.Nt
-                reals += SCALAR_FEEDBACK_REALS * int(out_of_cell_refs[m, n])
-            else:
-                reals += others * (2 * config.Nt + SCALAR_FEEDBACK_REALS)
-    return reals * qbits
+    others = np.array([[j in hoods[m] and j != m for j in range(config.M)]
+                       for m in range(config.M)])                    # (M, M)
+    users = int(np.sum(others @ config.assignment.sum(axis=1)))     # sum of |U(m, n)|
+    if algo != "cb_refim":
+        return users * (2 * config.Nt + SCALAR_FEEDBACK_REALS) * qbits
+    if out_of_cell_refs is None:
+        raise ConfigurationError("cb_refim feedback accounting needs reference counts")
+    refs = int(np.sum(out_of_cell_refs))
+    return (users * 2 * config.Nt + SCALAR_FEEDBACK_REALS * refs) * qbits

@@ -18,9 +18,10 @@ T = L + lambda*ln2*I. Three variants are provided:
             Gamma is the exact inverse of that low-rank-plus-identity matrix,
             obtained by sequential rank-one updates (no dense inversion).
 
-The double loop recomputes leakage matrices in the outer loop and
-(interference, dual variables, beam scalings, beams) in the inner loop;
-per-BS duals are found by bisection on the transmit power, which is
+The double loop recomputes leakage matrices and one network-wide
+:class:`DualEvaluator` in the outer loop and (interference, dual variables,
+beam scalings, beams) in the inner loop; the per-BS duals are bisected
+jointly, each BS on its own bracket, on the transmit power, which is
 non-increasing in the dual.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ import scipy.linalg
 
 from .config import NetworkConfig
 from .errors import BracketError, ConfigurationError, InvalidStateError, UsageError
-from .metrics import (bs_powers, check_active, empty_beams, link_state,
+from .metrics import (bs_powers, check_active, link_state, sum_rate_of_link,
                       weighted_sum_rate)
 from .network import ChannelState
 
@@ -48,11 +49,15 @@ BISECT_WIDTH_RTOL = 1e-12   # bracket width relative to the upper bound
 BISECT_POWER_RTOL = 1e-6    # accepted gap between f(lambda) and Pmax
 
 
+def _interference_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
+    _, total, sig = link
+    return (total - sig).reshape(config.M, config.K, config.N)
+
+
 def interference_all(channels: ChannelState, beams: np.ndarray,
                      config: NetworkConfig) -> np.ndarray:
     """Co-channel interference i_{m,k}(n) for every triple, shape (M, K, N)."""
-    _, total, sig = link_state(channels, beams, config)
-    return (total - sig).reshape(config.M, config.K, config.N)
+    return _interference_of_link(config, link_state(channels, beams, config))
 
 
 def interference(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
@@ -62,7 +67,8 @@ def interference(channels: ChannelState, beams: np.ndarray, config: NetworkConfi
     return float(interference_all(channels, beams, config)[m, k, n])
 
 
-def _q_from_link(config: NetworkConfig, total: np.ndarray, sig: np.ndarray) -> np.ndarray:
+def _q_from_link(config: NetworkConfig, link: tuple) -> np.ndarray:
+    _, total, sig = link
     sinr = sig / (1.0 + total - sig)
     w = config.weights.reshape(config.n_users, config.N)
     active = config.assignment.reshape(config.n_users, config.N)
@@ -77,8 +83,7 @@ def q_coefficients(channels: ChannelState, beams: np.ndarray,
     where the denominator includes the user's own desired-signal term.
     Inactive users get q = 0.
     """
-    _, total, sig = link_state(channels, beams, config)
-    return _q_from_link(config, total, sig)
+    return _q_from_link(config, link_state(channels, beams, config))
 
 
 def full_mask(config: NetworkConfig) -> np.ndarray:
@@ -93,11 +98,11 @@ def full_mask(config: NetworkConfig) -> np.ndarray:
     return config.assignment[..., None] & victims & not_own
 
 
-def _all_leakages(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
+def _all_leakages(channels: ChannelState, q: np.ndarray,
                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Victim weights W[m,k,n,g] = mask[m,k,n,g] * q[g,n] and the leakage
     matrices L[m,k,n] = sum_g W[m,k,n,g] h_{m,g}(n) h_{m,g}(n)^H."""
-    w = mask * q_coefficients(channels, beams, config).T
+    w = mask * q.T
     h = channels.normalized
     return w, np.einsum("mkng,mgna,mgnb->mknab", w, h, h.conj())
 
@@ -111,7 +116,8 @@ def leakage_full(channels: ChannelState, beams: np.ndarray, config: NetworkConfi
     user k, weighted by how much each victim's rate reacts.
     """
     check_active(config, m, k, n)
-    return _all_leakages(channels, beams, config, full_mask(config))[1][m, k, n]
+    q = q_coefficients(channels, beams, config)
+    return _all_leakages(channels, q, full_mask(config))[1][m, k, n]
 
 
 def gamma_direct(leakage: np.ndarray, lam: float) -> np.ndarray:
@@ -134,22 +140,6 @@ def gamma_sherman_morrison(leakage: np.ndarray, lam: float) -> np.ndarray:
     x = lam * LN2
     gamma = (np.eye(nt) - leakage / (x + np.trace(leakage).real)) / x
     return 0.5 * (gamma + gamma.conj().T)
-
-
-def _gamma_for_mode(leakage: np.ndarray, weights: np.ndarray, victims: np.ndarray,
-                    lam: float, gamma_mode: str) -> np.ndarray:
-    """Gamma of one beam from its leakage matrix, or for rank_r from its
-    victim weights (MK,) and the BS's channels to the victims (MK, Nt)."""
-    if gamma_mode == "direct":
-        return gamma_direct(leakage, lam)
-    if gamma_mode == "sherman_morrison":
-        return gamma_sherman_morrison(leakage, lam)
-    if gamma_mode == "rank_r":
-        from .refim import invert_rank_r
-        refs = np.flatnonzero(weights)
-        return invert_rank_r(list(zip(weights[refs], victims[refs])), lam,
-                             nt=leakage.shape[0])
-    raise ConfigurationError(f"unknown gamma mode '{gamma_mode}'")
 
 
 def beta(channels: ChannelState, config: NetworkConfig, m: int, k: int, n: int,
@@ -176,123 +166,124 @@ def beta(channels: ChannelState, config: NetworkConfig, m: int, k: int, n: int,
 
 
 class DualEvaluator:
-    """Fast (u, ||Gamma h||^2) evaluation over one BS's active triples.
+    """u = h^H Gamma h, ||Gamma h||^2 and Gamma h of every triple at per-BS duals.
 
-    Built once per leakage, i.e. once per outer iteration. The triples of BS
-    m are taken in (n, k) order. For the exact-inverse modes the leakage
-    matrices are eigendecomposed once, after which every dual value costs
-    O(Nt) per triple:
+    Built once per leakage, i.e. once per outer iteration. Its arrays are
+    (M, N, K, ...), so each BS's triples run in (n, k) order; inactive triples
+    have zero weight and so zero beta. The exact-inverse modes eigendecompose
+    the leakage matrices once, L = V diag(e) V^H, after which, with c = V^H h
+    and x = lambda*ln2, every dual value costs O(Nt) per triple:
 
-        u(lam)  = sum_i p_i / (e_i + lam*ln2)
-        g2(lam) = sum_i p_i / (e_i + lam*ln2)^2
+        u = sum_i |c_i|^2 / (e_i + x),   ||Gamma h||^2 = sum_i |c_i|^2 / (e_i + x)^2
 
-    with p_i = |V^H h|_i^2. The inverse-free mode uses its closed form
-    directly. Both paths agree with gamma_direct / gamma_sherman_morrison up
-    to rounding.
+    and icbf's Gamma h = V (c / (e + x)). The inverse-free mode uses its closed
+    form Gamma h = (h - L h / (x + tr L)) / x, and cb_refim's Gamma is
+    :func:`refim.invert_rank_r` over the victim weights of :func:`_all_leakages`.
     """
 
-    def __init__(self, channels: ChannelState, leakages: np.ndarray,
-                 config: NetworkConfig, m: int, gamma_mode: str):
-        self.m = m
-        self.exact = gamma_mode in ("direct", "rank_r")
-        self.active = config.assignment[m].T                          # (N, K)
-        own = slice(m * config.K, (m + 1) * config.K)                 # users of cell m
-        hs = channels.normalized[m, own].transpose(1, 0, 2)[self.active]  # (A, Nt)
-        mats = leakages[m].transpose(1, 0, 2, 3)[self.active]        # (A, Nt, Nt)
-        self.weights = config.weights[m].T[self.active]
-        self.hh = np.sum(np.abs(hs) ** 2, axis=1)
-        if self.exact:
-            evals, vecs = np.linalg.eigh(mats)
-            self.evals = np.clip(evals, 0.0, None)                 # PSD up to rounding
-            proj = np.einsum("aij,aj->ai", vecs.conj().transpose(0, 2, 1), hs)
-            self.proj = np.abs(proj) ** 2
-        else:
-            self.hs = hs
-            self.lh = np.einsum("aij,aj->ai", mats, hs)
-            self.tr = np.einsum("aii->a", mats).real
+    def __init__(self, channels: ChannelState, weights: np.ndarray,
+                 leakages: np.ndarray, config: NetworkConfig, gamma_mode: str):
+        if gamma_mode not in _ALGO_GAMMA.values():
+            raise ConfigurationError(f"unknown gamma mode '{gamma_mode}'")
+        self.mode = gamma_mode
+        h = channels.normalized.swapaxes(1, 2)                        # (M, N, MK, Nt)
+        bs = np.arange(config.M)
+        cells = h.reshape(h.shape[:2] + (config.M, config.K, -1))     # (M, N, M, K, Nt)
+        self.hs = cells[bs, :, bs]                                    # own users (M, N, K, Nt)
+        self.weights = (config.weights * config.assignment).swapaxes(1, 2)
+        hh = np.sum(np.abs(self.hs) ** 2, axis=-1)
+        self.lam_up = np.max(self.weights * hh, axis=(1, 2)) / LN2   # lambda_upper
+        mats = leakages.swapaxes(1, 2)
+        if gamma_mode == "sherman_morrison":
+            self.lh = np.einsum("...ij,...j->...i", mats, self.hs)
+            self.tr = np.einsum("...ii->...", mats).real
+            return
+        evals, self.vecs = np.linalg.eigh(mats)
+        self.evals = np.clip(evals, 0.0, None)                     # PSD up to rounding
+        self.coef = np.einsum("...ij,...j->...i", self.vecs.conj().swapaxes(-1, -2), self.hs)
+        self.proj = np.abs(self.coef) ** 2
+        if gamma_mode == "rank_r":   # victim weights (M, N, K, MK), channels (M, N, 1, MK, Nt)
+            self.victim_w, self.victims = weights.swapaxes(1, 2), h[:, :, None]
 
-    def u_g2(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
-        x = lam * LN2
-        if self.exact:
-            d = self.evals + x
-            return np.sum(self.proj / d, axis=1), np.sum(self.proj / d ** 2, axis=1)
+    def _residual(self, x: np.ndarray) -> np.ndarray:
         # Gamma h = (h - L h / (x + tr L)) / x. Form the residual vector before
         # taking norms: expanding ||.||^2 into scalar terms cancels
         # catastrophically near the dual floor when L is (close to) rank one
         # and aligned with h, and can even turn the power negative.
-        scale = 1.0 / (x + self.tr)
-        r = self.hs - scale[:, None] * self.lh
-        u = np.einsum("ai,ai->a", self.hs.conj(), r).real / x
-        g2 = np.sum(np.abs(r) ** 2, axis=1) / x ** 2
-        return u, g2
+        return self.hs - (1.0 / (x + self.tr))[..., None] * self.lh
 
-    def unpack(self, values: np.ndarray) -> np.ndarray:
-        """Per-triple values as a (K, N) array, zero at inactive triples."""
-        out = np.zeros(self.active.shape)
-        out[self.active] = values
-        return out.T
+    def u_g2(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = (lam * LN2)[:, None, None]
+        if self.mode == "sherman_morrison":
+            r = self._residual(x)
+            u = np.einsum("...i,...i->...", self.hs.conj(), r).real / x
+            return u, np.sum(np.abs(r) ** 2, axis=-1) / x ** 2
+        d = self.evals + x[..., None]
+        return np.sum(self.proj / d, axis=-1), np.sum(self.proj / d ** 2, axis=-1)
+
+    def gamma_h(self, lam: np.ndarray) -> np.ndarray:
+        """Gamma h of every triple, shape (M, K, N, Nt)."""
+        x = (lam * LN2)[:, None, None]
+        if self.mode == "sherman_morrison":
+            gh = self._residual(x) / x[..., None]
+        elif self.mode == "direct":
+            gh = np.einsum("...ij,...j->...i", self.vecs, self.coef / (self.evals + x[..., None]))
+        else:
+            from . import refim
+            gamma = refim.invert_rank_r(self.victim_w, self.victims, lam[:, None, None])
+            gh = np.einsum("...ij,...j->...i", gamma, self.hs)
+        return gh.swapaxes(1, 2)
 
 
-def _betas_power(ev: DualEvaluator, lam: float,
-                 interf: np.ndarray) -> tuple[np.ndarray, float]:
+def _betas_power(ev: DualEvaluator, lam: np.ndarray,
+                 interf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, g2 = ev.u_g2(lam)
-    b2 = np.clip(ev.weights * u - interf - 1.0, 0.0, None) / u ** 2
-    return np.sqrt(b2), float(np.sum(b2 * g2))
+    b2 = np.maximum(ev.weights * u - interf - 1.0, 0.0) / u ** 2
+    # each BS's power, summed over its triples in (n, k) order
+    return np.sqrt(b2), np.sum((b2 * g2).reshape(len(lam), -1), axis=1)
 
 
 def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
-                     config: NetworkConfig) -> tuple[float, np.ndarray]:
-    """Dual variable and beam scalings of the evaluator's BS.
+                     config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Dual variables (M,) and beam scalings (M, K, N) of every BS.
 
-    Returns the smallest lambda in [lambda_min, lambda_upper] whose implied
-    transmit power f(lambda) fits the budget, exploiting that f is
+    Each BS gets the smallest lambda in [lambda_min, lambda_upper] whose
+    implied transmit power f(lambda) fits the budget, exploiting that f is
     non-increasing in lambda. lambda_upper = max w ||h||^2 / ln2 over the
     BS's triples forces every beta to zero, so the bracket always contains a
-    feasible point. The returned beta array has shape (K, N) with zeros at
-    inactive triples.
+    feasible point. The BSs are bisected together, each on its own bracket
+    with its own stop tests; a BS that fits at lambda_min (one without active
+    triples among them) keeps it. Betas are zero at inactive triples.
     """
-    if not ev.active.any():
-        return config.lambda_min, np.zeros((config.K, config.N))
-    interf = interference_map[ev.m].T[ev.active]
-
+    interf = interference_map.swapaxes(1, 2)
     pmax = config.Pmax
-    betas_lo, f_lo = _betas_power(ev, config.lambda_min, interf)
-    if f_lo <= pmax:
-        return config.lambda_min, ev.unpack(betas_lo)
+    lo = np.full(config.M, config.lambda_min)
+    done = _betas_power(ev, lo, interf)[1] <= pmax
+    hi = lam_up = np.where(done, lo, ev.lam_up)
+    betas, f_hi = _betas_power(ev, hi, interf)
+    if np.any(f_hi > pmax):
+        m = int(np.argmax(f_hi > pmax))
+        raise BracketError(f"power of BS {m} at the dual upper bound exceeds the "
+                           f"budget: f({hi[m]}) = {f_hi[m]}")
 
-    lam_up = float(np.max(ev.weights * ev.hh) / LN2)
-    betas_hi, f_hi = _betas_power(ev, lam_up, interf)
-    if f_hi > pmax:
-        raise BracketError(
-            f"power at the dual upper bound exceeds the budget: f({lam_up}) = {f_hi}")
-
-    lo, hi = config.lambda_min, lam_up
     for _ in range(BISECT_MAX_STEPS):
-        if hi - lo <= BISECT_WIDTH_RTOL * lam_up:
+        done |= hi - lo <= BISECT_WIDTH_RTOL * lam_up
+        done |= pmax - f_hi <= BISECT_POWER_RTOL * pmax
+        if done.all():
             break
-        if pmax - f_hi <= BISECT_POWER_RTOL * pmax:
-            break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)          # lies in [lambda_min, lambda_upper] for every BS
         betas_mid, f_mid = _betas_power(ev, mid, interf)
-        if f_mid <= pmax:
-            hi, betas_hi, f_hi = mid, betas_mid, f_mid
-        else:
-            lo = mid
-    return float(hi), ev.unpack(betas_hi)
+        fits = ~done & (f_mid <= pmax)
+        lo = np.where(done | fits, lo, mid)
+        hi = np.where(fits, mid, hi)
+        betas = np.where(fits[:, None, None], betas_mid, betas)
+        f_hi = np.where(fits, f_mid, f_hi)
+    return hi, betas.swapaxes(1, 2)
 
 
-def update_beams(channels: ChannelState, weights: np.ndarray, leakages: np.ndarray,
-                 duals: np.ndarray, betas: np.ndarray, config: NetworkConfig,
-                 gamma_mode: str) -> np.ndarray:
-    """Fresh beams v = beta * Gamma * h for every active triple with beta > 0,
-    from the victim weights and leakage matrices of :func:`_all_leakages`."""
-    beams = empty_beams(config)
-    h = channels.normalized
-    for m, k, n in zip(*np.nonzero(betas * config.assignment)):
-        gamma = _gamma_for_mode(leakages[m, k, n], weights[m, k, n], h[m, :, n],
-                                float(duals[m]), gamma_mode)
-        beams[m, k, n] = betas[m, k, n] * (gamma @ h[m, config.user_id(m, k), n])
-    return beams
+def update_beams(ev: DualEvaluator, duals: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Fresh beams v = beta * Gamma * h for every triple, zero where beta = 0."""
+    return betas[..., None] * ev.gamma_h(duals)
 
 
 @dataclass
@@ -333,19 +324,19 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
           algo: str, ref_count: int = 1) -> tuple[np.ndarray, SolverTrace]:
     """Run the double-loop coordinated beamforming algorithm.
 
-    Outer iterations recompute the leakage matrices and each BS's dual
-    evaluator; cb_refim's reference users depend only on the channels and are
-    selected once per solve. Inner iterations recompute interference, per-BS
-    duals, beam scalings and beams, stopping on relative sum-rate stagnation
-    or the iteration caps. The best iterate seen (the initializer included)
-    is returned, so the result never degrades the starting point.
+    Outer iterations recompute the leakage matrices and the dual evaluator;
+    cb_refim's reference users depend only on the channels and are selected
+    once per solve. Inner iterations recompute interference, duals, beam
+    scalings and beams, stopping on relative sum-rate stagnation or the
+    iteration caps; one link state per iterate serves all of them. The best
+    iterate seen (the initializer included) is returned, so the result never
+    degrades the starting point.
     """
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm '{algo}', expected one of {ALGORITHMS}")
     powers0 = bs_powers(init)
     if np.any(powers0 > config.Pmax * (1.0 + 1e-9)):
         raise UsageError(f"initial beams violate the power budget: {powers0}")
-    gamma_mode = _ALGO_GAMMA[algo]
     if algo == "cb_refim":
         from .refim import reference_mask
         mask = reference_mask(channels, config, ref_count)
@@ -353,29 +344,24 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
         mask = full_mask(config)
 
     beams = init.copy()
-    trace = SolverTrace(algo=algo)
-    wsr = weighted_sum_rate(channels, beams, config)
-    trace.init_sum_rate = wsr
-    duals = np.full(config.M, config.lambda_min)
-    best = (wsr, beams.copy(), duals.copy())
+    link = link_state(channels, beams, config)
+    wsr = sum_rate_of_link(config, link)
+    trace = SolverTrace(algo=algo, init_sum_rate=wsr)
+    best = (wsr, beams, np.full(config.M, config.lambda_min))
 
     prev_outer_wsr = wsr
     for outer in range(config.L_out_max):
-        weights, leakages = _all_leakages(channels, beams, config, mask)
-        evaluators = [DualEvaluator(channels, leakages, config, m, gamma_mode)
-                      for m in range(config.M)]
+        weights, leakages = _all_leakages(channels, _q_from_link(config, link), mask)
+        ev = DualEvaluator(channels, weights, leakages, config, _ALGO_GAMMA[algo])
 
         prev_inner_wsr = wsr
         for inner in range(config.L_in_max):
-            interf = interference_all(channels, beams, config)
-            betas = np.zeros((config.M, config.K, config.N))
-            for m, ev in enumerate(evaluators):
-                duals[m], betas[m] = lambda_bisection(ev, interf, config)
-            beams = update_beams(channels, weights, leakages, duals, betas, config,
-                                 gamma_mode)
+            duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config)
+            beams = update_beams(ev, duals, betas)
 
-            wsr = weighted_sum_rate(channels, beams, config)
-            res = float(np.max(stationarity_residuals(channels, beams, duals, config)))
+            link = link_state(channels, beams, config)
+            wsr = sum_rate_of_link(config, link)
+            res = float(np.max(_residuals_of_link(channels, beams, duals, config, link)))
             trace.iteration_index.append((outer, inner))
             trace.sum_rates.append(wsr)
             trace.bs_power_trace.append(bs_powers(beams))
@@ -383,7 +369,7 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
             if wsr < prev_inner_wsr * (1.0 - 1e-12):
                 trace.non_monotone_steps += 1
             if wsr > best[0]:
-                best = (wsr, beams.copy(), duals.copy())
+                best = (wsr, beams, duals)
             if abs(wsr - prev_inner_wsr) <= config.inner_tol * max(abs(prev_inner_wsr), 1e-12):
                 trace.inner_converged.append(True)
                 break
@@ -413,14 +399,14 @@ def lagrangian_value(channels: ChannelState, beams: np.ndarray, duals: np.ndarra
     return weighted_sum_rate(channels, beams, config) + float(np.dot(duals, slack))
 
 
-def _stationarity_terms(channels: ChannelState, beams: np.ndarray,
-                        config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+def _stationarity_terms(channels: ChannelState, config: NetworkConfig,
+                        link: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the stationarity equation without the dual term, each
     (M, K, N, Nt): the leakage term L v, and the own-link term
-    w G v / (1 + total received power)."""
+    w G v / (1 + total received power), from the beams' :func:`link_state`."""
     h = channels.normalized
-    amps, total, sig = link_state(channels, beams, config)
-    weights = full_mask(config) * _q_from_link(config, total, sig).T
+    amps, total, _ = link
+    weights = full_mask(config) * _q_from_link(config, link).T
     leak = np.einsum("mkng,mkgn,mgna->mkna", weights, amps, h)
     shape = (config.M, config.K, config.N)
     gids = np.arange(config.n_users)
@@ -438,7 +424,7 @@ def lagrangian_gradient(channels: ChannelState, beams: np.ndarray, duals: np.nda
     conjugate Wirtinger derivative, which is what central finite differences
     of the real-valued Lagrangian reproduce component-wise.
     """
-    leak, own = _stationarity_terms(channels, beams, config)
+    leak, own = _stationarity_terms(channels, config, link_state(channels, beams, config))
     grad = (2.0 / LN2) * (own - leak) - 2.0 * duals[:, None, None, None] * beams
     return np.where(config.assignment[..., None], grad, 0.0)
 
@@ -448,20 +434,16 @@ def finite_difference_gradient(channels: ChannelState, beams: np.ndarray,
                                step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the Lagrangian over Re/Im of each beam entry."""
     grad = np.zeros_like(beams)
-    for m in range(config.M):
-        for k in range(config.K):
-            for n in range(config.N):
-                if not config.is_active(m, k, n):
-                    continue
-                for a in range(config.Nt):
-                    for direction in (1.0, 1.0j):
-                        vp = beams.copy()
-                        vp[m, k, n, a] += step * direction
-                        vm = beams.copy()
-                        vm[m, k, n, a] -= step * direction
-                        diff = (lagrangian_value(channels, vp, duals, config)
-                                - lagrangian_value(channels, vm, duals, config))
-                        grad[m, k, n, a] += direction * diff / (2.0 * step)
+    for m, k, n in zip(*np.nonzero(config.assignment)):
+        for a in range(config.Nt):
+            for direction in (1.0, 1.0j):
+                vp = beams.copy()
+                vp[m, k, n, a] += step * direction
+                vm = beams.copy()
+                vm[m, k, n, a] -= step * direction
+                diff = (lagrangian_value(channels, vp, duals, config)
+                        - lagrangian_value(channels, vm, duals, config))
+                grad[m, k, n, a] += direction * diff / (2.0 * step)
     return grad
 
 
@@ -472,7 +454,13 @@ def stationarity_residuals(channels: ChannelState, beams: np.ndarray,
     || (L + lambda*ln2*I) v - w G v / (1 + v^H G v + i) || / ||v||
     with L and i recomputed from the given beams; zero where the beam is off.
     """
-    leak, own = _stationarity_terms(channels, beams, config)
+    return _residuals_of_link(channels, beams, duals, config,
+                              link_state(channels, beams, config))
+
+
+def _residuals_of_link(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
+                       config: NetworkConfig, link: tuple) -> np.ndarray:
+    leak, own = _stationarity_terms(channels, config, link)
     lhs = leak + (duals * LN2)[:, None, None, None] * beams
     norm = np.linalg.norm(beams, axis=-1)
     on = config.assignment & (norm > 0.0)

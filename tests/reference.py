@@ -89,6 +89,36 @@ def leakage_scalar(channels, beams, config, m, k, n):
     return mat
 
 
+def out_of_cell_reference_counts_loop(config, refmap):
+    """Distinct out-of-cell reference users per (BS, subchannel)."""
+    counts = np.zeros((config.M, config.N), dtype=int)
+    for m in range(config.M):
+        for n in range(config.N):
+            distinct = set()
+            for k in range(config.K):
+                for (j, u) in refmap.get((m, k, n), []):
+                    if j != m:
+                        distinct.add((j, u))
+            counts[m, n] = len(distinct)
+    return counts
+
+
+def feedback_bits_loop(config, algo, counts, qbits):
+    """Feedback bits of a fully meshed cluster: every neighbour user's
+    channel (2 Nt reals) plus 3 scalars, per user for the full algorithm
+    and per distinct out-of-cell reference for cb_refim."""
+    reals = 0
+    for m in range(config.M):
+        for n in range(config.N):
+            others = sum(1 for j in range(config.M) if j != m
+                         for u in range(config.K) if config.assignment[j, u, n])
+            if algo == "cb_refim":
+                reals += others * 2 * config.Nt + 3 * int(counts[m, n])
+            else:
+                reals += others * (2 * config.Nt + 3)
+    return reals * qbits
+
+
 def grid_search_two_cell(h, pmax, w, n_theta=21, n_phi=20, n_pow=5):
     """Dense grid over per-BS beam direction and power for the 2-cell,
     1-user-per-cell, single-subchannel network.

@@ -23,7 +23,8 @@ from cbsim import refim
 from cbsim.experiments import ExperimentSpec, feedback_table, trial_seeds
 from cbsim.solver import (_all_leakages, beta, full_mask, gamma_direct,
                           gamma_sherman_morrison, interference_all, kkt_report,
-                          leakage_full, solve, stationarity_residuals)
+                          leakage_full, q_coefficients, solve,
+                          stationarity_residuals)
 
 TRIALS = 100
 MASTER_SEED = 2024
@@ -326,7 +327,8 @@ def test_criterion_9_power_feasibility_and_dual_monotonicity(suite):
         from cbsim.metrics import bs_powers
         beams *= np.sqrt(config.Pmax / bs_powers(beams).max())
         interf = interference_all(channels, beams, config)
-        _, leak = _all_leakages(channels, beams, config, full_mask(config))
+        q = q_coefficients(channels, beams, config)
+        _, leak = _all_leakages(channels, q, full_mask(config))
         for mode, gamma_fn in (("direct", gamma_direct),
                                ("sherman_morrison", gamma_sherman_morrison)):
             m = 0

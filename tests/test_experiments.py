@@ -266,6 +266,42 @@ def test_failed_trials_are_excluded_with_warning(tmp_path, monkeypatch, capsys):
     assert "trial 1 failed" in capsys.readouterr().err
 
 
+def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from cbsim import solver
+
+    real_solve, calls = solver.solve, []
+
+    def singular_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("injected singular matrix")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", singular_once)
+    out = tmp_path / "singular.csv"
+    run_experiment(small_config(), small_spec("snr_sweep", out, trials=3,
+                                              algos=("icbf",)))
+    _, rows = read_csv(out)
+    assert rows[0][-1] == "2"
+    captured = capsys.readouterr()
+    assert "1 trials excluded after errors" in captured.out
+    assert "trial 1 failed: injected singular matrix" in captured.err
+
+
+def test_other_exceptions_end_the_run(tmp_path, monkeypatch):
+    from cbsim import solver
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected programming error")
+
+    monkeypatch.setattr(solver, "solve", broken)
+    with pytest.raises(TypeError, match="injected programming error"):
+        run_experiment(small_config(), small_spec("snr_sweep", tmp_path / "t.csv",
+                                                  trials=3, algos=("icbf",)))
+
+
 def test_all_trials_failing_is_an_error(tmp_path, monkeypatch):
     from cbsim import experiments
     from cbsim.errors import InvalidStateError

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from cbsim.config import NetworkConfig
 from cbsim.network import ChannelState, realize_network
 from cbsim.refim import (feedback_bits, invert_rank_r, leakage_refim,
@@ -156,7 +157,7 @@ def test_refim_leakage_all_candidates_equals_full():
 # ---------------------------------------------------------------------------
 
 def test_invert_rank_r_empty():
-    g = invert_rank_r([], 2.0, nt=3)
+    g = invert_rank_r(np.zeros(0), np.zeros((0, 3)), 2.0)
     assert np.allclose(g, np.eye(3) / (2.0 * LN2))
 
 
@@ -167,22 +168,18 @@ def test_invert_rank_r_single_term_matches_closed_form():
         q = rng.uniform(0.01, 3.0)
         lam = 10.0 ** rng.uniform(-3, 1)
         gs = gamma_sherman_morrison(q * np.outer(h, h.conj()), lam)
-        gr = invert_rank_r([(q, h)], lam)
+        gr = invert_rank_r(np.array([q]), h[None], lam)
         assert np.linalg.norm(gr - gs) <= 1e-12 * np.linalg.norm(gs)
 
 
 def test_invert_rank_r_three_terms_residual():
     rng = np.random.default_rng(14)
     for _ in range(25):
-        terms = []
-        total = np.zeros((3, 3), dtype=complex)
-        for _ in range(3):
-            h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            q = rng.uniform(0.01, 2.0)
-            terms.append((q, h))
-            total += q * np.outer(h, h.conj())
+        hs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        qs = rng.uniform(0.01, 2.0, size=3)
+        total = np.einsum("r,ra,rb->ab", qs, hs, hs.conj())
         lam = 10.0 ** rng.uniform(-2, 1)
-        g = invert_rank_r(terms, lam)
+        g = invert_rank_r(qs, hs, lam)
         t = lam * LN2 * np.eye(3) + total
         assert np.linalg.norm(g @ t - np.eye(3)) <= 1e-10
 
@@ -192,11 +189,31 @@ def test_invert_rank_r_three_terms_residual():
        r=st.integers(0, 4))
 def test_invert_rank_r_positive_definite(seed, lam, r):
     rng = np.random.default_rng(seed)
-    terms = [(rng.uniform(0.0, 2.0), rng.standard_normal(3) + 1j * rng.standard_normal(3))
-             for _ in range(r)]
-    g = invert_rank_r(terms, lam, nt=3)
+    qs = rng.uniform(0.0, 2.0, size=r)
+    hs = rng.standard_normal((r, 3)) + 1j * rng.standard_normal((r, 3))
+    g = invert_rank_r(qs, hs, lam)
     assert np.allclose(g, g.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(g).min() > 0
+
+
+def test_invert_rank_r_batched_matches_each_slice():
+    """Leading axes batch independent inverses, each with its own lambda;
+    zero coefficients drop their terms."""
+    rng = np.random.default_rng(15)
+    qs = rng.uniform(0.0, 2.0, size=(2, 4, 3))
+    qs[0, 1, 2] = qs[1, :, 0] = 0.0
+    hs = rng.standard_normal((2, 4, 3, 2)) + 1j * rng.standard_normal((2, 4, 3, 2))
+    lams = np.array([[0.3], [2.0]])
+    g = invert_rank_r(qs, hs, lams)
+    assert g.shape == (2, 4, 2, 2)
+    for b in range(2):
+        for a in range(4):
+            t = (lams[b, 0] * LN2 * np.eye(2)
+                 + np.einsum("r,ra,rb->ab", qs[b, a], hs[b, a], hs[b, a].conj()))
+            assert np.linalg.norm(g[b, a] @ t - np.eye(2)) <= 1e-12
+            keep = qs[b, a] > 0
+            single = invert_rank_r(qs[b, a, keep], hs[b, a, keep], lams[b, 0])
+            assert np.linalg.norm(g[b, a] - single) <= 1e-14 * np.linalg.norm(single)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +258,30 @@ def test_out_of_cell_reference_counting():
     counts = out_of_cell_reference_counts(config, refmap)
     assert counts[0, 0] == 1
     assert counts[1, 0] == 1
+
+
+def test_feedback_accounting_matches_loop_reference():
+    """The array forms count exactly what the per-(m, n) loops count, on
+    random assignments and reference maps (repeats and own-cell picks
+    included)."""
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        config = NetworkConfig(M=int(rng.integers(1, 4)), K=int(rng.integers(1, 6)),
+                               N=int(rng.integers(1, 4)), Nt=int(rng.integers(1, 5)))
+        config.assignment[:] = rng.random(config.assignment.shape) < 0.8
+        refmap = {}
+        for m, k, n in zip(*np.nonzero(config.assignment)):
+            others = [(j, u) for j in range(config.M) for u in range(config.K)
+                      if (j, u) != (m, k)]
+            picks = rng.integers(0, len(others) + 1, size=rng.integers(0, 4))
+            refmap[(m, k, n)] = [others[i] for i in picks if i < len(others)]
+        counts = out_of_cell_reference_counts(config, refmap)
+        assert np.array_equal(counts,
+                              reference.out_of_cell_reference_counts_loop(config, refmap))
+        for algo in ("icbf", "icbf_wi", "cb_refim"):
+            bits = feedback_bits(config, algo, counts, qbits=8)
+            assert type(bits) is int
+            assert bits == reference.feedback_bits_loop(config, algo, counts, qbits=8)
 
 
 def test_feedback_requires_counts_for_reference_mode():

@@ -1,12 +1,12 @@
 """Solver core tests: leakage, Gamma, beta, dual bisection, double loop, KKT."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 from cbsim.config import NetworkConfig
-from cbsim.errors import UsageError
+from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_cm, init_mslnr
 from cbsim.metrics import bs_powers, empty_beams, sinr, weighted_sum_rate
 from cbsim.network import ChannelState, realize_network
@@ -14,7 +14,7 @@ from cbsim.solver import (LN2, DualEvaluator, _all_leakages, beta,
                           finite_difference_gradient, full_mask, gamma_direct,
                           gamma_sherman_morrison, interference, interference_all,
                           kkt_report, lagrangian_gradient, lagrangian_value,
-                          lambda_bisection, leakage_full, solve,
+                          lambda_bisection, leakage_full, q_coefficients, solve,
                           stationarity_residuals, update_beams)
 
 complex_entries = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
@@ -165,12 +165,18 @@ def test_gamma_sherman_morrison_identity_leakage_free():
 @given(q=st.floats(min_value=1e-3, max_value=10.0),
        lam=st.floats(min_value=1e-4, max_value=10.0),
        vec=st.lists(complex_entries, min_size=2, max_size=4))
+@example(q=8.0, lam=1e-4, vec=[2 + 1.5j, 2 + 1.5j])   # kappa = 1.44e6
 def test_gamma_sherman_morrison_exact_for_rank_one(q, lam, vec):
+    # The two forms agree to rounding of the formed matrix T, whose condition
+    # number kappa = (lambda ln2 + tr L) / (lambda ln2) reaches 1e6 and more at
+    # the lower end of the lambda range; see the conditioning test below.
     h = np.array(vec)
     mat = q * np.outer(h, h.conj())
+    kappa = (lam * LN2 + np.trace(mat).real) / (lam * LN2)
     gd = gamma_direct(mat, lam)
     gs = gamma_sherman_morrison(mat, lam)
-    assert np.linalg.norm(gs - gd) <= 1e-10 * np.linalg.norm(gd)
+    rel = np.linalg.norm(gs - gd) / np.linalg.norm(gd)
+    assert rel <= max(1e-12, 100 * np.finfo(float).eps * kappa)
 
 
 def test_gamma_sherman_morrison_small_lambda_conditioning():
@@ -262,12 +268,18 @@ def bisection_setup(seed, gamma_db=30.0):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2, gamma_db=gamma_db)
     _, state = realize_network(config, seed)
     beams = init_mslnr(state, config)
-    weights, leakages = _all_leakages(state, beams, config, full_mask(config))
+    weights, leakages = _all_leakages(state, q_coefficients(state, beams, config),
+                                      full_mask(config))
     return config, state, weights, leakages, interference_all(state, beams, config)
 
 
-def bisect(state, leakages, interf, config, m, mode):
-    return lambda_bisection(DualEvaluator(state, leakages, config, m, mode), interf, config)
+def no_victims(config):
+    return np.zeros((config.M, config.K, config.N, config.n_users))
+
+
+def bisect(state, weights, leakages, interf, config, mode):
+    ev = DualEvaluator(state, weights, leakages, config, mode)
+    return ev, *lambda_bisection(ev, interf, config)
 
 
 def test_bisection_returns_floor_when_beams_off():
@@ -275,8 +287,9 @@ def test_bisection_returns_floor_when_beams_off():
                            weights=np.zeros((1, 1, 1)))   # w = 0 kills the beam
     state = synthetic_channels(config, 14)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    lam, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, 0, "direct")
-    assert lam == config.lambda_min == 1e-10
+    _, duals, betas = bisect(state, no_victims(config), leakages, np.zeros((1, 1, 1)),
+                             config, "direct")
+    assert duals[0] == config.lambda_min == 1e-10
     assert np.all(betas == 0.0)
 
 
@@ -286,63 +299,85 @@ def test_bisection_inactive_constraint_keeps_floor():
     h = np.full((1, 1, 1, 2), 1e-6, dtype=complex)
     state = ChannelState(normalized=h, n_coordinated=1)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    lam, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, 0, "direct")
-    assert lam == config.lambda_min
+    _, duals, betas = bisect(state, no_victims(config), leakages, np.zeros((1, 1, 1)),
+                             config, "direct")
+    assert duals[0] == config.lambda_min
     # power implied by the returned betas stays within budget
-    gamma = gamma_direct(leakages[(0, 0, 0)], lam)
-    v = betas[0, 0] * (gamma @ h[0, 0, 0])
+    gamma = gamma_direct(leakages[(0, 0, 0)], duals[0])
+    v = betas[0, 0, 0] * (gamma @ h[0, 0, 0])
     assert np.linalg.norm(v) ** 2 <= config.Pmax
 
 
 @pytest.mark.parametrize("mode", ["direct", "sherman_morrison"])
 def test_bisection_against_dense_scan(mode):
-    config, state, _, leakages, interf = bisection_setup(17)
-    m = 0
-    lam_star, betas = bisect(state, leakages, interf, config, m, mode)
+    config, state, weights, leakages, interf = bisection_setup(17)
+    _, duals, _ = bisect(state, weights, leakages, interf, config, mode)
+    gamma_fn = gamma_direct if mode == "direct" else gamma_sherman_morrison
+    for m in range(config.M):
+        lam_star = duals[m]
 
-    def power_at(lam):
-        total = 0.0
-        for k in range(config.K):
-            for n in range(config.N):
-                gam = (gamma_direct if mode == "direct" else gamma_sherman_morrison)(
-                    leakages[(m, k, n)], lam)
-                h = state.normalized[m, config.user_id(m, k), n]
-                b = beta(state, config, m, k, n, gam, interf[m, k, n])
-                total += b ** 2 * np.linalg.norm(gam @ h) ** 2
-        return total
+        def power_at(lam):
+            total = 0.0
+            for k in range(config.K):
+                for n in range(config.N):
+                    gam = gamma_fn(leakages[(m, k, n)], lam)
+                    h = state.normalized[m, config.user_id(m, k), n]
+                    b = beta(state, config, m, k, n, gam, interf[m, k, n])
+                    total += b ** 2 * np.linalg.norm(gam @ h) ** 2
+            return total
 
-    f_star = power_at(lam_star)
-    assert f_star <= config.Pmax * (1.0 + 1e-12)
-    assert (abs(f_star - config.Pmax) <= 1e-6 * config.Pmax
-            or lam_star == config.lambda_min)
+        f_star = power_at(lam_star)
+        assert f_star <= config.Pmax * (1.0 + 1e-12)
+        assert (abs(f_star - config.Pmax) <= 1e-6 * config.Pmax
+                or lam_star == config.lambda_min)
 
-    lam_up = max(config.weights[m, k, n]
-                 * np.linalg.norm(state.normalized[m, config.user_id(m, k), n]) ** 2
-                 for k in range(config.K) for n in range(config.N)) / LN2
-    grid = np.logspace(np.log10(config.lambda_min), np.log10(lam_up), 10_000)
-    f_grid = np.array([power_at(l) for l in grid])
-    # monotone non-increasing within tolerance
-    assert np.all(np.diff(f_grid) <= 1e-9)
-    # the dense scan brackets the bisection result
-    feasible = grid[f_grid <= config.Pmax]
-    assert feasible.size > 0
-    assert lam_star <= feasible[0] * (1.0 + 1e-6)
+        lam_up = max(config.weights[m, k, n]
+                     * np.linalg.norm(state.normalized[m, config.user_id(m, k), n]) ** 2
+                     for k in range(config.K) for n in range(config.N)) / LN2
+        grid = np.logspace(np.log10(config.lambda_min), np.log10(lam_up), 10_000)
+        f_grid = np.array([power_at(l) for l in grid])
+        # monotone non-increasing within tolerance
+        assert np.all(np.diff(f_grid) <= 1e-9)
+        # the dense scan brackets the bisection result
+        feasible = grid[f_grid <= config.Pmax]
+        assert feasible.size > 0
+        assert lam_star <= feasible[0] * (1.0 + 1e-6)
 
 
 def test_bisected_power_feasible_every_bs():
     for seed in (21, 22):
         config, state, weights, leakages, interf = bisection_setup(seed)
-        betas = np.zeros((config.M, config.K, config.N))
-        duals = np.zeros(config.M)
-        for m in range(config.M):
-            duals[m], betas[m] = bisect(state, leakages, interf, config, m, "direct")
-        beams = update_beams(state, weights, leakages, duals, betas, config, "direct")
+        ev, duals, betas = bisect(state, weights, leakages, interf, config, "direct")
+        beams = update_beams(ev, duals, betas)
         assert np.all(bs_powers(beams) <= config.Pmax * (1.0 + 1e-9))
 
 
 # ---------------------------------------------------------------------------
 # update_beams
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode, gamma_fn", [("direct", gamma_direct),
+                                            ("sherman_morrison", gamma_sherman_morrison),
+                                            ("rank_r", gamma_direct)])
+def test_gamma_h_matches_dense_forms(mode, gamma_fn):
+    """The evaluator's Gamma h equals the dense per-triple Gamma times h;
+    rank_r's sequential updates invert the same matrix as the direct solve."""
+    config, state, weights, leakages, _ = bisection_setup(26)
+    config.assignment[1, 0, 1] = False     # a hole in BS 1's (n, k) order
+    ev = DualEvaluator(state, weights, leakages, config, mode)
+    duals = np.array([0.05, 0.4])
+    gh = ev.gamma_h(duals)
+    for m, k, n in zip(*np.nonzero(config.assignment)):
+        h = state.normalized[m, config.user_id(m, k), n]
+        want = gamma_fn(leakages[m, k, n], duals[m]) @ h
+        assert np.linalg.norm(gh[m, k, n] - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_dual_evaluator_rejects_unknown_mode():
+    config, state, weights, leakages, _ = bisection_setup(27)
+    with pytest.raises(ConfigurationError, match="bogus"):
+        DualEvaluator(state, weights, leakages, config, "bogus")
+
 
 def test_update_beams_recovers_matched_direction():
     config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
@@ -352,8 +387,8 @@ def test_update_beams_recovers_matched_direction():
     h = state.normalized[0, 0, 0]
     gamma = gamma_direct(leakages[(0, 0, 0)], duals[0])
     b = beta(state, config, 0, 0, 0, gamma, 0.0)
-    beams = update_beams(state, np.zeros((1, 1, 1, 1)), leakages, duals,
-                         np.full((1, 1, 1), b), config, "direct")
+    ev = DualEvaluator(state, no_victims(config), leakages, config, "direct")
+    beams = update_beams(ev, duals, np.full((1, 1, 1), b))
     v = beams[0, 0, 0]
     assert abs(np.vdot(v, h)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(h))
 
@@ -362,8 +397,8 @@ def test_update_beams_zero_beta_switches_off():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
     state = synthetic_channels(config, 24)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    beams = update_beams(state, np.zeros((1, 1, 1, 1)), leakages, np.array([1.0]),
-                         np.zeros((1, 1, 1)), config, "direct")
+    ev = DualEvaluator(state, no_victims(config), leakages, config, "direct")
+    beams = update_beams(ev, np.array([1.0]), np.zeros((1, 1, 1)))
     assert np.all(beams == 0.0)
 
 
@@ -371,11 +406,8 @@ def test_update_beams_stationarity_for_given_state():
     """Fresh beams satisfy the stationarity equation under the leakage and
     interference they were computed from (exact-inverse mode)."""
     config, state, weights, leakages, interf = bisection_setup(25)
-    duals = np.zeros(config.M)
-    betas = np.zeros((config.M, config.K, config.N))
-    for m in range(config.M):
-        duals[m], betas[m] = bisect(state, leakages, interf, config, m, "direct")
-    beams = update_beams(state, weights, leakages, duals, betas, config, "direct")
+    ev, duals, betas = bisect(state, weights, leakages, interf, config, "direct")
+    beams = update_beams(ev, duals, betas)
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
@@ -608,12 +640,13 @@ def test_dual_evaluator_stable_at_floor_with_aligned_rank_one_leakage():
         other = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         mat = (rng.uniform(0.5, 2.0) * np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
                + mix * np.outer(other, other.conj()) / np.linalg.norm(other) ** 2)
-        ev = DualEvaluator(state, mat[None, None, None], config, 0, "sherman_morrison")
+        ev = DualEvaluator(state, no_victims(config), mat[None, None, None], config,
+                           "sherman_morrison")
         for lam in (1e-10, 1e-6, 1e-2):
-            u, g2 = ev.u_g2(lam)
+            u, g2 = ev.u_g2(np.array([lam]))
             gam = gamma_sherman_morrison(mat, lam)
             u_ref = np.vdot(h, gam @ h).real
             g2_ref = np.linalg.norm(gam @ h) ** 2
-            assert g2[0] > 0
-            assert u[0] == pytest.approx(u_ref, rel=1e-4)
-            assert g2[0] == pytest.approx(g2_ref, rel=1e-4)
+            assert g2[0, 0] > 0
+            assert u[0, 0] == pytest.approx(u_ref, rel=1e-4)
+            assert g2[0, 0] == pytest.approx(g2_ref, rel=1e-4)
