@@ -16,11 +16,11 @@ from .metrics import (RateReport, bs_power, bs_powers, per_user_rate_samples,
                       weighted_sum_rate)
 from .network import (ChannelState, Topology, build_topology, compute_noise,
                       draw_channels, normalize_channels, realize_network)
-from .refim import (feedback_bits, invert_rank_r, leakage_refim,
-                    reference_map, select_references)
+from .refim import feedback_bits, invert_rank_r, leakage_refim, reference_map
 from .solver import (DualEvaluator, KKTReport, SolverTrace, beta, gamma_direct,
                      gamma_sherman_morrison, interference, kkt_report,
-                     lambda_bisection, leakage_full, solve, update_beams)
+                     lambda_bisection, leakage_full, solve, solve_batch,
+                     update_beams)
 
 __all__ = [
     "NetworkConfig", "parse_config_file",
@@ -32,11 +32,11 @@ __all__ = [
     "power_feasible", "rate_report", "per_user_rate_samples",
     "Topology", "ChannelState", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
-    "select_references", "reference_map", "leakage_refim", "invert_rank_r",
+    "reference_map", "leakage_refim", "invert_rank_r",
     "feedback_bits",
     "DualEvaluator", "SolverTrace", "KKTReport", "leakage_full", "gamma_direct",
     "gamma_sherman_morrison", "beta", "interference", "lambda_bisection",
-    "update_beams", "solve", "kkt_report",
+    "update_beams", "solve", "solve_batch", "kkt_report",
 ]
 
 __version__ = "0.1.0"

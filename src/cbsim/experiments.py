@@ -103,7 +103,6 @@ class TrialResult:
     final_wsr: dict = field(default_factory=dict)        # (algo, gamma|refs) -> float
     outer_traces: dict = field(default_factory=dict)     # (algo, gamma) -> list[float]
     user_rates: dict = field(default_factory=dict)       # (algo, gamma) -> (M*K,) array
-    max_power: float = 0.0
 
 
 def _outer_series(trace, config: NetworkConfig, wsr_final: float) -> list[float]:
@@ -124,39 +123,48 @@ def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
     The raw fading/shadowing draw is shared across gamma points; only the
     noise normalization changes with the transmit SNR. Each initializer runs
     once per gamma, and its beams serve both its own baseline row and every
-    solver that starts from it.
+    solver that starts from it. Each solver runs one :func:`solver.solve_batch`
+    over all its gamma points and, when ``ref_counts`` is given, cb_refim over
+    all of them too.
     """
     s_topo, s_chan = trial_seeds(spec.seed, trial)
     topology = build_topology(config, s_topo)
     raw = draw_channels(topology, config, s_chan)
     result = TrialResult(trial=trial)
-    for gamma in spec.gamma_db:
-        cfg = config.with_gamma_db(gamma)
-        channels = apply_noise(topology, cfg, raw)
-        if spec.dump_prefix and trial == 0 and gamma == spec.gamma_db[0]:
-            dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
-            dump_channels_csv(channels, f"{spec.dump_prefix}_channels.csv")
-        starts = {}
-        for algo in spec.algos:
-            if algo == "cb_refim" and ref_counts is not None:
-                sweeps = ref_counts
-            else:
-                sweeps = (None,)
-            name = algo if algo in BASELINE_ALGOS else spec.init
-            if name not in starts:
-                starts[name] = initializers.make_initial_beams(name, channels, cfg)
-            for refs in sweeps:
-                beams, trace = starts[name], None
-                if algo in SOLVER_ALGOS:
-                    beams, trace = solver.solve(channels, cfg, beams, algo,
-                                                ref_count=spec.refs if refs is None else refs)
-                report = metrics.rate_report(channels, beams, cfg)
-                key = (algo, gamma) if refs is None else (algo, gamma, refs)
-                result.final_wsr[key] = report.weighted_sum_rate
-                result.outer_traces[(algo, gamma)] = _outer_series(
-                    trace, cfg, report.weighted_sum_rate)
-                result.user_rates[(algo, gamma)] = report.user_rates.ravel()
-                result.max_power = max(result.max_power, float(report.powers.max()))
+    cfgs = [config.with_gamma_db(gamma) for gamma in spec.gamma_db]
+    channels = [apply_noise(topology, cfg, raw) for cfg in cfgs]
+    if spec.dump_prefix and trial == 0:
+        dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
+        dump_channels_csv(channels[0], f"{spec.dump_prefix}_channels.csv")
+    starts = {}
+
+    def start(name: str, i: int) -> np.ndarray:
+        if (name, i) not in starts:
+            starts[(name, i)] = initializers.make_initial_beams(name, channels[i], cfgs[i])
+        return starts[(name, i)]
+
+    def record(algo, i, refs, beams, trace):
+        gamma, cfg = spec.gamma_db[i], cfgs[i]
+        report = metrics.rate_report(channels[i], beams, cfg)
+        key = (algo, gamma) if refs is None else (algo, gamma, refs)
+        result.final_wsr[key] = report.weighted_sum_rate
+        result.outer_traces[(algo, gamma)] = _outer_series(trace, cfg, report.weighted_sum_rate)
+        result.user_rates[(algo, gamma)] = report.user_rates.ravel()
+
+    for algo in spec.algos:
+        if algo in BASELINE_ALGOS:
+            for i in range(len(cfgs)):
+                record(algo, i, None, start(algo, i), None)
+            continue
+        sweep = algo == "cb_refim" and ref_counts is not None
+        solves = [(i, refs) for i in range(len(cfgs))
+                  for refs in (ref_counts if sweep else (spec.refs,))]
+        beams, traces = solver.solve_batch(
+            [channels[i] for i, _ in solves], config,
+            np.stack([start(spec.init, i) for i, _ in solves]), algo,
+            [refs for _, refs in solves])
+        for (i, refs), best, trace in zip(solves, beams, traces):
+            record(algo, i, refs if sweep else None, best, trace)
     return result
 
 

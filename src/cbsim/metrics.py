@@ -34,22 +34,23 @@ def link_state(channels: ChannelState, beams: np.ndarray,
     amps[j, u, g, n] = h_{j,g}(n)^H v_{j,u}(n), shape (M, K, MK, N);
     total[g, n] is the power user g receives from every active beam on n and
     signal[g, n] the part of it from the user's own beam, both (MK, N).
-    Inactive beams contribute exact zeros.
+    Inactive beams contribute exact zeros. Channels and beams may carry the
+    same leading batch axes, which every output then leads with.
     """
     h = channels.normalized
-    amps = np.einsum("jgna,juna->jugn", h.conj(), beams)
+    amps = np.einsum("...jgna,...juna->...jugn", h.conj(), beams)
     p = np.abs(amps) ** 2
-    total = np.einsum("jugn,jun->gn", p, config.assignment.astype(float))
+    total = np.einsum("...jugn,jun->...gn", p, config.assignment.astype(float))
     gids = np.arange(config.n_users)
-    signal = p[gids // config.K, gids % config.K, gids, :]
+    signal = p[..., gids // config.K, gids % config.K, gids, :]
     return amps, total, signal
 
 
 def sinr_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
-    """SINR per active triple from a :func:`link_state`, shape (M, K, N);
+    """SINR per active triple from a :func:`link_state`, shape (..., M, K, N);
     zeros where inactive."""
     _, total, sig = link
-    shape = (config.M, config.K, config.N)
+    shape = total.shape[:-2] + (config.M, config.K, config.N)
     return np.where(config.assignment,
                     sig.reshape(shape) / (1.0 + (total - sig).reshape(shape)), 0.0)
 
@@ -61,10 +62,13 @@ def sinr(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
     return float(sinr_of_link(config, link_state(channels, beams, config))[m, k, n])
 
 
-def sum_rate_of_link(config: NetworkConfig, link: tuple) -> float:
-    """Weighted sum-rate from a :func:`link_state`."""
+def sum_rate_of_link(config: NetworkConfig, link: tuple) -> float | np.ndarray:
+    """Weighted sum-rate from a :func:`link_state`: a float, or one per
+    solve of a batched link state."""
     rates = np.log2(1.0 + sinr_of_link(config, link))
-    return float(np.sum(config.weights * rates * config.assignment))
+    terms = config.weights * rates * config.assignment
+    wsr = np.sum(terms.reshape(terms.shape[:-3] + (-1,)), axis=-1)
+    return float(wsr) if wsr.ndim == 0 else wsr
 
 
 def weighted_sum_rate(channels: ChannelState, beams: np.ndarray,
@@ -79,7 +83,8 @@ def bs_power(beams: np.ndarray, m: int) -> float:
 
 
 def bs_powers(beams: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(beams) ** 2, axis=(1, 2, 3))
+    """Transmit power of every BS, shape (..., M) for beams (..., M, K, N, Nt)."""
+    return np.sum(np.abs(beams) ** 2, axis=(-3, -2, -1))
 
 
 def power_feasible(beams: np.ndarray, config: NetworkConfig) -> bool:

@@ -20,62 +20,43 @@ from .config import NetworkConfig
 from .errors import ConfigurationError
 from .metrics import check_active
 from .network import ChannelState
-from .solver import LN2, _all_leakages, q_coefficients
+from .solver import LN2, _all_leakages, full_mask, q_coefficients
 
 
 def neighbour_sets(config: NetworkConfig) -> list[set[int]]:
     """N(m) per BS. The coordinated cluster is small, so it is a full mesh
-    and every set contains the BS itself."""
+    and every set contains the BS itself (:func:`reference_map`'s candidates
+    and :func:`solver.full_mask` rely on this)."""
     return [set(range(config.M)) for _ in range(config.M)]
-
-
-def scheduled_users(config: NetworkConfig, m: int, n: int) -> list[tuple[int, int]]:
-    """All (cell, user) pairs active on subchannel n across N(m)."""
-    hood = neighbour_sets(config)[m]
-    return [(j, u) for j in sorted(hood) for u in range(config.K)
-            if config.is_active(j, u, n)]
-
-
-def reference_scores(channels: ChannelState, config: NetworkConfig,
-                     m: int, k: int, n: int,
-                     candidates: list[tuple[int, int]]) -> np.ndarray:
-    h = channels.normalized
-    hk = h[m, config.user_id(m, k), n]
-    scores = np.empty(len(candidates))
-    for idx, (j, u) in enumerate(candidates):
-        hu = h[m, config.user_id(j, u), n]
-        scores[idx] = np.sum(np.abs(hu) ** 2) * np.abs(np.vdot(hu, hk)) ** 2
-    return scores
-
-
-def select_references(channels: ChannelState, config: NetworkConfig,
-                      m: int, k: int, n: int, r_count: int) -> list[tuple[int, int]]:
-    """The r_count highest-scoring candidates, descending score.
-
-    Candidates are the scheduled users of the neighbourhood minus (m, k)
-    itself. Ties break towards the lowest (cell, user) index; asking for more
-    references than candidates returns them all.
-    """
-    check_active(config, m, k, n)
-    if r_count < 0:
-        raise ConfigurationError(f"reference count must be >= 0, got {r_count}")
-    candidates = [(j, u) for (j, u) in scheduled_users(config, m, n) if (j, u) != (m, k)]
-    if r_count == 0 or not candidates:
-        return []
-    scores = reference_scores(channels, config, m, k, n, candidates)
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i]))
-    return [candidates[i] for i in order[:r_count]]
 
 
 def reference_map(channels: ChannelState, config: NetworkConfig,
                   r_count: int) -> dict[tuple[int, int, int], list[tuple[int, int]]]:
-    """References for every active triple."""
+    """References of every active triple (m, k, n): the r_count highest-scoring
+    candidates as (cell, user) pairs, descending score.
+
+    Candidates are the users scheduled on n across N(m) (the full cluster)
+    minus (m, k) itself. Ties break towards the lowest (cell, user) index;
+    asking for more references than candidates returns them all. Every score
+    is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2.
+    """
+    if r_count < 0:
+        raise ConfigurationError(f"reference count must be >= 0, got {r_count}")
+    h = channels.normalized                                           # (M, MK, N, Nt)
+    bs = np.arange(config.M)
+    own = h.reshape((config.M, config.M, config.K) + h.shape[2:])[bs, bs]  # (M, K, N, Nt)
+    gain = np.sum(np.abs(h) ** 2, axis=-1).swapaxes(1, 2)[:, None]      # (M, 1, N, MK)
+    cross = np.abs(np.einsum("mgna,mkna->mkng", h.conj(), own)) ** 2   # (M, K, N, MK)
+    candidates = full_mask(config)
+    order = np.argsort(np.where(candidates, -(gain * cross), np.inf), axis=-1, kind="stable")
+    counts = np.minimum(candidates.sum(axis=-1), r_count)
     refs = {}
     for m in range(config.M):
         for n in range(config.N):
             for k in range(config.K):
-                if config.is_active(m, k, n):
-                    refs[(m, k, n)] = select_references(channels, config, m, k, n, r_count)
+                if config.assignment[m, k, n]:
+                    refs[(m, k, n)] = [divmod(g, config.K)
+                                       for g in order[m, k, n, :counts[m, k, n]].tolist()]
     return refs
 
 

@@ -23,9 +23,18 @@ The double loop recomputes leakage matrices and one network-wide
 beam scalings, beams) in the inner loop; the per-BS duals are bisected
 jointly, each BS on its own bracket, on the transmit power, which is
 non-increasing in the dual.
+
+The loop is written once, in :func:`solve_batch`, for B independent solves
+that share the network size, the config and the algorithm (say every SNR
+point of one channel draw, or every reference count). The link state,
+leakages, evaluator and dual search carry a leading batch axis, so each
+inner step costs one set of numpy calls for all B solves; every solve keeps
+its own stop tests and leaves the batch when they say so, and its result is
+bit for bit what it would be alone. :func:`solve` is the B = 1 case.
 """
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,7 +60,7 @@ BISECT_POWER_RTOL = 1e-6    # accepted gap between f(lambda) and Pmax
 
 def _interference_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
     _, total, sig = link
-    return (total - sig).reshape(config.M, config.K, config.N)
+    return (total - sig).reshape(total.shape[:-2] + (config.M, config.K, config.N))
 
 
 def interference_all(channels: ChannelState, beams: np.ndarray,
@@ -98,13 +107,19 @@ def full_mask(config: NetworkConfig) -> np.ndarray:
     return config.assignment[..., None] & victims & not_own
 
 
+def _victim_weights(mask: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """W[..., m, k, n, g] = mask[..., m, k, n, g] * q[..., g, n]."""
+    return mask * np.swapaxes(q, -1, -2)[..., None, None, :, :]
+
+
 def _all_leakages(channels: ChannelState, q: np.ndarray,
                   mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Victim weights W[m,k,n,g] = mask[m,k,n,g] * q[g,n] and the leakage
-    matrices L[m,k,n] = sum_g W[m,k,n,g] h_{m,g}(n) h_{m,g}(n)^H."""
-    w = mask * q.T
+    matrices L[m,k,n] = sum_g W[m,k,n,g] h_{m,g}(n) h_{m,g}(n)^H, with any
+    leading batch axes of the channels, q and mask."""
+    w = _victim_weights(mask, q)
     h = channels.normalized
-    return w, np.einsum("mkng,mgna,mgnb->mknab", w, h, h.conj())
+    return w, np.einsum("...mkng,...mgna,...mgnb->...mknab", w, h, h.conj())
 
 
 def leakage_full(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
@@ -168,9 +183,12 @@ def beta(channels: ChannelState, config: NetworkConfig, m: int, k: int, n: int,
 class DualEvaluator:
     """u = h^H Gamma h, ||Gamma h||^2 and Gamma h of every triple at per-BS duals.
 
-    Built once per leakage, i.e. once per outer iteration. Its arrays are
-    (M, N, K, ...), so each BS's triples run in (n, k) order; inactive triples
-    have zero weight and so zero beta. The exact-inverse modes eigendecompose
+    Built once per leakage, i.e. once per outer iteration. Channels, victim
+    weights and leakages may carry one leading batch axis of B solves, which
+    the evaluator folds into its BS axis: its arrays are (B*M, N, K, ...), so
+    each BS's triples run in (n, k) order, and every dual search and Gamma h
+    covers all the solves at once. Inactive triples have zero weight and so
+    zero beta. The exact-inverse modes eigendecompose
     the leakage matrices once, L = V diag(e) V^H, after which, with c = V^H h
     and x = lambda*ln2, every dual value costs O(Nt) per triple:
 
@@ -186,14 +204,18 @@ class DualEvaluator:
         if gamma_mode not in _ALGO_GAMMA.values():
             raise ConfigurationError(f"unknown gamma mode '{gamma_mode}'")
         self.mode = gamma_mode
-        h = channels.normalized.swapaxes(1, 2)                        # (M, N, MK, Nt)
-        bs = np.arange(config.M)
-        cells = h.reshape(h.shape[:2] + (config.M, config.K, -1))     # (M, N, M, K, Nt)
-        self.hs = cells[bs, :, bs]                                    # own users (M, N, K, Nt)
-        self.weights = (config.weights * config.assignment).swapaxes(1, 2)
+        self.lead = channels.normalized.shape[:-4]                    # () or (B,)
+        self.n_bs = config.M
+        h = channels.normalized
+        h = h.reshape((-1,) + h.shape[-3:]).swapaxes(1, 2)            # (BM, N, MK, Nt)
+        rows = np.arange(h.shape[0])
+        cells = h.reshape(h.shape[:2] + (config.M, config.K, -1))     # (BM, N, M, K, Nt)
+        self.hs = cells[rows, :, rows % config.M]                     # own users (BM, N, K, Nt)
+        own = (config.weights * config.assignment).swapaxes(1, 2)
+        self.weights = np.tile(own, (len(rows) // config.M, 1, 1))
         hh = np.sum(np.abs(self.hs) ** 2, axis=-1)
         self.lam_up = np.max(self.weights * hh, axis=(1, 2)) / LN2   # lambda_upper
-        mats = leakages.swapaxes(1, 2)
+        mats = leakages.reshape((-1,) + leakages.shape[-4:]).swapaxes(1, 2)
         if gamma_mode == "sherman_morrison":
             self.lh = np.einsum("...ij,...j->...i", mats, self.hs)
             self.tr = np.einsum("...ii->...", mats).real
@@ -202,8 +224,29 @@ class DualEvaluator:
         self.evals = np.clip(evals, 0.0, None)                     # PSD up to rounding
         self.coef = np.einsum("...ij,...j->...i", self.vecs.conj().swapaxes(-1, -2), self.hs)
         self.proj = np.abs(self.coef) ** 2
-        if gamma_mode == "rank_r":   # victim weights (M, N, K, MK), channels (M, N, 1, MK, Nt)
-            self.victim_w, self.victims = weights.swapaxes(1, 2), h[:, :, None]
+        if gamma_mode == "rank_r":   # victim weights (BM, N, K, MK), channels (BM, N, 1, MK, Nt)
+            self.victim_w = weights.reshape((-1,) + weights.shape[-3:]).swapaxes(1, 2)
+            self.victims = h[:, :, None]
+
+    def _rows(self, solves: np.ndarray) -> np.ndarray:
+        return (solves[:, None] * self.n_bs + np.arange(self.n_bs)).ravel()
+
+    def select(self, solves: np.ndarray) -> "DualEvaluator":
+        """The evaluator of the given batch positions, in that order."""
+        sub = copy.copy(self)
+        rows = self._rows(solves)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(sub, name, value[rows])
+        sub.lead = (len(solves),)
+        return sub
+
+    def put(self, solves: np.ndarray, other: "DualEvaluator") -> None:
+        """Replace the given batch positions by ``other``'s solves, in order."""
+        rows = self._rows(solves)
+        for name, value in vars(other).items():
+            if isinstance(value, np.ndarray):
+                getattr(self, name)[rows] = value
 
     def _residual(self, x: np.ndarray) -> np.ndarray:
         # Gamma h = (h - L h / (x + tr L)) / x. Form the residual vector before
@@ -222,7 +265,8 @@ class DualEvaluator:
         return np.sum(self.proj / d, axis=-1), np.sum(self.proj / d ** 2, axis=-1)
 
     def gamma_h(self, lam: np.ndarray) -> np.ndarray:
-        """Gamma h of every triple, shape (M, K, N, Nt)."""
+        """Gamma h of every triple at duals (..., M), shape (..., M, K, N, Nt)."""
+        lam = lam.reshape(-1)
         x = (lam * LN2)[:, None, None]
         if self.mode == "sherman_morrison":
             gh = self._residual(x) / x[..., None]
@@ -232,7 +276,8 @@ class DualEvaluator:
             from . import refim
             gamma = refim.invert_rank_r(self.victim_w, self.victims, lam[:, None, None])
             gh = np.einsum("...ij,...j->...i", gamma, self.hs)
-        return gh.swapaxes(1, 2)
+        gh = gh.swapaxes(1, 2)
+        return gh.reshape(self.lead + (self.n_bs,) + gh.shape[1:])
 
 
 def _betas_power(ev: DualEvaluator, lam: np.ndarray,
@@ -245,7 +290,8 @@ def _betas_power(ev: DualEvaluator, lam: np.ndarray,
 
 def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
                      config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Dual variables (M,) and beam scalings (M, K, N) of every BS.
+    """Dual variables (..., M) and beam scalings (..., M, K, N) of every BS,
+    with the evaluator's batch axis leading.
 
     Each BS gets the smallest lambda in [lambda_min, lambda_upper] whose
     implied transmit power f(lambda) fits the budget, exploiting that f is
@@ -255,16 +301,17 @@ def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
     with its own stop tests; a BS that fits at lambda_min (one without active
     triples among them) keeps it. Betas are zero at inactive triples.
     """
-    interf = interference_map.swapaxes(1, 2)
+    interf = interference_map.swapaxes(-1, -2).reshape(ev.weights.shape)
     pmax = config.Pmax
-    lo = np.full(config.M, config.lambda_min)
+    lo = np.full(ev.lam_up.shape, config.lambda_min)
     done = _betas_power(ev, lo, interf)[1] <= pmax
     hi = lam_up = np.where(done, lo, ev.lam_up)
     betas, f_hi = _betas_power(ev, hi, interf)
     if np.any(f_hi > pmax):
-        m = int(np.argmax(f_hi > pmax))
-        raise BracketError(f"power of BS {m} at the dual upper bound exceeds the "
-                           f"budget: f({hi[m]}) = {f_hi[m]}")
+        row = int(np.argmax(f_hi > pmax))
+        where = f"BS {row % config.M}" + (f" of solve {row // config.M}" if ev.lead else "")
+        raise BracketError(f"power of {where} at the dual upper bound exceeds the "
+                           f"budget: f({hi[row]}) = {f_hi[row]}")
 
     for _ in range(BISECT_MAX_STEPS):
         done |= hi - lo <= BISECT_WIDTH_RTOL * lam_up
@@ -278,12 +325,17 @@ def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
         hi = np.where(fits, mid, hi)
         betas = np.where(fits[:, None, None], betas_mid, betas)
         f_hi = np.where(fits, f_mid, f_hi)
-    return hi, betas.swapaxes(1, 2)
+    shape = ev.lead + (config.M,)
+    return hi.reshape(shape), betas.swapaxes(1, 2).reshape(shape + (config.K, config.N))
 
 
 def update_beams(ev: DualEvaluator, duals: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Fresh beams v = beta * Gamma * h for every triple, zero where beta = 0."""
-    return betas[..., None] * ev.gamma_h(duals)
+    """Fresh beams v = beta * Gamma * h for every triple, zero where beta = 0.
+
+    Returned in C order whatever the batch size: numpy's summation order
+    follows the memory layout, and a solve's bits must not depend on its batch.
+    """
+    return np.ascontiguousarray(betas[..., None] * ev.gamma_h(duals))
 
 
 @dataclass
@@ -301,6 +353,7 @@ class SolverTrace:
     non_monotone_steps: int = 0
     duals: np.ndarray | None = None
     best_sum_rate: float = 0.0
+    stop_reason: str = ""        # "outer_tol" or "outer_cap" once the solve ends
 
     def to_csv(self, path: str | Path) -> None:
         """Columns: outer, inner, sum_rate, power_1..power_M, residual."""
@@ -320,9 +373,23 @@ class SolverTrace:
                 writer.writerow(row)
 
 
-def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
-          algo: str, ref_count: int = 1) -> tuple[np.ndarray, SolverTrace]:
-    """Run the double-loop coordinated beamforming algorithm.
+def _take(channels: ChannelState, link: tuple,
+          solves: np.ndarray) -> tuple[ChannelState, tuple]:
+    """The batched channels and link state of the given batch positions."""
+    sub = ChannelState(normalized=channels.normalized[solves],
+                       n_coordinated=channels.n_coordinated)
+    return sub, tuple(a[solves] for a in link)
+
+
+def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.ndarray,
+                algo: str, ref_counts: int | list[int] = 1
+                ) -> tuple[np.ndarray, list[SolverTrace]]:
+    """Run the double-loop coordinated beamforming algorithm on B independent solves.
+
+    The solves share ``config`` and ``algo``. Each has its own noise-normalized
+    channels, which carry its transmit SNR (``config.gamma_db`` is not read),
+    its own initial beams in ``inits`` (B, M, K, N, Nt) and, for cb_refim, its
+    own reference count (``ref_counts``: one for all, or one per solve).
 
     Outer iterations recompute the leakage matrices and the dual evaluator;
     cb_refim's reference users depend only on the channels and are selected
@@ -331,61 +398,111 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
     iteration caps; one link state per iterate serves all of them. The best
     iterate seen (the initializer included) is returned, so the result never
     degrades the starting point.
+
+    Every solve still running takes one inner iteration per step: one joint
+    dual search, one beam update and one link-state pass over all of them.
+    Each solve keeps its own counters, stop tests and best iterate, starts its
+    next outer iteration (leakage and evaluator rebuilt for it alone) when its
+    own inner loop ends, and leaves the batch when its outer loop ends, so it
+    takes exactly the steps it would take alone. Returns the best beams
+    (B, M, K, N, Nt) and one :class:`SolverTrace` per solve.
     """
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm '{algo}', expected one of {ALGORITHMS}")
-    powers0 = bs_powers(init)
-    if np.any(powers0 > config.Pmax * (1.0 + 1e-9)):
-        raise UsageError(f"initial beams violate the power budget: {powers0}")
+    beams = np.array(inits)
+    powers0 = bs_powers(beams)
+    over = np.any(powers0 > config.Pmax * (1.0 + 1e-9), axis=-1)
+    if over.any():
+        raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
+    n_solves = len(channels)
     if algo == "cb_refim":
-        from .refim import reference_mask
-        mask = reference_mask(channels, config, ref_count)
+        from . import refim
+        refs = np.broadcast_to(ref_counts, (n_solves,)).tolist()
+        masks = np.stack([refim.reference_mask(ch, config, r) for ch, r in zip(channels, refs)])
     else:
         mask = full_mask(config)
+        masks = np.broadcast_to(mask, (n_solves,) + mask.shape)
 
-    beams = init.copy()
-    link = link_state(channels, beams, config)
-    wsr = sum_rate_of_link(config, link)
-    trace = SolverTrace(algo=algo, init_sum_rate=wsr)
-    best = (wsr, beams, np.full(config.M, config.lambda_min))
+    chans = ChannelState(normalized=np.stack([ch.normalized for ch in channels]),
+                         n_coordinated=config.M)
+    link = link_state(chans, beams, config)
+    wsr = sum_rate_of_link(config, link)             # each solve's latest sum-rate
+    traces = [SolverTrace(algo=algo, init_sum_rate=w) for w in wsr.tolist()]
+    best_wsr, best_beams = wsr.copy(), beams.copy()
+    best_duals = np.full((n_solves, config.M), config.lambda_min)
+    outer, inner = np.zeros(n_solves, int), np.zeros(n_solves, int)
+    prev_outer = wsr.copy()
 
-    prev_outer_wsr = wsr
-    for outer in range(config.L_out_max):
-        weights, leakages = _all_leakages(channels, _q_from_link(config, link), mask)
-        ev = DualEvaluator(channels, weights, leakages, config, _ALGO_GAMMA[algo])
+    # live lists the solves still running; chans, link, ev and fresh follow its order
+    live = np.arange(n_solves)
+    fresh = np.ones(n_solves, bool)          # starting an outer iteration
+    ev = None
+    while live.size:
+        if fresh.any():
+            pos = np.flatnonzero(fresh)
+            sub_chans, sub_link = _take(chans, link, pos)
+            weights, leakages = _all_leakages(sub_chans, _q_from_link(config, sub_link),
+                                              masks[live[pos]])
+            new = DualEvaluator(sub_chans, weights, leakages, config, _ALGO_GAMMA[algo])
+            if fresh.all():
+                ev = new
+            else:
+                ev.put(pos, new)
 
-        prev_inner_wsr = wsr
-        for inner in range(config.L_in_max):
-            duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config)
-            beams = update_beams(ev, duals, betas)
-
-            link = link_state(channels, beams, config)
-            wsr = sum_rate_of_link(config, link)
-            res = float(np.max(_residuals_of_link(channels, beams, duals, config, link)))
-            trace.iteration_index.append((outer, inner))
-            trace.sum_rates.append(wsr)
-            trace.bs_power_trace.append(bs_powers(beams))
-            trace.residuals.append(res)
-            if wsr < prev_inner_wsr * (1.0 - 1e-12):
+        duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config)
+        beams = update_beams(ev, duals, betas)
+        link = link_state(chans, beams, config)
+        now = sum_rate_of_link(config, link)
+        res = np.max(_residuals_of_link(chans, beams, duals, config, link), axis=(-3, -2, -1))
+        powers = bs_powers(beams)
+        before = wsr[live]
+        for i, b in enumerate(live.tolist()):
+            trace = traces[b]
+            trace.iteration_index.append((int(outer[b]), int(inner[b])))
+            trace.sum_rates.append(float(now[i]))
+            trace.bs_power_trace.append(powers[i])
+            trace.residuals.append(float(res[i]))
+            if now[i] < before[i] * (1.0 - 1e-12):
                 trace.non_monotone_steps += 1
-            if wsr > best[0]:
-                best = (wsr, beams, duals)
-            if abs(wsr - prev_inner_wsr) <= config.inner_tol * max(abs(prev_inner_wsr), 1e-12):
-                trace.inner_converged.append(True)
-                break
-            prev_inner_wsr = wsr
-        else:
-            trace.inner_converged.append(False)
+        better = now > best_wsr[live]
+        best_wsr[live[better]] = now[better]
+        best_beams[live[better]] = beams[better]
+        best_duals[live[better]] = duals[better]
+        wsr[live] = now
+        inner[live] += 1
 
-        trace.outer_sum_rates.append(wsr)
-        if abs(wsr - prev_outer_wsr) <= config.outer_tol * max(abs(prev_outer_wsr), 1e-12):
-            trace.converged_outer = True
-            break
-        prev_outer_wsr = wsr
+        converged = np.abs(now - before) <= config.inner_tol * np.maximum(np.abs(before), 1e-12)
+        ended = converged | (inner[live] == config.L_in_max)
+        done = np.zeros_like(ended)
+        for i in np.flatnonzero(ended).tolist():
+            b = live[i]
+            trace = traces[b]
+            trace.inner_converged.append(bool(converged[i]))
+            trace.outer_sum_rates.append(float(now[i]))
+            trace.converged_outer = bool(abs(now[i] - prev_outer[b])
+                                         <= config.outer_tol * max(abs(prev_outer[b]), 1e-12))
+            prev_outer[b] = now[i]
+            outer[b] += 1
+            inner[b] = 0
+            if trace.converged_outer or outer[b] == config.L_out_max:
+                done[i] = True
+                trace.stop_reason = "outer_tol" if trace.converged_outer else "outer_cap"
+                trace.best_sum_rate = float(best_wsr[b])
+                trace.duals = best_duals[b]
+        fresh = ended & ~done
+        if done.any():
+            keep = np.flatnonzero(~done)
+            live, fresh = live[keep], fresh[keep]
+            chans, link = _take(chans, link, keep)
+            ev = ev.select(keep)
+    return best_beams, traces
 
-    trace.best_sum_rate = best[0]
-    trace.duals = best[2]
-    return best[1], trace
+
+def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
+          algo: str, ref_count: int = 1) -> tuple[np.ndarray, SolverTrace]:
+    """One solve: :func:`solve_batch` with B = 1."""
+    beams, traces = solve_batch([channels], config, init[None], algo, ref_count)
+    return beams[0], traces[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +519,16 @@ def lagrangian_value(channels: ChannelState, beams: np.ndarray, duals: np.ndarra
 def _stationarity_terms(channels: ChannelState, config: NetworkConfig,
                         link: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the stationarity equation without the dual term, each
-    (M, K, N, Nt): the leakage term L v, and the own-link term
+    (..., M, K, N, Nt): the leakage term L v, and the own-link term
     w G v / (1 + total received power), from the beams' :func:`link_state`."""
     h = channels.normalized
     amps, total, _ = link
-    weights = full_mask(config) * _q_from_link(config, link).T
-    leak = np.einsum("mkng,mkgn,mgna->mkna", weights, amps, h)
-    shape = (config.M, config.K, config.N)
+    weights = _victim_weights(full_mask(config), _q_from_link(config, link))
+    leak = np.einsum("...mkng,...mkgn,...mgna->...mkna", weights, amps, h)
+    shape = total.shape[:-2] + (config.M, config.K, config.N)
     gids = np.arange(config.n_users)
-    own_h = h[gids // config.K, gids].reshape(shape + (config.Nt,))
-    own = own_h * amps[gids // config.K, gids % config.K, gids].reshape(shape)[..., None]
+    own_h = h[..., gids // config.K, gids, :, :].reshape(shape + (config.Nt,))
+    own = own_h * amps[..., gids // config.K, gids % config.K, gids, :].reshape(shape)[..., None]
     gain = config.weights / (1.0 + total.reshape(shape))
     return leak, gain[..., None] * own
 
@@ -461,7 +578,7 @@ def stationarity_residuals(channels: ChannelState, beams: np.ndarray,
 def _residuals_of_link(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
                        config: NetworkConfig, link: tuple) -> np.ndarray:
     leak, own = _stationarity_terms(channels, config, link)
-    lhs = leak + (duals * LN2)[:, None, None, None] * beams
+    lhs = leak + (duals * LN2)[..., None, None, None] * beams
     norm = np.linalg.norm(beams, axis=-1)
     on = config.assignment & (norm > 0.0)
     res = np.linalg.norm(lhs - own, axis=-1)

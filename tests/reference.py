@@ -119,6 +119,37 @@ def feedback_bits_loop(config, algo, counts, qbits):
     return reals * qbits
 
 
+def scheduled_users(config, m, n):
+    """All (cell, user) pairs active on subchannel n across the neighbourhood
+    of BS m, which is the full cluster."""
+    return [(j, u) for j in range(config.M) for u in range(config.K)
+            if config.is_active(j, u, n)]
+
+
+def reference_scores(channels, config, m, k, n, candidates):
+    """||h_{m,u}(n)||^2 * |h_{m,u}(n)^H h_{m,k}(n)|^2 per candidate u."""
+    h = channels.normalized
+    hk = h[m, config.user_id(m, k), n]
+    scores = np.empty(len(candidates))
+    for idx, (j, u) in enumerate(candidates):
+        hu = h[m, config.user_id(j, u), n]
+        scores[idx] = np.sum(np.abs(hu) ** 2) * np.abs(np.vdot(hu, hk)) ** 2
+    return scores
+
+
+def select_references(channels, config, m, k, n, r_count):
+    """The r_count highest-scoring candidates of an active triple, descending
+    score; ties break towards the lowest (cell, user)."""
+    if not config.is_active(m, k, n) or r_count < 0:
+        raise ValueError(f"no references for ({m}, {k}, {n}) with r_count={r_count}")
+    candidates = [(j, u) for (j, u) in scheduled_users(config, m, n) if (j, u) != (m, k)]
+    if r_count == 0 or not candidates:
+        return []
+    scores = reference_scores(channels, config, m, k, n, candidates)
+    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i]))
+    return [candidates[i] for i in order[:r_count]]
+
+
 def grid_search_two_cell(h, pmax, w, n_theta=21, n_phi=20, n_pow=5):
     """Dense grid over per-BS beam direction and power for the 2-cell,
     1-user-per-cell, single-subchannel network.

@@ -23,7 +23,7 @@ from cbsim import refim
 from cbsim.experiments import ExperimentSpec, feedback_table, trial_seeds
 from cbsim.solver import (_all_leakages, beta, full_mask, gamma_direct,
                           gamma_sherman_morrison, interference_all, kkt_report,
-                          leakage_full, q_coefficients, solve,
+                          leakage_full, q_coefficients, solve, solve_batch,
                           stationarity_residuals)
 
 TRIALS = 100
@@ -64,6 +64,7 @@ def suite():
         acc["user_rates"].setdefault((algo, gamma), []).append(rep.user_rates.ravel())
         acc["max_power"] = max(acc["max_power"], float(rep.powers.max()))
 
+    states = {gamma: [] for gamma in GAMMAS}        # gamma -> list of ChannelState
     for t in range(TRIALS):
         s_topo, s_chan = trial_seeds(MASTER_SEED, t)
         topology = build_topology(config0, s_topo)
@@ -72,18 +73,22 @@ def suite():
             cfg = config0.with_gamma_db(gamma)
             channels = apply_noise(topology, cfg, raw)
             init = init_mslnr(channels, cfg)
+            states[gamma].append(channels)
             acc["channels"].setdefault(gamma, []).append(channels.normalized)
             acc["init"].setdefault(gamma, []).append(init)
             for base in BASELINES:
                 beams = init if base == "mslnr" else make_initial_beams(base, channels, cfg)
                 record(base, gamma, rate_report(channels, beams, cfg), None, cfg)
-            for algo in SOLVER_ALGOS:
-                beams, trace = solve(channels, cfg, init, algo, ref_count=1)
-                record(algo, gamma, rate_report(channels, beams, cfg), trace, cfg)
-            if gamma == 30.0:
-                beams, trace = solve(channels, cfg, init, "cb_refim", ref_count=full_refs)
-                record("cb_refim_full", gamma, rate_report(channels, beams, cfg),
-                       trace, cfg)
+
+    # one batched solve per (algorithm, gamma) over all trials
+    runs = [(algo, gamma, algo, 1) for gamma in GAMMAS for algo in SOLVER_ALGOS]
+    runs.append(("cb_refim_full", 30.0, "cb_refim", full_refs))
+    for name, gamma, algo, refs in runs:
+        cfg = config0.with_gamma_db(gamma)
+        inits = np.stack(acc["init"][gamma])
+        beams, traces = solve_batch(states[gamma], cfg, inits, algo, refs)
+        for channels, best, trace in zip(states[gamma], beams, traces):
+            record(name, gamma, rate_report(channels, best, cfg), trace, cfg)
     return acc
 
 
@@ -226,11 +231,11 @@ def test_criterion_6_reference_count_sweep(suite):
     _, channels = realize_network(config, 17)
     beams, _ = solve(channels, config, init_mslnr(channels, config), "icbf_wi")
     worst = 0.0
+    refmap = refim.reference_map(channels, config, config.M * config.K - 1)
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
-                refs = refim.select_references(channels, config, m, k, n,
-                                               config.M * config.K - 1)
+                refs = refmap[(m, k, n)]
                 truncated = refim.leakage_refim(channels, beams, config, m, k, n, refs)
                 full = leakage_full(channels, beams, config, m, k, n)
                 scale = max(np.linalg.norm(full), 1e-300)
@@ -383,7 +388,7 @@ def test_criterion_11_single_antenna_specialization():
         channels = ChannelState(normalized=h, n_coordinated=3)
         m = int(rng.integers(0, 3))
         k = int(rng.integers(0, 2))
-        refs = refim.select_references(channels, config, m, k, 0, 1)
+        refs = refim.reference_map(channels, config, 1)[(m, k, 0)]
         candidates = [(j, u) for j in range(3) for u in range(2) if (j, u) != (m, k)]
         gains = [abs(h[m, 2 * j + u, 0, 0]) ** 2 for (j, u) in candidates]
         if refs != [candidates[int(np.argmax(gains))]]:

@@ -1,6 +1,7 @@
 """Regression runs of all three solvers on edge configurations.
 
-Each configuration runs 5 seeds with every warning raised as an error and
+Each configuration runs 5 seeds, one solve at a time and as one
+``solve_batch``, with every warning raised as an error and
 numpy's floating-point checks (overflow, underflow, invalid, divide) set to
 raise, so a silent NaN, an overflow or a division by zero anywhere in the
 initializer or the solve fails the test.
@@ -14,7 +15,7 @@ from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr
 from cbsim.metrics import power_feasible, weighted_sum_rate
 from cbsim.network import realize_network
-from cbsim.solver import ALGORITHMS, solve
+from cbsim.solver import ALGORITHMS, solve, solve_batch
 
 SEEDS = range(5)
 
@@ -50,6 +51,18 @@ EDGE_CONFIGS = {
 }
 
 
+def assert_clean(config, channels, beams, trace):
+    assert np.all(np.isfinite(beams)) and np.all(np.isfinite(trace.duals))
+    assert np.all(np.isfinite(trace.sum_rates)) and np.all(np.isfinite(trace.residuals))
+    assert power_feasible(beams, config)
+    assert np.all(np.array(trace.bs_power_trace) <= config.Pmax * (1.0 + 1e-9))
+    assert trace.best_sum_rate >= trace.init_sum_rate
+    assert trace.best_sum_rate == pytest.approx(
+        weighted_sum_rate(channels, beams, config), rel=1e-12)
+    assert np.all(beams[~config.assignment] == 0.0)
+    assert np.all(trace.duals >= config.lambda_min)
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("name", sorted(EDGE_CONFIGS))
 def test_edge_config_solves_cleanly(name, algo):
@@ -60,12 +73,22 @@ def test_edge_config_solves_cleanly(name, algo):
             warnings.simplefilter("error")
             init = init_mslnr(channels, config)
             beams, trace = solve(channels, config, init, algo, ref_count=1)
-        assert np.all(np.isfinite(beams)) and np.all(np.isfinite(trace.duals))
-        assert np.all(np.isfinite(trace.sum_rates)) and np.all(np.isfinite(trace.residuals))
-        assert power_feasible(beams, config)
-        assert np.all(np.array(trace.bs_power_trace) <= config.Pmax * (1.0 + 1e-9))
-        assert trace.best_sum_rate >= trace.init_sum_rate
-        assert trace.best_sum_rate == pytest.approx(
-            weighted_sum_rate(channels, beams, config), rel=1e-12)
-        assert np.all(beams[~config.assignment] == 0.0)
-        assert np.all(trace.duals >= config.lambda_min)
+        assert_clean(config, channels, beams, trace)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("name", sorted(EDGE_CONFIGS))
+def test_edge_config_batch_of_seeds_solves_cleanly(name, algo):
+    """All seeds as one batch: each solve clean and equal to its own solve."""
+    config = EDGE_CONFIGS[name]()
+    states = [realize_network(config, seed)[1] for seed in SEEDS]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        inits = np.stack([init_mslnr(channels, config) for channels in states])
+        beams, traces = solve_batch(states, config, inits, algo, ref_counts=1)
+        alone = [solve(channels, config, init, algo, ref_count=1)
+                 for channels, init in zip(states, inits)]
+    for channels, best, trace, (beams_1, trace_1) in zip(states, beams, traces, alone):
+        assert_clean(config, channels, best, trace)
+        assert np.array_equal(best, beams_1) and trace.sum_rates == trace_1.sum_rates
+        assert np.array_equal(trace.duals, trace_1.duals)

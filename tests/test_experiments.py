@@ -271,7 +271,7 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
 
     from cbsim import solver
 
-    real_solve, calls = solver.solve, []
+    real_solve, calls = solver.solve_batch, []
 
     def singular_once(*args, **kwargs):
         calls.append(1)
@@ -279,7 +279,7 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
             raise np.linalg.LinAlgError("injected singular matrix")
         return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve", singular_once)
+    monkeypatch.setattr(solver, "solve_batch", singular_once)
     out = tmp_path / "singular.csv"
     run_experiment(small_config(), small_spec("snr_sweep", out, trials=3,
                                               algos=("icbf",)))
@@ -296,7 +296,7 @@ def test_other_exceptions_end_the_run(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected programming error")
 
-    monkeypatch.setattr(solver, "solve", broken)
+    monkeypatch.setattr(solver, "solve_batch", broken)
     with pytest.raises(TypeError, match="injected programming error"):
         run_experiment(small_config(), small_spec("snr_sweep", tmp_path / "t.csv",
                                                   trials=3, algos=("icbf",)))

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 import reference
 from cbsim.config import NetworkConfig
+from cbsim.errors import ConfigurationError
 from cbsim.network import ChannelState, realize_network
 from cbsim.refim import (feedback_bits, invert_rank_r, leakage_refim,
                          out_of_cell_reference_counts, reference_map,
-                         select_references)
+                         reference_mask)
 from cbsim.solver import LN2, gamma_sherman_morrison, leakage_full
 
 
@@ -29,6 +30,38 @@ def random_beams(config, seed, scale=0.4):
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
+
+def select_references(state, config, m, k, n, r_count):
+    """The library's references of one active triple."""
+    return reference_map(state, config, r_count)[(m, k, n)]
+
+
+def test_reference_map_matches_scalar_oracle():
+    """Every triple's references, in order, and the victim mask equal the
+    scalar oracle's on random sizes, partial assignments and reference
+    counts from 0 to above the candidate count."""
+    rng = np.random.default_rng(31)
+    for draw in range(300):
+        config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
+                               K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)))
+        config.assignment[:] = rng.random(config.assignment.shape) < 0.7
+        state = synthetic_channels(config, draw)
+        r_count = int(rng.choice([0, 1, 2, config.n_users + 1, rng.integers(0, config.n_users)]))
+        refmap = reference_map(state, config, r_count)
+        expected = {t: reference.select_references(state, config, *t, r_count)
+                    for t in reference.active_triples(config)}
+        assert refmap == expected
+        mask = np.zeros_like(reference_mask(state, config, r_count))
+        for (m, k, n), refs in expected.items():
+            for (j, u) in refs:
+                mask[m, k, n, config.user_id(j, u)] = True
+        assert np.array_equal(reference_mask(state, config, r_count), mask)
+
+
+def test_negative_reference_count_rejected():
+    config = NetworkConfig(M=1, N=1, K=2, Nt=2)
+    with pytest.raises(ConfigurationError, match="reference count"):
+        reference_map(synthetic_channels(config), config, -1)
 
 def test_single_candidate_is_selected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
