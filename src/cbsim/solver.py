@@ -188,9 +188,9 @@ class DualEvaluator:
     the evaluator folds into its BS axis: its arrays are (B*M, N, K, ...), so
     each BS's triples run in (n, k) order, and every dual search and Gamma h
     covers all the solves at once. Inactive triples have zero weight and so
-    zero beta. The exact-inverse modes eigendecompose
-    the leakage matrices once, L = V diag(e) V^H, after which, with c = V^H h
-    and x = lambda*ln2, every dual value costs O(Nt) per triple:
+    zero beta. The exact-inverse modes eigendecompose the leakage matrices
+    once, L = V diag(e) V^H, after which, with c = V^H h and x = lambda*ln2,
+    every dual value costs O(Nt) per triple:
 
         u = sum_i |c_i|^2 / (e_i + x),   ||Gamma h||^2 = sum_i |c_i|^2 / (e_i + x)^2
 
@@ -242,7 +242,8 @@ class DualEvaluator:
         return sub
 
     def put(self, solves: np.ndarray, other: "DualEvaluator") -> None:
-        """Replace the given batch positions by ``other``'s solves, in order."""
+        """Replace the given batch positions by ``other``'s solves, in order.
+        Every array attribute is indexed by BS row, so this swaps whole solves."""
         rows = self._rows(solves)
         for name, value in vars(other).items():
             if isinstance(value, np.ndarray):
