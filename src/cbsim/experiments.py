@@ -300,7 +300,7 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
                 topology = build_topology(cfg, s_topo)
                 channels = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan))
                 refmap = refim.reference_map(channels, cfg, spec.refs)
-                counts = refim.out_of_cell_reference_counts(cfg, refmap)
+                counts = refim.out_of_cell_reference_counts(cfg, refmap.mask(spec.refs))
                 totals.append(refim.feedback_bits(cfg, "cb_refim", counts,
                                                   qbits=spec.qbits))
             rows.append(dict(K=int(k), Nt=int(nt), icbf_bits=icbf_bits,

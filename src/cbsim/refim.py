@@ -30,18 +30,43 @@ def neighbour_sets(config: NetworkConfig) -> list[set[int]]:
     return [set(range(config.M)) for _ in range(config.M)]
 
 
+def _check_count(r_count: int) -> None:
+    if r_count < 0:
+        raise ConfigurationError(f"reference count must be >= 0, got {r_count}")
+
+
+class References(dict):
+    """What :func:`reference_map` returns: {(m, k, n): [(cell, user), ...]} of
+    every active triple, and ``ranks`` (M, K, N, MK), the place of each user in
+    beam (m, k, n)'s candidate order (the largest int for a non-candidate).
+
+    The references of a smaller count are a prefix of a larger one's, so the
+    ranks give the victim mask of any count without selecting again.
+    """
+
+    def __init__(self, refs: dict, ranks: np.ndarray):
+        super().__init__(refs)
+        self.ranks = ranks
+
+    def mask(self, r_count: int) -> np.ndarray:
+        """Victim mask (M, K, N, MK) of the truncated leakage: mask[m, k, n, g]
+        is set when user g is one of beam (m, k, n)'s r_count references."""
+        _check_count(r_count)
+        return self.ranks < r_count
+
+
 def reference_map(channels: ChannelState, config: NetworkConfig,
-                  r_count: int) -> dict[tuple[int, int, int], list[tuple[int, int]]]:
+                  r_count: int) -> References:
     """References of every active triple (m, k, n): the r_count highest-scoring
     candidates as (cell, user) pairs, descending score.
 
     Candidates are the users scheduled on n across N(m) (the full cluster)
     minus (m, k) itself. Ties break towards the lowest (cell, user) index;
     asking for more references than candidates returns them all. Every score
-    is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2.
+    is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2, and sorted
+    once per beam.
     """
-    if r_count < 0:
-        raise ConfigurationError(f"reference count must be >= 0, got {r_count}")
+    _check_count(r_count)
     h = channels.normalized                                           # (M, MK, N, Nt)
     bs = np.arange(config.M)
     own = h.reshape((config.M, config.M, config.K) + h.shape[2:])[bs, bs]  # (M, K, N, Nt)
@@ -49,6 +74,8 @@ def reference_map(channels: ChannelState, config: NetworkConfig,
     cross = np.abs(np.einsum("mgna,mkna->mkng", h.conj(), own)) ** 2   # (M, K, N, MK)
     candidates = full_mask(config)
     order = np.argsort(np.where(candidates, -(gain * cross), np.inf), axis=-1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(config.n_users), axis=-1)
     counts = np.minimum(candidates.sum(axis=-1), r_count)
     refs = {}
     for m in range(config.M):
@@ -57,22 +84,14 @@ def reference_map(channels: ChannelState, config: NetworkConfig,
                 if config.assignment[m, k, n]:
                     refs[(m, k, n)] = [divmod(g, config.K)
                                        for g in order[m, k, n, :counts[m, k, n]].tolist()]
-    return refs
-
-
-def _mask_from_refs(config: NetworkConfig, refmap: dict) -> np.ndarray:
-    mask = np.zeros((config.M, config.K, config.N, config.n_users), dtype=bool)
-    for (m, k, n), refs in refmap.items():
-        for (j, u) in refs:
-            mask[m, k, n, config.user_id(j, u)] = True
-    return mask
+    return References(refs, np.where(candidates, ranks, np.iinfo(ranks.dtype).max))
 
 
 def reference_mask(channels: ChannelState, config: NetworkConfig,
                    r_count: int) -> np.ndarray:
     """Victim mask (M, K, N, MK) of the truncated leakage: mask[m, k, n, g]
     is set when user g is one of beam (m, k, n)'s reference users."""
-    return _mask_from_refs(config, reference_map(channels, config, r_count))
+    return reference_map(channels, config, r_count).mask(r_count)
 
 
 def leakage_refim(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
@@ -85,7 +104,8 @@ def leakage_refim(channels: ChannelState, beams: np.ndarray, config: NetworkConf
     exactly.
     """
     check_active(config, m, k, n)
-    mask = _mask_from_refs(config, {(m, k, n): refs})
+    mask = np.zeros((config.M, config.K, config.N, config.n_users), dtype=bool)
+    mask[m, k, n, [config.user_id(j, u) for j, u in refs]] = True
     q = q_coefficients(channels, beams, config)
     return _all_leakages(channels, q, mask)[1][m, k, n]
 
@@ -124,14 +144,15 @@ SCALAR_FEEDBACK_REALS = 3
 
 
 def out_of_cell_reference_counts(config: NetworkConfig,
-                                 refmap: dict) -> np.ndarray:
-    """Distinct reference users of BS m on subchannel n served by other BSs.
+                                 mask: np.ndarray) -> np.ndarray:
+    """Distinct reference users of BS m on subchannel n served by other BSs,
+    from the victim mask (M, K, N, MK) of :meth:`References.mask`.
 
     Intra-cell references cost nothing on the backhaul (the BS already knows
     its own users), and a user referenced by several of BS m's beams is
     fetched once.
     """
-    referenced = _mask_from_refs(config, refmap).any(axis=1)           # (M, N, MK)
+    referenced = mask.any(axis=1)                                      # (M, N, MK)
     own_cell = np.arange(config.n_users) // config.K == np.arange(config.M)[:, None]
     return np.sum(referenced & ~own_cell[:, None], axis=-1)
 

@@ -354,7 +354,11 @@ class SolverTrace:
     non_monotone_steps: int = 0
     duals: np.ndarray | None = None
     best_sum_rate: float = 0.0
-    stop_reason: str = ""        # "outer_tol" or "outer_cap" once the solve ends
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the solve ended: "outer_tol" (outer loop converged) or "outer_cap"."""
+        return "outer_tol" if self.converged_outer else "outer_cap"
 
     def to_csv(self, path: str | Path) -> None:
         """Columns: outer, inner, sum_rate, power_1..power_M, residual."""
@@ -391,6 +395,7 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     channels, which carry its transmit SNR (``config.gamma_db`` is not read),
     its own initial beams in ``inits`` (B, M, K, N, Nt) and, for cb_refim, its
     own reference count (``ref_counts``: one for all, or one per solve).
+    Solves given the same channel state object share one reference selection.
 
     Outer iterations recompute the leakage matrices and the dual evaluator;
     cb_refim's reference users depend only on the channels and are selected
@@ -410,16 +415,26 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     """
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm '{algo}', expected one of {ALGORITHMS}")
+    n_solves = len(channels)
     beams = np.array(inits)
+    shape = (n_solves, config.M, config.K, config.N, config.Nt)
+    if not n_solves or beams.shape != shape:
+        raise UsageError(f"need initial beams {shape} for {n_solves} channel states, "
+                         f"got {beams.shape}")
+    refs = [ref_counts] * n_solves if np.ndim(ref_counts) == 0 else list(ref_counts)
+    if len(refs) != n_solves:
+        raise UsageError(f"need one reference count or {n_solves}, got {len(refs)}")
     powers0 = bs_powers(beams)
     over = np.any(powers0 > config.Pmax * (1.0 + 1e-9), axis=-1)
     if over.any():
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
-    n_solves = len(channels)
     if algo == "cb_refim":
         from . import refim
-        refs = np.broadcast_to(ref_counts, (n_solves,)).tolist()
-        masks = np.stack([refim.reference_mask(ch, config, r) for ch, r in zip(channels, refs)])
+        selected = {}            # one selection per distinct channel state, cut at each count
+        for ch, r in zip(channels, refs):
+            if id(ch) not in selected:
+                selected[id(ch)] = refim.reference_map(ch, config, r)
+        masks = np.stack([selected[id(ch)].mask(r) for ch, r in zip(channels, refs)])
     else:
         mask = full_mask(config)
         masks = np.broadcast_to(mask, (n_solves,) + mask.shape)
@@ -427,25 +442,25 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     chans = ChannelState(normalized=np.stack([ch.normalized for ch in channels]),
                          n_coordinated=config.M)
     link = link_state(chans, beams, config)
-    wsr = sum_rate_of_link(config, link)             # each solve's latest sum-rate
-    traces = [SolverTrace(algo=algo, init_sum_rate=w) for w in wsr.tolist()]
-    best_wsr, best_beams = wsr.copy(), beams.copy()
-    best_duals = np.full((n_solves, config.M), config.lambda_min)
-    outer, inner = np.zeros(n_solves, int), np.zeros(n_solves, int)
-    prev_outer = wsr.copy()
+    # per solve, by batch position: latest and best sum-rate, best iterate, counters
+    wsr = sum_rate_of_link(config, link).tolist()
+    traces = [SolverTrace(algo=algo, init_sum_rate=w) for w in wsr]
+    best_wsr, best_beams = list(wsr), list(beams)
+    best_duals = [np.full(config.M, config.lambda_min)] * n_solves
+    prev_outer, outer, inner = list(wsr), [0] * n_solves, [0] * n_solves
 
     # live lists the solves still running; chans, link, ev and fresh follow its order
     live = np.arange(n_solves)
-    fresh = np.ones(n_solves, bool)          # starting an outer iteration
+    fresh = [True] * n_solves                # starting an outer iteration
     ev = None
     while live.size:
-        if fresh.any():
+        if any(fresh):
             pos = np.flatnonzero(fresh)
             sub_chans, sub_link = _take(chans, link, pos)
             weights, leakages = _all_leakages(sub_chans, _q_from_link(config, sub_link),
                                               masks[live[pos]])
             new = DualEvaluator(sub_chans, weights, leakages, config, _ALGO_GAMMA[algo])
-            if fresh.all():
+            if all(fresh):
                 ev = new
             else:
                 ev.put(pos, new)
@@ -453,50 +468,45 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
         duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config)
         beams = update_beams(ev, duals, betas)
         link = link_state(chans, beams, config)
-        now = sum_rate_of_link(config, link)
-        res = np.max(_residuals_of_link(chans, beams, duals, config, link), axis=(-3, -2, -1))
+        now = sum_rate_of_link(config, link).tolist()
+        res = np.max(_residuals_of_link(chans, beams, duals, config, link),
+                     axis=(-3, -2, -1)).tolist()
         powers = bs_powers(beams)
-        before = wsr[live]
+        fresh, done = [], []
         for i, b in enumerate(live.tolist()):
-            trace = traces[b]
-            trace.iteration_index.append((int(outer[b]), int(inner[b])))
-            trace.sum_rates.append(float(now[i]))
+            trace, before = traces[b], wsr[b]
+            wsr[b] = now[i]
+            trace.iteration_index.append((outer[b], inner[b]))
+            trace.sum_rates.append(now[i])
             trace.bs_power_trace.append(powers[i])
-            trace.residuals.append(float(res[i]))
-            if now[i] < before[i] * (1.0 - 1e-12):
+            trace.residuals.append(res[i])
+            if now[i] < before * (1.0 - 1e-12):
                 trace.non_monotone_steps += 1
-        better = now > best_wsr[live]
-        best_wsr[live[better]] = now[better]
-        best_beams[live[better]] = beams[better]
-        best_duals[live[better]] = duals[better]
-        wsr[live] = now
-        inner[live] += 1
-
-        converged = np.abs(now - before) <= config.inner_tol * np.maximum(np.abs(before), 1e-12)
-        ended = converged | (inner[live] == config.L_in_max)
-        done = np.zeros_like(ended)
-        for i in np.flatnonzero(ended).tolist():
-            b = live[i]
-            trace = traces[b]
-            trace.inner_converged.append(bool(converged[i]))
-            trace.outer_sum_rates.append(float(now[i]))
-            trace.converged_outer = bool(abs(now[i] - prev_outer[b])
+            if now[i] > best_wsr[b]:
+                best_wsr[b], best_beams[b], best_duals[b] = now[i], beams[i], duals[i]
+            inner[b] += 1
+            converged = abs(now[i] - before) <= config.inner_tol * max(abs(before), 1e-12)
+            ended = converged or inner[b] == config.L_in_max
+            stop = False
+            if ended:
+                trace.inner_converged.append(converged)
+                trace.outer_sum_rates.append(now[i])
+                trace.converged_outer = (abs(now[i] - prev_outer[b])
                                          <= config.outer_tol * max(abs(prev_outer[b]), 1e-12))
-            prev_outer[b] = now[i]
-            outer[b] += 1
-            inner[b] = 0
-            if trace.converged_outer or outer[b] == config.L_out_max:
-                done[i] = True
-                trace.stop_reason = "outer_tol" if trace.converged_outer else "outer_cap"
-                trace.best_sum_rate = float(best_wsr[b])
-                trace.duals = best_duals[b]
-        fresh = ended & ~done
-        if done.any():
-            keep = np.flatnonzero(~done)
-            live, fresh = live[keep], fresh[keep]
+                prev_outer[b] = now[i]
+                outer[b] += 1
+                inner[b] = 0
+                stop = trace.converged_outer or outer[b] == config.L_out_max
+                if stop:
+                    trace.best_sum_rate, trace.duals = best_wsr[b], best_duals[b]
+            fresh.append(ended and not stop)
+            done.append(stop)
+        if any(done):
+            keep = np.flatnonzero(np.logical_not(done))
+            live, fresh = live[keep], [fresh[i] for i in keep]
             chans, link = _take(chans, link, keep)
             ev = ev.select(keep)
-    return best_beams, traces
+    return np.stack(best_beams), traces
 
 
 def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,

@@ -36,6 +36,15 @@ def select_references(state, config, m, k, n, r_count):
     return reference_map(state, config, r_count)[(m, k, n)]
 
 
+def mask_of(config, refmap):
+    """Victim mask (M, K, N, MK) of a {(m, k, n): [(cell, user), ...]} map."""
+    mask = np.zeros((config.M, config.K, config.N, config.n_users), dtype=bool)
+    for (m, k, n), refs in refmap.items():
+        for (j, u) in refs:
+            mask[m, k, n, config.user_id(j, u)] = True
+    return mask
+
+
 def test_reference_map_matches_scalar_oracle():
     """Every triple's references, in order, and the victim mask equal the
     scalar oracle's on random sizes, partial assignments and reference
@@ -51,17 +60,31 @@ def test_reference_map_matches_scalar_oracle():
         expected = {t: reference.select_references(state, config, *t, r_count)
                     for t in reference.active_triples(config)}
         assert refmap == expected
-        mask = np.zeros_like(reference_mask(state, config, r_count))
-        for (m, k, n), refs in expected.items():
-            for (j, u) in refs:
-                mask[m, k, n, config.user_id(j, u)] = True
-        assert np.array_equal(reference_mask(state, config, r_count), mask)
+        assert np.array_equal(reference_mask(state, config, r_count),
+                              mask_of(config, expected))
+
+
+def test_mask_of_any_count_from_one_selection():
+    """A selection's ranks give every other count's mask, from 0 to above
+    the candidate count, exactly as selecting at that count does."""
+    rng = np.random.default_rng(32)
+    for draw in range(100):
+        config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
+                               K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)))
+        config.assignment[:] = rng.random(config.assignment.shape) < 0.7
+        state = synthetic_channels(config, draw)
+        refmap = reference_map(state, config, int(rng.integers(0, config.n_users + 2)))
+        for r_count in range(config.n_users + 2):
+            assert np.array_equal(refmap.mask(r_count),
+                                  mask_of(config, reference_map(state, config, r_count)))
 
 
 def test_negative_reference_count_rejected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
     with pytest.raises(ConfigurationError, match="reference count"):
         reference_map(synthetic_channels(config), config, -1)
+    with pytest.raises(ConfigurationError, match="reference count"):
+        reference_map(synthetic_channels(config), config, 1).mask(-1)
 
 def test_single_candidate_is_selected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
@@ -288,7 +311,7 @@ def test_out_of_cell_reference_counting():
         (1, 0, 0): [(1, 1)],          # intra-cell: free
         (1, 1, 0): [(0, 1)],
     }
-    counts = out_of_cell_reference_counts(config, refmap)
+    counts = out_of_cell_reference_counts(config, mask_of(config, refmap))
     assert counts[0, 0] == 1
     assert counts[1, 0] == 1
 
@@ -308,7 +331,7 @@ def test_feedback_accounting_matches_loop_reference():
                       if (j, u) != (m, k)]
             picks = rng.integers(0, len(others) + 1, size=rng.integers(0, 4))
             refmap[(m, k, n)] = [others[i] for i in picks if i < len(others)]
-        counts = out_of_cell_reference_counts(config, refmap)
+        counts = out_of_cell_reference_counts(config, mask_of(config, refmap))
         assert np.array_equal(counts,
                               reference.out_of_cell_reference_counts_loop(config, refmap))
         for algo in ("icbf", "icbf_wi", "cb_refim"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cbsim.config import NetworkConfig
+from cbsim.errors import UsageError
 from cbsim.initializers import init_mslnr
 from cbsim.network import apply_noise, build_topology, draw_channels
 from cbsim.solver import ALGORITHMS, solve, solve_batch
@@ -68,3 +69,13 @@ def test_stop_reason_alone_and_in_a_batch(seed, outer_cap, reasons):
                              np.stack([s[2] for s in solves]), "icbf_wi")
     assert [t.stop_reason for t in alone] == [t.stop_reason for t in batched] == reasons
     assert [t.converged_outer for t in batched] == [r == "outer_tol" for r in reasons]
+
+
+def test_batch_shape_mismatch_rejected():
+    (ch, cfg, init), = trial(3)[:1]
+    with pytest.raises(UsageError, match="initial beams"):
+        solve_batch([ch] * 3, cfg, init[None], "icbf")
+    with pytest.raises(UsageError, match="initial beams"):
+        solve_batch([], cfg, init[:0], "icbf")
+    with pytest.raises(UsageError, match="reference count"):
+        solve_batch([ch] * 3, cfg, np.stack([init] * 3), "cb_refim", [0, 1])
