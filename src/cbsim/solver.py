@@ -395,11 +395,10 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     channels, which carry its transmit SNR (``config.gamma_db`` is not read),
     its own initial beams in ``inits`` (B, M, K, N, Nt) and, for cb_refim, its
     own reference count (``ref_counts``: one for all, or one per solve).
-    Solves given the same channel state object share one reference selection.
 
     Outer iterations recompute the leakage matrices and the dual evaluator;
     cb_refim's reference users depend only on the channels and are selected
-    once per solve. Inner iterations recompute interference, duals, beam
+    once per channel state. Inner iterations recompute interference, duals, beam
     scalings and beams, stopping on relative sum-rate stagnation or the
     iteration caps; one link state per iterate serves all of them. The best
     iterate seen (the initializer included) is returned, so the result never
@@ -430,7 +429,7 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
     if algo == "cb_refim":
         from . import refim
-        selected = {}            # one selection per distinct channel state, cut at each count
+        selected = {}   # one selection per distinct channel state object, cut at each count
         for ch, r in zip(channels, refs):
             if id(ch) not in selected:
                 selected[id(ch)] = refim.reference_map(ch, config, r)
