@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import network_config_from_values, parse_config_file
+from .config import network_config_from_values, parse_config_file, parse_value
 from .errors import CbsimError
 from .experiments import EXPERIMENT_KINDS, run_experiment, spec_from_values
 
@@ -57,17 +57,17 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {
         "seed": args.seed,
         "trials": args.trials,
-        "algos": tuple(a.strip() for a in args.algo.split(",")) if args.algo else None,
         "init": args.init,
         "refs": args.refs,
-        "gamma_db": tuple(float(x) for x in args.gamma_db.split(","))
-        if args.gamma_db else None,
         "workers": args.workers,
         "out": args.out,
         "timestamp": False if args.no_timestamp else None,
         "dump_prefix": args.dump_prefix,
     }
     try:
+        for key, text in (("algos", args.algo), ("gamma_db", args.gamma_db)):
+            if text is not None:
+                overrides[key] = parse_value(key, text)
         config, spec = parse_config(args.experiment, args.config, overrides)
         run_experiment(config, spec)
     except (CbsimError, OSError) as exc:

@@ -176,11 +176,20 @@ def parse_config_file(path: str | Path) -> dict:
         if key not in CONFIG_SCHEMA:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
-            values[key] = CONFIG_SCHEMA[key](value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigurationError(
-                f"{path}:{lineno}: malformed value for key '{key}': {value!r} ({exc})")
+            values[key] = parse_value(key, value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     return values
+
+
+def parse_value(key: str, text: str):
+    """One value by its :data:`CONFIG_SCHEMA` converter, for config files and
+    command-line flags alike; a malformed value raises
+    :class:`ConfigurationError` naming the key."""
+    try:
+        return CONFIG_SCHEMA[key](text)
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"malformed value for key '{key}': {text!r} ({exc})") from None
 
 
 #: config-file key -> NetworkConfig field, for the keys that describe the network.

@@ -62,12 +62,13 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(
                 f"unknown experiment '{self.kind}', expected one of {EXPERIMENT_KINDS}")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be >= 1, got {self.trials}")
-        if not self.gamma_db:
-            raise ConfigurationError("gamma_db list must be nonempty")
-        if self.refs < 0:
-            raise ConfigurationError(f"refs must be >= 0, got {self.refs}")
+        for name, low in (("trials", 1), ("seed", 0), ("refs", 0), ("workers", 1),
+                          ("qbits", 1)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("gamma_db", "algos", "k_list", "nt_list"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"{name} must list at least one value")
         for algo in self.algos:
             if algo not in SOLVER_ALGOS | BASELINE_ALGOS:
                 raise ConfigurationError(f"unknown algorithm '{algo}'")
@@ -299,8 +300,8 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
                 s_topo, s_chan = trial_seeds(spec.seed, t)
                 topology = build_topology(cfg, s_topo)
                 channels = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan))
-                refmap = refim.reference_map(channels, cfg, spec.refs)
-                counts = refim.out_of_cell_reference_counts(cfg, refmap.mask(spec.refs))
+                ranks = refim.reference_map(channels, cfg)
+                counts = refim.out_of_cell_reference_counts(cfg, ranks < spec.refs)
                 totals.append(refim.feedback_bits(cfg, "cb_refim", counts,
                                                   qbits=spec.qbits))
             rows.append(dict(K=int(k), Nt=int(nt), icbf_bits=icbf_bits,

@@ -8,14 +8,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import solver
 from .config import NetworkConfig
 from .errors import ConfigurationError, DegenerateChannelError
-from .metrics import empty_beams
-from .network import ChannelState
+from .network import ChannelState, own_links
 
 
 def _beam_scale(config: NetworkConfig) -> float:
     return np.sqrt(config.Pmax / (config.N * config.K))
+
+
+def _first_user(where: np.ndarray) -> tuple[int, int]:
+    """(cell, user) of the first set entry of an (M, K, N) array, taken in
+    (cell, subchannel, user) order."""
+    m, _, k = np.argwhere(where.swapaxes(1, 2))[0]
+    return int(m), int(k)
 
 
 def init_cm(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
@@ -23,18 +30,13 @@ def init_cm(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
 
     v_{m,k}(n) = sqrt(Pmax / (N K)) * h_{m,k}(n) / ||h_{m,k}(n)||
     """
-    h = channels.normalized
-    beams = empty_beams(config)
-    scale = _beam_scale(config)
-    for m in range(config.M):
-        for k in range(config.K):
-            own = h[m, config.user_id(m, k)]                  # (N, Nt)
-            norms = np.linalg.norm(own, axis=-1)
-            if np.any(norms == 0.0):
-                raise DegenerateChannelError(f"zero channel for user ({m}, {k})")
-            beams[m, k] = scale * own / norms[:, None]
-    beams *= config.assignment[..., None]
-    return beams
+    own = own_links(channels, config)                                  # (M, K, N, Nt)
+    norms = np.linalg.norm(own, axis=-1)
+    zero = np.any(norms == 0.0, axis=-1, keepdims=True)               # per user, any subchannel
+    if zero.any():
+        raise DegenerateChannelError(f"zero channel for user {_first_user(zero)}")
+    beams = _beam_scale(config) * own / norms[..., None]
+    return beams * config.assignment[..., None]
 
 
 def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
@@ -46,36 +48,30 @@ def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
         v = sqrt(Pmax / (N K)) * P_perp h / ||P_perp h||
 
     Requires Nt >= (active users per cell per subchannel); nulling the K-1
-    same-cell channels needs that many spare dimensions.
+    same-cell channels needs that many spare dimensions. Each user's
+    projection comes from the pseudo-inverse of the matrix of its cell's other
+    active channels, so dependent co-users never reach a singular solve: a
+    channel within 1e-14 (relative) of their span is reported as degenerate.
     """
-    h = channels.normalized
-    beams = empty_beams(config)
-    scale = _beam_scale(config)
-    eye = np.eye(config.Nt, dtype=complex)
-    for m in range(config.M):
-        for n in range(config.N):
-            active = [k for k in range(config.K) if config.is_active(m, k, n)]
-            if len(active) > config.Nt:
-                raise ConfigurationError(
-                    f"zero-forcing needs Nt >= active users per cell; "
-                    f"cell {m} subchannel {n} has {len(active)} > Nt={config.Nt}")
-            for k in active:
-                others = [config.user_id(m, u) for u in active if u != k]
-                hk = h[m, config.user_id(m, k), n]
-                if others:
-                    stacked = h[m, others, n].T               # (Nt, K-1)
-                    gram = stacked.conj().T @ stacked
-                    proj = stacked @ np.linalg.solve(gram, stacked.conj().T)
-                    residual = (eye - proj) @ hk
-                else:
-                    residual = hk
-                norm = np.linalg.norm(residual)
-                if norm <= 1e-14 * np.linalg.norm(hk):
-                    raise DegenerateChannelError(
-                        f"channel of user ({m}, {k}) lies in the span of its "
-                        f"same-cell co-subchannel channels")
-                beams[m, k, n] = scale * residual / norm
-    return beams
+    active = config.assignment                                         # (M, K, N)
+    crowded = np.argwhere(active.sum(axis=1) > config.Nt)
+    if crowded.size:
+        m, n = crowded[0]
+        raise ConfigurationError(
+            f"zero-forcing needs Nt >= active users per cell; cell {m} subchannel {n} "
+            f"has {active[m, :, n].sum()} > Nt={config.Nt}")
+    hs = (own_links(channels, config) * active[..., None]).swapaxes(1, 2)   # (M, N, K, Nt)
+    # others[m, n, k] (Nt, K): the channels of cell m's active users on n but k, as columns
+    others = np.swapaxes(hs[:, :, None] * ~np.eye(config.K, dtype=bool)[..., None], -1, -2)
+    span = others @ (np.linalg.pinv(others) @ hs[..., None])           # (M, N, K, Nt, 1)
+    residual = (hs - span[..., 0]).swapaxes(1, 2)                      # (M, K, N, Nt)
+    norms = np.linalg.norm(residual, axis=-1)
+    degenerate = active & (norms <= 1e-14 * np.linalg.norm(hs, axis=-1).swapaxes(1, 2))
+    if degenerate.any():
+        raise DegenerateChannelError(
+            f"channel of user {_first_user(degenerate)} lies in the span of its "
+            f"same-cell co-subchannel channels")
+    return _beam_scale(config) * residual / np.where(active, norms, 1.0)[..., None]
 
 
 def init_mslnr(channels: ChannelState, config: NetworkConfig,
@@ -88,35 +84,24 @@ def init_mslnr(channels: ChannelState, config: NetworkConfig,
             + (N K / Pmax) * I
 
     The numerator matrix is rank one, so the dominant generalized eigenvector
-    is D^{-1} h up to scale; a Hermitian PD solve replaces any
-    eigendecomposition. Default scaling keeps the equal power split
-    ||v||^2 = Pmax / (N K); ``unit_norm=True`` rescales every beam to norm 1
-    (not power-feasible for N K > Pmax, provided for comparison only).
+    is D^{-1} h up to scale; one batched solve replaces any
+    eigendecomposition. The sum is the solver's leakage matrix at unit
+    victim weights over the full victim set. Default scaling keeps the equal
+    power split ||v||^2 = Pmax / (N K); ``unit_norm=True`` rescales every beam
+    to norm 1 (not power-feasible for N K > Pmax, provided for comparison only).
     """
-    h = channels.normalized
-    beams = empty_beams(config)
     scale = 1.0 if unit_norm else _beam_scale(config)
     ridge = config.N * config.K / config.Pmax
-    eye = np.eye(config.Nt, dtype=complex)
-    for m in range(config.M):
-        for n in range(config.N):
-            for k in range(config.K):
-                if not config.is_active(m, k, n):
-                    continue
-                dmat = ridge * eye.copy()
-                for j in range(config.M):
-                    for u in range(config.K):
-                        if (j, u) == (m, k) or not config.is_active(j, u, n):
-                            continue
-                        hu = h[m, config.user_id(j, u), n]
-                        dmat += np.outer(hu, hu.conj())
-                hk = h[m, config.user_id(m, k), n]
-                direction = np.linalg.solve(dmat, hk)
-                norm = np.linalg.norm(direction)
-                if norm == 0.0:
-                    raise DegenerateChannelError(f"zero channel for user ({m}, {k})")
-                beams[m, k, n] = scale * direction / norm
-    return beams
+    unit = np.ones((config.n_users, config.N))
+    _, leak = solver._all_leakages(channels, unit, solver.full_mask(config))
+    dmat = leak + ridge * np.eye(config.Nt)
+    direction = np.linalg.solve(dmat, own_links(channels, config)[..., None])[..., 0]
+    norms = np.linalg.norm(direction, axis=-1)
+    active = config.assignment
+    zero = active & (norms == 0.0)
+    if zero.any():
+        raise DegenerateChannelError(f"zero channel for user {_first_user(zero)}")
+    return scale * direction / np.where(active, norms, 1.0)[..., None] * active[..., None]
 
 
 INITIALIZERS = {"cm": init_cm, "zf": init_zf, "mslnr": init_mslnr}

@@ -86,6 +86,14 @@ class ChannelState:
                             n_coordinated=self.n_coordinated)
 
 
+def own_links(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
+    """Normalized channel from every BS to its own users, shape (..., M, K, N, Nt):
+    own[..., m, k] = h_{m,(m,k)}, with any leading batch axes of the channels."""
+    h = channels.normalized
+    bs = np.arange(config.M)
+    return h.reshape(h.shape[:-3] + (config.M, config.K) + h.shape[-2:])[..., bs, bs, :, :, :]
+
+
 def _cluster_sites(M: int) -> np.ndarray:
     d = INTER_SITE_M
     sites = np.array([

@@ -7,8 +7,8 @@ users of beam (m, k, n) are the candidates u with the largest
     score(u) = ||h_{m,u}(n)||^2 * |h_{m,u}(n)^H h_{m,k}(n)|^2
              = ||G_{m,u}(n) h_{m,k}(n)||^2,
 
-drawn from all scheduled users on the subchannel across the neighbourhood of
-BS m (its own cell included, since intra-cell leakage matters too). With
+drawn from all users scheduled on the subchannel across the cluster (the
+beam's own cell included, since intra-cell leakage matters too). With
 single-antenna transmitters the alignment factor is common to all candidates
 and the rule degenerates to picking the strongest channel gain.
 """
@@ -19,79 +19,31 @@ import numpy as np
 from .config import NetworkConfig
 from .errors import ConfigurationError
 from .metrics import check_active
-from .network import ChannelState
+from .network import ChannelState, own_links
 from .solver import LN2, _all_leakages, full_mask, q_coefficients
 
 
-def neighbour_sets(config: NetworkConfig) -> list[set[int]]:
-    """N(m) per BS. The coordinated cluster is small, so it is a full mesh
-    and every set contains the BS itself (:func:`reference_map`'s candidates
-    and :func:`solver.full_mask` rely on this)."""
-    return [set(range(config.M)) for _ in range(config.M)]
+def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
+    """Place of every user in every beam's candidate order, shape (M, K, N, MK).
 
-
-def _check_count(r_count: int) -> None:
-    if r_count < 0:
-        raise ConfigurationError(f"reference count must be >= 0, got {r_count}")
-
-
-class References(dict):
-    """What :func:`reference_map` returns: {(m, k, n): [(cell, user), ...]} of
-    every active triple, and ``ranks`` (M, K, N, MK), the place of each user in
-    beam (m, k, n)'s candidate order (the largest int for a non-candidate).
-
-    The references of a smaller count are a prefix of a larger one's, so the
-    ranks give the victim mask of any count without selecting again.
+    ranks[m, k, n, g] = i when user g is the (i+1)-th highest-scoring
+    candidate of beam (m, k, n), and the largest int when g is no candidate.
+    Candidates are the users scheduled on n across the cluster minus (m, k)
+    itself; an inactive beam has none. Ties break towards the lowest
+    (cell, user) index. ``ranks < r`` is the victim mask of r references (all
+    candidates when r exceeds their count), and
+    ``np.argsort(ranks, kind="stable")`` lists them in descending score. Every
+    score is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2, and
+    sorted once per beam.
     """
-
-    def __init__(self, refs: dict, ranks: np.ndarray):
-        super().__init__(refs)
-        self.ranks = ranks
-
-    def mask(self, r_count: int) -> np.ndarray:
-        """Victim mask (M, K, N, MK) of the truncated leakage: mask[m, k, n, g]
-        is set when user g is one of beam (m, k, n)'s r_count references."""
-        _check_count(r_count)
-        return self.ranks < r_count
-
-
-def reference_map(channels: ChannelState, config: NetworkConfig,
-                  r_count: int) -> References:
-    """References of every active triple (m, k, n): the r_count highest-scoring
-    candidates as (cell, user) pairs, descending score.
-
-    Candidates are the users scheduled on n across N(m) (the full cluster)
-    minus (m, k) itself. Ties break towards the lowest (cell, user) index;
-    asking for more references than candidates returns them all. Every score
-    is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2, and sorted
-    once per beam.
-    """
-    _check_count(r_count)
     h = channels.normalized                                           # (M, MK, N, Nt)
-    bs = np.arange(config.M)
-    own = h.reshape((config.M, config.M, config.K) + h.shape[2:])[bs, bs]  # (M, K, N, Nt)
     gain = np.sum(np.abs(h) ** 2, axis=-1).swapaxes(1, 2)[:, None]      # (M, 1, N, MK)
-    cross = np.abs(np.einsum("mgna,mkna->mkng", h.conj(), own)) ** 2   # (M, K, N, MK)
+    cross = np.abs(np.einsum("mgna,mkna->mkng", h.conj(), own_links(channels, config))) ** 2
     candidates = full_mask(config)
     order = np.argsort(np.where(candidates, -(gain * cross), np.inf), axis=-1, kind="stable")
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(config.n_users), axis=-1)
-    counts = np.minimum(candidates.sum(axis=-1), r_count)
-    refs = {}
-    for m in range(config.M):
-        for n in range(config.N):
-            for k in range(config.K):
-                if config.assignment[m, k, n]:
-                    refs[(m, k, n)] = [divmod(g, config.K)
-                                       for g in order[m, k, n, :counts[m, k, n]].tolist()]
-    return References(refs, np.where(candidates, ranks, np.iinfo(ranks.dtype).max))
-
-
-def reference_mask(channels: ChannelState, config: NetworkConfig,
-                   r_count: int) -> np.ndarray:
-    """Victim mask (M, K, N, MK) of the truncated leakage: mask[m, k, n, g]
-    is set when user g is one of beam (m, k, n)'s reference users."""
-    return reference_map(channels, config, r_count).mask(r_count)
+    return np.where(candidates, ranks, np.iinfo(ranks.dtype).max)
 
 
 def leakage_refim(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
@@ -146,7 +98,7 @@ SCALAR_FEEDBACK_REALS = 3
 def out_of_cell_reference_counts(config: NetworkConfig,
                                  mask: np.ndarray) -> np.ndarray:
     """Distinct reference users of BS m on subchannel n served by other BSs,
-    from the victim mask (M, K, N, MK) of :meth:`References.mask`.
+    from the victim mask (M, K, N, MK), ``ranks < r`` of :func:`reference_map`.
 
     Intra-cell references cost nothing on the backhaul (the BS already knows
     its own users), and a user referenced by several of BS m's beams is
@@ -172,14 +124,12 @@ def feedback_bits(config: NetworkConfig, algo: str,
         icbf     reals(m, n) = |U(m, n)| * (2*Nt + 3)
         cb_refim reals(m, n) = |U(m, n)| * 2*Nt + 3 * distinct_refs(m, n)
 
-    where U(m, n) are the users scheduled on n and served by N(m) \\ {m}.
-    Bits = reals * qbits.
+    where U(m, n) are the users scheduled on n and served by the other BSs
+    of the cluster. Bits = reals * qbits.
     """
     if algo not in ("icbf", "icbf_wi", "cb_refim"):
         raise ConfigurationError(f"no feedback model for algorithm '{algo}'")
-    hoods = neighbour_sets(config)
-    others = np.array([[j in hoods[m] and j != m for j in range(config.M)]
-                       for m in range(config.M)])                    # (M, M)
+    others = ~np.eye(config.M, dtype=bool)                            # (M, M)
     users = int(np.sum(others @ config.assignment.sum(axis=1)))     # sum of |U(m, n)|
     if algo != "cb_refim":
         return users * (2 * config.Nt + SCALAR_FEEDBACK_REALS) * qbits

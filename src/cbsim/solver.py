@@ -46,7 +46,7 @@ from .config import NetworkConfig
 from .errors import BracketError, ConfigurationError, InvalidStateError, UsageError
 from .metrics import (bs_powers, check_active, link_state, sum_rate_of_link,
                       weighted_sum_rate)
-from .network import ChannelState
+from .network import ChannelState, own_links
 
 LN2 = float(np.log(2.0))
 
@@ -208,11 +208,10 @@ class DualEvaluator:
         self.n_bs = config.M
         h = channels.normalized
         h = h.reshape((-1,) + h.shape[-3:]).swapaxes(1, 2)            # (BM, N, MK, Nt)
-        rows = np.arange(h.shape[0])
-        cells = h.reshape(h.shape[:2] + (config.M, config.K, -1))     # (BM, N, M, K, Nt)
-        self.hs = cells[rows, :, rows % config.M]                     # own users (BM, N, K, Nt)
+        hs = own_links(channels, config).reshape(-1, config.K, config.N, config.Nt)
+        self.hs = np.ascontiguousarray(hs.swapaxes(1, 2))             # own users (BM, N, K, Nt)
         own = (config.weights * config.assignment).swapaxes(1, 2)
-        self.weights = np.tile(own, (len(rows) // config.M, 1, 1))
+        self.weights = np.tile(own, (len(h) // config.M, 1, 1))
         hh = np.sum(np.abs(self.hs) ** 2, axis=-1)
         self.lam_up = np.max(self.weights * hh, axis=(1, 2)) / LN2   # lambda_upper
         mats = leakages.reshape((-1,) + leakages.shape[-4:]).swapaxes(1, 2)
@@ -429,11 +428,13 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
     if algo == "cb_refim":
         from . import refim
-        selected = {}   # one selection per distinct channel state object, cut at each count
-        for ch, r in zip(channels, refs):
-            if id(ch) not in selected:
-                selected[id(ch)] = refim.reference_map(ch, config, r)
-        masks = np.stack([selected[id(ch)].mask(r) for ch, r in zip(channels, refs)])
+        if min(refs) < 0:
+            raise ConfigurationError(f"reference count must be >= 0, got {min(refs)}")
+        ranks = {}   # one selection per distinct channel state object, cut at each count
+        for ch in channels:
+            if id(ch) not in ranks:
+                ranks[id(ch)] = refim.reference_map(ch, config)
+        masks = np.stack([ranks[id(ch)] < r for ch, r in zip(channels, refs)])
     else:
         mask = full_mask(config)
         masks = np.broadcast_to(mask, (n_solves,) + mask.shape)
@@ -537,8 +538,8 @@ def _stationarity_terms(channels: ChannelState, config: NetworkConfig,
     leak = np.einsum("...mkng,...mkgn,...mgna->...mkna", weights, amps, h)
     shape = total.shape[:-2] + (config.M, config.K, config.N)
     gids = np.arange(config.n_users)
-    own_h = h[..., gids // config.K, gids, :, :].reshape(shape + (config.Nt,))
-    own = own_h * amps[..., gids // config.K, gids % config.K, gids, :].reshape(shape)[..., None]
+    own_amps = amps[..., gids // config.K, gids % config.K, gids, :].reshape(shape)
+    own = own_links(channels, config) * own_amps[..., None]
     gain = config.weights / (1.0 + total.reshape(shape))
     return leak, gain[..., None] * own
 

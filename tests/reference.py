@@ -150,6 +150,58 @@ def select_references(channels, config, m, k, n, r_count):
     return [candidates[i] for i in order[:r_count]]
 
 
+def zf_loop(channels, config):
+    """Per-cell zero-forcing beams by one projection per active triple: the
+    channel minus its projection on the other active same-cell channels of
+    the subchannel, scaled to sqrt(Pmax / (N K)). Raises ValueError where
+    the package raises a configuration or degenerate-channel error."""
+    h = channels.normalized
+    beams = np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
+    scale = np.sqrt(config.Pmax / (config.N * config.K))
+    eye = np.eye(config.Nt, dtype=complex)
+    for m in range(config.M):
+        for n in range(config.N):
+            active = [k for k in range(config.K) if config.is_active(m, k, n)]
+            if len(active) > config.Nt:
+                raise ValueError(f"cell {m} subchannel {n} has more users than antennas")
+            for k in active:
+                others = [config.user_id(m, u) for u in active if u != k]
+                hk = h[m, config.user_id(m, k), n]
+                if others:
+                    stacked = h[m, others, n].T               # (Nt, K-1)
+                    gram = stacked.conj().T @ stacked
+                    proj = stacked @ np.linalg.solve(gram, stacked.conj().T)
+                    residual = (eye - proj) @ hk
+                else:
+                    residual = hk
+                norm = np.linalg.norm(residual)
+                if norm <= 1e-14 * np.linalg.norm(hk):
+                    raise ValueError(f"channel of user ({m}, {k}) is degenerate")
+                beams[m, k, n] = scale * residual / norm
+    return beams
+
+
+def mslnr_loop(channels, config, unit_norm=False):
+    """Max-SLNR beams D^{-1} h by one dense solve per active triple, with D
+    the ridge (N K / Pmax) I plus every other active co-subchannel user's
+    h_u h_u^H, accumulated one outer product at a time."""
+    h = channels.normalized
+    beams = np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
+    scale = 1.0 if unit_norm else np.sqrt(config.Pmax / (config.N * config.K))
+    ridge = config.N * config.K / config.Pmax
+    for m, k, n in active_triples(config):
+        dmat = ridge * np.eye(config.Nt, dtype=complex)
+        for j in range(config.M):
+            for u in range(config.K):
+                if (j, u) == (m, k) or not config.is_active(j, u, n):
+                    continue
+                hu = h[m, config.user_id(j, u), n]
+                dmat += np.outer(hu, hu.conj())
+        direction = np.linalg.solve(dmat, h[m, config.user_id(m, k), n])
+        beams[m, k, n] = scale * direction / np.linalg.norm(direction)
+    return beams
+
+
 def grid_search_two_cell(h, pmax, w, n_theta=21, n_phi=20, n_pow=5):
     """Dense grid over per-BS beam direction and power for the 2-cell,
     1-user-per-cell, single-subchannel network.

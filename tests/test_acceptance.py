@@ -231,11 +231,11 @@ def test_criterion_6_reference_count_sweep(suite):
     _, channels = realize_network(config, 17)
     beams, _ = solve(channels, config, init_mslnr(channels, config), "icbf_wi")
     worst = 0.0
-    refmap = refim.reference_map(channels, config, config.M * config.K - 1)
+    order = np.argsort(refim.reference_map(channels, config), axis=-1, kind="stable")
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
-                refs = refmap[(m, k, n)]
+                refs = [divmod(int(g), config.K) for g in order[m, k, n, :config.M * config.K - 1]]
                 truncated = refim.leakage_refim(channels, beams, config, m, k, n, refs)
                 full = leakage_full(channels, beams, config, m, k, n)
                 scale = max(np.linalg.norm(full), 1e-300)
@@ -254,7 +254,7 @@ def test_criterion_7_feedback_accounting(monkeypatch):
     references free, references deduplicated) the ratio is
     2Nt/(2Nt+3) + 3R/((2Nt+3)(M-1)K), with R the distinct out-of-cell
     references per (BS, subchannel). Each out-of-band config prints that
-    floor and R, counted here from the reference maps feedback_table uses.
+    floor and R, counted here from the victim masks feedback_table uses.
     """
     config = NetworkConfig()
     icbf_bits = refim.feedback_bits(config, "icbf", qbits=8)
@@ -265,19 +265,20 @@ def test_criterion_7_feedback_accounting(monkeypatch):
 
     out_of_cell = {}                                   # (K, Nt) -> counts
     select = refim.reference_map
-
-    def counting_reference_map(channels, cfg, r_count):
-        refmap = select(channels, cfg, r_count)
-        for m in range(cfg.M):
-            for n in range(cfg.N):
-                refs = {(j, u) for k in range(cfg.K)
-                        for (j, u) in refmap.get((m, k, n), []) if j != m}
-                out_of_cell.setdefault((cfg.K, cfg.Nt), []).append(len(refs))
-        return refmap
-
-    monkeypatch.setattr(refim, "reference_map", counting_reference_map)
     spec = ExperimentSpec(kind="feedback", trials=30, seed=MASTER_SEED,
                           k_list=tuple(range(2, 11)), nt_list=(2, 3, 4))
+
+    def counting_reference_map(channels, cfg):
+        ranks = select(channels, cfg)
+        mask = ranks < spec.refs
+        for m in range(cfg.M):
+            for n in range(cfg.N):
+                refs = {g for k in range(cfg.K) for g in np.flatnonzero(mask[m, k, n])
+                        if g // cfg.K != m}
+                out_of_cell.setdefault((cfg.K, cfg.Nt), []).append(len(refs))
+        return ranks
+
+    monkeypatch.setattr(refim, "reference_map", counting_reference_map)
     rows = feedback_table(config, spec)
     out_of_band = [(r["K"], r["Nt"], r["cb_refim_bits"] / r["icbf_bits"])
                    for r in rows
@@ -388,7 +389,8 @@ def test_criterion_11_single_antenna_specialization():
         channels = ChannelState(normalized=h, n_coordinated=3)
         m = int(rng.integers(0, 3))
         k = int(rng.integers(0, 2))
-        refs = refim.reference_map(channels, config, 1)[(m, k, 0)]
+        ranks = refim.reference_map(channels, config)[m, k, 0]
+        refs = [divmod(int(g), config.K) for g in np.argsort(ranks, kind="stable")[:1]]
         candidates = [(j, u) for j in range(3) for u in range(2) if (j, u) != (m, k)]
         gains = [abs(h[m, 2 * j + u, 0, 0]) ** 2 for (j, u) in candidates]
         if refs != [candidates[int(np.argmax(gains))]]:

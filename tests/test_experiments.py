@@ -159,11 +159,12 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         ExperimentSpec(kind="plot")
     with pytest.raises(ConfigurationError):
-        ExperimentSpec(kind="cdf", trials=0)
-    with pytest.raises(ConfigurationError):
-        ExperimentSpec(kind="cdf", gamma_db=())
-    with pytest.raises(ConfigurationError):
         ExperimentSpec(kind="cdf", algos=("dpc",))
+    for key, value in [("trials", 0), ("gamma_db", ()), ("seed", -1), ("workers", 0),
+                       ("workers", -4), ("qbits", 0), ("k_list", ()), ("nt_list", ()),
+                       ("algos", ())]:
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentSpec(kind="feedback", **{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,44 @@ def test_cli_rejects_bad_config(tmp_path):
     cfg.write_text("K = 0\n")
     code = main(["cdf", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("key, flags, lines", [
+    ("gamma_db", ["--gamma-db", "10,abc"], ""),
+    ("gamma_db", ["--gamma-db", ","], ""),
+    ("algos", ["--algo", ""], ""),
+    ("seed", ["--seed", "-1"], ""),
+    ("workers", ["--workers", "0"], ""),
+    ("workers", ["--workers", "-4"], ""),
+    ("qbits", [], "qbits = 0\n"),
+    ("k_list", [], "k_list =\n"),
+    ("nt_list", [], "nt_list = ,\n"),
+])
+def test_cli_rejects_bad_value_naming_its_key(tmp_path, capsys, key, flags, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "x.csv"
+    code = main(["snr_sweep", "--config", str(cfg), "--trials", "1", "--out", str(out)]
+                + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_cli_list_flags_parse_like_config_files(tmp_path):
+    """--gamma-db and --algo read a list as a config file does: empty items
+    are skipped."""
+    base, lists = tmp_path / "base.cfg", tmp_path / "lists.cfg"
+    base.write_text("M = 2\nK = 2\nNt = 2\ntrials = 1\n")
+    lists.write_text(base.read_text() + "algos = cm,,zf\ngamma_db = 10,,30\n")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert main(["snr_sweep", "--config", str(lists), "--out", str(from_file),
+                 "--no-timestamp"]) == 0
+    assert main(["snr_sweep", "--config", str(base), "--algo", "cm,,zf", "--gamma-db", "10,,30",
+                 "--out", str(from_flags), "--no-timestamp"]) == 0
+    assert from_flags.read_bytes() == from_file.read_bytes()
+    assert len(read_csv(from_flags)[1]) == 4
 
 
 def test_cli_rejects_unsupported_cluster_size_at_config_time(tmp_path, capsys):

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+import reference
 from cbsim.config import NetworkConfig
-from cbsim.errors import ConfigurationError
+from cbsim.errors import ConfigurationError, DegenerateChannelError
 from cbsim.initializers import init_cm, init_mslnr, init_zf, make_initial_beams
 from cbsim.metrics import bs_powers, power_feasible, slnr
 from cbsim.network import ChannelState, realize_network
@@ -82,6 +83,42 @@ def test_zf_requires_enough_antennas():
     state = synthetic_channels(config, seed=4)
     with pytest.raises(ConfigurationError):
         init_zf(state, config)
+
+
+@pytest.mark.parametrize("K, first, second", [(2, 0, 1), (3, 1, 2)])
+def test_zf_parallel_same_cell_channels_are_degenerate(K, first, second):
+    """Two same-cell users with parallel channels on one subchannel: the first
+    of them is named, and no singular solve escapes, also when a third user
+    is independent of both."""
+    config = NetworkConfig(M=2, N=2, K=K, Nt=3)
+    h = synthetic_channels(config, seed=41).normalized.copy()
+    h[1, config.user_id(1, second), 1] = 2.0 * h[1, config.user_id(1, first), 1]
+    state = ChannelState(normalized=h, n_coordinated=config.M)
+    with pytest.raises(DegenerateChannelError, match=rf"user \(1, {first}\) lies in the span"):
+        init_zf(state, config)
+
+
+def test_array_initializers_match_loop_oracles():
+    """zf and mslnr (both scalings) equal the per-triple loop forms on random
+    sizes and partial assignments; zf only where every cell has at most Nt
+    active users per subchannel."""
+    rng = np.random.default_rng(43)
+    zf_draws = 0
+    for draw in range(300):
+        config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
+                               K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)),
+                               Pmax=float(rng.uniform(0.5, 4.0)))
+        config.assignment[:] = rng.random(config.assignment.shape) < 0.7
+        state = synthetic_channels(config, draw)
+        for unit_norm in (False, True):
+            expected = reference.mslnr_loop(state, config, unit_norm)
+            got = init_mslnr(state, config, unit_norm=unit_norm)
+            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
+        if np.all(config.assignment.sum(axis=1) <= config.Nt):
+            zf_draws += 1
+            got = init_zf(state, config)
+            assert np.max(np.abs(got - reference.zf_loop(state, config)), initial=0.0) <= 1e-12
+    assert zf_draws >= 100
 
 
 def test_mslnr_reduces_to_cm_without_other_users():

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 import reference
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError
+from cbsim.initializers import init_mslnr
 from cbsim.network import ChannelState, realize_network
 from cbsim.refim import (feedback_bits, invert_rank_r, leakage_refim,
-                         out_of_cell_reference_counts, reference_map,
-                         reference_mask)
-from cbsim.solver import LN2, gamma_sherman_morrison, leakage_full
+                         out_of_cell_reference_counts, reference_map)
+from cbsim.solver import LN2, gamma_sherman_morrison, leakage_full, solve_batch
 
 
 def synthetic_channels(config, seed=0):
@@ -31,9 +31,18 @@ def random_beams(config, seed, scale=0.4):
 # selection
 # ---------------------------------------------------------------------------
 
+def references_of(ranks, config, r_count):
+    """{(m, k, n): [(cell, user), ...]} of every active triple: its r_count
+    references (all candidates when fewer), in order, from the ranks."""
+    counts = np.sum(ranks < r_count, axis=-1)
+    order = np.argsort(ranks, axis=-1, kind="stable")
+    return {(m, k, n): [divmod(int(g), config.K) for g in order[m, k, n, :counts[m, k, n]]]
+            for m, k, n in reference.active_triples(config)}
+
+
 def select_references(state, config, m, k, n, r_count):
     """The library's references of one active triple."""
-    return reference_map(state, config, r_count)[(m, k, n)]
+    return references_of(reference_map(state, config), config, r_count)[(m, k, n)]
 
 
 def mask_of(config, refmap):
@@ -45,10 +54,15 @@ def mask_of(config, refmap):
     return mask
 
 
+def oracle_references(state, config, r_count):
+    return {t: reference.select_references(state, config, *t, r_count)
+            for t in reference.active_triples(config)}
+
+
 def test_reference_map_matches_scalar_oracle():
-    """Every triple's references, in order, and the victim mask equal the
-    scalar oracle's on random sizes, partial assignments and reference
-    counts from 0 to above the candidate count."""
+    """Every triple's references, in order, and the victim mask ranks < r
+    equal the scalar oracle's on random sizes, partial assignments and
+    reference counts from 0 to above the candidate count."""
     rng = np.random.default_rng(31)
     for draw in range(300):
         config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
@@ -56,35 +70,38 @@ def test_reference_map_matches_scalar_oracle():
         config.assignment[:] = rng.random(config.assignment.shape) < 0.7
         state = synthetic_channels(config, draw)
         r_count = int(rng.choice([0, 1, 2, config.n_users + 1, rng.integers(0, config.n_users)]))
-        refmap = reference_map(state, config, r_count)
-        expected = {t: reference.select_references(state, config, *t, r_count)
-                    for t in reference.active_triples(config)}
-        assert refmap == expected
-        assert np.array_equal(reference_mask(state, config, r_count),
-                              mask_of(config, expected))
+        ranks = reference_map(state, config)
+        expected = oracle_references(state, config, r_count)
+        assert references_of(ranks, config, r_count) == expected
+        assert np.array_equal(ranks < r_count, mask_of(config, expected))
 
 
 def test_mask_of_any_count_from_one_selection():
-    """A selection's ranks give every other count's mask, from 0 to above
-    the candidate count, exactly as selecting at that count does."""
+    """One ranks array gives every count's victim mask, from 0 to above the
+    candidate count, and the drawn count's reference order, as the scalar
+    oracle selects them at that count."""
     rng = np.random.default_rng(32)
     for draw in range(100):
         config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
                                K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)))
         config.assignment[:] = rng.random(config.assignment.shape) < 0.7
         state = synthetic_channels(config, draw)
-        refmap = reference_map(state, config, int(rng.integers(0, config.n_users + 2)))
+        drawn = int(rng.integers(0, config.n_users + 2))
+        ranks = reference_map(state, config)
         for r_count in range(config.n_users + 2):
-            assert np.array_equal(refmap.mask(r_count),
-                                  mask_of(config, reference_map(state, config, r_count)))
+            expected = oracle_references(state, config, r_count)
+            assert np.array_equal(ranks < r_count, mask_of(config, expected))
+            if r_count == drawn:
+                assert references_of(ranks, config, r_count) == expected
 
 
 def test_negative_reference_count_rejected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
+    state = synthetic_channels(config)
+    init = init_mslnr(state, config)[None]
     with pytest.raises(ConfigurationError, match="reference count"):
-        reference_map(synthetic_channels(config), config, -1)
-    with pytest.raises(ConfigurationError, match="reference count"):
-        reference_map(synthetic_channels(config), config, 1).mask(-1)
+        solve_batch([state], config, init, "cb_refim", ref_counts=[-1])
+
 
 def test_single_candidate_is_selected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
@@ -166,12 +183,15 @@ def test_single_antenna_reduces_to_strongest_gain():
 
 
 def test_reference_map_covers_active_triples():
+    """An inactive beam has no candidates, and an inactive user is no
+    beam's candidate on that subchannel."""
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
     config.assignment[1, 0, 1] = False
     state = synthetic_channels(config, 6)
-    refmap = reference_map(state, config, 1)
-    assert (1, 0, 1) not in refmap
-    assert len(refmap) == 2 * 2 * 2 - 1
+    candidates = reference_map(state, config) < np.iinfo(np.intp).max
+    assert not candidates[1, 0, 1].any()
+    assert not candidates[:, :, 1, config.user_id(1, 0)].any()
+    assert np.sum(candidates.any(axis=-1)) == 2 * 2 * 2 - 1
 
 
 # ---------------------------------------------------------------------------
