@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generated-at comment line (byte-stable output)")
         p.add_argument("--dump-prefix",
-                       help="debug: write <prefix>_topology.csv/_channels.csv for trial 0")
+                       help="debug: write <prefix>_topology.csv/_channels.csv and "
+                            "_trace_<algo>_<gamma>[_r<refs>].csv for trial 0")
     return parser
 
 

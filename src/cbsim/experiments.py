@@ -9,10 +9,12 @@ Five experiment kinds are supported:
   feedback     inter-BS feedback bits versus users-per-cell and antennas
 
 Reproducibility: trial t derives its RNG state from
-``numpy.random.SeedSequence((master_seed, t))``, so results are identical
-whether trials run sequentially or across worker processes, and reruns with
-the same config and seed produce byte-identical CSV (disable the header
-timestamp comment for byte comparisons).
+``numpy.random.SeedSequence((master_seed, t))``, and a solve's result does
+not depend on the batch it shares with other trials, so results are
+identical however trials are grouped and whether the groups run in one
+process or across workers; reruns with the same config and seed produce
+byte-identical CSV (disable the header timestamp comment for byte
+comparisons).
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,9 @@ BASELINE_ALGOS = set(initializers.INITIALIZERS)
 DEFAULT_ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 #: Errors that exclude one trial; numpy's LinAlgError is also scipy.linalg's.
 TRIAL_ERRORS = (CbsimError, np.linalg.LinAlgError)
+#: Byte budget of one solver batch's victim weights and leakage matrices;
+#: it sets how many trials :func:`_run_trials` solves as one group.
+BATCH_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -67,8 +71,12 @@ class ExperimentSpec:
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("gamma_db", "algos", "k_list", "nt_list"):
-            if not getattr(self, name):
+            values = tuple(getattr(self, name))
+            if not values:
                 raise ConfigurationError(f"{name} must list at least one value")
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:
+                raise ConfigurationError(f"{name} lists {twice[0]!r} more than once")
         for algo in self.algos:
             if algo not in SOLVER_ALGOS | BASELINE_ALGOS:
                 raise ConfigurationError(f"unknown algorithm '{algo}'")
@@ -117,82 +125,128 @@ def _outer_series(trace, config: NetworkConfig, wsr_final: float) -> list[float]
     return series[:config.L_out_max]
 
 
-def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
-                     ref_counts: tuple[int, ...] | None = None) -> TrialResult:
-    """One channel realization: initialize, solve per algorithm and gamma.
+def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
+                      trials: tuple[int, ...],
+                      ref_counts: tuple[int, ...] | None = None) -> list[TrialResult]:
+    """Channel realizations ``trials``: initialize, then solve each algorithm
+    over all of them at once. Returns one result per trial, in order.
 
-    The raw fading/shadowing draw is shared across gamma points; only the
-    noise normalization changes with the transmit SNR. Each initializer runs
-    once per gamma, and its beams serve both its own baseline row and every
-    solver that starts from it. Each solver runs one :func:`solver.solve_batch`
-    over all its gamma points and, when ``ref_counts`` is given, cb_refim over
-    all of them too.
+    A trial's raw fading/shadowing draw is shared across gamma points; only
+    the noise normalization changes with the transmit SNR. Each initializer
+    runs once per (trial, gamma), and its beams serve both its own baseline
+    row and every solver that starts from it. Each solver runs one
+    :func:`solver.solve_batch` over every (trial, gamma) solve and, when
+    ``ref_counts`` is given, cb_refim over every count too. A solve's result
+    does not depend on its batch, so each trial's result is bit-identical to
+    its :func:`run_solver_trial` alone.
     """
-    s_topo, s_chan = trial_seeds(spec.seed, trial)
-    topology = build_topology(config, s_topo)
-    raw = draw_channels(topology, config, s_chan)
-    result = TrialResult(trial=trial)
     cfgs = [config.with_gamma_db(gamma) for gamma in spec.gamma_db]
-    channels = [apply_noise(topology, cfg, raw) for cfg in cfgs]
-    if spec.dump_prefix and trial == 0:
-        dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
-        dump_channels_csv(channels[0], f"{spec.dump_prefix}_channels.csv")
+    channels = {}   # (trial, gamma index) -> noise-normalized channels
+    for t in trials:
+        s_topo, s_chan = trial_seeds(spec.seed, t)
+        topology = build_topology(config, s_topo)
+        raw = draw_channels(topology, config, s_chan)
+        for i, cfg in enumerate(cfgs):
+            channels[t, i] = apply_noise(topology, cfg, raw)
+        if spec.dump_prefix and t == 0:
+            dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
+            dump_channels_csv(channels[0, 0], f"{spec.dump_prefix}_channels.csv")
+    results = {t: TrialResult(trial=t) for t in trials}
     starts = {}
 
-    def start(name: str, i: int) -> np.ndarray:
-        if (name, i) not in starts:
-            starts[(name, i)] = initializers.make_initial_beams(name, channels[i], cfgs[i])
-        return starts[(name, i)]
+    def start(name: str, t: int, i: int) -> np.ndarray:
+        if (name, t, i) not in starts:
+            starts[name, t, i] = initializers.make_initial_beams(name, channels[t, i], cfgs[i])
+        return starts[name, t, i]
 
-    def record(algo, i, refs, beams, trace):
-        gamma, cfg = spec.gamma_db[i], cfgs[i]
-        report = metrics.rate_report(channels[i], beams, cfg)
+    def record(algo, t, i, refs, beams, trace):
+        gamma, cfg, result = spec.gamma_db[i], cfgs[i], results[t]
+        report = metrics.rate_report(channels[t, i], beams, cfg)
         key = (algo, gamma) if refs is None else (algo, gamma, refs)
         result.final_wsr[key] = report.weighted_sum_rate
         result.outer_traces[(algo, gamma)] = _outer_series(trace, cfg, report.weighted_sum_rate)
         result.user_rates[(algo, gamma)] = report.user_rates.ravel()
+        if spec.dump_prefix and t == 0 and trace is not None:
+            suffix = "" if refs is None else f"_r{refs}"
+            trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
 
     for algo in spec.algos:
         if algo in BASELINE_ALGOS:
-            for i in range(len(cfgs)):
-                record(algo, i, None, start(algo, i), None)
+            for t in trials:
+                for i in range(len(cfgs)):
+                    record(algo, t, i, None, start(algo, t, i), None)
             continue
         sweep = algo == "cb_refim" and ref_counts is not None
-        solves = [(i, refs) for i in range(len(cfgs))
+        solves = [(t, i, refs) for t in trials for i in range(len(cfgs))
                   for refs in (ref_counts if sweep else (spec.refs,))]
         beams, traces = solver.solve_batch(
-            [channels[i] for i, _ in solves], config,
-            np.stack([start(spec.init, i) for i, _ in solves]), algo,
-            [refs for _, refs in solves])
-        for (i, refs), best, trace in zip(solves, beams, traces):
-            record(algo, i, refs if sweep else None, best, trace)
-    return result
+            [channels[t, i] for t, i, _ in solves], config,
+            np.stack([start(spec.init, t, i) for t, i, _ in solves]), algo,
+            [refs for _, _, refs in solves])
+        for (t, i, refs), best, trace in zip(solves, beams, traces):
+            record(algo, t, i, refs if sweep else None, best, trace)
+    return [results[t] for t in trials]
+
+
+def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
+                     ref_counts: tuple[int, ...] | None = None) -> TrialResult:
+    """One channel realization: :func:`run_solver_trials` on one trial."""
+    return run_solver_trials(config, spec, (trial,), ref_counts)[0]
+
+
+def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec,
+                      ref_counts: tuple[int, ...] | None) -> int:
+    """Trials per group: the fewest near-equal groups whose largest solver
+    batch keeps its victim weights (float64, MK per triple) and leakage
+    matrices (complex128, Nt^2 per triple) within BATCH_BYTES, and at least
+    one group per worker. Each group holds at least one trial."""
+    triples = config.M * config.K * config.N
+    per_solve = triples * (8 * config.M * config.K + 16 * config.Nt ** 2)
+    per_trial = per_solve * len(spec.gamma_db) * len(ref_counts or (spec.refs,))
+    cap = max(1, BATCH_BYTES // per_trial)
+    groups = max(-(-spec.trials // cap), min(spec.workers, spec.trials))
+    return -(-spec.trials // groups)
+
+
+def _run_group(config: NetworkConfig, spec: ExperimentSpec, trials: tuple[int, ...],
+               ref_counts: tuple[int, ...] | None) -> list[TrialResult | str]:
+    """Each trial's result, or its error text if it raised one of TRIAL_ERRORS.
+
+    The group runs as one; if it raises, each trial runs again on its own,
+    so a failure excludes only the trial that raised it.
+    """
+    try:
+        return run_solver_trials(config, spec, trials, ref_counts)
+    except TRIAL_ERRORS as exc:
+        if len(trials) == 1:
+            return [str(exc)]
+    return [out for t in trials for out in _run_group(config, spec, (t,), ref_counts)]
 
 
 def _run_trials(config: NetworkConfig, spec: ExperimentSpec,
                 ref_counts: tuple[int, ...] | None = None) -> tuple[list[TrialResult], int]:
-    """Run all trials (optionally in worker processes); order is by trial index.
+    """Run all trials in contiguous groups (optionally in worker processes);
+    order is by trial index.
 
     Failed trials (a cbsim error or a singular linear solve) are excluded
-    from the aggregates, never retried; the exclusion count is reported so
-    the statistics stay honest. Any other exception ends the run.
+    from the aggregates; the exclusion count is reported so the statistics
+    stay honest. Any other exception ends the run.
     """
+    size = _trials_per_group(config, spec, ref_counts)
+    groups = [tuple(range(lo, min(lo + size, spec.trials)))
+              for lo in range(0, spec.trials, size)]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            calls = [pool.submit(run_solver_trial, config, spec, t, ref_counts).result
-                     for t in range(spec.trials)]
+            futures = [pool.submit(_run_group, config, spec, g, ref_counts) for g in groups]
+            outcomes = [out for future in futures for out in future.result()]
     else:
-        calls = [partial(run_solver_trial, config, spec, t, ref_counts)
-                 for t in range(spec.trials)]
-    results: list[TrialResult | None] = [None] * spec.trials
+        outcomes = [out for g in groups for out in _run_group(config, spec, g, ref_counts)]
     failures = 0
-    for t, call in enumerate(calls):
-        try:
-            results[t] = call()
-        except TRIAL_ERRORS as exc:
+    for t, outcome in enumerate(outcomes):
+        if isinstance(outcome, str):
             failures += 1
-            print(f"warning: trial {t} failed: {exc}", file=sys.stderr)
-    kept = [r for r in results if r is not None]
+            print(f"warning: trial {t} failed: {outcome}", file=sys.stderr)
+    kept = [r for r in outcomes if not isinstance(r, str)]
     if not kept:
         raise InvalidStateError(f"every trial failed ({failures} errors)")
     return kept, failures

@@ -483,7 +483,8 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
             if now[i] < before * (1.0 - 1e-12):
                 trace.non_monotone_steps += 1
             if now[i] > best_wsr[b]:
-                best_wsr[b], best_beams[b], best_duals[b] = now[i], beams[i], duals[i]
+                # a copy: a view would keep the whole batch's beams of this step alive
+                best_wsr[b], best_beams[b], best_duals[b] = now[i], beams[i].copy(), duals[i]
             inner[b] += 1
             converged = abs(now[i] - before) <= config.inner_tol * max(abs(before), 1e-12)
             ended = converged or inner[b] == config.L_in_max

@@ -1,14 +1,17 @@
 """Harness and CLI tests: CSV schemas, determinism, worker equivalence."""
 import csv
 
+import numpy as np
 import pytest
 
-from cbsim import initializers
+from cbsim import experiments, initializers, solver
 from cbsim.cli import main, parse_config
 from cbsim.config import NetworkConfig
-from cbsim.errors import ConfigurationError
+from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.experiments import (ExperimentSpec, feedback_table,
                                run_experiment, run_solver_trial, trial_seeds)
+from cbsim.initializers import init_mslnr
+from cbsim.network import apply_noise, build_topology, draw_channels
 from cbsim.refim import feedback_bits
 
 
@@ -29,6 +32,15 @@ def small_config(**kw):
     defaults = dict(M=2, N=2, K=2, Nt=2)
     defaults.update(kw)
     return NetworkConfig(**defaults)
+
+
+def trial_channels(config, seed, trial, gamma):
+    """The noise-normalized channels of one trial at one SNR, as the harness
+    draws them."""
+    s_topo, s_chan = trial_seeds(seed, trial)
+    topology = build_topology(config, s_topo)
+    cfg = config.with_gamma_db(gamma)
+    return apply_noise(topology, cfg, draw_channels(topology, config, s_chan))
 
 
 def test_trial_seed_mixing_is_deterministic_and_distinct():
@@ -122,12 +134,21 @@ def test_timestamp_comment_present_when_enabled(tmp_path):
     assert out.read_text().startswith("# generated ")
 
 
-def test_workers_do_not_change_results(tmp_path):
+@pytest.mark.parametrize("kind", ["convergence", "snr_sweep", "ref_sweep", "cdf"])
+def test_grouping_does_not_change_results(tmp_path, monkeypatch, kind):
+    """All trials in one group, one trial per group and two workers write
+    the same bytes."""
     config = small_config()
-    out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    run_experiment(config, small_spec("snr_sweep", out1, trials=3, workers=1))
-    run_experiment(config, small_spec("snr_sweep", out2, trials=3, workers=2))
-    assert out1.read_bytes() == out2.read_bytes()
+    spec = dict(trials=3, gamma_db=(10.0, 30.0), algos=("cm", "icbf", "cb_refim"))
+    assert experiments._trials_per_group(config, small_spec(kind, "x", **spec), None) == 3
+    one_group, two_workers = tmp_path / "one.csv", tmp_path / "w2.csv"
+    run_experiment(config, small_spec(kind, one_group, **spec))
+    run_experiment(config, small_spec(kind, two_workers, workers=2, **spec))
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 1)
+    assert experiments._trials_per_group(config, small_spec(kind, "x", **spec), None) == 1
+    solo = tmp_path / "solo.csv"
+    run_experiment(config, small_spec(kind, solo, **spec))
+    assert one_group.read_bytes() == solo.read_bytes() == two_workers.read_bytes()
 
 
 def test_trial_results_independent_of_other_trials():
@@ -162,7 +183,9 @@ def test_spec_validation():
         ExperimentSpec(kind="cdf", algos=("dpc",))
     for key, value in [("trials", 0), ("gamma_db", ()), ("seed", -1), ("workers", 0),
                        ("workers", -4), ("qbits", 0), ("k_list", ()), ("nt_list", ()),
-                       ("algos", ())]:
+                       ("algos", ()), ("gamma_db", (10.0, 30.0, 10.0)),
+                       ("algos", ("cm", "icbf", "icbf")), ("k_list", (2, 3, 2)),
+                       ("nt_list", (2, 2))]:
         with pytest.raises(ConfigurationError, match=key):
             ExperimentSpec(kind="feedback", **{key: value})
 
@@ -218,6 +241,10 @@ def test_cli_rejects_bad_config(tmp_path):
     ("qbits", [], "qbits = 0\n"),
     ("k_list", [], "k_list =\n"),
     ("nt_list", [], "nt_list = ,\n"),
+    ("gamma_db", ["--gamma-db", "10,10"], ""),
+    ("algos", ["--algo", "cm,icbf,icbf"], ""),
+    ("k_list", [], "k_list = 2,3,2\n"),
+    ("nt_list", [], "nt_list = 2,2\n"),
 ])
 def test_cli_rejects_bad_value_naming_its_key(tmp_path, capsys, key, flags, lines):
     cfg = tmp_path / "run.cfg"
@@ -277,61 +304,106 @@ def test_cli_reports_unwritable_output():
 def test_cli_dump_prefix_writes_debug_csvs(tmp_path):
     out = tmp_path / "main.csv"
     prefix = tmp_path / "dbg"
-    code = main(["snr_sweep", "--trials", "1", "--algo", "cm",
-                 "--gamma-db", "20", "--out", str(out),
+    code = main(["snr_sweep", "--trials", "2", "--algo", "cm,icbf",
+                 "--gamma-db", "20,30", "--out", str(out),
                  "--no-timestamp", "--dump-prefix", str(prefix)])
     assert code == 0
     assert (tmp_path / "dbg_topology.csv").exists()
     assert (tmp_path / "dbg_channels.csv").exists()
+    # trial 0's solver traces: one per solve, none for a baseline
+    assert sorted(p.name for p in tmp_path.glob("dbg_trace_*")) == [
+        "dbg_trace_icbf_20.csv", "dbg_trace_icbf_30.csv"]
+    config, spec = parse_config("snr_sweep", None, {"trials": 2, "algos": ("icbf",),
+                                                   "gamma_db": (20.0, 30.0)})
+    channels = [trial_channels(config, spec.seed, 0, gamma) for gamma in (20.0, 30.0)]
+    inits = np.stack([init_mslnr(ch, config) for ch in channels])
+    _, traces = solver.solve_batch(channels, config, inits, "icbf")
+    for gamma, trace in zip(("20", "30"), traces):
+        want = tmp_path / f"want_{gamma}.csv"
+        trace.to_csv(want)
+        got = (tmp_path / f"dbg_trace_icbf_{gamma}.csv").read_text()
+        assert got == want.read_text()
+        assert got.splitlines()[0] == "outer,inner,sum_rate,power_1,power_2,power_3,residual"
+        assert len(got.splitlines()) == 1 + len(trace.sum_rates) > 1
+
+
+def test_ref_sweep_dump_names_each_reference_count(tmp_path):
+    prefix = tmp_path / "dbg"
+    spec = small_spec("ref_sweep", tmp_path / "refs.csv", trials=2,
+                      algos=("mslnr", "icbf", "cb_refim"), dump_prefix=str(prefix))
+    run_experiment(small_config(), spec)
+    names = sorted(p.name for p in tmp_path.glob("dbg_trace_*"))
+    assert names == ["dbg_trace_cb_refim_20_r0.csv", "dbg_trace_cb_refim_20_r1.csv",
+                     "dbg_trace_cb_refim_20_r2.csv", "dbg_trace_cb_refim_20_r3.csv",
+                     "dbg_trace_icbf_20.csv"]
+
+
+def assert_same_results(got, want):
+    assert got.trial == want.trial
+    assert got.final_wsr == want.final_wsr
+    assert got.outer_traces == want.outer_traces
+    assert got.user_rates.keys() == want.user_rates.keys()
+    for key, rates in want.user_rates.items():
+        assert np.array_equal(got.user_rates[key], rates)
+
+
+def failing_trial_seeds(doomed):
+    """trial_seeds that raises in the set-up of the trials in ``doomed``."""
+    def seeds(master_seed, trial):
+        if trial in doomed:
+            raise InvalidStateError("injected failure")
+        return trial_seeds(master_seed, trial)
+    return seeds
 
 
 def test_failed_trials_are_excluded_with_warning(tmp_path, monkeypatch, capsys):
-    from cbsim import experiments
-    from cbsim.errors import InvalidStateError
-
-    real_trial = experiments.run_solver_trial
-
-    def flaky(config, spec, trial, ref_counts=None):
-        if trial == 1:
-            raise InvalidStateError("injected failure")
-        return real_trial(config, spec, trial, ref_counts)
-
-    monkeypatch.setattr(experiments, "run_solver_trial", flaky)
-    out = tmp_path / "flaky.csv"
-    run_experiment(small_config(), small_spec("snr_sweep", out, trials=3,
-                                              algos=("cm",)))
-    _, rows = read_csv(out)
+    config = small_config()
+    spec = small_spec("snr_sweep", tmp_path / "flaky.csv", trials=3, algos=("cm", "icbf"))
+    solo = [run_solver_trial(config, spec, t) for t in (0, 2)]
+    assert experiments._trials_per_group(config, spec, None) == 3
+    monkeypatch.setattr(experiments, "trial_seeds", failing_trial_seeds({1}))
+    run_experiment(config, spec)
+    _, rows = read_csv(spec.out)
     assert rows[0][-1] == "2"          # one of three trials excluded
-    assert "trial 1 failed" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "1 trials excluded after errors" in captured.out
+    assert captured.err == "warning: trial 1 failed: injected failure\n"
+    kept, failures = experiments._run_trials(config, spec)
+    assert failures == 1
+    for got, want in zip(kept, solo, strict=True):
+        assert_same_results(got, want)
 
 
 def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
-    import numpy as np
+    """A solve of trial 1 raises inside the batch of all three trials."""
+    config = small_config()
+    spec = small_spec("snr_sweep", tmp_path / "singular.csv", trials=3, algos=("icbf",),
+                      gamma_db=(20.0, 30.0))
+    solo = [run_solver_trial(config, spec, t) for t in (0, 2)]
+    doomed = trial_channels(config, spec.seed, 1, 30.0)
+    real_solve, batches = solver.solve_batch, []
 
-    from cbsim import solver
-
-    real_solve, calls = solver.solve_batch, []
-
-    def singular_once(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
+    def singular_in_trial_1(channels, *args, **kwargs):
+        batches.append(len(channels))
+        if any(np.array_equal(ch.normalized, doomed.normalized) for ch in channels):
             raise np.linalg.LinAlgError("injected singular matrix")
-        return real_solve(*args, **kwargs)
+        return real_solve(channels, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "solve_batch", singular_once)
-    out = tmp_path / "singular.csv"
-    run_experiment(small_config(), small_spec("snr_sweep", out, trials=3,
-                                              algos=("icbf",)))
-    _, rows = read_csv(out)
-    assert rows[0][-1] == "2"
+    monkeypatch.setattr(solver, "solve_batch", singular_in_trial_1)
+    run_experiment(config, spec)
+    assert batches == [6, 2, 2, 2]     # the group, then each trial alone
+    _, rows = read_csv(spec.out)
+    assert [r[-1] for r in rows] == ["2", "2"]
     captured = capsys.readouterr()
     assert "1 trials excluded after errors" in captured.out
-    assert "trial 1 failed: injected singular matrix" in captured.err
+    assert captured.err == "warning: trial 1 failed: injected singular matrix\n"
+    kept, failures = experiments._run_trials(config, spec)
+    assert failures == 1
+    for got, want in zip(kept, solo, strict=True):
+        assert_same_results(got, want)
 
 
 def test_other_exceptions_end_the_run(tmp_path, monkeypatch):
-    from cbsim import solver
-
     def broken(*args, **kwargs):
         raise TypeError("injected programming error")
 
@@ -342,14 +414,8 @@ def test_other_exceptions_end_the_run(tmp_path, monkeypatch):
 
 
 def test_all_trials_failing_is_an_error(tmp_path, monkeypatch):
-    from cbsim import experiments
-    from cbsim.errors import InvalidStateError
-
-    def doomed(config, spec, trial, ref_counts=None):
-        raise InvalidStateError("injected failure")
-
-    monkeypatch.setattr(experiments, "run_solver_trial", doomed)
-    with pytest.raises(InvalidStateError):
+    monkeypatch.setattr(experiments, "trial_seeds", failing_trial_seeds({0, 1}))
+    with pytest.raises(InvalidStateError, match="every trial failed"):
         run_experiment(small_config(),
                        small_spec("snr_sweep", tmp_path / "x.csv", trials=2,
                                   algos=("cm",)))
