@@ -125,18 +125,26 @@ def _outer_series(trace, config: NetworkConfig, wsr_final: float) -> list[float]
     return series[:config.L_out_max]
 
 
+def _solver_refs(spec: ExperimentSpec, ref_counts: tuple[int, ...] | None
+                 ) -> list[tuple[str, tuple[int, ...]]]:
+    """Each solver of ``spec.algos`` with the reference counts it runs at:
+    cb_refim at every one of ``ref_counts`` when given, else at ``spec.refs``."""
+    return [(algo, ref_counts if algo == "cb_refim" and ref_counts is not None
+             else (spec.refs,)) for algo in spec.algos if algo in SOLVER_ALGOS]
+
+
 def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
                       trials: tuple[int, ...],
                       ref_counts: tuple[int, ...] | None = None) -> list[TrialResult]:
-    """Channel realizations ``trials``: initialize, then solve each algorithm
+    """Channel realizations ``trials``: initialize, then run every solver
     over all of them at once. Returns one result per trial, in order.
 
     A trial's raw fading/shadowing draw is shared across gamma points; only
     the noise normalization changes with the transmit SNR. Each initializer
     runs once per (trial, gamma), and its beams serve both its own baseline
-    row and every solver that starts from it. Each solver runs one
-    :func:`solver.solve_batch` over every (trial, gamma) solve and, when
-    ``ref_counts`` is given, cb_refim over every count too. A solve's result
+    row and every solver that starts from it. One :func:`solver.solve_batch`
+    runs every (algorithm, trial, gamma) solve of the solvers and, when
+    ``ref_counts`` is given, cb_refim at every count too. A solve's result
     does not depend on its batch, so each trial's result is bit-identical to
     its :func:`run_solver_trial` alone.
     """
@@ -175,15 +183,15 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
             for t in trials:
                 for i in range(len(cfgs)):
                     record(algo, t, i, None, start(algo, t, i), None)
-            continue
-        sweep = algo == "cb_refim" and ref_counts is not None
-        solves = [(t, i, refs) for t in trials for i in range(len(cfgs))
-                  for refs in (ref_counts if sweep else (spec.refs,))]
+    solves = [(algo, t, i, refs) for algo, counts in _solver_refs(spec, ref_counts)
+              for t in trials for i in range(len(cfgs)) for refs in counts]
+    if solves:
         beams, traces = solver.solve_batch(
-            [channels[t, i] for t, i, _ in solves], config,
-            np.stack([start(spec.init, t, i) for t, i, _ in solves]), algo,
-            [refs for _, _, refs in solves])
-        for (t, i, refs), best, trace in zip(solves, beams, traces):
+            [channels[t, i] for _, t, i, _ in solves], config,
+            np.stack([start(spec.init, t, i) for _, t, i, _ in solves]),
+            [algo for algo, _, _, _ in solves], [refs for _, _, _, refs in solves])
+        for (algo, t, i, refs), best, trace in zip(solves, beams, traces):
+            sweep = algo == "cb_refim" and ref_counts is not None
             record(algo, t, i, refs if sweep else None, best, trace)
     return [results[t] for t in trials]
 
@@ -196,14 +204,16 @@ def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
 
 def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec,
                       ref_counts: tuple[int, ...] | None) -> int:
-    """Trials per group: the fewest near-equal groups whose largest solver
-    batch keeps its victim weights (float64, MK per triple) and leakage
-    matrices (complex128, Nt^2 per triple) within BATCH_BYTES, and at least
-    one group per worker. Each group holds at least one trial."""
+    """Trials per group: the fewest near-equal groups whose solver batch (every
+    solver solve of its trials) keeps its victim weights (float64, MK per
+    triple) and leakage matrices (complex128, Nt^2 per triple) within
+    BATCH_BYTES, and at least one group per worker. Each group holds at least
+    one trial."""
     triples = config.M * config.K * config.N
     per_solve = triples * (8 * config.M * config.K + 16 * config.Nt ** 2)
-    per_trial = per_solve * len(spec.gamma_db) * len(ref_counts or (spec.refs,))
-    cap = max(1, BATCH_BYTES // per_trial)
+    solves = sum(len(counts) for _, counts in _solver_refs(spec, ref_counts))
+    per_trial = per_solve * len(spec.gamma_db) * solves
+    cap = max(1, BATCH_BYTES // max(per_trial, 1))
     groups = max(-(-spec.trials // cap), min(spec.workers, spec.trials))
     return -(-spec.trials // groups)
 
@@ -223,6 +233,21 @@ def _run_group(config: NetworkConfig, spec: ExperimentSpec, trials: tuple[int, .
     return [out for t in trials for out in _run_group(config, spec, (t,), ref_counts)]
 
 
+def _check_zero_forcing(config: NetworkConfig, spec: ExperimentSpec) -> None:
+    """Fail before any trial runs if the run uses zero-forcing, as a baseline
+    or as the solvers' start, where the assignment crowds a cell."""
+    if "zf" in spec.algos:
+        use = "algos lists zf"
+    elif spec.init == "zf" and _solver_refs(spec, None):
+        use = "init = zf"
+    else:
+        return
+    try:
+        initializers.check_zf(config)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{use}, but {exc}") from None
+
+
 def _run_trials(config: NetworkConfig, spec: ExperimentSpec,
                 ref_counts: tuple[int, ...] | None = None) -> tuple[list[TrialResult], int]:
     """Run all trials in contiguous groups (optionally in worker processes);
@@ -232,6 +257,7 @@ def _run_trials(config: NetworkConfig, spec: ExperimentSpec,
     from the aggregates; the exclusion count is reported so the statistics
     stay honest. Any other exception ends the run.
     """
+    _check_zero_forcing(config, spec)
     size = _trials_per_group(config, spec, ref_counts)
     groups = [tuple(range(lo, min(lo + size, spec.trials)))
               for lo in range(0, spec.trials, size)]

@@ -39,6 +39,18 @@ def init_cm(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     return beams * config.assignment[..., None]
 
 
+def check_zf(config: NetworkConfig) -> None:
+    """Raise ConfigurationError naming the first cell and subchannel with more
+    active users than antennas: zero-forcing cannot null them all."""
+    active = config.assignment                                         # (M, K, N)
+    crowded = np.argwhere(active.sum(axis=1) > config.Nt)
+    if crowded.size:
+        m, n = crowded[0]
+        raise ConfigurationError(
+            f"zero-forcing needs Nt >= active users per cell; cell {m} subchannel {n} "
+            f"has {active[m, :, n].sum()} > Nt={config.Nt}")
+
+
 def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     """Per-cell zero-forcing beams.
 
@@ -53,13 +65,8 @@ def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     active channels, so dependent co-users never reach a singular solve: a
     channel within 1e-14 (relative) of their span is reported as degenerate.
     """
+    check_zf(config)
     active = config.assignment                                         # (M, K, N)
-    crowded = np.argwhere(active.sum(axis=1) > config.Nt)
-    if crowded.size:
-        m, n = crowded[0]
-        raise ConfigurationError(
-            f"zero-forcing needs Nt >= active users per cell; cell {m} subchannel {n} "
-            f"has {active[m, :, n].sum()} > Nt={config.Nt}")
     hs = (own_links(channels, config) * active[..., None]).swapaxes(1, 2)   # (M, N, K, Nt)
     # others[m, n, k] (Nt, K): the channels of cell m's active users on n but k, as columns
     others = np.swapaxes(hs[:, :, None] * ~np.eye(config.K, dtype=bool)[..., None], -1, -2)

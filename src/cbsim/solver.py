@@ -52,6 +52,9 @@ LN2 = float(np.log(2.0))
 
 ALGORITHMS = ("icbf", "icbf_wi", "cb_refim")
 _ALGO_GAMMA = {"icbf": "direct", "icbf_wi": "sherman_morrison", "cb_refim": "rank_r"}
+#: Gamma modes in the order :class:`DualEvaluator` and :func:`solve_batch` keep
+#: their rows; direct and rank_r share the eigendecomposed form.
+GAMMA_MODES = ("direct", "rank_r", "sherman_morrison")
 
 BISECT_MAX_STEPS = 200
 BISECT_WIDTH_RTOL = 1e-12   # bracket width relative to the upper bound
@@ -188,9 +191,15 @@ class DualEvaluator:
     the evaluator folds into its BS axis: its arrays are (B*M, N, K, ...), so
     each BS's triples run in (n, k) order, and every dual search and Gamma h
     covers all the solves at once. Inactive triples have zero weight and so
-    zero beta. The exact-inverse modes eigendecompose the leakage matrices
-    once, L = V diag(e) V^H, after which, with c = V^H h and x = lambda*ln2,
-    every dual value costs O(Nt) per triple:
+    zero beta.
+
+    ``gamma_mode`` is one Gamma mode for every solve or one per solve, the
+    solves ordered as :data:`GAMMA_MODES` lists the modes, so each mode's
+    rows form one contiguous block. Every array is indexed by row; a form's
+    arrays are computed on the rows of its modes and are zero elsewhere. The
+    exact-inverse modes (direct and rank_r) eigendecompose the leakage
+    matrices once, L = V diag(e) V^H, after which, with c = V^H h and
+    x = lambda*ln2, every dual value costs O(Nt) per triple:
 
         u = sum_i |c_i|^2 / (e_i + x),   ||Gamma h||^2 = sum_i |c_i|^2 / (e_i + x)^2
 
@@ -200,32 +209,48 @@ class DualEvaluator:
     """
 
     def __init__(self, channels: ChannelState, weights: np.ndarray,
-                 leakages: np.ndarray, config: NetworkConfig, gamma_mode: str):
-        if gamma_mode not in _ALGO_GAMMA.values():
-            raise ConfigurationError(f"unknown gamma mode '{gamma_mode}'")
-        self.mode = gamma_mode
+                 leakages: np.ndarray, config: NetworkConfig, gamma_mode: str | list[str]):
         self.lead = channels.normalized.shape[:-4]                    # () or (B,)
         self.n_bs = config.M
         h = channels.normalized
         h = h.reshape((-1,) + h.shape[-3:]).swapaxes(1, 2)            # (BM, N, MK, Nt)
+        n_rows = len(h)
+        modes = ([gamma_mode] * (n_rows // config.M) if isinstance(gamma_mode, str)
+                 else list(gamma_mode))
+        for mode in modes:
+            if mode not in GAMMA_MODES:
+                raise ConfigurationError(f"unknown gamma mode '{mode}'")
+        self.modes = np.repeat([GAMMA_MODES.index(mode) for mode in modes], config.M)
+        if len(self.modes) != n_rows or np.any(np.diff(self.modes) < 0):
+            raise UsageError(f"need one gamma mode or one per solve in the order "
+                             f"{GAMMA_MODES}, got {modes}")
+        self._find_blocks()
         hs = own_links(channels, config).reshape(-1, config.K, config.N, config.Nt)
         self.hs = np.ascontiguousarray(hs.swapaxes(1, 2))             # own users (BM, N, K, Nt)
         own = (config.weights * config.assignment).swapaxes(1, 2)
-        self.weights = np.tile(own, (len(h) // config.M, 1, 1))
+        self.weights = np.tile(own, (n_rows // config.M, 1, 1))
         hh = np.sum(np.abs(self.hs) ** 2, axis=-1)
         self.lam_up = np.max(self.weights * hh, axis=(1, 2)) / LN2   # lambda_upper
         mats = leakages.reshape((-1,) + leakages.shape[-4:]).swapaxes(1, 2)
-        if gamma_mode == "sherman_morrison":
-            self.lh = np.einsum("...ij,...j->...i", mats, self.hs)
-            self.tr = np.einsum("...ii->...", mats).real
-            return
-        evals, self.vecs = np.linalg.eigh(mats)
-        self.evals = np.clip(evals, 0.0, None)                     # PSD up to rounding
-        self.coef = np.einsum("...ij,...j->...i", self.vecs.conj().swapaxes(-1, -2), self.hs)
-        self.proj = np.abs(self.coef) ** 2
-        if gamma_mode == "rank_r":   # victim weights (BM, N, K, MK), channels (BM, N, 1, MK, Nt)
+        first, last = self.blocks
+        eig, sm = slice(None, last), slice(last, None)
+        if last < n_rows:
+            self.lh = _on_rows(sm, np.einsum("...ij,...j->...i", mats[sm], self.hs[sm]), n_rows)
+            self.tr = _on_rows(sm, np.einsum("...ii->...", mats[sm]).real, n_rows)
+        if last:
+            evals, vecs = np.linalg.eigh(mats[eig])
+            self.evals = _on_rows(eig, np.clip(evals, 0.0, None), n_rows)   # PSD up to rounding
+            self.vecs = _on_rows(eig, vecs, n_rows)
+            coef = np.einsum("...ij,...j->...i", vecs.conj().swapaxes(-1, -2), self.hs[eig])
+            self.coef = _on_rows(eig, coef, n_rows)
+            self.proj = _on_rows(eig, np.abs(coef) ** 2, n_rows)
+        if first < last:   # rank_r: victim weights (BM, N, K, MK), channels (BM, N, 1, MK, Nt)
             self.victim_w = weights.reshape((-1,) + weights.shape[-3:]).swapaxes(1, 2)
             self.victims = h[:, :, None]
+
+    def _find_blocks(self) -> None:
+        # rows [0, first) are direct, [first, last) rank_r, the rest sherman_morrison
+        self.blocks = tuple(np.searchsorted(self.modes, (1, 2)).tolist())
 
     def _rows(self, solves: np.ndarray) -> np.ndarray:
         return (solves[:, None] * self.n_bs + np.arange(self.n_bs)).ravel()
@@ -238,6 +263,7 @@ class DualEvaluator:
             if isinstance(value, np.ndarray):
                 setattr(sub, name, value[rows])
         sub.lead = (len(solves),)
+        sub._find_blocks()
         return sub
 
     def put(self, solves: np.ndarray, other: "DualEvaluator") -> None:
@@ -248,44 +274,73 @@ class DualEvaluator:
             if isinstance(value, np.ndarray):
                 getattr(self, name)[rows] = value
 
-    def _residual(self, x: np.ndarray) -> np.ndarray:
+    def _residual(self, x: np.ndarray, rows: slice) -> np.ndarray:
         # Gamma h = (h - L h / (x + tr L)) / x. Form the residual vector before
         # taking norms: expanding ||.||^2 into scalar terms cancels
         # catastrophically near the dual floor when L is (close to) rank one
         # and aligned with h, and can even turn the power negative.
-        return self.hs - (1.0 / (x + self.tr))[..., None] * self.lh
+        return self.hs[rows] - (1.0 / (x + self.tr[rows]))[..., None] * self.lh[rows]
+
+    def _u_g2_eig(self, x: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        proj = self.proj[rows]
+        d = self.evals[rows] + x[..., None]
+        return (proj / d).sum(axis=-1), (proj / d ** 2).sum(axis=-1)
+
+    def _u_g2_sm(self, x: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        r = self._residual(x, rows)
+        u = np.einsum("...i,...i->...", self.hs[rows].conj(), r).real / x
+        return u, (np.abs(r) ** 2).sum(axis=-1) / x ** 2
 
     def u_g2(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u and ||Gamma h||^2 of every triple at per-row duals, each (rows, N, K)."""
         x = (lam * LN2)[:, None, None]
-        if self.mode == "sherman_morrison":
-            r = self._residual(x)
-            u = np.einsum("...i,...i->...", self.hs.conj(), r).real / x
-            return u, np.sum(np.abs(r) ** 2, axis=-1) / x ** 2
-        d = self.evals + x[..., None]
-        return np.sum(self.proj / d, axis=-1), np.sum(self.proj / d ** 2, axis=-1)
+        last = self.blocks[1]
+        if last == len(x):
+            return self._u_g2_eig(x, slice(None))
+        if not last:
+            return self._u_g2_sm(x, slice(None))
+        eig, sm = slice(None, last), slice(last, None)
+        (u_e, g2_e), (u_s, g2_s) = self._u_g2_eig(x[eig], eig), self._u_g2_sm(x[sm], sm)
+        return np.concatenate((u_e, u_s)), np.concatenate((g2_e, g2_s))
 
     def gamma_h(self, lam: np.ndarray) -> np.ndarray:
         """Gamma h of every triple at duals (..., M), shape (..., M, K, N, Nt)."""
         lam = lam.reshape(-1)
         x = (lam * LN2)[:, None, None]
-        if self.mode == "sherman_morrison":
-            gh = self._residual(x) / x[..., None]
-        elif self.mode == "direct":
-            gh = np.einsum("...ij,...j->...i", self.vecs, self.coef / (self.evals + x[..., None]))
-        else:
+        first, last = self.blocks
+        parts = []
+        if first:
+            d = slice(None, first)
+            parts.append(np.einsum("...ij,...j->...i", self.vecs[d],
+                                   self.coef[d] / (self.evals[d] + x[d, ..., None])))
+        if first < last:
             from . import refim
-            gamma = refim.invert_rank_r(self.victim_w, self.victims, lam[:, None, None])
-            gh = np.einsum("...ij,...j->...i", gamma, self.hs)
-        gh = gh.swapaxes(1, 2)
+            r = slice(first, last)
+            gamma = refim.invert_rank_r(self.victim_w[r], self.victims[r], lam[r, None, None])
+            parts.append(np.einsum("...ij,...j->...i", gamma, self.hs[r]))
+        if last < len(lam):
+            sm = slice(last, None)
+            parts.append(self._residual(x[sm], sm) / x[sm, ..., None])
+        gh = (parts[0] if len(parts) == 1 else np.concatenate(parts)).swapaxes(1, 2)
         return gh.reshape(self.lead + (self.n_bs,) + gh.shape[1:])
+
+
+def _on_rows(rows: slice, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """``values`` of the given rows as an array of all ``n_rows`` rows, zero elsewhere."""
+    if len(values) == n_rows:
+        return values
+    out = np.zeros((n_rows,) + values.shape[1:], values.dtype)
+    out[rows] = values
+    return out
 
 
 def _betas_power(ev: DualEvaluator, lam: np.ndarray,
                  interf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared beam scalings beta^2 of every triple at per-row duals, and each
+    BS's transmit power, summed over its triples in (n, k) order."""
     u, g2 = ev.u_g2(lam)
     b2 = np.maximum(ev.weights * u - interf - 1.0, 0.0) / u ** 2
-    # each BS's power, summed over its triples in (n, k) order
-    return np.sqrt(b2), np.sum((b2 * g2).reshape(len(lam), -1), axis=1)
+    return b2, (b2 * g2).reshape(len(lam), -1).sum(axis=1)
 
 
 def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
@@ -299,34 +354,39 @@ def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
     BS's triples forces every beta to zero, so the bracket always contains a
     feasible point. The BSs are bisected together, each on its own bracket
     with its own stop tests; a BS that fits at lambda_min (one without active
-    triples among them) keeps it. Betas are zero at inactive triples.
+    triples among them) keeps it. A step tracks powers only; the betas are
+    taken once, at the final duals. Betas are zero at inactive triples.
     """
     interf = interference_map.swapaxes(-1, -2).reshape(ev.weights.shape)
     pmax = config.Pmax
     lo = np.full(ev.lam_up.shape, config.lambda_min)
     done = _betas_power(ev, lo, interf)[1] <= pmax
     hi = lam_up = np.where(done, lo, ev.lam_up)
-    betas, f_hi = _betas_power(ev, hi, interf)
+    b2, f_hi = _betas_power(ev, hi, interf)
     if np.any(f_hi > pmax):
         row = int(np.argmax(f_hi > pmax))
         where = f"BS {row % config.M}" + (f" of solve {row // config.M}" if ev.lead else "")
         raise BracketError(f"power of {where} at the dual upper bound exceeds the "
                            f"budget: f({hi[row]}) = {f_hi[row]}")
 
+    width = BISECT_WIDTH_RTOL * lam_up
+    moved = False
     for _ in range(BISECT_MAX_STEPS):
-        done |= hi - lo <= BISECT_WIDTH_RTOL * lam_up
+        done |= hi - lo <= width
         done |= pmax - f_hi <= BISECT_POWER_RTOL * pmax
         if done.all():
             break
+        moved = True
         mid = 0.5 * (lo + hi)          # lies in [lambda_min, lambda_upper] for every BS
-        betas_mid, f_mid = _betas_power(ev, mid, interf)
+        f_mid = _betas_power(ev, mid, interf)[1]
         fits = ~done & (f_mid <= pmax)
         lo = np.where(done | fits, lo, mid)
         hi = np.where(fits, mid, hi)
-        betas = np.where(fits[:, None, None], betas_mid, betas)
         f_hi = np.where(fits, f_mid, f_hi)
+    if moved:
+        b2 = _betas_power(ev, hi, interf)[0]
     shape = ev.lead + (config.M,)
-    return hi.reshape(shape), betas.swapaxes(1, 2).reshape(shape + (config.K, config.N))
+    return hi.reshape(shape), np.sqrt(b2).swapaxes(1, 2).reshape(shape + (config.K, config.N))
 
 
 def update_beams(ev: DualEvaluator, duals: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -386,14 +446,15 @@ def _take(channels: ChannelState, link: tuple,
 
 
 def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.ndarray,
-                algo: str, ref_counts: int | list[int] = 1
+                algo: str | list[str], ref_counts: int | list[int] = 1
                 ) -> tuple[np.ndarray, list[SolverTrace]]:
     """Run the double-loop coordinated beamforming algorithm on B independent solves.
 
-    The solves share ``config`` and ``algo``. Each has its own noise-normalized
-    channels, which carry its transmit SNR (``config.gamma_db`` is not read),
-    its own initial beams in ``inits`` (B, M, K, N, Nt) and, for cb_refim, its
-    own reference count (``ref_counts``: one for all, or one per solve).
+    The solves share ``config``. Each has its own noise-normalized channels,
+    which carry its transmit SNR (``config.gamma_db`` is not read), its own
+    initial beams in ``inits`` (B, M, K, N, Nt), its own algorithm (``algo``:
+    one name for all, or one per solve) and, for cb_refim, its own reference
+    count (``ref_counts``: one for all, or one per solve).
 
     Outer iterations recompute the leakage matrices and the dual evaluator;
     cb_refim's reference users depend only on the channels and are selected
@@ -404,21 +465,28 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     degrades the starting point.
 
     Every solve still running takes one inner iteration per step: one joint
-    dual search, one beam update and one link-state pass over all of them.
-    Each solve keeps its own counters, stop tests and best iterate, starts its
-    next outer iteration (leakage and evaluator rebuilt for it alone) when its
-    own inner loop ends, and leaves the batch when its outer loop ends, so it
-    takes exactly the steps it would take alone. Returns the best beams
-    (B, M, K, N, Nt) and one :class:`SolverTrace` per solve.
+    dual search, one beam update and one link-state pass over all of them,
+    whatever their algorithms. Internally the solves run in a stable order of
+    their Gamma modes (:data:`GAMMA_MODES`), so each mode is one block of the
+    evaluator's rows. Each solve keeps its own counters, stop tests and best
+    iterate, starts its next outer iteration (leakage and evaluator rebuilt
+    for it alone) when its own inner loop ends, and leaves the batch when its
+    outer loop ends, so it takes exactly the steps it would take alone.
+    Returns the best beams (B, M, K, N, Nt) and one :class:`SolverTrace` per
+    solve, both in the caller's order.
     """
-    if algo not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm '{algo}', expected one of {ALGORITHMS}")
     n_solves = len(channels)
+    algos = [algo] * n_solves if isinstance(algo, str) else list(algo)
+    for name in algos:
+        if name not in ALGORITHMS:
+            raise ConfigurationError(f"unknown algorithm '{name}', expected one of {ALGORITHMS}")
     beams = np.array(inits)
     shape = (n_solves, config.M, config.K, config.N, config.Nt)
     if not n_solves or beams.shape != shape:
         raise UsageError(f"need initial beams {shape} for {n_solves} channel states, "
                          f"got {beams.shape}")
+    if len(algos) != n_solves:
+        raise UsageError(f"need one algorithm or {n_solves}, got {len(algos)}")
     refs = [ref_counts] * n_solves if np.ndim(ref_counts) == 0 else list(ref_counts)
     if len(refs) != n_solves:
         raise UsageError(f"need one reference count or {n_solves}, got {len(refs)}")
@@ -426,25 +494,29 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     over = np.any(powers0 > config.Pmax * (1.0 + 1e-9), axis=-1)
     if over.any():
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
-    if algo == "cb_refim":
+    modes = [_ALGO_GAMMA[name] for name in algos]
+    order = sorted(range(n_solves), key=lambda b: GAMMA_MODES.index(modes[b]))
+    channels, beams = [channels[b] for b in order], beams[order]
+    algos, refs, modes = ([seq[b] for b in order] for seq in (algos, refs, modes))
+    ranks = {}   # one selection per distinct cb_refim channel state object, cut at each count
+    if "cb_refim" in algos:
         from . import refim
-        if min(refs) < 0:
-            raise ConfigurationError(f"reference count must be >= 0, got {min(refs)}")
-        ranks = {}   # one selection per distinct channel state object, cut at each count
-        for ch in channels:
-            if id(ch) not in ranks:
+        counts = [r for name, r in zip(algos, refs) if name == "cb_refim"]
+        if min(counts) < 0:
+            raise ConfigurationError(f"reference count must be >= 0, got {min(counts)}")
+        for ch, name in zip(channels, algos):
+            if name == "cb_refim" and id(ch) not in ranks:
                 ranks[id(ch)] = refim.reference_map(ch, config)
-        masks = np.stack([ranks[id(ch)] < r for ch, r in zip(channels, refs)])
-    else:
-        mask = full_mask(config)
-        masks = np.broadcast_to(mask, (n_solves,) + mask.shape)
+    full = full_mask(config)
+    masks = np.stack([ranks[id(ch)] < r if name == "cb_refim" else full
+                      for ch, name, r in zip(channels, algos, refs)])
 
     chans = ChannelState(normalized=np.stack([ch.normalized for ch in channels]),
                          n_coordinated=config.M)
     link = link_state(chans, beams, config)
     # per solve, by batch position: latest and best sum-rate, best iterate, counters
     wsr = sum_rate_of_link(config, link).tolist()
-    traces = [SolverTrace(algo=algo, init_sum_rate=w) for w in wsr]
+    traces = [SolverTrace(algo=name, init_sum_rate=w) for name, w in zip(algos, wsr)]
     best_wsr, best_beams = list(wsr), list(beams)
     best_duals = [np.full(config.M, config.lambda_min)] * n_solves
     prev_outer, outer, inner = list(wsr), [0] * n_solves, [0] * n_solves
@@ -459,7 +531,8 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
             sub_chans, sub_link = _take(chans, link, pos)
             weights, leakages = _all_leakages(sub_chans, _q_from_link(config, sub_link),
                                               masks[live[pos]])
-            new = DualEvaluator(sub_chans, weights, leakages, config, _ALGO_GAMMA[algo])
+            new = DualEvaluator(sub_chans, weights, leakages, config,
+                                [modes[b] for b in live[pos]])
             if all(fresh):
                 ev = new
             else:
@@ -507,7 +580,8 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
             live, fresh = live[keep], [fresh[i] for i in keep]
             chans, link = _take(chans, link, keep)
             ev = ev.select(keep)
-    return np.stack(best_beams), traces
+    back = np.argsort(order)      # batch position of each solve in the caller's order
+    return np.stack(best_beams)[back], [traces[b] for b in back]
 
 
 def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,

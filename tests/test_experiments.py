@@ -1,5 +1,6 @@
 """Harness and CLI tests: CSV schemas, determinism, worker equivalence."""
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -151,6 +152,45 @@ def test_grouping_does_not_change_results(tmp_path, monkeypatch, kind):
     assert one_group.read_bytes() == solo.read_bytes() == two_workers.read_bytes()
 
 
+def test_group_budget_counts_every_solver_solve(monkeypatch):
+    """A group's one batch holds every solver solve of its trials, so the
+    budget counts all three solvers, not the largest one alone."""
+    config = NetworkConfig()                      # desk scale
+    spec = ExperimentSpec(kind="snr_sweep", trials=6, gamma_db=(10.0, 30.0, 50.0))
+    per_solve = 27 * (8 * 9 + 16 * 9)             # victim weights and leakages, bytes
+    one_algo, all_algos = 3 * per_solve, 9 * per_solve   # per trial: 17,496 and 52,488
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 40_000)
+    assert one_algo < experiments.BATCH_BYTES < all_algos
+    assert experiments._trials_per_group(config, spec, None) == 1
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 2 * all_algos)
+    assert experiments._trials_per_group(config, spec, None) == 2
+    baselines = ExperimentSpec(kind="snr_sweep", trials=6, algos=("cm", "zf"))
+    assert experiments._trials_per_group(config, baselines, None) == 6
+
+
+def test_one_solve_batch_per_group(tmp_path, monkeypatch):
+    """Every solver solve of a group, cb_refim at each reference count
+    included, runs in one batch; the CSV matches a one-group run."""
+    config = small_config()
+    spec = dict(trials=3, gamma_db=(10.0, 30.0), algos=("cm", "icbf", "icbf_wi", "cb_refim"))
+    one_group = tmp_path / "one.csv"
+    run_experiment(config, small_spec("ref_sweep", one_group, **spec))
+    real_solve, batches = solver.solve_batch, []
+
+    def counting(channels, config, inits, algo, ref_counts=1):
+        batches.append(Counter(algo))
+        return real_solve(channels, config, inits, algo, ref_counts)
+
+    monkeypatch.setattr(solver, "solve_batch", counting)
+    # 2 gammas x (icbf, icbf_wi and cb_refim at 0..3 refs) = 12 solves per trial
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 2 * 12 * 8 * (8 * 4 + 16 * 4))
+    split = tmp_path / "split.csv"
+    run_experiment(config, small_spec("ref_sweep", split, **spec))
+    assert batches == [Counter(icbf=4, icbf_wi=4, cb_refim=16),
+                       Counter(icbf=2, icbf_wi=2, cb_refim=8)]
+    assert split.read_bytes() == one_group.read_bytes()
+
+
 def test_trial_results_independent_of_other_trials():
     config = small_config()
     spec3 = small_spec("snr_sweep", "unused.csv", trials=3)
@@ -282,6 +322,39 @@ def test_cli_rejects_unsupported_cluster_size_at_config_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "M=4" in err and "every trial failed" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algos, init, use", [
+    ("cm,zf,icbf", "mslnr", "algos lists zf"),
+    ("cm,icbf", "zf", "init = zf"),
+], ids=["baseline", "start"])
+def test_crowded_zero_forcing_fails_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                      algos, init, use):
+    """K=4 users per cell on Nt=2 antennas cannot be zero-forced: the run fails
+    at once, naming the setting and the crowded cell, with no trial run."""
+    monkeypatch.setattr(experiments, "trial_seeds", failing_trial_seeds(set(range(3))))
+    want = (f"{use}, but zero-forcing needs Nt >= active users per cell; "
+            f"cell 0 subchannel 0 has 4 > Nt=2")
+    spec = small_spec("snr_sweep", tmp_path / "lib.csv", trials=3,
+                      algos=tuple(algos.split(",")), init=init)
+    with pytest.raises(ConfigurationError) as raised:
+        run_experiment(NetworkConfig(K=4, Nt=2), spec)
+    assert str(raised.value) == want
+    cfg = tmp_path / "crowded.cfg"
+    cfg.write_text("K = 4\nNt = 2\n")
+    out = tmp_path / "cli.csv"
+    code = main(["snr_sweep", "--config", str(cfg), "--algo", algos, "--init", init,
+                 "--trials", "3", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists() and not (tmp_path / "lib.csv").exists()
+
+
+def test_zero_forcing_start_unused_without_a_solver(tmp_path):
+    spec = small_spec("snr_sweep", tmp_path / "x.csv", algos=("cm",), init="zf")
+    run_experiment(small_config(K=3), spec)
+    _, rows = read_csv(spec.out)
+    assert [r[0] for r in rows] == ["cm"]
 
 
 def test_cli_rejects_unknown_algorithm(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cbsim.config import NetworkConfig
-from cbsim.errors import UsageError
+from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_mslnr
 from cbsim.network import apply_noise, build_topology, draw_channels
 from cbsim.solver import ALGORITHMS, solve, solve_batch
@@ -31,8 +31,14 @@ def trial(seed, config=None):
 
 def assert_same_solve(batched, alone):
     (beams_b, trace_b), (beams_a, trace_a) = batched, alone
+    assert trace_b.algo == trace_a.algo
     assert trace_b.iteration_index == trace_a.iteration_index
     assert trace_b.sum_rates == trace_a.sum_rates
+    assert trace_b.residuals == trace_a.residuals
+    assert trace_b.outer_sum_rates == trace_a.outer_sum_rates
+    assert len(trace_b.bs_power_trace) == len(trace_a.bs_power_trace)
+    for powers_b, powers_a in zip(trace_b.bs_power_trace, trace_a.bs_power_trace):
+        assert np.array_equal(powers_b, powers_a)
     assert trace_b.inner_converged == trace_a.inner_converged
     assert trace_b.non_monotone_steps == trace_a.non_monotone_steps
     assert trace_b.stop_reason == trace_a.stop_reason
@@ -55,6 +61,38 @@ def test_mixed_batch_matches_each_solve(algo, reverse):
     assert len(traces) == beams.shape[0] == len(solves)
     for (ch, cfg, init, r), best, trace in zip(solves, beams, traces):
         assert_same_solve((best, trace), solve(ch, cfg, init, algo, ref_count=r))
+
+
+def test_mixed_algorithm_batch_matches_each_solve():
+    """icbf, icbf_wi and cb_refim interleaved in one batch, across two channel
+    draws whose ChannelState objects every algorithm shares, with mixed
+    reference counts: each solve is its own solve, returned in the caller's
+    order, and the solves leave the batch at different steps."""
+    draws = trial(3) + trial(8)
+    solves = [(ch, cfg, init, algo, r)
+              for j, (ch, cfg, init) in enumerate(draws)
+              for algo, r in (("cb_refim", j % 3), ("icbf_wi", 1), ("icbf", 2),
+                              ("cb_refim", 8 - j))]
+    solves = solves[1::2] + solves[::2]          # mix the order of the algorithms
+    beams, traces = solve_batch([s[0] for s in solves], NetworkConfig(),
+                                np.stack([s[2] for s in solves]),
+                                [s[3] for s in solves], [s[4] for s in solves])
+    assert [t.algo for t in traces] == [s[3] for s in solves]
+    for (ch, cfg, init, algo, r), best, trace in zip(solves, beams, traces):
+        assert_same_solve((best, trace), solve(ch, cfg, init, algo, ref_count=r))
+    steps = [len(t.iteration_index) for t in traces]
+    assert len(set(steps)) > 3, steps
+
+
+def test_algorithm_list_checked():
+    (ch, cfg, init), = trial(3)[:1]
+    inits = np.stack([init] * 3)
+    with pytest.raises(UsageError, match="one algorithm or 3, got 2"):
+        solve_batch([ch] * 3, cfg, inits, ["icbf", "cb_refim"])
+    with pytest.raises(ConfigurationError, match="'wmmse'"):
+        solve_batch([ch] * 3, cfg, inits, ["icbf", "wmmse", "cb_refim"])
+    with pytest.raises(ConfigurationError, match="reference count must be >= 0"):
+        solve_batch([ch] * 3, cfg, inits, ["icbf", "icbf_wi", "cb_refim"], [-1, 1, -2])
 
 
 @pytest.mark.parametrize("seed, outer_cap, reasons", [
