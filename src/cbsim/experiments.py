@@ -238,7 +238,7 @@ def _check_zero_forcing(config: NetworkConfig, spec: ExperimentSpec) -> None:
     or as the solvers' start, where the assignment crowds a cell."""
     if "zf" in spec.algos:
         use = "algos lists zf"
-    elif spec.init == "zf" and _solver_refs(spec, None):
+    elif spec.init == "zf" and SOLVER_ALGOS.intersection(spec.algos):
         use = "init = zf"
     else:
         return

@@ -25,12 +25,13 @@ jointly, each BS on its own bracket, on the transmit power, which is
 non-increasing in the dual.
 
 The loop is written once, in :func:`solve_batch`, for B independent solves
-that share the network size, the config and the algorithm (say every SNR
-point of one channel draw, or every reference count). The link state,
-leakages, evaluator and dual search carry a leading batch axis, so each
-inner step costs one set of numpy calls for all B solves; every solve keeps
-its own stop tests and leaves the batch when they say so, and its result is
-bit for bit what it would be alone. :func:`solve` is the B = 1 case.
+that share the network size and the config, each with its own algorithm
+(say every solver at every SNR point of a group of channel draws, or every
+reference count). The link state, leakages, evaluator and dual search carry
+a leading batch axis, so each inner step costs one set of numpy calls for
+all B solves whatever their algorithms; every solve keeps its own stop tests
+and leaves the batch when they say so, and its result is bit for bit what it
+would be alone. :func:`solve` is the B = 1 case.
 """
 from __future__ import annotations
 
