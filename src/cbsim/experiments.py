@@ -19,6 +19,7 @@ comparisons).
 from __future__ import annotations
 
 import csv
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -70,6 +71,10 @@ class ExperimentSpec:
                           ("qbits", 1)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("k_list", "nt_list"):
+            for v in getattr(self, name):
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    raise ConfigurationError(f"{name} entries must be integers, got {v!r}")
         for name in ("gamma_db", "algos", "k_list", "nt_list"):
             values = tuple(getattr(self, name))
             if not values:
@@ -368,17 +373,22 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
     The full algorithm's count is deterministic. The reference-user variant
     depends on which references the channel draw selects, so its bit count is
     averaged over ``spec.trials`` independent realizations (reference
-    selection only needs channels, no solving).
+    selection only needs channels, no solving). A trial's user drop depends
+    only on K, so each (K, trial) topology is built once and serves every
+    Nt; channels, noise and references are drawn per (Nt, K, trial).
     """
+    seeds = [trial_seeds(spec.seed, t) for t in range(spec.trials)]
+    drops = {}   # (K, trial) -> topology; the user drop does not depend on Nt
     rows = []
     for nt in spec.nt_list:
         for k in spec.k_list:
             cfg = replace(config, K=int(k), Nt=int(nt), weights=None, assignment=None)
             icbf_bits = refim.feedback_bits(cfg, "icbf", qbits=spec.qbits)
             totals = []
-            for t in range(spec.trials):
-                s_topo, s_chan = trial_seeds(spec.seed, t)
-                topology = build_topology(cfg, s_topo)
+            for t, (s_topo, s_chan) in enumerate(seeds):
+                if (k, t) not in drops:
+                    drops[k, t] = build_topology(cfg, s_topo)
+                topology = drops[k, t]
                 channels = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan))
                 ranks = refim.reference_map(channels, cfg)
                 counts = refim.out_of_cell_reference_counts(cfg, ranks < spec.refs)

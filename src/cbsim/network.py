@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -109,15 +110,13 @@ def path_gain(distance_m: np.ndarray | float) -> np.ndarray | float:
     return (PATHLOSS_REF_M / np.asarray(distance_m, dtype=float)) ** PATHLOSS_EXPONENT
 
 
-def build_topology(config: NetworkConfig, seed: int) -> Topology:
-    """Place the coordinated cluster, the 24 uncoordinated BSs and all users.
-
-    Deterministic given (config, seed). Uncoordinated sites are the 24
+@cache
+def _base_stations(M: int) -> np.ndarray:
+    """The M coordinated sites, then the 24 uncoordinated ones: the
     hexagonal-lattice points nearest to the cluster centroid (ties broken by
-    coordinates), which reproduces the two surrounding tiers.
-    """
-    rng = np.random.default_rng(seed)
-    cluster = _cluster_sites(config.M)
+    coordinates), which reproduces the two surrounding tiers. Computed once
+    per cluster size and read-only; :func:`build_topology` copies it."""
+    cluster = _cluster_sites(M)
     centroid = cluster.mean(axis=0)
 
     a = np.array([INTER_SITE_M, 0.0])
@@ -130,6 +129,21 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
     # sort by distance, then coordinates, for a fully deterministic ring order
     order = np.lexsort((lattice[:, 1], lattice[:, 0], np.round(dist, 6)))
     outer = lattice[order[:N_UNCOORDINATED]]
+    sites = np.vstack([cluster, outer])
+    sites.flags.writeable = False
+    return sites
+
+
+def build_topology(config: NetworkConfig, seed: int) -> Topology:
+    """Place the coordinated cluster, the 24 uncoordinated BSs and all users.
+
+    Deterministic given (config, seed); only M, K and the seed matter. Every
+    call returns its own writable ``bs_xy``, so moving a BS in one topology
+    leaves every other one as it was.
+    """
+    rng = np.random.default_rng(seed)
+    bs_xy = _base_stations(config.M).copy()
+    cluster = bs_xy[:config.M]
 
     radius = rng.uniform(USER_RADIUS_MIN_M, USER_RADIUS_MAX_M, size=(config.M, config.K))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=(config.M, config.K))
@@ -137,8 +151,7 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
     user_xy = cluster[:, None, :] + offsets
 
     serving = np.repeat(np.arange(config.M)[:, None], config.K, axis=1)
-    return Topology(bs_xy=np.vstack([cluster, outer]), user_xy=user_xy,
-                    serving=serving, n_coordinated=config.M)
+    return Topology(bs_xy=bs_xy, user_xy=user_xy, serving=serving, n_coordinated=config.M)
 
 
 def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> ChannelState:

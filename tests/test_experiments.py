@@ -1,11 +1,12 @@
 """Harness and CLI tests: CSV schemas, determinism, worker equivalence."""
 import csv
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cbsim import experiments, initializers, solver
+from cbsim import experiments, initializers, refim, solver
 from cbsim.cli import main, parse_config
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, InvalidStateError
@@ -120,6 +121,37 @@ def test_feedback_table_is_deterministic():
     assert a == b
 
 
+def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
+    """Each (K, trial) topology is built once and serves every Nt, and the
+    table equals, bit for bit, a loop that builds the topology, channels,
+    noise and references anew for every (Nt, K, trial) cell."""
+    config = NetworkConfig()
+    spec = small_spec("feedback", "unused.csv", trials=3, k_list=(2, 3), nt_list=(2, 3))
+    expected = []
+    for nt in spec.nt_list:
+        for k in spec.k_list:
+            cfg = replace(config, K=k, Nt=nt, weights=None, assignment=None)
+            totals = []
+            for t in range(spec.trials):
+                s_topo, s_chan = trial_seeds(spec.seed, t)
+                topology = build_topology(cfg, s_topo)
+                channels = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan))
+                mask = refim.reference_map(channels, cfg) < spec.refs
+                counts = refim.out_of_cell_reference_counts(cfg, mask)
+                totals.append(feedback_bits(cfg, "cb_refim", counts, qbits=spec.qbits))
+            expected.append(dict(K=k, Nt=nt, icbf_bits=feedback_bits(cfg, "icbf", qbits=8),
+                                 cb_refim_bits=float(np.mean(totals))))
+    built = Counter()
+
+    def counting_build_topology(cfg, seed):
+        built[cfg.K, seed] += 1
+        return build_topology(cfg, seed)
+
+    monkeypatch.setattr(experiments, "build_topology", counting_build_topology)
+    assert feedback_table(config, spec) == expected
+    assert len(built) == 6 and set(built.values()) == {1}
+
+
 def test_csv_byte_identical_reruns(tmp_path):
     config = small_config()
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -228,6 +260,12 @@ def test_spec_validation():
                        ("nt_list", (2, 2))]:
         with pytest.raises(ConfigurationError, match=key):
             ExperimentSpec(kind="feedback", **{key: value})
+    for key, value, bad in [("k_list", (2, 2.5), "2.5"), ("nt_list", (2, 2.9), "2.9"),
+                            ("k_list", (True,), "True"), ("nt_list", (3, np.True_), "True"),
+                            ("k_list", ("3",), "'3'")]:
+        with pytest.raises(ConfigurationError, match=f"{key} .*{bad}"):
+            ExperimentSpec(kind="feedback", **{key: value})
+    assert ExperimentSpec(kind="feedback", k_list=(np.int64(2),)).k_list == (2,)
 
 
 # ---------------------------------------------------------------------------

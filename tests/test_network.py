@@ -1,4 +1,7 @@
 """Topology, channel and noise model tests."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,26 @@ def test_topology_deterministic():
     b = build_topology(NetworkConfig(), seed=99)
     assert np.array_equal(a.bs_xy, b.bs_xy)
     assert np.array_equal(a.user_xy, b.user_xy)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_topology_owns_its_sites(m):
+    """The sites are computed once per cluster size, but each topology gets
+    its own writable copy: moving a BS in one leaves the next one untouched,
+    and the ring stays the pinned one."""
+    pinned = json.loads((Path(__file__).resolve().parent / "data"
+                         / "fingerprint.json").read_text())["rings"][str(m)]
+    config = NetworkConfig(M=m, K=2)
+    first = build_topology(config, seed=5)
+    assert first.bs_xy.flags.writeable
+    first.bs_xy[m] = first.user_xy[0, 0]
+    first.bs_xy[0] += 100.0
+    second = build_topology(config, seed=5)
+    assert not np.shares_memory(first.bs_xy, second.bs_xy)
+    assert second.bs_xy[0].tolist() == [0.0, 0.0]
+    assert second.bs_xy[m:].tolist() == pinned
+    assert np.array_equal(second.bs_xy, build_topology(config, seed=6).bs_xy)
+    assert np.array_equal(second.user_xy, first.user_xy)
 
 
 def test_unsupported_cluster_size_rejected():
