@@ -378,7 +378,7 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
     Nt; channels, noise and references are drawn per (Nt, K, trial).
     """
     seeds = [trial_seeds(spec.seed, t) for t in range(spec.trials)]
-    drops = {}   # (K, trial) -> topology; the user drop does not depend on Nt
+    drops = {}   # (K, trial) -> topology
     rows = []
     for nt in spec.nt_list:
         for k in spec.k_list:
