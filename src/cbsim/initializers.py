@@ -2,7 +2,9 @@
 
 All three split the power budget evenly across the N*K beams of a BS, so the
 per-BS power constraint holds with equality under the default full
-assignment.
+assignment. Each takes channels with any leading batch axes (a stack of
+channel draws) and returns beams (..., M, K, N, Nt), every draw's bit for bit
+what it is alone; a degenerate channel is reported by draw, cell and user.
 """
 from __future__ import annotations
 
@@ -18,11 +20,12 @@ def _beam_scale(config: NetworkConfig) -> float:
     return np.sqrt(config.Pmax / (config.N * config.K))
 
 
-def _first_user(where: np.ndarray) -> tuple[int, int]:
-    """(cell, user) of the first set entry of an (M, K, N) array, taken in
-    (cell, subchannel, user) order."""
-    m, _, k = np.argwhere(where.swapaxes(1, 2))[0]
-    return int(m), int(k)
+def _first_user(where: np.ndarray) -> str:
+    """The "(cell, user)" of the first set entry of an (..., M, K, N) array,
+    taken in (draw, cell, subchannel, user) order; on a stack of channel draws
+    followed by "of draw d"."""
+    *draw, m, _, k = np.argwhere(where.swapaxes(-1, -2))[0].tolist()
+    return f"({m}, {k})" + (f" of draw {', '.join(map(str, draw))}" if draw else "")
 
 
 def init_cm(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
@@ -30,7 +33,7 @@ def init_cm(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
 
     v_{m,k}(n) = sqrt(Pmax / (N K)) * h_{m,k}(n) / ||h_{m,k}(n)||
     """
-    own = own_links(channels, config)                                  # (M, K, N, Nt)
+    own = own_links(channels, config)                                  # (..., M, K, N, Nt)
     norms = np.linalg.norm(own, axis=-1)
     zero = np.any(norms == 0.0, axis=-1, keepdims=True)               # per user, any subchannel
     if zero.any():
@@ -67,13 +70,13 @@ def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     """
     check_zf(config)
     active = config.assignment                                         # (M, K, N)
-    hs = (own_links(channels, config) * active[..., None]).swapaxes(1, 2)   # (M, N, K, Nt)
-    # others[m, n, k] (Nt, K): the channels of cell m's active users on n but k, as columns
-    others = np.swapaxes(hs[:, :, None] * ~np.eye(config.K, dtype=bool)[..., None], -1, -2)
-    span = others @ (np.linalg.pinv(others) @ hs[..., None])           # (M, N, K, Nt, 1)
-    residual = (hs - span[..., 0]).swapaxes(1, 2)                      # (M, K, N, Nt)
+    hs = (own_links(channels, config) * active[..., None]).swapaxes(-3, -2)  # (..., M, N, K, Nt)
+    # others[..., m, n, k] (Nt, K): the channels of cell m's active users on n but k, as columns
+    others = np.swapaxes(hs[..., None, :, :] * ~np.eye(config.K, dtype=bool)[..., None], -1, -2)
+    span = others @ (np.linalg.pinv(others) @ hs[..., None])           # (..., M, N, K, Nt, 1)
+    residual = (hs - span[..., 0]).swapaxes(-3, -2)                    # (..., M, K, N, Nt)
     norms = np.linalg.norm(residual, axis=-1)
-    degenerate = active & (norms <= 1e-14 * np.linalg.norm(hs, axis=-1).swapaxes(1, 2))
+    degenerate = active & (norms <= 1e-14 * np.linalg.norm(hs, axis=-1).swapaxes(-1, -2))
     if degenerate.any():
         raise DegenerateChannelError(
             f"channel of user {_first_user(degenerate)} lies in the span of its "

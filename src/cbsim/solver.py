@@ -22,7 +22,10 @@ The double loop recomputes leakage matrices and one network-wide
 :class:`DualEvaluator` in the outer loop and (interference, dual variables,
 beam scalings, beams) in the inner loop; the per-BS duals are bisected
 jointly, each BS on its own bracket, on the transmit power, which is
-non-increasing in the dual.
+non-increasing in the dual. Each evaluation of that power is a few
+contiguous 1-D operations on the evaluator's flat, pole-major arrays of all
+triples: a sum over eigenvalue poles for icbf and cb_refim, a closed scalar
+form for icbf_wi.
 
 The loop is written once, in :func:`solve_batch`, for B independent solves
 that share the network size and the config, each with its own algorithm
@@ -56,6 +59,8 @@ _ALGO_GAMMA = {"icbf": "direct", "icbf_wi": "sherman_morrison", "cb_refim": "ran
 #: Gamma modes in the order :class:`DualEvaluator` and :func:`solve_batch` keep
 #: their rows; direct and rank_r share the eigendecomposed form.
 GAMMA_MODES = ("direct", "rank_r", "sherman_morrison")
+#: :class:`DualEvaluator` arrays stored pole-major and flat, (poles, rows*N*K)
+_POLE_MAJOR = ("poles", "proj", "sm_terms")
 
 BISECT_MAX_STEPS = 200
 BISECT_WIDTH_RTOL = 1e-12   # bracket width relative to the upper bound
@@ -204,15 +209,30 @@ class DualEvaluator:
 
         u = sum_i |c_i|^2 / (e_i + x),   ||Gamma h||^2 = sum_i |c_i|^2 / (e_i + x)^2
 
-    and icbf's Gamma h = V (c / (e + x)). The inverse-free mode uses its closed
-    form Gamma h = (h - L h / (x + tr L)) / x, and cb_refim's Gamma is
-    :func:`refim.invert_rank_r` over the victim weights of :func:`_all_leakages`.
+    and icbf's Gamma h = V (c / (e + x)). The inverse-free mode's
+    Gamma h = (h - L h / (x + tr L)) / x = (x h + r0) / (x (x + t)), with
+    t = tr L and r0 = t h - L h, gives the dual values in closed scalar form:
+
+        u = (x H + S) / (x (x + t)),   ||Gamma h||^2 = (x (x H + 2 S) + S2) / (x (x + t))^2
+
+    with H = ||h||^2, S = h^H r0 >= 0 and S2 = ||r0||^2 taken once per build,
+    every term non-negative. cb_refim's Gamma is :func:`refim.invert_rank_r`
+    over the victim weights of :func:`_all_leakages`.
+
+    The dual search reads these per-triple values from flat arrays laid out
+    pole-major (:data:`_POLE_MAJOR`): e and |c|^2 as (Nt, rows*N*K), and
+    (H, S, S2, t) as (4, rows*N*K), each triple's entries in (row, n, k)
+    order. A dual value is then a few contiguous 1-D operations and one
+    reduction over the short leading axis, not one inner loop per triple;
+    :meth:`select` and :meth:`put` index these arrays by the triples of
+    their rows.
     """
 
     def __init__(self, channels: ChannelState, weights: np.ndarray,
                  leakages: np.ndarray, config: NetworkConfig, gamma_mode: str | list[str]):
         self.lead = channels.normalized.shape[:-4]                    # () or (B,)
         self.n_bs = config.M
+        self.per_row = config.N * config.K                            # triples per row
         h = channels.normalized
         h = h.reshape((-1,) + h.shape[-3:]).swapaxes(1, 2)            # (BM, N, MK, Nt)
         n_rows = len(h)
@@ -236,15 +256,23 @@ class DualEvaluator:
         first, last = self.blocks
         eig, sm = slice(None, last), slice(last, None)
         if last < n_rows:
-            self.lh = _on_rows(sm, np.einsum("...ij,...j->...i", mats[sm], self.hs[sm]), n_rows)
-            self.tr = _on_rows(sm, np.einsum("...ii->...", mats[sm]).real, n_rows)
+            lh = np.einsum("...ij,...j->...i", mats[sm], self.hs[sm])
+            tr = np.einsum("...ii->...", mats[sm]).real
+            r0 = tr[..., None] * self.hs[sm] - lh                     # (tr L - L) h
+            s = np.einsum("...i,...i->...", self.hs[sm].conj(), r0).real
+            self.lh = _on_rows(sm, lh, n_rows)
+            # (H, S, S2, t) = (||h||^2, h^H r0, ||r0||^2, tr L), S >= 0 up to rounding
+            terms = np.stack((hh[sm], np.maximum(s, 0.0), np.sum(np.abs(r0) ** 2, axis=-1), tr),
+                             axis=-1)
+            self.sm_terms = _pole_major(_on_rows(sm, terms, n_rows))
         if last:
             evals, vecs = np.linalg.eigh(mats[eig])
-            self.evals = _on_rows(eig, np.clip(evals, 0.0, None), n_rows)   # PSD up to rounding
+            evals = np.clip(evals, 0.0, None)                         # PSD up to rounding
+            self.poles = _pole_major(_on_rows(eig, evals, n_rows))
             self.vecs = _on_rows(eig, vecs, n_rows)
             coef = np.einsum("...ij,...j->...i", vecs.conj().swapaxes(-1, -2), self.hs[eig])
             self.coef = _on_rows(eig, coef, n_rows)
-            self.proj = _on_rows(eig, np.abs(coef) ** 2, n_rows)
+            self.proj = _pole_major(_on_rows(eig, np.abs(coef) ** 2, n_rows))
         if first < last:   # rank_r: victim weights (BM, N, K, MK), channels (BM, N, 1, MK, Nt)
             self.victim_w = weights.reshape((-1,) + weights.shape[-3:]).swapaxes(1, 2)
             self.victims = h[:, :, None]
@@ -256,13 +284,21 @@ class DualEvaluator:
     def _rows(self, solves: np.ndarray) -> np.ndarray:
         return (solves[:, None] * self.n_bs + np.arange(self.n_bs)).ravel()
 
+    def _index(self, name: str, rows: np.ndarray) -> tuple[int, np.ndarray]:
+        """Axis and index of the given rows in array attribute ``name``: the rows
+        on axis 0, or for a pole-major array their triples on axis 1."""
+        if name in _POLE_MAJOR:
+            return 1, (rows[:, None] * self.per_row + np.arange(self.per_row)).ravel()
+        return 0, rows
+
     def select(self, solves: np.ndarray) -> "DualEvaluator":
         """The evaluator of the given batch positions, in that order."""
         sub = copy.copy(self)
         rows = self._rows(solves)
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
-                setattr(sub, name, value[rows])
+                axis, index = self._index(name, rows)
+                setattr(sub, name, np.take(value, index, axis=axis))
         sub.lead = (len(solves),)
         sub._find_blocks()
         return sub
@@ -273,36 +309,42 @@ class DualEvaluator:
         rows = self._rows(solves)
         for name, value in vars(other).items():
             if isinstance(value, np.ndarray):
-                getattr(self, name)[rows] = value
+                axis, index = self._index(name, rows)
+                getattr(self, name)[(slice(None),) * axis + (index,)] = value
 
     def _residual(self, x: np.ndarray, rows: slice) -> np.ndarray:
-        # Gamma h = (h - L h / (x + tr L)) / x. Form the residual vector before
-        # taking norms: expanding ||.||^2 into scalar terms cancels
-        # catastrophically near the dual floor when L is (close to) rank one
-        # and aligned with h, and can even turn the power negative.
-        return self.hs[rows] - (1.0 / (x + self.tr[rows]))[..., None] * self.lh[rows]
-
-    def _u_g2_eig(self, x: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        proj = self.proj[rows]
-        d = self.evals[rows] + x[..., None]
-        return (proj / d).sum(axis=-1), (proj / d ** 2).sum(axis=-1)
-
-    def _u_g2_sm(self, x: np.ndarray, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        r = self._residual(x, rows)
-        u = np.einsum("...i,...i->...", self.hs[rows].conj(), r).real / x
-        return u, (np.abs(r) ** 2).sum(axis=-1) / x ** 2
+        # Gamma h = (h - L h / (x + tr L)) / x, the direction gamma_h returns.
+        # Form the residual vector itself: expanding it into terms in h and L h
+        # cancels catastrophically near the dual floor when L is (close to) rank
+        # one and aligned with h. u_g2 needs no such care, because its closed
+        # form has only non-negative terms.
+        tr = self.sm_terms[3].reshape(self.weights.shape)[rows]
+        return self.hs[rows] - (1.0 / (x + tr))[..., None] * self.lh[rows]
 
     def u_g2(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u and ||Gamma h||^2 of every triple at per-row duals, each (rows, N, K)."""
-        x = (lam * LN2)[:, None, None]
-        last = self.blocks[1]
-        if last == len(x):
-            return self._u_g2_eig(x, slice(None))
-        if not last:
-            return self._u_g2_sm(x, slice(None))
-        eig, sm = slice(None, last), slice(last, None)
-        (u_e, g2_e), (u_s, g2_s) = self._u_g2_eig(x[eig], eig), self._u_g2_sm(x[sm], sm)
-        return np.concatenate((u_e, u_s)), np.concatenate((g2_e, g2_s))
+        """u and ||Gamma h||^2 of every triple at per-row duals, each (rows, N, K).
+
+        Computed on the flat pole-major arrays: the duals are expanded to the
+        triples once, each sum over poles is one reduction over the leading
+        axis (for Nt < 8 bit for bit the trailing-axis sum of every triple's
+        poles), and the inverse-free rows take their closed scalar form.
+        """
+        x = np.repeat(lam * LN2, self.per_row)
+        u, g2 = np.empty_like(x), np.empty_like(x)
+        split = self.blocks[1] * self.per_row          # eigendecomposed triples come first
+        if split:
+            proj = self.proj[:, :split]
+            d = self.poles[:, :split] + x[:split]
+            np.add.reduce(proj / d, axis=0, out=u[:split])
+            np.add.reduce(proj / d ** 2, axis=0, out=g2[:split])
+        if split < len(x):
+            x = x[split:]
+            hh, s, s2, t = self.sm_terms[:, split:]
+            den = x * (x + t)
+            num = x * hh + s
+            u[split:] = num / den
+            g2[split:] = (x * (num + s) + s2) / den ** 2
+        return u.reshape(self.weights.shape), g2.reshape(self.weights.shape)
 
     def gamma_h(self, lam: np.ndarray) -> np.ndarray:
         """Gamma h of every triple at duals (..., M), shape (..., M, K, N, Nt)."""
@@ -312,8 +354,9 @@ class DualEvaluator:
         parts = []
         if first:
             d = slice(None, first)
+            evals = self.poles[:, :first * self.per_row].T.reshape(self.coef[d].shape)
             parts.append(np.einsum("...ij,...j->...i", self.vecs[d],
-                                   self.coef[d] / (self.evals[d] + x[d, ..., None])))
+                                   self.coef[d] / (evals + x[d, ..., None])))
         if first < last:
             from . import refim
             r = slice(first, last)
@@ -335,13 +378,18 @@ def _on_rows(rows: slice, values: np.ndarray, n_rows: int) -> np.ndarray:
     return out
 
 
+def _pole_major(values: np.ndarray) -> np.ndarray:
+    """(rows, N, K, P) -> contiguous (P, rows*N*K), the triples in (row, n, k) order."""
+    return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
+
+
 def _betas_power(ev: DualEvaluator, lam: np.ndarray,
                  interf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Squared beam scalings beta^2 of every triple at per-row duals, and each
     BS's transmit power, summed over its triples in (n, k) order."""
     u, g2 = ev.u_g2(lam)
     b2 = np.maximum(ev.weights * u - interf - 1.0, 0.0) / u ** 2
-    return b2, (b2 * g2).reshape(len(lam), -1).sum(axis=1)
+    return b2, np.add.reduce((b2 * g2).reshape(len(lam), -1), axis=1)
 
 
 def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,

@@ -121,6 +121,24 @@ def test_array_initializers_match_loop_oracles():
     assert zf_draws >= 100
 
 
+@pytest.mark.parametrize("init", [init_cm, init_zf, init_mslnr])
+def test_initializers_on_a_stack_of_draws(init):
+    """On a ChannelState stacking 4 channel draws, every initializer returns
+    each draw's beams bit for bit, and a zero channel is reported by draw,
+    cell and user."""
+    config = NetworkConfig()
+    config.assignment[0, 1, 2] = False
+    states = [realize_network(config, seed)[1] for seed in range(4)]
+    h = np.stack([state.normalized for state in states])
+    beams = init(ChannelState(normalized=h, n_coordinated=config.M), config)
+    assert beams.shape == (4, config.M, config.K, config.N, config.Nt)
+    for draw, state in enumerate(states):
+        assert np.array_equal(beams[draw], init(state, config))
+    h[1, 2, config.user_id(2, 1), 0] = 0.0
+    with pytest.raises(DegenerateChannelError, match=r"user \(2, 1\) of draw 1\b"):
+        init(ChannelState(normalized=h, n_coordinated=config.M), config)
+
+
 def test_mslnr_reduces_to_cm_without_other_users():
     config = NetworkConfig(M=1, N=1, K=1, Nt=3)
     state = synthetic_channels(config, seed=5)

@@ -10,7 +10,7 @@ from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_cm, init_mslnr
 from cbsim.metrics import bs_powers, empty_beams, sinr, weighted_sum_rate
 from cbsim.network import ChannelState, realize_network
-from cbsim.solver import (LN2, DualEvaluator, _all_leakages, beta,
+from cbsim.solver import (GAMMA_MODES, LN2, DualEvaluator, _all_leakages, _betas_power, beta,
                           finite_difference_gradient, full_mask, gamma_direct,
                           gamma_sherman_morrison, interference, interference_all,
                           kkt_report, lagrangian_gradient, lagrangian_value,
@@ -371,6 +371,83 @@ def test_gamma_h_matches_dense_forms(mode, gamma_fn):
         h = state.normalized[m, config.user_id(m, k), n]
         want = gamma_fn(leakages[m, k, n], duals[m]) @ h
         assert np.linalg.norm(gh[m, k, n] - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_dual_function_matches_dense_forms_on_a_mixed_evaluator():
+    """u, ||Gamma h||^2, beta^2 and the per-BS power of one evaluator holding a
+    direct, a rank_r and a sherman_morrison solve equal the dense per-triple
+    forms, at the dual floor, a middle dual and the dual upper bound."""
+    setups = [bisection_setup(seed) for seed in (26, 27, 28)]
+    config = setups[0][0]
+    config.assignment[1, 0, 1] = False     # a hole in BS 1's (n, k) order
+    state = ChannelState(normalized=np.stack([s[1].normalized for s in setups]),
+                         n_coordinated=config.M)
+    leakages = np.stack([s[3] for s in setups])
+    interf = np.stack([s[4] for s in setups])
+    ev = DualEvaluator(state, np.stack([s[2] for s in setups]), leakages, config,
+                       list(GAMMA_MODES))
+    dense = {"direct": gamma_direct, "rank_r": gamma_direct,
+             "sherman_morrison": gamma_sherman_morrison}
+    flat_interf = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
+    for lam in (np.full(ev.lam_up.shape, config.lambda_min),
+                0.5 * (config.lambda_min + ev.lam_up), ev.lam_up):
+        u, g2 = ev.u_g2(lam)
+        b2, power = _betas_power(ev, lam, flat_interf)
+        for b, mode in enumerate(GAMMA_MODES):
+            for m in range(config.M):
+                row = b * config.M + m
+                want_power = 0.0
+                for k in range(config.K):
+                    for n in range(config.N):
+                        h = state.normalized[b, m, config.user_id(m, k), n]
+                        gh = dense[mode](leakages[b, m, k, n], lam[row]) @ h
+                        u_ref, g2_ref = np.vdot(h, gh).real, np.linalg.norm(gh) ** 2
+                        w = config.weights[m, k, n] * config.assignment[m, k, n]
+                        b2_ref = max(w * u_ref - interf[b, m, k, n] - 1.0, 0.0) / u_ref ** 2
+                        want_power += b2_ref * g2_ref
+                        assert u[row, n, k] == pytest.approx(u_ref, rel=1e-10, abs=0.0)
+                        assert g2[row, n, k] == pytest.approx(g2_ref, rel=1e-10, abs=0.0)
+                        assert b2[row, n, k] == pytest.approx(b2_ref, rel=1e-10, abs=1e-300)
+                assert power[row] == pytest.approx(want_power, rel=1e-10, abs=1e-300)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 60])
+@pytest.mark.parametrize("nt", [2, 3, 4])
+def test_pole_major_sums_equal_trailing_axis_sums_bit_for_bit(nt, rows):
+    """The pole-major reductions of the eigendecomposed rows reproduce the
+    trailing-axis sums over each triple's eigenvalues exactly."""
+    rng = np.random.default_rng(100 * nt + rows)
+    config = NetworkConfig(M=1, N=2, K=3, Nt=nt)
+    shape = (rows, config.M, config.n_users, config.N, nt)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    state = ChannelState(normalized=h, n_coordinated=config.M)
+    leakages = np.array([random_psd(rng, nt, scale) for scale in
+                         10.0 ** rng.uniform(-3, 3, rows * config.K * config.N)])
+    leakages = leakages.reshape(rows, config.M, config.K, config.N, nt, nt)
+    victim_w = np.zeros((rows, config.M, config.K, config.N, config.n_users))
+    ev = DualEvaluator(state, victim_w, leakages, config, "direct")
+    lam = 10.0 ** rng.uniform(-10, 1, rows)
+    u, g2 = ev.u_g2(lam)
+    proj = np.abs(ev.coef) ** 2                           # (rows, N, K, Nt)
+    d = ev.poles.T.reshape(proj.shape) + (lam * LN2)[:, None, None, None]
+    assert np.array_equal(u, (proj / d).sum(-1))
+    assert np.array_equal(g2, (proj / d ** 2).sum(-1))
+
+
+def test_sherman_morrison_row_without_leakage():
+    """With L = 0 (tr L = 0) the closed form gives u = H / x and
+    ||Gamma h||^2 = H / x^2 > 0, down to the dual floor."""
+    config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
+    state = synthetic_channels(config, 47)
+    hh = np.linalg.norm(state.normalized) ** 2
+    ev = DualEvaluator(state, no_victims(config), np.zeros((1, 1, 1, 3, 3), dtype=complex),
+                       config, "sherman_morrison")
+    for lam in (config.lambda_min, 1e-3, 10.0):
+        u, g2 = ev.u_g2(np.array([lam]))
+        x = lam * LN2
+        assert u[0, 0, 0] == pytest.approx(hh / x, rel=1e-14)
+        assert g2[0, 0, 0] > 0.0
+        assert g2[0, 0, 0] == pytest.approx(hh / x ** 2, rel=1e-14)
 
 
 def test_dual_evaluator_rejects_unknown_mode():
