@@ -201,8 +201,9 @@ class DualEvaluator:
 
     ``gamma_mode`` is one Gamma mode for every solve or one per solve, the
     solves ordered as :data:`GAMMA_MODES` lists the modes, so each mode's
-    rows form one contiguous block. Every array is indexed by row; a form's
-    arrays are computed on the rows of its modes and are zero elsewhere. The
+    rows form one contiguous block. Every array is indexed by row (the
+    pole-major ones below by the triples of each row); a form's arrays are
+    computed on the rows of its modes and are zero elsewhere. The
     exact-inverse modes (direct and rank_r) eigendecompose the leakage
     matrices once, L = V diag(e) V^H, after which, with c = V^H h and
     x = lambda*ln2, every dual value costs O(Nt) per triple:
@@ -223,9 +224,7 @@ class DualEvaluator:
     pole-major (:data:`_POLE_MAJOR`): e and |c|^2 as (Nt, rows*N*K), and
     (H, S, S2, t) as (4, rows*N*K), each triple's entries in (row, n, k)
     order. A dual value is then a few contiguous 1-D operations and one
-    reduction over the short leading axis, not one inner loop per triple;
-    :meth:`select` and :meth:`put` index these arrays by the triples of
-    their rows.
+    reduction over the short leading axis, not one inner loop per triple.
     """
 
     def __init__(self, channels: ChannelState, weights: np.ndarray,
