@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Write a fixed matrix of experiment CSVs and their SHA256SUMS into OUTDIR.
+
+A change that must not move any result is checked by running this script
+from two checkouts into two directories and comparing the sums:
+
+    PYTHONPATH=src python3 scripts/csv_identity.py /tmp/before    # parent
+    PYTHONPATH=src python3 scripts/csv_identity.py /tmp/after     # change
+    diff /tmp/before/SHA256SUMS /tmp/after/SHA256SUMS
+
+The matrix: convergence, snr_sweep, ref_sweep and cdf at desk scale and at
+(M, N, K, Nt) = (2, 2, 2, 2), (3, 2, 4, 2), (3, 3, 3, 4) and (2, 3, 2, 1),
+plus the feedback table, each at seeds 1 and 2 with 4 trials, gamma = 10,
+30 and 50 dB and no timestamp line. zf is left out where a cell has more
+users than antennas. Every run goes through the ``sim`` command line; a
+config file sets the network size.
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+from cbsim.cli import main as sim
+
+SIZES = {"desk": None, "m2n2k2t2": (2, 2, 2, 2), "m3n2k4t2": (3, 2, 4, 2),
+         "m3n3k3t4": (3, 3, 3, 4), "m2n3k2t1": (2, 3, 2, 1)}
+KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf")
+SEEDS = (1, 2)
+COMMON = ["--trials", "4", "--gamma-db", "10,30,50", "--no-timestamp"]
+ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
+
+
+def run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sim(argv)
+    if code != 0:
+        sys.exit(f"sim {' '.join(argv)} exited with {code}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    out = parser.parse_args().outdir
+    out.mkdir(parents=True, exist_ok=True)
+    csvs = []
+    for label, size in SIZES.items():
+        flags, algos = [], ALGOS
+        if size is not None:
+            m, n, k, nt = size
+            cfg = out / f"{label}.cfg"
+            cfg.write_text(f"M = {m}\nN = {n}\nK = {k}\nNt = {nt}\n")
+            flags = ["--config", str(cfg)]
+            if k > nt:                       # a crowded cell: zero-forcing cannot run
+                algos = tuple(a for a in ALGOS if a != "zf")
+        for kind in KINDS:
+            for seed in SEEDS:
+                path = out / f"{kind}_{label}_s{seed}.csv"
+                run([kind, *flags, *COMMON, "--seed", str(seed), "--algo", ",".join(algos),
+                     "--out", str(path)])
+                csvs.append(path)
+    for seed in SEEDS:
+        path = out / f"feedback_s{seed}.csv"
+        run(["feedback", "--trials", "4", "--seed", str(seed), "--no-timestamp",
+             "--out", str(path)])
+        csvs.append(path)
+    sums = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in csvs]
+    (out / "SHA256SUMS").write_text("".join(sums))
+    print(f"{len(csvs)} CSVs and SHA256SUMS written under {out}/")
+
+
+if __name__ == "__main__":
+    main()

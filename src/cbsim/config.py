@@ -4,12 +4,19 @@ All powers are linear; dB enters only through ``gamma_db`` at this boundary.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+def _finite(v) -> bool:
+    """A real, non-boolean, finite number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
 
 @dataclass
 class NetworkConfig:
@@ -51,12 +58,20 @@ class NetworkConfig:
         if self.M > 3:
             raise ConfigurationError(
                 f"M must be 1..3, the cluster sizes the layout generator places; got M={self.M}")
-        if self.Pmax <= 0:
-            raise ConfigurationError(f"Pmax must be > 0, got {self.Pmax!r}")
-        if self.lambda_min <= 0:
-            raise ConfigurationError(f"lambda_min must be > 0, got {self.lambda_min!r}")
-        if self.L_in_max < 1 or self.L_out_max < 1:
-            raise ConfigurationError("iteration caps must be positive")
+        for name in ("Pmax", "lambda_min"):
+            v = getattr(self, name)
+            if not (_finite(v) and v > 0):
+                raise ConfigurationError(f"{name} must be a finite number > 0, got {v!r}")
+        if not _finite(self.gamma_db):
+            raise ConfigurationError(f"gamma_db must be a finite number, got {self.gamma_db!r}")
+        for name in ("inner_tol", "outer_tol"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and v >= 0):     # NaN fails v >= 0
+                raise ConfigurationError(f"{name} must be a number >= 0, got {v!r}")
+        for name in ("L_in_max", "L_out_max"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
         if self.weights is None:
             self.weights = np.full((self.M, self.K, self.N), 1.0 / (self.M * self.N))
         else:
@@ -65,6 +80,8 @@ class NetworkConfig:
                 raise ConfigurationError(
                     f"weights must have shape {(self.M, self.K, self.N)}, "
                     f"got {self.weights.shape}")
+            if not np.all(np.isfinite(self.weights)):
+                raise ConfigurationError("weights must be finite")
             if np.any(self.weights < 0):
                 raise ConfigurationError("weights must be nonnegative")
         if self.assignment is None:

@@ -19,6 +19,7 @@ comparisons).
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -75,6 +76,9 @@ class ExperimentSpec:
             for v in getattr(self, name):
                 if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                     raise ConfigurationError(f"{name} entries must be integers, got {v!r}")
+        for v in self.gamma_db:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigurationError(f"gamma_db entries must be finite numbers, got {v!r}")
         for name in ("gamma_db", "algos", "k_list", "nt_list"):
             values = tuple(getattr(self, name))
             if not values:

@@ -20,12 +20,17 @@ T = L + lambda*ln2*I. Three variants are provided:
 
 The double loop recomputes leakage matrices and one network-wide
 :class:`DualEvaluator` in the outer loop and (interference, dual variables,
-beam scalings, beams) in the inner loop; the per-BS duals are bisected
-jointly, each BS on its own bracket, on the transmit power, which is
-non-increasing in the dual. Each evaluation of that power is a few
-contiguous 1-D operations on the evaluator's flat, pole-major arrays of all
-triples: a sum over eigenvalue poles for icbf and cb_refim, a closed scalar
-form for icbf_wi.
+beam scalings, beams) in the inner loop. The per-BS duals are bisected
+jointly, each BS on its own bracket, on the transmit power f, which is
+non-increasing in the dual (:func:`lambda_bisection` proves it for every
+Gamma). The bisection's result depends only on which side of two thresholds
+each midpoint falls, so a search locates the thresholds by a few Newton
+steps from the BS's previous dual, replays the bisection's arithmetic
+against them, and verifies the replay with three exact evaluations of f:
+about 7 evaluations instead of 30, and the bisection's duals bit for bit.
+Each evaluation is a few contiguous 1-D operations on the evaluator's
+flat, pole-major arrays of all triples: a sum over eigenvalue poles for
+icbf and cb_refim, a closed scalar form for icbf_wi.
 
 The loop is written once, in :func:`solve_batch`, for B independent solves
 that share the network size and the config, each with its own algorithm
@@ -65,6 +70,9 @@ _POLE_MAJOR = ("poles", "proj", "sm_terms")
 BISECT_MAX_STEPS = 200
 BISECT_WIDTH_RTOL = 1e-12   # bracket width relative to the upper bound
 BISECT_POWER_RTOL = 1e-6    # accepted gap between f(lambda) and Pmax
+LOCATE_MAX_STEPS = 12       # Newton steps that locate lambda* per search
+LOCATE_LOG_RTOL = 1e-5      # |ln(f / Pmax)| at which a BS counts as located
+VERIFY_RTOL = 1e-12         # rounding margin of the verify checks, relative to Pmax
 
 
 def _interference_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
@@ -250,7 +258,8 @@ class DualEvaluator:
         own = (config.weights * config.assignment).swapaxes(1, 2)
         self.weights = np.tile(own, (n_rows // config.M, 1, 1))
         hh = np.sum(np.abs(self.hs) ** 2, axis=-1)
-        self.lam_up = np.max(self.weights * hh, axis=(1, 2)) / LN2   # lambda_upper
+        self.wh = self.weights * hh                                   # w ||h||^2
+        self.lam_up = np.max(self.wh, axis=(1, 2)) / LN2             # lambda_upper
         mats = leakages.reshape((-1,) + leakages.shape[-4:]).swapaxes(1, 2)
         first, last = self.blocks
         eig, sm = slice(None, last), slice(last, None)
@@ -320,22 +329,33 @@ class DualEvaluator:
         tr = self.sm_terms[3].reshape(self.weights.shape)[rows]
         return self.hs[rows] - (1.0 / (x + tr))[..., None] * self.lh[rows]
 
-    def u_g2(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u and ||Gamma h||^2 of every triple at per-row duals, each (rows, N, K).
+    def u_g2(self, lam: np.ndarray, slope: bool = False) -> tuple[np.ndarray, ...]:
+        """u and ||Gamma h||^2 of every triple at per-row duals, each (rows, N, K),
+        and with ``slope`` also their derivatives in x = lambda*ln2.
 
         Computed on the flat pole-major arrays: the duals are expanded to the
         triples once, each sum over poles is one reduction over the leading
         axis (for Nt < 8 bit for bit the trailing-axis sum of every triple's
-        poles), and the inverse-free rows take their closed scalar form.
+        poles), and the inverse-free rows take their closed scalar form. The
+        derivatives: du/dx = -||Gamma h||^2 and d||Gamma h||^2/dx = -2 sum_i
+        |c_i|^2 / (e_i + x)^3 on the exact-inverse rows, and the quotient rule
+        on the closed form.
         """
         x = np.repeat(lam * LN2, self.per_row)
         u, g2 = np.empty_like(x), np.empty_like(x)
+        du, dg2 = (np.empty_like(x), np.empty_like(x)) if slope else (None, None)
         split = self.blocks[1] * self.per_row          # eigendecomposed triples come first
         if split:
             proj = self.proj[:, :split]
             d = self.poles[:, :split] + x[:split]
             np.add.reduce(proj / d, axis=0, out=u[:split])
-            np.add.reduce(proj / d ** 2, axis=0, out=g2[:split])
+            q = proj / d ** 2
+            np.add.reduce(q, axis=0, out=g2[:split])
+            if slope:
+                np.negative(g2[:split], out=du[:split])
+                q /= d
+                np.add.reduce(q, axis=0, out=dg2[:split])
+                dg2[:split] *= -2.0
         if split < len(x):
             x = x[split:]
             hh, s, s2, t = self.sm_terms[:, split:]
@@ -343,7 +363,12 @@ class DualEvaluator:
             num = x * hh + s
             u[split:] = num / den
             g2[split:] = (x * (num + s) + s2) / den ** 2
-        return u.reshape(self.weights.shape), g2.reshape(self.weights.shape)
+            if slope:
+                c = (2.0 * x + t) / den                # d ln(den)/dx
+                du[split:] = hh / den - u[split:] * c
+                dg2[split:] = 2.0 * (u[split:] / den - g2[split:] * c)
+        out = (u, g2, du, dg2) if slope else (u, g2)
+        return tuple(a.reshape(self.weights.shape) for a in out)
 
     def gamma_h(self, lam: np.ndarray) -> np.ndarray:
         """Gamma h of every triple at duals (..., M), shape (..., M, K, N, Nt)."""
@@ -382,17 +407,27 @@ def _pole_major(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.reshape(-1, values.shape[-1]).T)
 
 
-def _betas_power(ev: DualEvaluator, lam: np.ndarray,
-                 interf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _betas_power(ev: DualEvaluator, lam: np.ndarray, interf: np.ndarray,
+                 slope: bool = False) -> tuple[np.ndarray, ...]:
     """Squared beam scalings beta^2 of every triple at per-row duals, and each
-    BS's transmit power, summed over its triples in (n, k) order."""
-    u, g2 = ev.u_g2(lam)
-    b2 = np.maximum(ev.weights * u - interf - 1.0, 0.0) / u ** 2
-    return b2, np.add.reduce((b2 * g2).reshape(len(lam), -1), axis=1)
+    BS's transmit power, summed over its triples in (n, k) order; with
+    ``slope`` also each BS's d power / d lambda. The power is the same float
+    either way."""
+    u, g2, *derivs = ev.u_g2(lam, slope)
+    wu = ev.weights * u
+    u2 = u ** 2
+    b2 = np.maximum(wu - interf - 1.0, 0.0) / u2
+    power = np.add.reduce((b2 * g2).reshape(len(lam), -1), axis=1)
+    if not slope:
+        return b2, power
+    du, dg2 = derivs
+    # d beta^2 / du = (2 (i + 1) - w u) / u^3 where the beam is on
+    db2 = np.where(b2 > 0.0, du * (2.0 * (interf + 1.0) - wu) / (u2 * u), 0.0)
+    return b2, power, LN2 * np.add.reduce((db2 * g2 + b2 * dg2).reshape(len(lam), -1), axis=1)
 
 
-def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
-                     config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray, config: NetworkConfig,
+                     warm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Dual variables (..., M) and beam scalings (..., M, K, N) of every BS,
     with the evaluator's batch axis leading.
 
@@ -402,39 +437,209 @@ def lambda_bisection(ev: DualEvaluator, interference_map: np.ndarray,
     BS's triples forces every beta to zero, so the bracket always contains a
     feasible point. The BSs are bisected together, each on its own bracket
     with its own stop tests; a BS that fits at lambda_min (one without active
-    triples among them) keeps it. A step tracks powers only; the betas are
-    taken once, at the final duals. Betas are zero at inactive triples.
+    triples among them) keeps it. Betas are zero at inactive triples.
+
+    The result is the bisection's, bit for bit, but f is evaluated only
+    where it decides something. The bisection's path depends only on the
+    class of each midpoint: over budget, fits within BISECT_POWER_RTOL, or
+    fits with room; and those classes follow from two thresholds per BS,
+    lambda* where f = Pmax and lambda_tol where f = Pmax (1 - rtol). So the
+    search runs in three phases:
+
+    locate   a safeguarded Newton iteration per BS (:func:`_locate`),
+             started from ``warm`` (the BS's dual at the previous inner step)
+             or the middle of its bracket, finds lambda*, and the slope of
+             ln f there gives lambda_tol;
+    replay   the bisection's own lo/hi/mid arithmetic and stop tests
+             (:func:`_bisect`) take each midpoint's class from lambda* and
+             lambda_tol instead of evaluating f;
+    verify   three exact evaluations certify every replayed decision: f at
+             the final lo is over budget, f at the smallest midpoint that
+             fit with room (or at lambda_upper) has room, and a final hi
+             replayed as fitting within the tolerance does (that evaluation
+             also gives the betas). The first two checks keep a rounding
+             margin of VERIFY_RTOL * Pmax beyond the bisection's comparison,
+             so no decision they certify rests on the last bits of f.
+
+    Why three points certify the rest: f is non-increasing, so every
+    midpoint below an over-budget lo is over budget, and every midpoint above
+    a point with room has room; the lo only rises, the hi only falls, and
+    only the final hi can fit within the tolerance. Every decision is thus
+    the same float comparison on the same :func:`_betas_power` value, or
+    follows from a verified one by monotonicity. A BS whose checks fail, or
+    that the Newton iteration did not locate, is searched again on its own
+    solve (``ev.select``) by the same loop with every midpoint evaluated,
+    which also checks that lambda_upper fits the budget. The warm start may
+    change how many evaluations a search takes, never what it returns.
+
+    Monotonicity, proved per triple where beta > 0, with x = lambda ln2,
+    a = w u - i - 1 > 0 and the triple's power p = a g2 / u^2:
+
+        dp/dx = [-U g2 (i + 1) + a (U g2 - u G)] / u^3,
+
+    with U = -du/dx and G = -dg2/dx. In the eigenbasis of L (eigenvalues
+    e_j, c = V^H h) every Gamma is diagonal with entries gamma_j(x) > 0, so
+    u = sum |c_j|^2 gamma_j, g2 = sum |c_j|^2 gamma_j^2, U = sum |c_j|^2 d_j
+    and G = 2 sum |c_j|^2 gamma_j d_j with d_j = -gamma_j'. For the exact
+    inverse (icbf, cb_refim) gamma_j = 1 / (e_j + x) and d_j = gamma_j^2, so
+    U = g2 and u G = 2 u g3 >= 2 g2^2 by Cauchy-Schwarz; hence
+    dp/dx <= -w g2^2 / u^2 < 0. For icbf_wi, gamma_j = alpha_j / x +
+    (1 - alpha_j) / (x + t) with t = tr L and alpha_j = 1 - e_j / t in
+    [0, 1]: gamma and d are both affine in alpha, d >= gamma^2 by Jensen,
+    and writing (gamma, d) in the moments A <= 1, A^2 <= B <= A of alpha
+    (scaled so 1/x - 1/(x+t) = 1, z = 1/(x+t)) gives
+
+        2 sum gamma d sum gamma - sum d sum gamma^2
+          = z^4 + 4 z^3 A + z^2 (A + 2 A^2 + 3 B) + 2 z B (1 + A) + A B >= 0
+
+    (times (sum |c_j|^2)^2), i.e. U g2 <= u G; hence dp/dx <= -g2^2 (i + 1)
+    / u^3 < 0. Beams switch off continuously, so f is continuous and
+    non-increasing for every Gamma mode, strictly decreasing while any beam
+    is on.
     """
     interf = interference_map.swapaxes(-1, -2).reshape(ev.weights.shape)
+    lam, b2 = _dual_search(ev, interf, config, warm)
+    shape = ev.lead + (config.M,)
+    return lam.reshape(shape), np.sqrt(b2).swapaxes(1, 2).reshape(shape + (config.K, config.N))
+
+
+def _dual_search(ev: DualEvaluator, interf: np.ndarray, config: NetworkConfig,
+                 warm: np.ndarray | None = None,
+                 rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Flat duals and beta^2 of every row of ``ev``: the bisection located,
+    replayed and verified, or, given ``rows`` (the caller's rows that ``ev``
+    holds), evaluated at every midpoint."""
     pmax = config.Pmax
+    tol = BISECT_POWER_RTOL * pmax
     lo = np.full(ev.lam_up.shape, config.lambda_min)
     done = _betas_power(ev, lo, interf)[1] <= pmax
-    hi = lam_up = np.where(done, lo, ev.lam_up)
+    hi = np.where(done, lo, ev.lam_up)
+    width = BISECT_WIDTH_RTOL * hi
+    if rows is not None:
+        b2, f_hi = _betas_power(ev, hi, interf)
+        if np.any(f_hi > pmax):
+            row = int(np.argmax(f_hi > pmax))
+            raise BracketError(f"power of BS {rows[row] % config.M} of solve "
+                               f"{rows[row] // config.M} at the dual upper bound exceeds "
+                               f"the budget: f({hi[row]}) = {f_hi[row]}")
+        done |= pmax - f_hi <= tol
+        lo, hi, moved = _bisect(ev, interf, pmax, lo, hi, width, done)
+        return hi, _betas_power(ev, hi, interf)[0] if moved else b2
+    if done.all():
+        return hi, _betas_power(ev, hi, interf)[0]
+    bounds = _locate(ev, interf, pmax, lo, hi, done, warm)
+    redo = ~done & np.isnan(bounds[0])          # not located
+    checked = ~done & ~redo
+    lo, hi, _ = _bisect(ev, interf, pmax, lo, hi, width, done | redo, bounds)
+    # The smallest midpoint that fit with room (or lambda_upper, which the
+    # replay took to have room without evaluating it) is the final hi, unless
+    # the replay stopped on a hi within the tolerance: then it is the hi
+    # before, 2 hi - lo up to rounding, and a point just below it certifies it.
+    stopped = (hi > bounds[0]) & (hi < bounds[1])
+    room = np.where(stopped, (2.0 * hi - lo) * (1.0 - 1e-14), hi)
+    margin = VERIFY_RTOL * pmax
+    f_lo = _betas_power(ev, lo, interf)[1]
+    f_room = _betas_power(ev, room, interf)[1]
     b2, f_hi = _betas_power(ev, hi, interf)
-    if np.any(f_hi > pmax):
-        row = int(np.argmax(f_hi > pmax))
-        where = f"BS {row % config.M}" + (f" of solve {row // config.M}" if ev.lead else "")
-        raise BracketError(f"power of {where} at the dual upper bound exceeds the "
-                           f"budget: f({hi[row]}) = {f_hi[row]}")
+    redo |= checked & ~((f_lo > pmax + margin) & (pmax - f_room > tol + margin)
+                        & (~stopped | ((f_hi <= pmax) & (pmax - f_hi <= tol))))
+    if redo.any():
+        solves = np.unique(np.flatnonzero(redo) // ev.n_bs)
+        own = ev._rows(solves)
+        hi[own], b2[own] = _dual_search(ev.select(solves), interf[own], config, rows=own)
+    return hi, b2
 
-    width = BISECT_WIDTH_RTOL * lam_up
+
+def _locate(ev: DualEvaluator, interf: np.ndarray, pmax: float, lo: np.ndarray,
+            hi: np.ndarray, done: np.ndarray, warm: np.ndarray | None) -> np.ndarray:
+    """Per row, (lambda*, lambda_tol): where f = Pmax, by a safeguarded Newton
+    iteration, and where f = Pmax (1 - BISECT_POWER_RTOL), from the slope of
+    ln f over ln lambda at lambda*. NaN for rows that are not located.
+
+    The Newton step is taken on ln f over ln lambda, or, above the budget
+    when that step would leave the bracket, on f itself (f is convex in
+    lambda, so that step does not overshoot). Every iterate stays inside its
+    row's bracket: the largest lambda seen with f > Pmax and the smallest
+    with f <= Pmax, the latter starting at the lambda beyond which every
+    beam is off. A step that would leave the bracket, or that is more than
+    half the step before last, and every iterate where f = 0, give way to
+    the bracket's midpoint. A row is located, and stays where it is, once
+    |ln(f / Pmax)| <= LOCATE_LOG_RTOL; lambda* is then one more Newton step,
+    taken without evaluating f.
+    """
+    # u <= ||h||^2 / x for every Gamma mode, so a beam is off, beta = 0, once
+    # x >= w ||h||^2 / (1 + i): f = 0 from the largest such lambda on
+    a = lo                                         # f(a) > Pmax >= f(b)
+    b = np.minimum(hi, np.max(ev.wh / (1.0 + interf), axis=(1, 2)) / LN2)
+    lam = 0.5 * (a + b)
+    if warm is not None:
+        warm = warm.reshape(lam.shape)
+        lam = np.where((warm > a) & (warm < b), warm, lam)
+    half1 = half2 = np.full(lam.shape, np.inf)     # halves of the last two steps
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(LOCATE_MAX_STEPS):
+            f, df = _betas_power(ev, lam, interf, slope=True)[1:]
+            g = np.log(f / pmax)
+            s = lam * df / f                       # d ln f / d ln lambda < 0
+            nxt = lam * np.exp(-g / s)
+            located = (np.abs(g) <= LOCATE_LOG_RTOL) | done
+            if located.all():
+                break
+            over = f > pmax
+            linear = over & (nxt >= b)
+            if linear.any():
+                nxt = np.where(linear, lam - (f - pmax) / df, nxt)
+            a = np.where(over, lam, a)
+            b = np.where(over, b, lam)
+            # a Newton step must stay in the bracket and be at most half the
+            # step before last, or the bracket is halved (so no cycles)
+            step = np.abs(nxt - lam)
+            newton = (nxt > a) & (nxt < b) & (step <= half2)
+            half2 = half1
+            half1 = 0.5 * np.where(newton, step, 0.5 * (b - a))
+            lam = np.where(located, lam, np.where(newton, nxt, 0.5 * (a + b)))
+        star = np.where(located & ~done, nxt, np.nan)
+        # ln f falls by -ln(1 - rtol) between lambda* and lambda_tol
+        return np.stack((star, star * np.exp(np.log1p(-BISECT_POWER_RTOL) / s)))
+
+
+def _bisect(ev: DualEvaluator, interf: np.ndarray, pmax: float, lo: np.ndarray,
+            hi: np.ndarray, width: np.ndarray, done: np.ndarray,
+            bounds: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The bisection loop: midpoint classes from ``bounds`` (lambda*, lambda_tol)
+    per row, or from f at every midpoint when ``bounds`` is None. Returns the
+    final lo and hi, and whether any step was taken."""
+    tol = BISECT_POWER_RTOL * pmax
+    live, mid = ~done, np.empty_like(lo)
+    ends = np.stack((lo, hi))                  # lo and hi move to mid under masks
+    moves = np.empty(ends.shape, bool)         # over budget, fits
+    within = np.empty_like(live)
+    # the width test cannot pass before the widest bracket is a quarter of the
+    # way down to the width: rounding moves a midpoint by far less
+    span = np.min((hi - lo)[live] / width[live], initial=np.inf)
+    quiet = int(np.log2(span)) - 2 if np.isfinite(span) and span > 8.0 else 0
     moved = False
-    for _ in range(BISECT_MAX_STEPS):
-        done |= hi - lo <= width
-        done |= pmax - f_hi <= BISECT_POWER_RTOL * pmax
-        if done.all():
+    for step in range(BISECT_MAX_STEPS):
+        if step >= quiet:
+            live &= ends[1] - ends[0] > width
+        if not live.any():
             break
         moved = True
-        mid = 0.5 * (lo + hi)          # lies in [lambda_min, lambda_upper] for every BS
-        f_mid = _betas_power(ev, mid, interf)[1]
-        fits = ~done & (f_mid <= pmax)
-        lo = np.where(done | fits, lo, mid)
-        hi = np.where(fits, mid, hi)
-        f_hi = np.where(fits, f_mid, f_hi)
-    if moved:
-        b2 = _betas_power(ev, hi, interf)[0]
-    shape = ev.lead + (config.M,)
-    return hi.reshape(shape), np.sqrt(b2).swapaxes(1, 2).reshape(shape + (config.K, config.N))
+        np.add(ends[0], ends[1], out=mid)
+        mid *= 0.5                     # lies in [lambda_min, lambda_upper] for every BS
+        if bounds is None:
+            f_mid = _betas_power(ev, mid, interf)[1]
+            np.less_equal(f_mid, pmax, out=moves[1])
+            np.less_equal(pmax - f_mid, tol, out=within)
+        else:
+            np.greater(mid, bounds[0], out=moves[1])
+            np.less(mid, bounds[1], out=within)
+        moves[1] &= live
+        within &= moves[1]
+        np.greater(live, moves[1], out=moves[0])
+        np.copyto(ends, mid, where=moves)
+        np.greater(live, within, out=live)
+    return ends[0], ends[1], moved
 
 
 def update_beams(ev: DualEvaluator, duals: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -572,7 +777,7 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     # live lists the solves still running; chans, link, ev and fresh follow its order
     live = np.arange(n_solves)
     fresh = [True] * n_solves                # starting an outer iteration
-    ev = None
+    ev = duals = None                        # duals: the previous step's, a warm start
     while live.size:
         if any(fresh):
             pos = np.flatnonzero(fresh)
@@ -586,7 +791,7 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
             else:
                 ev.put(pos, new)
 
-        duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config)
+        duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config, duals)
         beams = update_beams(ev, duals, betas)
         link = link_state(chans, beams, config)
         now = sum_rate_of_link(config, link).tolist()
@@ -627,7 +832,7 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
             keep = np.flatnonzero(np.logical_not(done))
             live, fresh = live[keep], [fresh[i] for i in keep]
             chans, link = _take(chans, link, keep)
-            ev = ev.select(keep)
+            ev, duals = ev.select(keep), duals[keep]
     back = np.argsort(order)      # batch position of each solve in the caller's order
     return np.stack(best_beams)[back], [traces[b] for b in back]
 

@@ -241,6 +241,44 @@ def grid_search_two_cell(h, pmax, w, n_theta=21, n_phi=20, n_pow=5):
 
 
 # ---------------------------------------------------------------------------
+# dual bisection: every midpoint evaluated
+# ---------------------------------------------------------------------------
+
+def dual_bisection(power, lam_min, lam_up, pmax, width_rtol, power_rtol, max_steps):
+    """The per-BS dual bisection that evaluates f at every midpoint.
+
+    ``power(lam)`` returns (beta^2 per triple, f per row) at per-row duals;
+    ``lam_up`` is each row's dual upper bound. Each row gets the smallest
+    lambda in [lam_min, lam_up] whose f fits ``pmax``, bisected on its own
+    bracket until the bracket is narrower than width_rtol * lam_up or f at
+    the upper end lies within power_rtol * pmax of the budget; a row that
+    fits at lam_min keeps it. Returns the duals and beta^2 at them.
+    """
+    lo = np.full(lam_up.shape, lam_min)
+    done = power(lo)[1] <= pmax
+    hi = lam_up = np.where(done, lo, lam_up)
+    b2, f_hi = power(hi)
+    assert np.all(f_hi <= pmax), "the upper bound must fit the budget"
+    width = width_rtol * lam_up
+    moved = False
+    for _ in range(max_steps):
+        done |= hi - lo <= width
+        done |= pmax - f_hi <= power_rtol * pmax
+        if done.all():
+            break
+        moved = True
+        mid = 0.5 * (lo + hi)
+        f_mid = power(mid)[1]
+        fits = ~done & (f_mid <= pmax)
+        lo = np.where(done | fits, lo, mid)
+        hi = np.where(fits, mid, hi)
+        f_hi = np.where(fits, f_mid, f_hi)
+    if moved:
+        b2 = power(hi)[0]
+    return hi, b2
+
+
+# ---------------------------------------------------------------------------
 # WMMSE: an independent full-scale weighted-sum-rate solver
 # ---------------------------------------------------------------------------
 

@@ -26,15 +26,35 @@ def test_sigma2_from_gamma():
 @pytest.mark.parametrize("field,value", [
     ("M", 0), ("N", 0), ("K", 0), ("Nt", 0), ("Pmax", -1.0),
     ("lambda_min", 0.0), ("L_in_max", 0),
+    # values that hang a solve or silently give nonsense
+    ("Pmax", np.inf), ("Pmax", np.nan), ("gamma_db", np.nan), ("gamma_db", -np.inf),
+    ("lambda_min", np.inf), ("lambda_min", np.nan), ("inner_tol", -1.0),
+    ("inner_tol", np.nan), ("outer_tol", -1e-4), ("outer_tol", np.nan),
+    ("L_in_max", 2.5), ("L_out_max", 1.0), ("L_in_max", True), ("L_out_max", False),
 ])
 def test_invalid_scalars_rejected(field, value):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=field):
         NetworkConfig(**{field: value})
 
 
 def test_negative_weights_rejected():
     with pytest.raises(ConfigurationError):
         NetworkConfig(M=1, N=1, K=1, Nt=1, weights=np.array([[[-0.1]]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected(value):
+    with pytest.raises(ConfigurationError, match="weights must be finite"):
+        NetworkConfig(M=1, N=1, K=1, Nt=1, weights=np.array([[[value]]]))
+
+
+def test_config_file_with_an_infinite_value_fails_naming_the_key(tmp_path):
+    for line, key in (("lambda_min = inf", "lambda_min"), ("pmax = inf", "Pmax"),
+                      ("outer_tol = nan", "outer_tol")):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigurationError, match=key):
+            network_config_from_values(parse_config_file(path))
 
 
 def test_wrong_shape_assignment_rejected():

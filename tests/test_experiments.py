@@ -262,7 +262,8 @@ def test_spec_validation():
             ExperimentSpec(kind="feedback", **{key: value})
     for key, value, bad in [("k_list", (2, 2.5), "2.5"), ("nt_list", (2, 2.9), "2.9"),
                             ("k_list", (True,), "True"), ("nt_list", (3, np.True_), "True"),
-                            ("k_list", ("3",), "'3'")]:
+                            ("k_list", ("3",), "'3'"), ("gamma_db", (10.0, np.nan), "nan"),
+                            ("gamma_db", (np.inf,), "inf"), ("gamma_db", (True,), "True")]:
         with pytest.raises(ConfigurationError, match=f"{key} .*{bad}"):
             ExperimentSpec(kind="feedback", **{key: value})
     assert ExperimentSpec(kind="feedback", k_list=(np.int64(2),)).k_list == (2,)
@@ -323,6 +324,10 @@ def test_cli_rejects_bad_config(tmp_path):
     ("algos", ["--algo", "cm,icbf,icbf"], ""),
     ("k_list", [], "k_list = 2,3,2\n"),
     ("nt_list", [], "nt_list = 2,2\n"),
+    ("gamma_db", ["--gamma-db", "nan"], ""),
+    ("gamma_db", ["--gamma-db", "10,inf"], ""),
+    ("lambda_min", [], "lambda_min = inf\n"),
+    ("Pmax", [], "pmax = inf\n"),
 ])
 def test_cli_rejects_bad_value_naming_its_key(tmp_path, capsys, key, flags, lines):
     cfg = tmp_path / "run.cfg"
