@@ -42,9 +42,9 @@ def assert_same_search(ev, interf, config, warm=None):
 def mixed_batch(rng, config, modes, victims=None, gain=(-2.0, 4.0), q_scale=(-4.0, 0.0),
                 interference=(-3.0, 3.0)):
     """An evaluator over one solve per mode (modes in GAMMA_MODES order) on
-    random channels whose per-link gains span ``gain`` decades, and random
-    interference. ``victims`` caps the victims per beam, so the leakage
-    matrices have at most that rank."""
+    random channels whose per-link gains span ``gain`` decades, random
+    interference, and the leakage matrices. ``victims`` caps the victims per
+    beam, so the leakage matrices have at most that rank."""
     b = len(modes)
     shape = (b, config.M, config.n_users, config.N, config.Nt)
     scale = 10.0 ** rng.uniform(*gain, shape[:3] + (1, 1))
@@ -57,8 +57,7 @@ def mixed_batch(rng, config, modes, victims=None, gain=(-2.0, 4.0), q_scale=(-4.
         mask = mask & (np.argsort(order, axis=-1) < victims)
     weights, leakages = _all_leakages(channels, q, mask)
     interf = 10.0 ** rng.uniform(*interference, (b, config.M, config.K, config.N))
-    mixed_batch.leakages = leakages
-    return DualEvaluator(channels, weights, leakages, config, list(modes)), interf
+    return DualEvaluator(channels, weights, leakages, config, list(modes)), interf, leakages
 
 
 def random_config(rng, **fixed):
@@ -78,7 +77,7 @@ def test_search_matches_the_bisection_on_random_mixed_evaluators(seed, warm):
     rng = np.random.default_rng(seed)
     config = random_config(rng)
     modes = sorted(rng.choice(GAMMA_MODES, int(rng.integers(1, 5))), key=GAMMA_MODES.index)
-    ev, interf = mixed_batch(rng, config, modes)
+    ev, interf, _ = mixed_batch(rng, config, modes)
     start = None
     if warm == "random":
         start = 10.0 ** rng.uniform(-10.0, 2.0, ev.lead + (config.M,))
@@ -106,7 +105,7 @@ def test_search_matches_the_bisection_on_channel_draws():
 
 def case_beams_off(rng):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    ev, interf = mixed_batch(rng, config, GAMMA_MODES)
+    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES)
     interf[1] = 1e15                       # the rank_r solve: every beam stays off
     return ev, interf, config, lambda duals, betas: (np.all(duals[1] == config.lambda_min)
                                                      and np.all(betas[1] == 0.0))
@@ -116,7 +115,7 @@ def case_fits_at_the_floor(rng):
     # full-rank leakage comparable to the own link: even at lambda_min the
     # beams that stay on need little power
     config = NetworkConfig(M=2, N=2, K=3, Nt=2, Pmax=3.0)
-    ev, interf = mixed_batch(rng, config, ("direct", "rank_r"), q_scale=(-2.0, -1.5),
+    ev, interf, _ = mixed_batch(rng, config, ("direct", "rank_r"), q_scale=(-2.0, -1.5),
                              gain=(1.0, 2.0), interference=(-3.0, -2.0))
     return ev, interf, config, lambda duals, betas: (np.any(duals == config.lambda_min)
                                                      and np.any(betas > 0.0))
@@ -126,7 +125,7 @@ def case_width_stopped(rng):
     # strong links without leakage: lambda* sits ~1e-10 below lambda_upper, and
     # the power tolerance is a narrower interval than the bracket width
     config = NetworkConfig(M=1, N=1, K=1, Nt=2, weights=np.ones((1, 1, 1)))
-    ev, interf = mixed_batch(rng, config, GAMMA_MODES, gain=(10.0, 10.5), q_scale=(-30, -29),
+    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES, gain=(10.0, 10.5), q_scale=(-30, -29),
                              interference=(-3.0, -2.0))
 
     def width_stopped(duals, betas):
@@ -140,7 +139,7 @@ def case_steep(rng):
     # a tiny budget is met just before the last beams switch off, where
     # ln f falls steeply in ln lambda
     config = NetworkConfig(M=3, N=2, K=2, Nt=3, Pmax=1e-7)
-    ev, interf = mixed_batch(rng, config, GAMMA_MODES)
+    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES)
 
     def steep(duals, betas):
         flat = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
@@ -154,9 +153,9 @@ def case_icbf_wi_rank(rank):
     # the inverse-free Gamma is not an inverse once rank(L) > 1
     def case(rng):
         config = NetworkConfig(M=2, N=2, K=3, Nt=3)
-        ev, interf = mixed_batch(rng, config, ["sherman_morrison"] * 3, victims=rank,
-                                 q_scale=(-1.0, 1.0))
-        ranks = np.linalg.matrix_rank(mixed_batch.leakages, hermitian=True)
+        ev, interf, leakages = mixed_batch(rng, config, ["sherman_morrison"] * 3,
+                                           victims=rank, q_scale=(-1.0, 1.0))
+        ranks = np.linalg.matrix_rank(leakages, hermitian=True)
         return ev, interf, config, lambda duals, betas: ranks.max() == rank
     return case
 
@@ -184,23 +183,29 @@ def count_exact_searches(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("wrong", ["star_up", "star_down", "no_tolerance", "not_located"])
+@pytest.mark.parametrize("wrong", ["over_near_star", "fit_below_star", "within_past_tolerance",
+                                   "no_tolerance", "not_located"])
 def test_a_wrong_prediction_is_caught_and_searched_exactly(monkeypatch, wrong):
     """A located lambda* or lambda_tol that misleads the replay: the verify
     checks fail for the misled BSs, whose solves are searched again exactly,
-    and the result is still the bisection's."""
+    and the result is still the bisection's. Each of the first four misleads
+    a different check: the final lo over budget, the hi within the
+    tolerance, or the smallest midpoint that fit with room."""
     rng = np.random.default_rng(7)
     config = NetworkConfig(M=3, N=2, K=2, Nt=3)
-    ev, interf = mixed_batch(rng, config, GAMMA_MODES)
+    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES)
     real = solver._locate
 
     def misled(*args):
         star, tol = real(*args)
-        if wrong == "star_up":          # every midpoint near lambda* judged over budget
-            star, tol = star * (1 + 1e-3), tol * (1 + 1e-3)
-        elif wrong == "star_down":      # ... judged to fit
+        zone = tol - star                       # where f fits within the tolerance
+        if wrong == "over_near_star":           # the zone's lower half judged over budget
+            star = star + 0.5 * zone
+        elif wrong == "fit_below_star":         # midpoints just below lambda* judged to fit
             star, tol = star * (1 - 1e-3), tol * (1 - 1e-3)
-        elif wrong == "no_tolerance":   # no midpoint judged within the tolerance
+        elif wrong == "within_past_tolerance":  # midpoints with room judged within
+            tol = tol + zone
+        elif wrong == "no_tolerance":           # no midpoint judged within the tolerance
             tol = star
         else:
             star[::2] = tol[::2] = np.nan
@@ -235,7 +240,7 @@ def test_slope_matches_finite_differences():
     every Gamma mode."""
     rng = np.random.default_rng(11)
     config = NetworkConfig(M=2, N=2, K=2, Nt=3)
-    ev, interf = mixed_batch(rng, config, GAMMA_MODES, q_scale=(-1.0, 0.0),
+    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES, q_scale=(-1.0, 0.0),
                              interference=(-2.0, -1.0))
     flat = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
     lam = 0.3 * ev.lam_up
