@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-def _finite(v) -> bool:
+
+def is_finite_number(v) -> bool:
     """A real, non-boolean, finite number."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
@@ -60,9 +61,9 @@ class NetworkConfig:
                 f"M must be 1..3, the cluster sizes the layout generator places; got M={self.M}")
         for name in ("Pmax", "lambda_min"):
             v = getattr(self, name)
-            if not (_finite(v) and v > 0):
+            if not (is_finite_number(v) and v > 0):
                 raise ConfigurationError(f"{name} must be a finite number > 0, got {v!r}")
-        if not _finite(self.gamma_db):
+        if not is_finite_number(self.gamma_db):
             raise ConfigurationError(f"gamma_db must be a finite number, got {self.gamma_db!r}")
         for name in ("inner_tol", "outer_tol"):
             v = getattr(self, name)

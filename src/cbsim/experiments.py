@@ -19,7 +19,6 @@ comparisons).
 from __future__ import annotations
 
 import csv
-import math
 import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import initializers, metrics, refim, solver
-from .config import NetworkConfig
+from .config import NetworkConfig, is_finite_number
 from .errors import CbsimError, ConfigurationError, InvalidStateError
 from .network import (apply_noise, build_topology, draw_channels,
                       dump_channels_csv, dump_topology_csv)
@@ -77,7 +76,7 @@ class ExperimentSpec:
                 if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                     raise ConfigurationError(f"{name} entries must be integers, got {v!r}")
         for v in self.gamma_db:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            if not is_finite_number(v):
                 raise ConfigurationError(f"gamma_db entries must be finite numbers, got {v!r}")
         for name in ("gamma_db", "algos", "k_list", "nt_list"):
             values = tuple(getattr(self, name))
