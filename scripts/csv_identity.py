@@ -11,9 +11,11 @@ from two checkouts into two directories and comparing the sums:
 The matrix: convergence, snr_sweep, ref_sweep and cdf at desk scale and at
 (M, N, K, Nt) = (2, 2, 2, 2), (3, 2, 4, 2), (3, 3, 3, 4) and (2, 3, 2, 1),
 plus the feedback table, each at seeds 1 and 2 with 4 trials, gamma = 10,
-30 and 50 dB and no timestamp line. zf is left out where a cell has more
-users than antennas. Every run goes through the ``sim`` command line; a
-config file sets the network size.
+30 and 50 dB and no timestamp line. The four solver kinds run once more at
+desk scale with ``--workers 2``, so the trials are split into groups and
+across processes. zf is left out where a cell has more users than antennas.
+Every run goes through the ``sim`` command line; a config file sets the
+network size.
 """
 import argparse
 import contextlib
@@ -60,6 +62,12 @@ def main() -> None:
                 run([kind, *flags, *COMMON, "--seed", str(seed), "--algo", ",".join(algos),
                      "--out", str(path)])
                 csvs.append(path)
+    for kind in KINDS:
+        for seed in SEEDS:
+            path = out / f"{kind}_desk_w2_s{seed}.csv"
+            run([kind, *COMMON, "--workers", "2", "--seed", str(seed), "--algo", ",".join(ALGOS),
+                 "--out", str(path)])
+            csvs.append(path)
     for seed in SEEDS:
         path = out / f"feedback_s{seed}.csv"
         run(["feedback", "--trials", "4", "--seed", str(seed), "--no-timestamp",

@@ -30,8 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="master seed (default 0)")
         p.add_argument("--trials", type=int, help="Monte-Carlo trials (default 100)")
         p.add_argument("--algo", help="comma separated algorithm list")
-        p.add_argument("--init", choices=("cm", "zf", "mslnr"),
-                       help="solver starting point (default mslnr)")
+        p.add_argument("--init", help="solver starting point (default mslnr)")
         p.add_argument("--refs", type=int, help="reference users for cb_refim (default 1)")
         p.add_argument("--gamma-db", help="comma separated transmit SNR list in dB")
         p.add_argument("--workers", type=int, help="trial worker processes (default 1)")

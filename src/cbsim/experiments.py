@@ -31,7 +31,7 @@ import numpy as np
 from . import initializers, metrics, refim, solver
 from .config import NetworkConfig, is_finite_number
 from .errors import CbsimError, ConfigurationError, InvalidStateError
-from .network import (apply_noise, build_topology, draw_channels,
+from .network import (ChannelState, apply_noise, build_topology, draw_channels,
                       dump_channels_csv, dump_topology_csv)
 
 EXPERIMENT_KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf", "feedback")
@@ -67,14 +67,14 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigurationError(
                 f"unknown experiment '{self.kind}', expected one of {EXPERIMENT_KINDS}")
-        for name, low in (("trials", 1), ("seed", 0), ("refs", 0), ("workers", 1),
-                          ("qbits", 1)):
+        lows = {"trials": 1, "seed": 0, "refs": 0, "workers": 1, "qbits": 1}
+        ints = [(name, getattr(self, name)) for name in lows]
+        for name, v in ints + [(n, v) for n in ("k_list", "nt_list") for v in getattr(self, n)]:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigurationError(f"{name} takes integers only, got {v!r}")
+        for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("k_list", "nt_list"):
-            for v in getattr(self, name):
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                    raise ConfigurationError(f"{name} entries must be integers, got {v!r}")
         for v in self.gamma_db:
             if not is_finite_number(v):
                 raise ConfigurationError(f"gamma_db entries must be finite numbers, got {v!r}")
@@ -89,7 +89,8 @@ class ExperimentSpec:
             if algo not in SOLVER_ALGOS | BASELINE_ALGOS:
                 raise ConfigurationError(f"unknown algorithm '{algo}'")
         if self.init not in initializers.INITIALIZERS:
-            raise ConfigurationError(f"unknown initializer '{self.init}'")
+            raise ConfigurationError(f"init must be one of {sorted(initializers.INITIALIZERS)}, "
+                                     f"got {self.init!r}")
 
 
 def spec_from_values(kind: str, values: dict, overrides: dict | None = None) -> ExperimentSpec:
@@ -122,86 +123,84 @@ class TrialResult:
     user_rates: dict = field(default_factory=dict)       # (algo, gamma) -> (M*K,) array
 
 
-def _outer_series(trace, config: NetworkConfig, wsr_final: float) -> list[float]:
-    """Sum-rate at the end of each outer iteration, continued when the solver
-    stopped early so every algorithm reports L_out_max points."""
-    series = list(trace.outer_sum_rates) if trace is not None else []
-    if not series:
-        series = [wsr_final]
-    while len(series) < config.L_out_max:
-        series.append(series[-1])
-    return series[:config.L_out_max]
-
-
-def _solver_refs(spec: ExperimentSpec, ref_counts: tuple[int, ...] | None
-                 ) -> list[tuple[str, tuple[int, ...]]]:
-    """Each solver of ``spec.algos`` with the reference counts it runs at:
-    cb_refim at every one of ``ref_counts`` when given, else at ``spec.refs``."""
-    return [(algo, ref_counts if algo == "cb_refim" and ref_counts is not None
-             else (spec.refs,)) for algo in spec.algos if algo in SOLVER_ALGOS]
+def _solves(spec: ExperimentSpec, ref_counts: tuple[int, ...] | None
+            ) -> list[tuple[str, int]]:
+    """The (solver, reference count) solves of one draw: each solver of
+    ``spec.algos`` at ``spec.refs``, cb_refim at every one of ``ref_counts``
+    instead when given."""
+    return [(algo, refs) for algo in spec.algos if algo in SOLVER_ALGOS
+            for refs in (ref_counts if algo == "cb_refim" and ref_counts is not None
+                         else (spec.refs,))]
 
 
 def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
                       trials: tuple[int, ...],
                       ref_counts: tuple[int, ...] | None = None) -> list[TrialResult]:
-    """Channel realizations ``trials``: initialize, then run every solver
-    over all of them at once. Returns one result per trial, in order.
+    """Channel realizations ``trials`` as one stack with leading (trial,
+    gamma) axes. Returns one result per trial, in order.
 
-    A trial's raw fading/shadowing draw is shared across gamma points; only
-    the noise normalization changes with the transmit SNR. Each initializer
-    runs once per (trial, gamma), and its beams serve both its own baseline
-    row and every solver that starts from it. One :func:`solver.solve_batch`
-    runs every (algorithm, trial, gamma) solve of the solvers and, when
-    ``ref_counts`` is given, cb_refim at every count too. A solve's result
-    does not depend on its batch, so each trial's result is bit-identical to
-    its :func:`run_solver_trial` alone.
+    Each trial's raw draw is normalized at every SNR point in one broadcast.
+    Each initializer runs once on the stack, for its baseline row and every
+    solver start; one :func:`solver.solve_batch` runs every (algorithm, trial,
+    gamma) solve, cb_refim at every one of ``ref_counts`` when given; one
+    batched link state rates every row. A solve's result does not depend on
+    its batch, so each trial's result is bit-identical to its
+    :func:`run_solver_trial` alone.
     """
-    cfgs = [config.with_gamma_db(gamma) for gamma in spec.gamma_db]
-    channels = {}   # (trial, gamma index) -> noise-normalized channels
+    sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in spec.gamma_db]
+    draws = []
     for t in trials:
         s_topo, s_chan = trial_seeds(spec.seed, t)
         topology = build_topology(config, s_topo)
-        raw = draw_channels(topology, config, s_chan)
-        for i, cfg in enumerate(cfgs):
-            channels[t, i] = apply_noise(topology, cfg, raw)
+        noisy = apply_noise(topology, config, draw_channels(topology, config, s_chan), sigma2)
+        draws.append(noisy.normalized)
         if spec.dump_prefix and t == 0:
             dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
-            dump_channels_csv(channels[0, 0], f"{spec.dump_prefix}_channels.csv")
-    results = {t: TrialResult(trial=t) for t in trials}
-    starts = {}
-
-    def start(name: str, t: int, i: int) -> np.ndarray:
-        if (name, t, i) not in starts:
-            starts[name, t, i] = initializers.make_initial_beams(name, channels[t, i], cfgs[i])
-        return starts[name, t, i]
-
-    def record(algo, t, i, refs, beams, trace):
-        gamma, cfg, result = spec.gamma_db[i], cfgs[i], results[t]
-        report = metrics.rate_report(channels[t, i], beams, cfg)
-        key = (algo, gamma) if refs is None else (algo, gamma, refs)
-        result.final_wsr[key] = report.weighted_sum_rate
-        result.outer_traces[(algo, gamma)] = _outer_series(trace, cfg, report.weighted_sum_rate)
-        result.user_rates[(algo, gamma)] = report.user_rates.ravel()
-        if spec.dump_prefix and t == 0 and trace is not None:
-            suffix = "" if refs is None else f"_r{refs}"
-            trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
-
-    for algo in spec.algos:
-        if algo in BASELINE_ALGOS:
-            for t in trials:
-                for i in range(len(cfgs)):
-                    record(algo, t, i, None, start(algo, t, i), None)
-    solves = [(algo, t, i, refs) for algo, counts in _solver_refs(spec, ref_counts)
-              for t in trials for i in range(len(cfgs)) for refs in counts]
+            dump_channels_csv(ChannelState(normalized=noisy.normalized[0]),
+                              f"{spec.dump_prefix}_channels.csv")
+    channels = ChannelState(normalized=np.stack(draws))
+    shape = channels.normalized.shape[:2]                       # (trial, gamma)
+    baselines = [algo for algo in spec.algos if algo in BASELINE_ALGOS]
+    solves = _solves(spec, ref_counts)
+    inits = {name: initializers.make_initial_beams(name, channels, config)
+             for name in dict.fromkeys(baselines + ([spec.init] if solves else []))}
+    # one row per baseline and per solve: algo, the reference count of a
+    # ref_sweep key or None, and beams and traces by (trial, gamma)
+    rows = [(algo, None, inits[algo], None) for algo in baselines]
     if solves:
+        def per_solve(x):       # (trial, gamma, ...) -> (solve * trial * gamma, ...)
+            return np.concatenate([x] * len(solves)).reshape((-1,) + x.shape[2:])
+
+        each = shape[0] * shape[1]
         beams, traces = solver.solve_batch(
-            [channels[t, i] for _, t, i, _ in solves], config,
-            np.stack([start(spec.init, t, i) for _, t, i, _ in solves]),
-            [algo for algo, _, _, _ in solves], [refs for _, _, _, refs in solves])
-        for (algo, t, i, refs), best, trace in zip(solves, beams, traces):
-            sweep = algo == "cb_refim" and ref_counts is not None
-            record(algo, t, i, refs if sweep else None, best, trace)
-    return [results[t] for t in trials]
+            ChannelState(normalized=per_solve(channels.normalized)), config,
+            per_solve(inits[spec.init]), [algo for algo, _ in solves for _ in range(each)],
+            [refs for _, refs in solves for _ in range(each)])
+        beams = beams.reshape((len(solves),) + shape + beams.shape[1:])
+        traces = np.array(traces, dtype=object).reshape((len(solves),) + shape)
+        rows += [(algo, refs if algo == "cb_refim" and ref_counts is not None else None,
+                  beams[s], traces[s]) for s, (algo, refs) in enumerate(solves)]
+    link = metrics.link_state(channels, np.stack([row[2] for row in rows]), config)
+    wsr = metrics.sum_rate_of_link(config, link).tolist()
+    user_rates = np.sum(np.log2(1.0 + metrics.sinr_of_link(config, link))
+                        * config.assignment, axis=-1)
+    results = [TrialResult(trial=t) for t in trials]
+    cap = config.L_out_max
+    for (algo, refs, _, row_traces), row_wsr, row_rates in zip(rows, wsr, user_rates):
+        for i, (t, result) in enumerate(zip(trials, results)):
+            for j, gamma in enumerate(spec.gamma_db):
+                trace = None if row_traces is None else row_traces[i, j]
+                key = (algo, gamma) if refs is None else (algo, gamma, refs)
+                result.final_wsr[key] = row_wsr[i][j]
+                # the sum-rate after each outer iteration, continued past the
+                # end of the solve so that every row has L_out_max points
+                series = [row_wsr[i][j]] if trace is None else trace.outer_sum_rates
+                result.outer_traces[(algo, gamma)] = (series + series[-1:] * cap)[:cap]
+                result.user_rates[(algo, gamma)] = row_rates[i, j].ravel()
+                if spec.dump_prefix and t == 0 and trace is not None:
+                    suffix = "" if refs is None else f"_r{refs}"
+                    trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
+    return results
 
 
 def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
@@ -219,8 +218,7 @@ def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec,
     one trial."""
     triples = config.M * config.K * config.N
     per_solve = triples * (8 * config.M * config.K + 16 * config.Nt ** 2)
-    solves = sum(len(counts) for _, counts in _solver_refs(spec, ref_counts))
-    per_trial = per_solve * len(spec.gamma_db) * solves
+    per_trial = per_solve * len(spec.gamma_db) * len(_solves(spec, ref_counts))
     cap = max(1, BATCH_BYTES // max(per_trial, 1))
     groups = max(-(-spec.trials // cap), min(spec.workers, spec.trials))
     return -(-spec.trials // groups)

@@ -34,8 +34,9 @@ def link_state(channels: ChannelState, beams: np.ndarray,
     amps[j, u, g, n] = h_{j,g}(n)^H v_{j,u}(n), shape (M, K, MK, N);
     total[g, n] is the power user g receives from every active beam on n and
     signal[g, n] the part of it from the user's own beam, both (MK, N).
-    Inactive beams contribute exact zeros. Channels and beams may carry the
-    same leading batch axes, which every output then leads with.
+    Inactive beams contribute exact zeros. Channels and beams may carry
+    leading batch axes that broadcast together (one stack of draws against
+    several beam sets for it), which every output then leads with.
     """
     h = channels.normalized
     amps = np.einsum("...jgna,...juna->...jugn", h.conj(), beams)

@@ -71,20 +71,16 @@ class ChannelState:
 
     raw:        (n_bs, M*K, N, Nt) complex, all BSs including uncoordinated
     shadow:     (n_bs, M*K) linear shadowing gains L per link
-    noise:      (M*K, N) linear noise power per (user, subchannel)
-    normalized: (M, M*K, N, Nt) complex, coordinated BSs only,
-                normalized = raw / sqrt(noise)
+    noise:      (..., M*K, N) linear noise power per (user, subchannel)
+    normalized: (..., M, M*K, N, Nt) complex, coordinated BSs only,
+                normalized = raw / sqrt(noise); the leading axes, if any,
+                stack SNR points or channel draws
     """
     raw: np.ndarray | None = None
     shadow: np.ndarray | None = None
     noise: np.ndarray | None = None
     normalized: np.ndarray | None = None
     n_coordinated: int = 0
-
-    def copy_raw(self) -> "ChannelState":
-        """Share raw fading/shadowing but drop noise-dependent members."""
-        return ChannelState(raw=self.raw, shadow=self.shadow,
-                            n_coordinated=self.n_coordinated)
 
 
 def own_links(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
@@ -178,11 +174,13 @@ def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> Chann
 
 
 def compute_noise(topology: Topology, config: NetworkConfig,
-                  channels: ChannelState) -> np.ndarray:
+                  channels: ChannelState, sigma2: list[float] | None = None) -> np.ndarray:
     """Long-term noise map: thermal floor plus uncoordinated-BS interference.
 
     noise[g, n] = sigma^2 + sum over uncoordinated BSs of
-    (200/d)^3.5 * L * Pmax / N. Fills ``channels.noise`` and returns it.
+    (200/d)^3.5 * L * Pmax / N, at ``config.sigma2`` or at each of the
+    thermal floors ``sigma2`` along a leading axis. Fills ``channels.noise``
+    and returns it.
     """
     if channels.shadow is None:
         raise InvalidStateError("draw_channels must run before compute_noise")
@@ -190,20 +188,21 @@ def compute_noise(topology: Topology, config: NetworkConfig,
     m0 = topology.n_coordinated
     gains = path_gain(dist[m0:]) * channels.shadow[m0:]       # (24, MK)
     out_power = gains.sum(axis=0) * config.Pmax / config.N    # (MK,)
-    noise = config.sigma2 + out_power
-    channels.noise = np.repeat(noise[:, None], config.N, axis=1)
+    noise = (config.sigma2 if sigma2 is None else np.asarray(sigma2)[:, None]) + out_power
+    channels.noise = np.repeat(noise[..., None], config.N, axis=-1)
     return channels.noise
 
 
 def normalize_channels(channels: ChannelState) -> ChannelState:
-    """Fill ``normalized`` with raw / sqrt(noise) for the coordinated BSs."""
+    """Fill ``normalized`` with raw / sqrt(noise) for the coordinated BSs,
+    with the leading axes of the noise."""
     if channels.raw is None or channels.noise is None:
         raise InvalidStateError("raw channels and noise must exist before normalization")
     if np.any(channels.noise <= 0):
         raise InvalidStateError("noise power must be strictly positive")
     m0 = channels.n_coordinated
-    scale = 1.0 / np.sqrt(channels.noise)                     # (MK, N)
-    normalized = channels.raw[:m0] * scale[None, :, :, None]
+    scale = 1.0 / np.sqrt(channels.noise)                     # (..., MK, N)
+    normalized = channels.raw[:m0] * scale[..., None, :, :, None]
     if not np.all(np.isfinite(normalized)):
         raise InvalidStateError("normalized channels contain non-finite entries")
     norms = np.linalg.norm(normalized, axis=-1)
@@ -217,17 +216,17 @@ def realize_network(config: NetworkConfig, seed: int) -> tuple[Topology, Channel
     """Topology + fully normalized channels from a single master seed."""
     s_topo, s_chan = np.random.SeedSequence(seed).generate_state(2)
     topology = build_topology(config, int(s_topo))
-    channels = draw_channels(topology, config, int(s_chan))
-    compute_noise(topology, config, channels)
-    normalize_channels(channels)
-    return topology, channels
+    return topology, apply_noise(topology, config, draw_channels(topology, config, int(s_chan)))
 
 
 def apply_noise(topology: Topology, config: NetworkConfig,
-                channels: ChannelState) -> ChannelState:
-    """Noise + normalization for an existing raw draw (used by SNR sweeps)."""
-    fresh = channels.copy_raw()
-    compute_noise(topology, config, fresh)
+                channels: ChannelState, sigma2: list[float] | None = None) -> ChannelState:
+    """Noise + normalization of a fresh state sharing an existing raw draw:
+    at ``config.sigma2``, or at every thermal floor of ``sigma2`` in one
+    broadcast, one entry of a leading axis each."""
+    fresh = ChannelState(raw=channels.raw, shadow=channels.shadow,
+                         n_coordinated=channels.n_coordinated)
+    compute_noise(topology, config, fresh, sigma2)
     return normalize_channels(fresh)
 
 

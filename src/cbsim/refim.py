@@ -24,7 +24,8 @@ from .solver import LN2, _all_leakages, full_mask, q_coefficients
 
 
 def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
-    """Place of every user in every beam's candidate order, shape (M, K, N, MK).
+    """Place of every user in every beam's candidate order, shape (..., M, K, N, MK)
+    with any leading batch axes of the channels (a stack of draws).
 
     ranks[m, k, n, g] = i when user g is the (i+1)-th highest-scoring
     candidate of beam (m, k, n), and the largest int when g is no candidate.
@@ -34,11 +35,12 @@ def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     candidates when r exceeds their count), and
     ``np.argsort(ranks, kind="stable")`` lists them in descending score. Every
     score is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2, and
-    sorted once per beam.
+    sorted once per beam. Every draw of a stack gets its own ranks bit for bit.
     """
-    h = channels.normalized                                           # (M, MK, N, Nt)
-    gain = np.sum(np.abs(h) ** 2, axis=-1).swapaxes(1, 2)[:, None]      # (M, 1, N, MK)
-    cross = np.abs(np.einsum("mgna,mkna->mkng", h.conj(), own_links(channels, config))) ** 2
+    h = channels.normalized                                           # (..., M, MK, N, Nt)
+    gain = np.sum(np.abs(h) ** 2, axis=-1).swapaxes(-1, -2)[..., None, :, :]  # (..., M, 1, N, MK)
+    cross = np.abs(np.einsum("...mgna,...mkna->...mkng", h.conj(),
+                             own_links(channels, config))) ** 2
     candidates = full_mask(config)
     order = np.argsort(np.where(candidates, -(gain * cross), np.inf), axis=-1, kind="stable")
     ranks = np.empty_like(order)

@@ -693,29 +693,28 @@ class SolverTrace:
 def _take(channels: ChannelState, link: tuple,
           solves: np.ndarray) -> tuple[ChannelState, tuple]:
     """The batched channels and link state of the given batch positions."""
-    sub = ChannelState(normalized=channels.normalized[solves],
-                       n_coordinated=channels.n_coordinated)
-    return sub, tuple(a[solves] for a in link)
+    return ChannelState(normalized=channels.normalized[solves]), tuple(a[solves] for a in link)
 
 
-def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.ndarray,
+def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray,
                 algo: str | list[str], ref_counts: int | list[int] = 1
                 ) -> tuple[np.ndarray, list[SolverTrace]]:
     """Run the double-loop coordinated beamforming algorithm on B independent solves.
 
     The solves share ``config``. Each has its own noise-normalized channels,
-    which carry its transmit SNR (``config.gamma_db`` is not read), its own
-    initial beams in ``inits`` (B, M, K, N, Nt), its own algorithm (``algo``:
-    one name for all, or one per solve) and, for cb_refim, its own reference
-    count (``ref_counts``: one for all, or one per solve).
+    ``channels.normalized[b]`` of (B, M, MK, N, Nt), which carry its transmit
+    SNR (``config.gamma_db`` is not read), its own initial beams in ``inits``
+    (B, M, K, N, Nt), its own algorithm (``algo``: one name for all, or one
+    per solve) and, for cb_refim, its own reference count (``ref_counts``: one
+    for all, or one per solve).
 
     Outer iterations recompute the leakage matrices and the dual evaluator;
     cb_refim's reference users depend only on the channels and are selected
-    once per channel state. Inner iterations recompute interference, duals, beam
-    scalings and beams, stopping on relative sum-rate stagnation or the
-    iteration caps; one link state per iterate serves all of them. The best
-    iterate seen (the initializer included) is returned, so the result never
-    degrades the starting point.
+    once, in one pass over every cb_refim solve. Inner iterations recompute
+    interference, duals, beam scalings and beams, stopping on relative sum-rate
+    stagnation or the iteration caps; one link state per iterate serves all of
+    them. The best iterate seen (the initializer included) is returned, so the
+    result never degrades the starting point.
 
     Every solve still running takes one inner iteration per step: one joint
     dual search, one beam update and one link-state pass over all of them,
@@ -728,16 +727,18 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
     Returns the best beams (B, M, K, N, Nt) and one :class:`SolverTrace` per
     solve, both in the caller's order.
     """
-    n_solves = len(channels)
+    h = channels.normalized
+    n_solves = len(h)
     algos = [algo] * n_solves if isinstance(algo, str) else list(algo)
     for name in algos:
         if name not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm '{name}', expected one of {ALGORITHMS}")
     beams = np.array(inits)
-    shape = (n_solves, config.M, config.K, config.N, config.Nt)
-    if not n_solves or beams.shape != shape:
-        raise UsageError(f"need initial beams {shape} for {n_solves} channel states, "
-                         f"got {beams.shape}")
+    want = ((n_solves, config.M, config.n_users, config.N, config.Nt),
+            (n_solves, config.M, config.K, config.N, config.Nt))
+    if not n_solves or (h.shape, beams.shape) != want:
+        raise UsageError(f"need channels {want[0]} and initial beams {want[1]}, "
+                         f"got {h.shape} and {beams.shape}")
     if len(algos) != n_solves:
         raise UsageError(f"need one algorithm or {n_solves}, got {len(algos)}")
     refs = [ref_counts] * n_solves if np.ndim(ref_counts) == 0 else list(ref_counts)
@@ -749,23 +750,19 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
     modes = [_ALGO_GAMMA[name] for name in algos]
     order = sorted(range(n_solves), key=lambda b: GAMMA_MODES.index(modes[b]))
-    channels, beams = [channels[b] for b in order], beams[order]
+    chans = ChannelState(normalized=h[order])
+    beams = beams[order]
     algos, refs, modes = ([seq[b] for b in order] for seq in (algos, refs, modes))
-    ranks = {}   # one selection per distinct cb_refim channel state object, cut at each count
-    if "cb_refim" in algos:
+    masks = np.repeat(full_mask(config)[None], n_solves, axis=0)
+    cb = np.flatnonzero(np.array(algos) == "cb_refim")
+    if cb.size:
         from . import refim
-        counts = [r for name, r in zip(algos, refs) if name == "cb_refim"]
-        if min(counts) < 0:
-            raise ConfigurationError(f"reference count must be >= 0, got {min(counts)}")
-        for ch, name in zip(channels, algos):
-            if name == "cb_refim" and id(ch) not in ranks:
-                ranks[id(ch)] = refim.reference_map(ch, config)
-    full = full_mask(config)
-    masks = np.stack([ranks[id(ch)] < r if name == "cb_refim" else full
-                      for ch, name, r in zip(channels, algos, refs)])
+        counts = np.array(refs)[cb]
+        if counts.min() < 0:
+            raise ConfigurationError(f"reference count must be >= 0, got {counts.min()}")
+        ranks = refim.reference_map(ChannelState(normalized=chans.normalized[cb]), config)
+        masks[cb] = ranks < counts[:, None, None, None, None]
 
-    chans = ChannelState(normalized=np.stack([ch.normalized for ch in channels]),
-                         n_coordinated=config.M)
     link = link_state(chans, beams, config)
     # per solve, by batch position: latest and best sum-rate, best iterate, counters
     wsr = sum_rate_of_link(config, link).tolist()
@@ -840,7 +837,8 @@ def solve_batch(channels: list[ChannelState], config: NetworkConfig, inits: np.n
 def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
           algo: str, ref_count: int = 1) -> tuple[np.ndarray, SolverTrace]:
     """One solve: :func:`solve_batch` with B = 1."""
-    beams, traces = solve_batch([channels], config, init[None], algo, ref_count)
+    beams, traces = solve_batch(ChannelState(normalized=channels.normalized[None]),
+                                config, init[None], algo, ref_count)
     return beams[0], traces[0]
 
 

@@ -86,7 +86,8 @@ def suite():
     for name, gamma, algo, refs in runs:
         cfg = config0.with_gamma_db(gamma)
         inits = np.stack(acc["init"][gamma])
-        beams, traces = solve_batch(states[gamma], cfg, inits, algo, refs)
+        stacked = ChannelState(normalized=np.stack([ch.normalized for ch in states[gamma]]))
+        beams, traces = solve_batch(stacked, cfg, inits, algo, refs)
         for channels, best, trace in zip(states[gamma], beams, traces):
             record(name, gamma, rate_report(channels, best, cfg), trace, cfg)
     return acc

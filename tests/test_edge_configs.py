@@ -14,7 +14,7 @@ import pytest
 from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr
 from cbsim.metrics import power_feasible, weighted_sum_rate
-from cbsim.network import realize_network
+from cbsim.network import ChannelState, realize_network
 from cbsim.solver import ALGORITHMS, solve, solve_batch
 
 SEEDS = range(5)
@@ -85,7 +85,8 @@ def test_edge_config_batch_of_seeds_solves_cleanly(name, algo):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         inits = np.stack([init_mslnr(channels, config) for channels in states])
-        beams, traces = solve_batch(states, config, inits, algo, ref_counts=1)
+        stacked = ChannelState(normalized=np.stack([ch.normalized for ch in states]))
+        beams, traces = solve_batch(stacked, config, inits, algo, ref_counts=1)
         alone = [solve(channels, config, init, algo, ref_count=1)
                  for channels, init in zip(states, inits)]
     for channels, best, trace, (beams_1, trace_1) in zip(states, beams, traces, alone):

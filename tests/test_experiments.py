@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbsim import experiments, initializers, refim, solver
+from cbsim import experiments, initializers, metrics, refim, solver
 from cbsim.cli import main, parse_config
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.experiments import (ExperimentSpec, feedback_table,
                                run_experiment, run_solver_trial, trial_seeds)
 from cbsim.initializers import init_mslnr
-from cbsim.network import apply_noise, build_topology, draw_channels
+from cbsim.network import ChannelState, apply_noise, build_topology, draw_channels
 from cbsim.refim import feedback_bits
 
 
@@ -232,20 +232,59 @@ def test_trial_results_independent_of_other_trials():
     assert solo.final_wsr[key] == again.final_wsr[key]
 
 
-def test_each_initializer_runs_once_per_gamma(monkeypatch):
-    """The mslnr beams serve the baseline row and every solver start."""
+def test_harness_matches_a_loop_of_single_solves():
+    """run_solver_trials on 3 trials at 2 SNR points, with cb_refim swept over
+    0, 1 and 2 references, equals bit for bit a loop over (trial, gamma) that
+    normalizes, initializes, solves and rates each draw on its own."""
+    config = small_config()
+    spec = small_spec("ref_sweep", "unused.csv", trials=3, gamma_db=(10.0, 30.0),
+                      algos=("cm", "mslnr", "icbf", "icbf_wi", "cb_refim"))
+    ref_counts = (0, 1, 2)
+    got = experiments.run_solver_trials(config, spec, (0, 1, 2), ref_counts)
+    for t, result in zip((0, 1, 2), got, strict=True):
+        want = experiments.TrialResult(trial=t)
+        s_topo, s_chan = trial_seeds(spec.seed, t)
+        topology = build_topology(config, s_topo)
+        raw = draw_channels(topology, config, s_chan)
+        for gamma in spec.gamma_db:
+            cfg = config.with_gamma_db(gamma)
+            channels = apply_noise(topology, cfg, raw)
+            start = initializers.make_initial_beams(spec.init, channels, cfg)
+            for algo in spec.algos:
+                if algo not in solver.ALGORITHMS:
+                    runs = [(None, initializers.make_initial_beams(algo, channels, cfg), None)]
+                elif algo == "cb_refim":
+                    runs = [(r, *solver.solve(channels, cfg, start, algo, r)) for r in ref_counts]
+                else:
+                    runs = [(None, *solver.solve(channels, cfg, start, algo, spec.refs))]
+                for refs, beams, trace in runs:
+                    report = metrics.rate_report(channels, beams, cfg)
+                    key = (algo, gamma) if refs is None else (algo, gamma, refs)
+                    want.final_wsr[key] = report.weighted_sum_rate
+                    series = trace.outer_sum_rates if trace else [report.weighted_sum_rate]
+                    pad = [series[-1]] * (cfg.L_out_max - len(series))
+                    want.outer_traces[(algo, gamma)] = series + pad
+                    want.user_rates[(algo, gamma)] = report.user_rates.ravel()
+        assert_same_results(result, want)
+
+
+def test_each_initializer_runs_once_per_group(monkeypatch):
+    """Each initializer runs once, on the group's stack of (trial, gamma)
+    draws; the mslnr beams serve the baseline row and every solver start."""
     calls = []
-    mslnr = initializers.INITIALIZERS["mslnr"]
 
-    def counting(channels, cfg):
-        calls.append(cfg.gamma_db)
-        return mslnr(channels, cfg)
+    def counting(name, init):
+        def wrapper(channels, cfg):
+            calls.append((name, channels.normalized.shape[:2]))
+            return init(channels, cfg)
+        return wrapper
 
-    monkeypatch.setitem(initializers.INITIALIZERS, "mslnr", counting)
-    spec = small_spec("ref_sweep", "unused.csv", gamma_db=(10.0, 30.0),
-                      algos=("mslnr", "icbf", "cb_refim"))
-    run_solver_trial(small_config(), spec, 0, ref_counts=(0, 1, 2))
-    assert calls == [10.0, 30.0]
+    for name, init in list(initializers.INITIALIZERS.items()):
+        monkeypatch.setitem(initializers.INITIALIZERS, name, counting(name, init))
+    spec = small_spec("ref_sweep", "unused.csv", trials=3, gamma_db=(10.0, 30.0),
+                      algos=("cm", "mslnr", "icbf", "cb_refim"))
+    experiments.run_solver_trials(small_config(), spec, (0, 1, 2), ref_counts=(0, 1, 2))
+    assert calls == [("cm", (3, 2)), ("mslnr", (3, 2))]
 
 
 def test_spec_validation():
@@ -266,7 +305,12 @@ def test_spec_validation():
                             ("gamma_db", (np.inf,), "inf"), ("gamma_db", (True,), "True")]:
         with pytest.raises(ConfigurationError, match=f"{key} .*{bad}"):
             ExperimentSpec(kind="feedback", **{key: value})
+    for key in ("trials", "seed", "refs", "workers", "qbits"):
+        for value, bad in [(2.5, "2.5"), (True, "True"), (np.True_, "True"), ("3", "'3'")]:
+            with pytest.raises(ConfigurationError, match=f"{key} takes integers only.*{bad}"):
+                ExperimentSpec(kind="feedback", **{key: value})
     assert ExperimentSpec(kind="feedback", k_list=(np.int64(2),)).k_list == (2,)
+    assert ExperimentSpec(kind="feedback", trials=np.int64(3), qbits=np.int32(4)).qbits == 4
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +372,7 @@ def test_cli_rejects_bad_config(tmp_path):
     ("gamma_db", ["--gamma-db", "10,inf"], ""),
     ("lambda_min", [], "lambda_min = inf\n"),
     ("Pmax", [], "pmax = inf\n"),
+    ("init", ["--init", "mrc"], ""),
 ])
 def test_cli_rejects_bad_value_naming_its_key(tmp_path, capsys, key, flags, lines):
     cfg = tmp_path / "run.cfg"
@@ -433,7 +478,8 @@ def test_cli_dump_prefix_writes_debug_csvs(tmp_path):
                                                    "gamma_db": (20.0, 30.0)})
     channels = [trial_channels(config, spec.seed, 0, gamma) for gamma in (20.0, 30.0)]
     inits = np.stack([init_mslnr(ch, config) for ch in channels])
-    _, traces = solver.solve_batch(channels, config, inits, "icbf")
+    stacked = ChannelState(normalized=np.stack([ch.normalized for ch in channels]))
+    _, traces = solver.solve_batch(stacked, config, inits, "icbf")
     for gamma, trace in zip(("20", "30"), traces):
         want = tmp_path / f"want_{gamma}.csv"
         trace.to_csv(want)
@@ -500,8 +546,8 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
     real_solve, batches = solver.solve_batch, []
 
     def singular_in_trial_1(channels, *args, **kwargs):
-        batches.append(len(channels))
-        if any(np.array_equal(ch.normalized, doomed.normalized) for ch in channels):
+        batches.append(len(channels.normalized))
+        if any(np.array_equal(h, doomed.normalized) for h in channels.normalized):
             raise np.linalg.LinAlgError("injected singular matrix")
         return real_solve(channels, *args, **kwargs)
 

@@ -225,6 +225,13 @@ def test_apply_noise_shares_raw_draw():
     hi = apply_noise(topo, config.with_gamma_db(40.0), raw)
     assert lo.raw is raw.raw
     assert np.all(hi.noise < lo.noise)
+    # every SNR point in one broadcast: each point's state bit for bit
+    sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in (10.0, 40.0)]
+    both = apply_noise(topo, config, raw, sigma2)
+    assert both.raw is raw.raw
+    for point, alone in enumerate((lo, hi)):
+        assert np.array_equal(both.noise[point], alone.noise)
+        assert np.array_equal(both.normalized[point], alone.normalized)
 
 
 def test_csv_dumps(tmp_path):

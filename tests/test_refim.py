@@ -95,12 +95,30 @@ def test_mask_of_any_count_from_one_selection():
                 assert references_of(ranks, config, r_count) == expected
 
 
+def test_reference_map_on_a_stack_of_draws():
+    """On a ChannelState stacking 6 draws along two leading axes, every
+    draw's ranks equal its own unstacked ranks bit for bit, on random sizes
+    and partial assignments."""
+    rng = np.random.default_rng(33)
+    for draw in range(50):
+        config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
+                               K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)))
+        config.assignment[:] = rng.random(config.assignment.shape) < 0.7
+        states = [synthetic_channels(config, 6 * draw + d) for d in range(6)]
+        h = np.stack([state.normalized for state in states])
+        ranks = reference_map(ChannelState(normalized=h.reshape((2, 3) + h.shape[1:])), config)
+        assert ranks.shape == (2, 3, config.M, config.K, config.N, config.n_users)
+        for d, state in enumerate(states):
+            assert np.array_equal(ranks[divmod(d, 3)], reference_map(state, config))
+
+
 def test_negative_reference_count_rejected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
     state = synthetic_channels(config)
     init = init_mslnr(state, config)[None]
     with pytest.raises(ConfigurationError, match="reference count"):
-        solve_batch([state], config, init, "cb_refim", ref_counts=[-1])
+        solve_batch(ChannelState(normalized=state.normalized[None]), config, init,
+                    "cb_refim", ref_counts=[-1])
 
 
 def test_single_candidate_is_selected():

@@ -10,7 +10,7 @@ import pytest
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_mslnr
-from cbsim.network import apply_noise, build_topology, draw_channels
+from cbsim.network import ChannelState, apply_noise, build_topology, draw_channels
 from cbsim.solver import ALGORITHMS, solve, solve_batch
 
 GAMMAS = (10.0, 30.0, 50.0)
@@ -27,6 +27,11 @@ def trial(seed, config=None):
         channels = apply_noise(topology, cfg, raw)
         out.append((channels, cfg, init_mslnr(channels, cfg)))
     return out
+
+
+def stack(states):
+    """One ChannelState whose leading axis holds the given draws."""
+    return ChannelState(normalized=np.stack([ch.normalized for ch in states]))
 
 
 def assert_same_solve(batched, alone):
@@ -55,7 +60,7 @@ def test_mixed_batch_matches_each_solve(algo, reverse):
     solves = [(ch, cfg, init, r) for ch, cfg, init in trial(3) for r in refs]
     if reverse:
         solves.reverse()
-    beams, traces = solve_batch([s[0] for s in solves], solves[0][1],
+    beams, traces = solve_batch(stack([s[0] for s in solves]), solves[0][1],
                                 np.stack([s[2] for s in solves]), algo,
                                 [s[3] for s in solves])
     assert len(traces) == beams.shape[0] == len(solves)
@@ -65,7 +70,7 @@ def test_mixed_batch_matches_each_solve(algo, reverse):
 
 def test_mixed_algorithm_batch_matches_each_solve():
     """icbf, icbf_wi and cb_refim interleaved in one batch, across two channel
-    draws whose ChannelState objects every algorithm shares, with mixed
+    draws that every algorithm shares, with mixed
     reference counts: each solve is its own solve, returned in the caller's
     order, and the solves leave the batch at different steps."""
     draws = trial(3) + trial(8)
@@ -74,7 +79,7 @@ def test_mixed_algorithm_batch_matches_each_solve():
               for algo, r in (("cb_refim", j % 3), ("icbf_wi", 1), ("icbf", 2),
                               ("cb_refim", 8 - j))]
     solves = solves[1::2] + solves[::2]          # mix the order of the algorithms
-    beams, traces = solve_batch([s[0] for s in solves], NetworkConfig(),
+    beams, traces = solve_batch(stack([s[0] for s in solves]), NetworkConfig(),
                                 np.stack([s[2] for s in solves]),
                                 [s[3] for s in solves], [s[4] for s in solves])
     assert [t.algo for t in traces] == [s[3] for s in solves]
@@ -88,11 +93,11 @@ def test_algorithm_list_checked():
     (ch, cfg, init), = trial(3)[:1]
     inits = np.stack([init] * 3)
     with pytest.raises(UsageError, match="one algorithm or 3, got 2"):
-        solve_batch([ch] * 3, cfg, inits, ["icbf", "cb_refim"])
+        solve_batch(stack([ch] * 3), cfg, inits, ["icbf", "cb_refim"])
     with pytest.raises(ConfigurationError, match="'wmmse'"):
-        solve_batch([ch] * 3, cfg, inits, ["icbf", "wmmse", "cb_refim"])
+        solve_batch(stack([ch] * 3), cfg, inits, ["icbf", "wmmse", "cb_refim"])
     with pytest.raises(ConfigurationError, match="reference count must be >= 0"):
-        solve_batch([ch] * 3, cfg, inits, ["icbf", "icbf_wi", "cb_refim"], [-1, 1, -2])
+        solve_batch(stack([ch] * 3), cfg, inits, ["icbf", "icbf_wi", "cb_refim"], [-1, 1, -2])
 
 
 @pytest.mark.parametrize("seed, outer_cap, reasons", [
@@ -103,7 +108,7 @@ def test_stop_reason_alone_and_in_a_batch(seed, outer_cap, reasons):
     config = NetworkConfig(L_out_max=outer_cap)
     solves = trial(seed, config)
     alone = [solve(ch, cfg, init, "icbf_wi")[1] for ch, cfg, init in solves]
-    _, batched = solve_batch([s[0] for s in solves], config,
+    _, batched = solve_batch(stack([s[0] for s in solves]), config,
                              np.stack([s[2] for s in solves]), "icbf_wi")
     assert [t.stop_reason for t in alone] == [t.stop_reason for t in batched] == reasons
     assert [t.converged_outer for t in batched] == [r == "outer_tol" for r in reasons]
@@ -112,8 +117,10 @@ def test_stop_reason_alone_and_in_a_batch(seed, outer_cap, reasons):
 def test_batch_shape_mismatch_rejected():
     (ch, cfg, init), = trial(3)[:1]
     with pytest.raises(UsageError, match="initial beams"):
-        solve_batch([ch] * 3, cfg, init[None], "icbf")
+        solve_batch(stack([ch] * 3), cfg, init[None], "icbf")
     with pytest.raises(UsageError, match="initial beams"):
-        solve_batch([], cfg, init[:0], "icbf")
+        solve_batch(ChannelState(normalized=ch.normalized[None][:0]), cfg, init[:0], "icbf")
+    with pytest.raises(UsageError, match="need channels"):
+        solve_batch(ch, cfg, init[None], "icbf")      # one draw, not a stack of them
     with pytest.raises(UsageError, match="reference count"):
-        solve_batch([ch] * 3, cfg, np.stack([init] * 3), "cb_refim", [0, 1])
+        solve_batch(stack([ch] * 3), cfg, np.stack([init] * 3), "cb_refim", [0, 1])
