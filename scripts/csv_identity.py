@@ -15,7 +15,10 @@ plus the feedback table, each at seeds 1 and 2 with 4 trials, gamma = 10,
 desk scale with ``--workers 2``, so the trials are split into groups and
 across processes. zf is left out where a cell has more users than antennas.
 Every run goes through the ``sim`` command line; a config file sets the
-network size.
+network size, and at (3, 3, 3, 4) also every other network and solver key
+(pmax, the iteration caps, lambda_min, both tolerances and refs) at a
+non-default value. One more feedback run reads its k_list, nt_list, qbits
+and refs from a config file.
 """
 import argparse
 import contextlib
@@ -32,6 +35,10 @@ KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf")
 SEEDS = (1, 2)
 COMMON = ["--trials", "4", "--gamma-db", "10,30,50", "--no-timestamp"]
 ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
+#: Size label and the further config lines of its file.
+TUNED = ("m3n3k3t4", "pmax = 2.5\nL_in_max = 25\nL_out_max = 3\nlambda_min = 1e-9\n"
+                     "inner_tol = 1e-5\nouter_tol = 1e-3\nrefs = 2\n")
+FEEDBACK_LISTS = "k_list = 2, 4, 7\nnt_list = 1,3\nqbits = 6\nrefs = 3\n"
 
 
 def run(argv: list[str]) -> None:
@@ -52,7 +59,8 @@ def main() -> None:
         if size is not None:
             m, n, k, nt = size
             cfg = out / f"{label}.cfg"
-            cfg.write_text(f"M = {m}\nN = {n}\nK = {k}\nNt = {nt}\n")
+            cfg.write_text(f"M = {m}\nN = {n}\nK = {k}\nNt = {nt}\n"
+                           + (TUNED[1] if label == TUNED[0] else ""))
             flags = ["--config", str(cfg)]
             if k > nt:                       # a crowded cell: zero-forcing cannot run
                 algos = tuple(a for a in ALGOS if a != "zf")
@@ -73,6 +81,11 @@ def main() -> None:
         run(["feedback", "--trials", "4", "--seed", str(seed), "--no-timestamp",
              "--out", str(path)])
         csvs.append(path)
+    cfg, path = out / "feedback_lists.cfg", out / "feedback_lists_s1.csv"
+    cfg.write_text(FEEDBACK_LISTS)
+    run(["feedback", "--config", str(cfg), "--trials", "4", "--seed", "1", "--no-timestamp",
+         "--out", str(path)])
+    csvs.append(path)
     sums = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in csvs]
     (out / "SHA256SUMS").write_text("".join(sums))
     print(f"{len(csvs)} CSVs and SHA256SUMS written under {out}/")

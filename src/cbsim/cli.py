@@ -1,11 +1,8 @@
-"""Command line entry point.
+"""Command line entry point: ``sim <experiment> [--config FILE] [flags]``.
 
-    sim <experiment> [--config FILE] [--seed U64] [--trials INT]
-        [--algo LIST] [--init {cm|zf|mslnr}] [--refs INT]
-        [--gamma-db LIST] [--workers INT] [--out PATH] [--no-timestamp]
-        [--dump-prefix PREFIX]
-
-Experiments: convergence, snr_sweep, ref_sweep, cdf, feedback. Flags override
+Experiments: convergence, snr_sweep, ref_sweep, cdf, feedback. Each flag is
+an ExperimentSpec setting (``sim <experiment> --help`` lists them with their
+defaults), and its text is parsed as a config-file line is. Flags override
 config-file values which override the built-in defaults. Exit code 0 on
 success, nonzero on any error.
 """
@@ -13,10 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import network_config_from_values, parse_config_file, parse_value
+from .config import network_config_from_values, parse_config_file, parse_setting
 from .errors import CbsimError
-from .experiments import EXPERIMENT_KINDS, run_experiment, spec_from_values
+from .experiments import EXPERIMENT_KINDS, ExperimentSpec, run_experiment, spec_from_values
+
+#: The ExperimentSpec fields that have a flag.
+FLAG_FIELDS = [f for f in fields(ExperimentSpec) if f.metadata.get("flag")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,19 +28,16 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--trials", type=int, help="Monte-Carlo trials (default 100)")
-        p.add_argument("--algo", help="comma separated algorithm list")
-        p.add_argument("--init", help="solver starting point (default mslnr)")
-        p.add_argument("--refs", type=int, help="reference users for cb_refim (default 1)")
-        p.add_argument("--gamma-db", help="comma separated transmit SNR list in dB")
-        p.add_argument("--workers", type=int, help="trial worker processes (default 1)")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit the generated-at comment line (byte-stable output)")
-        p.add_argument("--dump-prefix",
-                       help="debug: write <prefix>_topology.csv/_channels.csv and "
-                            "_trace_<algo>_<gamma>[_r<refs>].csv for trial 0")
+        for f in FLAG_FIELDS:
+            flag, text, default = f.metadata["flag"], f.metadata["help"], f.default
+            if isinstance(default, bool):       # a switch that turns the default off
+                p.add_argument(flag, dest=f.name, action="store_const",
+                               const=str(not default), help=text)
+                continue
+            if default is not None:
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+                text += f" (default {shown})"
+            p.add_argument(flag, dest=f.name, help=text)
     return parser
 
 
@@ -52,22 +50,10 @@ def parse_config(kind: str, path: str | None = None, overrides: dict | None = No
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "init": args.init,
-        "refs": args.refs,
-        "workers": args.workers,
-        "out": args.out,
-        "timestamp": False if args.no_timestamp else None,
-        "dump_prefix": args.dump_prefix,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        for key, text in (("algos", args.algo), ("gamma_db", args.gamma_db)):
-            if text is not None:
-                overrides[key] = parse_value(key, text)
+        overrides = {f.name: parse_setting(f, getattr(args, f.name)) for f in FLAG_FIELDS
+                     if getattr(args, f.name) is not None}
         config, spec = parse_config(args.experiment, args.config, overrides)
         run_experiment(config, spec)
     except (CbsimError, OSError) as exc:

@@ -1,4 +1,10 @@
-"""Network configuration and flat key=value config-file parsing.
+"""Network configuration, the setting table and flat key=value config files.
+
+Every setting is declared once, as a field of :class:`NetworkConfig` or
+:class:`~cbsim.experiments.ExperimentSpec` made by :func:`setting`: its
+default, its :class:`Rule` (how its text is parsed and what its value must
+be), its config-file key and its command-line flag. The config-file schema,
+the ``sim`` flags and both classes' validation are read from these fields.
 
 All powers are linear; dB enters only through ``gamma_db`` at this boundary.
 """
@@ -6,17 +12,88 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def is_finite_number(v) -> bool:
     """A real, non-boolean, finite number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    return _real(v) and math.isfinite(v)
+
+
+def _parse_bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+@dataclass(frozen=True)
+class Rule:
+    """How a setting's text is parsed, and which values it takes: ``check``
+    accepts exactly the values that ``wants`` describes."""
+    parse: Callable[[str], object]
+    check: Callable[[object], bool]
+    wants: str
+
+
+def integer(low: int) -> Rule:
+    return Rule(int, lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                and v >= low, f"an integer >= {low}")
+
+
+def one_of(names) -> Rule:
+    return Rule(str.strip, lambda v: isinstance(v, str) and v in names, f"one of {sorted(names)}")
+
+
+def list_of(rule: Rule) -> Rule:
+    """Comma-separated entries, each by ``rule``; empty items are skipped."""
+    return Rule(lambda text: tuple(rule.parse(tok) for tok in text.split(",") if tok.strip()),
+                lambda v: (isinstance(v, (tuple, list)) and len(v) > 0
+                           and all(map(rule.check, v)) and len(set(v)) == len(v)),
+                f"a non-empty list of distinct entries, each {rule.wants}")
+
+
+FINITE = Rule(float, is_finite_number, "a finite number")
+POSITIVE = Rule(float, lambda v: is_finite_number(v) and v > 0, "a finite number > 0")
+NONNEGATIVE = Rule(float, lambda v: _real(v) and v >= 0, "a number >= 0")   # NaN fails
+BOOLEAN = Rule(_parse_bool, lambda v: isinstance(v, (bool, np.bool_)), "a boolean")
+PATH = Rule(str, lambda v: isinstance(v, (str, os.PathLike)), "a path")
+
+
+def setting(default, rule: Rule, key: str | None = "", flag: str | None = None,
+            help: str = ""):
+    """A dataclass field that is a setting checked by ``rule``. ``key`` is its
+    config-file key ("" for the field name, None for none); ``flag`` is its
+    ``sim`` flag, described by ``help``."""
+    return field(default=default, metadata=dict(rule=rule, key=key, flag=flag, help=help))
+
+
+def setting_keys(cls) -> dict:
+    """Config-file key -> field, for each setting of ``cls`` that has a key."""
+    return {f.metadata["key"] or f.name: f for f in fields(cls)
+            if f.metadata.get("key") is not None}
+
+
+def check_settings(obj) -> None:
+    """Raise ConfigurationError naming the first setting of dataclass ``obj``
+    whose rule rejects its value. None passes where it is the default."""
+    for f in fields(obj):
+        rule, v = f.metadata.get("rule"), getattr(obj, f.name)
+        if rule and not (v is None and f.default is None) and not rule.check(v):
+            raise ConfigurationError(f"{f.name} must be {rule.wants}, got {v!r}")
 
 
 @dataclass
@@ -37,42 +114,27 @@ class NetworkConfig:
     assignment: boolean activity mask, shape (M, K, N); default all-active
                 (every user of a cell shares every subchannel via SDMA)
     """
-    M: int = 3
-    N: int = 3
-    K: int = 3
-    Nt: int = 3
-    Pmax: float = 1.0
-    gamma_db: float = 30.0
+    M: int = setting(3, integer(1))
+    N: int = setting(3, integer(1))
+    K: int = setting(3, integer(1))
+    Nt: int = setting(3, integer(1))
+    Pmax: float = setting(1.0, POSITIVE, key="pmax")
+    # no key: a config file's gamma_db is the ExperimentSpec's list
+    gamma_db: float = setting(30.0, FINITE, key=None)
     weights: np.ndarray | None = None
     assignment: np.ndarray | None = None
-    L_in_max: int = 40
-    L_out_max: int = 4
-    lambda_min: float = 1e-10
-    inner_tol: float = 1e-6   # relative weighted-sum-rate change, inner loop
-    outer_tol: float = 1e-4   # relative weighted-sum-rate change, outer loop
+    L_in_max: int = setting(40, integer(1))
+    L_out_max: int = setting(4, integer(1))
+    lambda_min: float = setting(1e-10, POSITIVE)
+    # relative weighted-sum-rate change that ends the inner and outer loops
+    inner_tol: float = setting(1e-6, NONNEGATIVE)
+    outer_tol: float = setting(1e-4, NONNEGATIVE)
 
     def __post_init__(self):
-        for name in ("M", "N", "K", "Nt"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
+        check_settings(self)
         if self.M > 3:
             raise ConfigurationError(
                 f"M must be 1..3, the cluster sizes the layout generator places; got M={self.M}")
-        for name in ("Pmax", "lambda_min"):
-            v = getattr(self, name)
-            if not (is_finite_number(v) and v > 0):
-                raise ConfigurationError(f"{name} must be a finite number > 0, got {v!r}")
-        if not is_finite_number(self.gamma_db):
-            raise ConfigurationError(f"gamma_db must be a finite number, got {self.gamma_db!r}")
-        for name in ("inner_tol", "outer_tol"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and v >= 0):     # NaN fails v >= 0
-                raise ConfigurationError(f"{name} must be a number >= 0, got {v!r}")
-        for name in ("L_in_max", "L_out_max"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
         if self.weights is None:
             self.weights = np.full((self.M, self.K, self.N), 1.0 / (self.M * self.N))
         else:
@@ -125,61 +187,23 @@ class NetworkConfig:
 # key=value config files
 # ---------------------------------------------------------------------------
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip() != "")
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-#: key -> converter for the flat config-file format. Unknown keys are rejected.
-CONFIG_SCHEMA = {
-    "M": int,
-    "N": int,
-    "K": int,
-    "Nt": int,
-    "pmax": float,
-    "gamma_db": _parse_float_list,
-    "L_in_max": int,
-    "L_out_max": int,
-    "lambda_min": float,
-    "inner_tol": float,
-    "outer_tol": float,
-    "trials": int,
-    "seed": int,
-    "algos": _parse_str_list,
-    "init": str,
-    "refs": int,
-    "workers": int,
-    "qbits": int,
-    "k_list": _parse_int_list,
-    "nt_list": _parse_int_list,
-    "out": str,
-    "timestamp": _parse_bool,
-}
+def config_schema() -> dict:
+    """Config-file key -> the field that declares it, over NetworkConfig and
+    ExperimentSpec. Unknown keys are rejected."""
+    from .experiments import ExperimentSpec    # experiments imports this module
+    return {**setting_keys(NetworkConfig), **setting_keys(ExperimentSpec)}
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` text file into typed values.
 
-    Lines starting with ``#`` and blank lines are ignored. Unknown keys and
-    malformed values raise :class:`ConfigurationError` naming the key.
+    Lines starting with ``#`` and blank lines are ignored. Unknown keys, a
+    key set twice and malformed values raise :class:`ConfigurationError`
+    naming the key.
     """
     values: dict = {}
+    set_on: dict = {}      # key -> the line that set it
+    schema = config_schema()
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -190,37 +214,40 @@ def parse_config_file(path: str | Path) -> dict:
                 f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_SCHEMA:
+        if key not in schema:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in set_on:
+            raise ConfigurationError(
+                f"{path}:{lineno}: key '{key}' was already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
-            values[key] = parse_value(key, value)
+            values[key] = parse_setting(schema[key], value.strip())
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def parse_value(key: str, text: str):
-    """One value by its :data:`CONFIG_SCHEMA` converter, for config files and
+def parse_setting(f, text: str):
+    """``text`` as the value of setting field ``f``, for config files and
     command-line flags alike; a malformed value raises
     :class:`ConfigurationError` naming the key."""
     try:
-        return CONFIG_SCHEMA[key](text)
+        return f.metadata["rule"].parse(text)
     except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"malformed value for key '{key}': {text!r} ({exc})") from None
+        raise ConfigurationError(f"malformed value for key '{f.metadata['key'] or f.name}': "
+                                 f"{text!r} ({exc})") from None
 
 
-#: config-file key -> NetworkConfig field, for the keys that describe the network.
-_NETWORK_KEYS = {"M": "M", "N": "N", "K": "K", "Nt": "Nt", "pmax": "Pmax",
-                 "L_in_max": "L_in_max", "L_out_max": "L_out_max",
-                 "lambda_min": "lambda_min", "inner_tol": "inner_tol",
-                 "outer_tol": "outer_tol"}
+def parse_value(key: str, text: str):
+    """One value of config-file key ``key`` (see :func:`parse_setting`)."""
+    return parse_setting(config_schema()[key], text)
 
 
 def network_config_from_values(values: dict, gamma_db: float | None = None) -> NetworkConfig:
     """Build a NetworkConfig from parsed config values; the NetworkConfig
     defaults fill the gaps. ``gamma_db`` defaults to the file's first value."""
-    kwargs = {name: values[key] for key, name in _NETWORK_KEYS.items() if key in values}
+    kwargs = {f.name: values[key] for key, f in setting_keys(NetworkConfig).items()
+              if key in values}
     if gamma_db is None and "gamma_db" in values:
         gamma_db = values["gamma_db"][0]
     if gamma_db is not None:

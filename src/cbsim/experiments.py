@@ -19,17 +19,17 @@ comparisons).
 from __future__ import annotations
 
 import csv
-import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import initializers, metrics, refim, solver
-from .config import NetworkConfig, is_finite_number
+from .config import (BOOLEAN, FINITE, PATH, NetworkConfig, check_settings, integer,
+                     list_of, one_of, setting, setting_keys)
 from .errors import CbsimError, ConfigurationError, InvalidStateError
 from .network import (ChannelState, apply_noise, build_topology, draw_channels,
                       dump_channels_csv, dump_topology_csv)
@@ -48,62 +48,38 @@ BATCH_BYTES = 4 * 2**20
 @dataclass
 class ExperimentSpec:
     """What to run and where to write it."""
-    kind: str
-    trials: int = 100
-    seed: int = 0
-    gamma_db: tuple[float, ...] = (30.0,)
-    algos: tuple[str, ...] = DEFAULT_ALGOS
-    init: str = "mslnr"
-    refs: int = 1
-    workers: int = 1
-    qbits: int = 8
-    k_list: tuple[int, ...] = tuple(range(2, 11))
-    nt_list: tuple[int, ...] = (2, 3, 4)
-    out: str = "results.csv"
-    timestamp: bool = True
-    dump_prefix: str | None = None
+    kind: str = setting(MISSING, one_of(EXPERIMENT_KINDS), key=None)
+    trials: int = setting(100, integer(1), flag="--trials", help="Monte-Carlo trials")
+    seed: int = setting(0, integer(0), flag="--seed", help="master seed")
+    gamma_db: tuple[float, ...] = setting((30.0,), list_of(FINITE), flag="--gamma-db",
+                                          help="comma separated transmit SNR list in dB")
+    algos: tuple[str, ...] = setting(DEFAULT_ALGOS, list_of(one_of(SOLVER_ALGOS | BASELINE_ALGOS)),
+                                     flag="--algo", help="comma separated algorithm list")
+    init: str = setting("mslnr", one_of(initializers.INITIALIZERS), flag="--init",
+                        help="solver starting point")
+    refs: int = setting(1, integer(0), flag="--refs", help="reference users for cb_refim")
+    workers: int = setting(1, integer(1), flag="--workers", help="trial worker processes")
+    qbits: int = setting(8, integer(1))
+    k_list: tuple[int, ...] = setting(tuple(range(2, 11)), list_of(integer(1)))
+    nt_list: tuple[int, ...] = setting((2, 3, 4), list_of(integer(1)))
+    out: str = setting("results.csv", PATH, flag="--out", help="output CSV path")
+    timestamp: bool = setting(True, BOOLEAN, flag="--no-timestamp",
+                              help="omit the generated-at comment line (byte-stable output)")
+    dump_prefix: str | None = setting(
+        None, PATH, key=None, flag="--dump-prefix",
+        help="debug: write <prefix>_topology.csv/_channels.csv and "
+             "_trace_<algo>_<gamma>[_r<refs>].csv for trial 0")
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigurationError(
-                f"unknown experiment '{self.kind}', expected one of {EXPERIMENT_KINDS}")
-        lows = {"trials": 1, "seed": 0, "refs": 0, "workers": 1, "qbits": 1}
-        ints = [(name, getattr(self, name)) for name in lows]
-        for name, v in ints + [(n, v) for n in ("k_list", "nt_list") for v in getattr(self, n)]:
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ConfigurationError(f"{name} takes integers only, got {v!r}")
-        for name, low in lows.items():
-            if getattr(self, name) < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for v in self.gamma_db:
-            if not is_finite_number(v):
-                raise ConfigurationError(f"gamma_db entries must be finite numbers, got {v!r}")
-        for name in ("gamma_db", "algos", "k_list", "nt_list"):
-            values = tuple(getattr(self, name))
-            if not values:
-                raise ConfigurationError(f"{name} must list at least one value")
-            twice = [v for i, v in enumerate(values) if v in values[:i]]
-            if twice:
-                raise ConfigurationError(f"{name} lists {twice[0]!r} more than once")
-        for algo in self.algos:
-            if algo not in SOLVER_ALGOS | BASELINE_ALGOS:
-                raise ConfigurationError(f"unknown algorithm '{algo}'")
-        if self.init not in initializers.INITIALIZERS:
-            raise ConfigurationError(f"init must be one of {sorted(initializers.INITIALIZERS)}, "
-                                     f"got {self.init!r}")
+        check_settings(self)
 
 
 def spec_from_values(kind: str, values: dict, overrides: dict | None = None) -> ExperimentSpec:
-    merged = dict(values)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    kwargs = {f.name: merged[f.name] for f in fields(ExperimentSpec)
-              if f.name != "kind" and f.name in merged}
-    if "gamma_db" in merged:
-        g = merged["gamma_db"]
-        kwargs["gamma_db"] = tuple(g) if isinstance(g, (tuple, list)) else (float(g),)
-    if "algos" in merged:
-        kwargs["algos"] = tuple(merged["algos"])
+    """The ``kind`` spec from parsed config-file values, by key, and
+    ``overrides``, by field name, which win; None overrides are skipped."""
+    kwargs = {f.name: values[key] for key, f in setting_keys(ExperimentSpec).items()
+              if key in values}
+    kwargs.update((name, v) for name, v in (overrides or {}).items() if v is not None)
     return ExperimentSpec(kind=kind, **kwargs)
 
 

@@ -1,10 +1,32 @@
-"""NetworkConfig validation and config-file parsing."""
+"""NetworkConfig validation, config-file parsing and the setting table."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cbsim.config import (NetworkConfig, network_config_from_values,
+from cbsim.cli import main
+from cbsim.config import (NetworkConfig, config_schema, network_config_from_values,
                           parse_config_file)
 from cbsim.errors import ConfigurationError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+#: The config-file keys and sim flags; a change to either set is a change to
+#: the command line and the file format that users write against.
+KEYS = {"M", "N", "K", "Nt", "pmax", "gamma_db", "L_in_max", "L_out_max", "lambda_min",
+        "inner_tol", "outer_tol", "trials", "seed", "algos", "init", "refs", "workers",
+        "qbits", "k_list", "nt_list", "out", "timestamp"}
+FLAGS = {"--config", "--seed", "--trials", "--algo", "--init", "--refs", "--gamma-db",
+         "--workers", "--out", "--no-timestamp", "--dump-prefix"}
+
+
+def help_text(capsys) -> str:
+    with pytest.raises(SystemExit):
+        main(["snr_sweep", "--help"])
+    return capsys.readouterr().out
 
 
 def test_defaults_match_documented_values():
@@ -31,6 +53,7 @@ def test_sigma2_from_gamma():
     ("lambda_min", np.inf), ("lambda_min", np.nan), ("inner_tol", -1.0),
     ("inner_tol", np.nan), ("outer_tol", -1e-4), ("outer_tol", np.nan),
     ("L_in_max", 2.5), ("L_out_max", 1.0), ("L_in_max", True), ("L_out_max", False),
+    ("M", True), ("Nt", np.True_),
 ])
 def test_invalid_scalars_rejected(field, value):
     with pytest.raises(ConfigurationError, match=field):
@@ -132,3 +155,40 @@ def test_with_gamma_db_copies_arrays():
     assert other.gamma_db == 50.0
     other.weights[0, 0, 0] = 99.0
     assert base.weights[0, 0, 0] == pytest.approx(1.0 / 9.0)
+
+
+def test_duplicate_key_fails_naming_it_and_both_lines(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed = 1\nK = 2\n# a comment\nseed = 2\n")
+    with pytest.raises(ConfigurationError, match=r":4: key 'seed' was already set on line 1"):
+        parse_config_file(path)
+
+
+def flags_of(text: str) -> set:
+    return set(re.findall(r"--[a-z][a-z-]*", text))
+
+
+def test_keys_and_flags_are_the_documented_sets(capsys):
+    assert set(config_schema()) == KEYS
+    assert flags_of(help_text(capsys).split("options:")[0]) == FLAGS
+
+
+def test_help_takes_defaults_from_the_fields(capsys):
+    text = " ".join(help_text(capsys).split())
+    for shown in ("Monte-Carlo trials (default 100)", "solver starting point (default mslnr)",
+                  "(default cm,zf,mslnr,icbf,icbf_wi,cb_refim)", "(default 30.0)"):
+        assert shown in text
+
+
+def test_readme_lists_every_key_and_flag(capsys):
+    text = README.read_text()
+    keys = re.search(r"Recognized keys: `([^`]*)`", text).group(1)
+    assert set(keys.split()) == set(config_schema())
+    synopsis = re.search(r"```\nsim <experiment>(.*?)```", text, re.S).group(1)
+    assert flags_of(synopsis) == flags_of(help_text(capsys).split("options:")[0])
+
+
+def test_import_leaves_the_command_line_unloaded():
+    code = "import sys, cbsim; assert 'cbsim.cli' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -302,12 +302,15 @@ def test_spec_validation():
     for key, value, bad in [("k_list", (2, 2.5), "2.5"), ("nt_list", (2, 2.9), "2.9"),
                             ("k_list", (True,), "True"), ("nt_list", (3, np.True_), "True"),
                             ("k_list", ("3",), "'3'"), ("gamma_db", (10.0, np.nan), "nan"),
-                            ("gamma_db", (np.inf,), "inf"), ("gamma_db", (True,), "True")]:
+                            ("gamma_db", (np.inf,), "inf"), ("gamma_db", (True,), "True"),
+                            # a scalar or a string where a list belongs, a non-boolean switch
+                            ("gamma_db", 30.0, "30.0"), ("k_list", 5, "5"),
+                            ("algos", "icbf", "'icbf'"), ("timestamp", "no", "'no'")]:
         with pytest.raises(ConfigurationError, match=f"{key} .*{bad}"):
             ExperimentSpec(kind="feedback", **{key: value})
     for key in ("trials", "seed", "refs", "workers", "qbits"):
         for value, bad in [(2.5, "2.5"), (True, "True"), (np.True_, "True"), ("3", "'3'")]:
-            with pytest.raises(ConfigurationError, match=f"{key} takes integers only.*{bad}"):
+            with pytest.raises(ConfigurationError, match=f"{key} must be an integer.*{bad}"):
                 ExperimentSpec(kind="feedback", **{key: value})
     assert ExperimentSpec(kind="feedback", k_list=(np.int64(2),)).k_list == (2,)
     assert ExperimentSpec(kind="feedback", trials=np.int64(3), qbits=np.int32(4)).qbits == 4
@@ -373,6 +376,8 @@ def test_cli_rejects_bad_config(tmp_path):
     ("lambda_min", [], "lambda_min = inf\n"),
     ("Pmax", [], "pmax = inf\n"),
     ("init", ["--init", "mrc"], ""),
+    ("seed", ["--seed", "abc"], ""),
+    ("trials", ["--trials", "2.5"], ""),
 ])
 def test_cli_rejects_bad_value_naming_its_key(tmp_path, capsys, key, flags, lines):
     cfg = tmp_path / "run.cfg"
