@@ -11,16 +11,14 @@ from .errors import (BracketError, CbsimError, ConfigurationError,
                      DegenerateChannelError, InvalidStateError, UsageError)
 from .experiments import ExperimentSpec, run_experiment
 from .initializers import init_cm, init_mslnr, init_zf, make_initial_beams
-from .metrics import (RateReport, bs_power, bs_powers, per_user_rate_samples,
-                      power_feasible, rate_report, sinr, slnr,
+from .metrics import (RateReport, bs_powers, power_feasible, rate_report,
                       weighted_sum_rate)
 from .network import (ChannelState, Topology, build_topology, compute_noise,
                       draw_channels, normalize_channels, realize_network)
-from .refim import feedback_bits, invert_rank_r, leakage_refim, reference_map
+from .refim import feedback_bits, invert_rank_r, reference_map
 from .solver import (DualEvaluator, KKTReport, SolverTrace, beta, gamma_direct,
-                     gamma_sherman_morrison, interference, kkt_report,
-                     lambda_bisection, leakage_full, solve, solve_batch,
-                     update_beams)
+                     gamma_sherman_morrison, kkt_report, lambda_bisection, solve,
+                     solve_batch, update_beams)
 
 __all__ = [
     "NetworkConfig", "parse_config_file",
@@ -28,14 +26,12 @@ __all__ = [
     "InvalidStateError", "BracketError",
     "ExperimentSpec", "run_experiment",
     "init_cm", "init_zf", "init_mslnr", "make_initial_beams",
-    "RateReport", "sinr", "slnr", "weighted_sum_rate", "bs_power", "bs_powers",
-    "power_feasible", "rate_report", "per_user_rate_samples",
+    "RateReport", "weighted_sum_rate", "bs_powers", "power_feasible", "rate_report",
     "Topology", "ChannelState", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
-    "reference_map", "leakage_refim", "invert_rank_r",
-    "feedback_bits",
-    "DualEvaluator", "SolverTrace", "KKTReport", "leakage_full", "gamma_direct",
-    "gamma_sherman_morrison", "beta", "interference", "lambda_bisection",
+    "reference_map", "invert_rank_r", "feedback_bits",
+    "DualEvaluator", "SolverTrace", "KKTReport", "gamma_direct",
+    "gamma_sherman_morrison", "beta", "lambda_bisection",
     "update_beams", "solve", "solve_batch", "kkt_report",
 ]
 

@@ -238,11 +238,6 @@ def parse_setting(f, text: str):
                                  f"{text!r} ({exc})") from None
 
 
-def parse_value(key: str, text: str):
-    """One value of config-file key ``key`` (see :func:`parse_setting`)."""
-    return parse_setting(config_schema()[key], text)
-
-
 def network_config_from_values(values: dict, gamma_db: float | None = None) -> NetworkConfig:
     """Build a NetworkConfig from parsed config values; the NetworkConfig
     defaults fill the gaps. ``gamma_db`` defaults to the file's first value."""

@@ -10,7 +10,10 @@ class ConfigurationError(CbsimError, ValueError):
 
 
 class UsageError(CbsimError, ValueError):
-    """An operation was called on an inactive (BS, user, subchannel) triple."""
+    """A call's arguments break its contract: an inactive (BS, user,
+    subchannel) triple, arrays of the wrong shape, a per-solve list of the
+    wrong length, Gamma modes out of their block order, or initial beams
+    over the power budget."""
 
 
 class DegenerateChannelError(CbsimError, RuntimeError):

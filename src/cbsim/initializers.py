@@ -84,8 +84,7 @@ def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     return _beam_scale(config) * residual / np.where(active, norms, 1.0)[..., None]
 
 
-def init_mslnr(channels: ChannelState, config: NetworkConfig,
-               unit_norm: bool = False) -> np.ndarray:
+def init_mslnr(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     """Maximum signal-to-leakage-plus-noise-ratio beams.
 
     Direction maximizes |h^H x|^2 / (x^H D x) with
@@ -96,11 +95,9 @@ def init_mslnr(channels: ChannelState, config: NetworkConfig,
     The numerator matrix is rank one, so the dominant generalized eigenvector
     is D^{-1} h up to scale; one batched solve replaces any
     eigendecomposition. The sum is the solver's leakage matrix at unit
-    victim weights over the full victim set. Default scaling keeps the equal
-    power split ||v||^2 = Pmax / (N K); ``unit_norm=True`` rescales every beam
-    to norm 1 (not power-feasible for N K > Pmax, provided for comparison only).
+    victim weights over the full victim set. Every beam keeps the equal power
+    split ||v||^2 = Pmax / (N K).
     """
-    scale = 1.0 if unit_norm else _beam_scale(config)
     ridge = config.N * config.K / config.Pmax
     unit = np.ones((config.n_users, config.N))
     _, leak = solver._all_leakages(channels, unit, solver.full_mask(config))
@@ -111,7 +108,8 @@ def init_mslnr(channels: ChannelState, config: NetworkConfig,
     zero = active & (norms == 0.0)
     if zero.any():
         raise DegenerateChannelError(f"zero channel for user {_first_user(zero)}")
-    return scale * direction / np.where(active, norms, 1.0)[..., None] * active[..., None]
+    return (_beam_scale(config) * direction / np.where(active, norms, 1.0)[..., None]
+            * active[..., None])
 
 
 INITIALIZERS = {"cm": init_cm, "zf": init_zf, "mslnr": init_mslnr}

@@ -1,4 +1,4 @@
-"""SINR, rates, leakage ratio and per-BS power for a channel/beam pair.
+"""Link state, SINR, rates and per-BS power for a channel/beam pair.
 
 Channels are noise-normalized upstream, so every denominator here uses a
 noise floor of exactly 1. Rates are base-2 (bits per channel use) throughout.
@@ -15,11 +15,6 @@ from .network import ChannelState
 
 #: Relative slack applied to the per-BS power budget when checking feasibility.
 POWER_FEASIBILITY_RTOL = 1e-9
-
-
-def empty_beams(config: NetworkConfig) -> np.ndarray:
-    """All-zero beam array of shape (M, K, N, Nt)."""
-    return np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
 
 
 def check_active(config: NetworkConfig, m: int, k: int, n: int) -> None:
@@ -56,13 +51,6 @@ def sinr_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
                     sig.reshape(shape) / (1.0 + (total - sig).reshape(shape)), 0.0)
 
 
-def sinr(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
-         m: int, k: int, n: int) -> float:
-    """Desired power over (1 + co-subchannel interference) for user (m, k)."""
-    check_active(config, m, k, n)
-    return float(sinr_of_link(config, link_state(channels, beams, config))[m, k, n])
-
-
 def sum_rate_of_link(config: NetworkConfig, link: tuple) -> float | np.ndarray:
     """Weighted sum-rate from a :func:`link_state`: a float, or one per
     solve of a batched link state."""
@@ -78,11 +66,6 @@ def weighted_sum_rate(channels: ChannelState, beams: np.ndarray,
     return sum_rate_of_link(config, link_state(channels, beams, config))
 
 
-def bs_power(beams: np.ndarray, m: int) -> float:
-    """Total transmit power of BS m: sum of squared beam norms."""
-    return float(np.sum(np.abs(beams[m]) ** 2))
-
-
 def bs_powers(beams: np.ndarray) -> np.ndarray:
     """Transmit power of every BS, shape (..., M) for beams (..., M, K, N, Nt)."""
     return np.sum(np.abs(beams) ** 2, axis=(-3, -2, -1))
@@ -90,29 +73,6 @@ def bs_powers(beams: np.ndarray) -> np.ndarray:
 
 def power_feasible(beams: np.ndarray, config: NetworkConfig) -> bool:
     return bool(np.all(bs_powers(beams) <= config.Pmax * (1.0 + POWER_FEASIBILITY_RTOL)))
-
-
-def slnr(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
-         m: int, k: int, n: int) -> float:
-    """Signal-to-leakage-plus-noise ratio of beam (m, k, n).
-
-    Leakage is measured on BS m's own channels towards every other active
-    co-subchannel user (intra- and inter-cell):
-
-        |h_{m,k}^H v|^2 / (1 + sum_{(j,u) != (m,k)} |h_{m,u}^H v|^2)
-    """
-    check_active(config, m, k, n)
-    h = channels.normalized
-    v = beams[m, k, n]
-    own = config.user_id(m, k)
-    sig = abs(np.vdot(h[m, own, n], v)) ** 2
-    leak = 0.0
-    for j in range(config.M):
-        for u in range(config.K):
-            if (j, u) == (m, k) or not config.is_active(j, u, n):
-                continue
-            leak += abs(np.vdot(h[m, config.user_id(j, u), n], v)) ** 2
-    return float(sig / (1.0 + leak))
 
 
 @dataclass
@@ -133,10 +93,3 @@ def rate_report(channels: ChannelState, beams: np.ndarray,
     user_rates = np.sum(r * config.assignment, axis=2)
     return RateReport(sinr=s, rate=r, weighted_sum_rate=wsr,
                       user_rates=user_rates, powers=bs_powers(beams))
-
-
-def per_user_rate_samples(reports: list[RateReport]) -> np.ndarray:
-    """Sorted per-user total rates across trials; the empirical CDF support."""
-    samples = np.concatenate([rep.user_rates.ravel() for rep in reports])
-    return np.sort(samples)
-

@@ -51,11 +51,9 @@ class Topology:
            the uncoordinated interferers ordered by distance from the cluster
            centroid.
     user_xy: (M, K, 2); user (m, k) is served by BS m.
-    serving: (M, K) integer map user -> serving BS (== m by construction).
     """
     bs_xy: np.ndarray
     user_xy: np.ndarray
-    serving: np.ndarray
     n_coordinated: int
 
     def user_bs_distances(self) -> np.ndarray:
@@ -146,8 +144,7 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
     offsets = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
     user_xy = cluster[:, None, :] + offsets
 
-    serving = np.repeat(np.arange(config.M)[:, None], config.K, axis=1)
-    return Topology(bs_xy=bs_xy, user_xy=user_xy, serving=serving, n_coordinated=config.M)
+    return Topology(bs_xy=bs_xy, user_xy=user_xy, n_coordinated=config.M)
 
 
 def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> ChannelState:
@@ -201,6 +198,8 @@ def normalize_channels(channels: ChannelState) -> ChannelState:
     if np.any(channels.noise <= 0):
         raise InvalidStateError("noise power must be strictly positive")
     m0 = channels.n_coordinated
+    if m0 < 1:
+        raise InvalidStateError(f"need n_coordinated >= 1 to normalize, got {m0}")
     scale = 1.0 / np.sqrt(channels.noise)                     # (..., MK, N)
     normalized = channels.raw[:m0] * scale[..., None, :, :, None]
     if not np.all(np.isfinite(normalized)):

@@ -1,4 +1,4 @@
-"""Reference-user machinery: selection, truncated leakage, feedback accounting.
+"""Reference-user machinery: selection, rank-r inversion, feedback accounting.
 
 Instead of summing leakage over every co-subchannel user, a BS approximates
 its leakage matrix with the few users that absorb most of it. The reference
@@ -18,9 +18,8 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import ConfigurationError
-from .metrics import check_active
 from .network import ChannelState, own_links
-from .solver import LN2, _all_leakages, full_mask, q_coefficients
+from .solver import ALGORITHMS, LN2, full_mask
 
 
 def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
@@ -46,22 +45,6 @@ def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(config.n_users), axis=-1)
     return np.where(candidates, ranks, np.iinfo(ranks.dtype).max)
-
-
-def leakage_refim(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
-                  m: int, k: int, n: int,
-                  refs: list[tuple[int, int]]) -> np.ndarray:
-    """Rank-limited (Nt, Nt) leakage: only the reference users' terms are summed.
-
-    An empty reference list yields the zero matrix (selfish single-cell
-    mode); passing every candidate reproduces the full leakage matrix
-    exactly.
-    """
-    check_active(config, m, k, n)
-    mask = np.zeros((config.M, config.K, config.N, config.n_users), dtype=bool)
-    mask[m, k, n, [config.user_id(j, u) for j, u in refs]] = True
-    q = q_coefficients(channels, beams, config)
-    return _all_leakages(channels, q, mask)[1][m, k, n]
 
 
 def invert_rank_r(coeffs: np.ndarray, vecs: np.ndarray, lam) -> np.ndarray:
@@ -129,7 +112,7 @@ def feedback_bits(config: NetworkConfig, algo: str,
     where U(m, n) are the users scheduled on n and served by the other BSs
     of the cluster. Bits = reals * qbits.
     """
-    if algo not in ("icbf", "icbf_wi", "cb_refim"):
+    if algo not in ALGORITHMS:
         raise ConfigurationError(f"no feedback model for algorithm '{algo}'")
     others = ~np.eye(config.M, dtype=bool)                            # (M, M)
     users = int(np.sum(others @ config.assignment.sum(axis=1)))     # sum of |U(m, n)|

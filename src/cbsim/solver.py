@@ -53,8 +53,8 @@ import scipy.linalg
 
 from .config import NetworkConfig
 from .errors import BracketError, ConfigurationError, InvalidStateError, UsageError
-from .metrics import (bs_powers, check_active, link_state, sum_rate_of_link,
-                      weighted_sum_rate)
+from .metrics import (POWER_FEASIBILITY_RTOL, bs_powers, check_active, link_state,
+                      sum_rate_of_link, weighted_sum_rate)
 from .network import ChannelState, own_links
 
 LN2 = float(np.log(2.0))
@@ -86,30 +86,19 @@ def interference_all(channels: ChannelState, beams: np.ndarray,
     return _interference_of_link(config, link_state(channels, beams, config))
 
 
-def interference(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
-                 m: int, k: int, n: int) -> float:
-    """Power user (m, k) receives on subchannel n from all other active beams."""
-    check_active(config, m, k, n)
-    return float(interference_all(channels, beams, config)[m, k, n])
-
-
 def _q_from_link(config: NetworkConfig, link: tuple) -> np.ndarray:
-    _, total, sig = link
-    sinr = sig / (1.0 + total - sig)
-    w = config.weights.reshape(config.n_users, config.N)
-    active = config.assignment.reshape(config.n_users, config.N)
-    return np.where(active, w * sinr / (1.0 + total), 0.0)
-
-
-def q_coefficients(channels: ChannelState, beams: np.ndarray,
-                   config: NetworkConfig) -> np.ndarray:
-    """Leakage weights q per (global user, subchannel), shape (MK, N).
+    """Leakage weights q per (global user, subchannel) from a :func:`link_state`,
+    shape (..., MK, N).
 
     q_u(n) = w_u(n) * SINR_u(n) / (1 + total received power at user u),
     where the denominator includes the user's own desired-signal term.
     Inactive users get q = 0.
     """
-    return _q_from_link(config, link_state(channels, beams, config))
+    _, total, sig = link
+    sinr = sig / (1.0 + total - sig)
+    w = config.weights.reshape(config.n_users, config.N)
+    active = config.assignment.reshape(config.n_users, config.N)
+    return np.where(active, w * sinr / (1.0 + total), 0.0)
 
 
 def full_mask(config: NetworkConfig) -> np.ndarray:
@@ -137,19 +126,6 @@ def _all_leakages(channels: ChannelState, q: np.ndarray,
     w = _victim_weights(mask, q)
     h = channels.normalized
     return w, np.einsum("...mkng,...mgna,...mgnb->...mknab", w, h, h.conj())
-
-
-def leakage_full(channels: ChannelState, beams: np.ndarray, config: NetworkConfig,
-                 m: int, k: int, n: int) -> np.ndarray:
-    """Full (Nt, Nt) leakage matrix of beam (m, k, n).
-
-    L = sum over every other active co-subchannel user u (all cells) of
-    q_u(n) * h_{m,u}(n) h_{m,u}(n)^H -- the harm BS m causes while serving
-    user k, weighted by how much each victim's rate reacts.
-    """
-    check_active(config, m, k, n)
-    q = q_coefficients(channels, beams, config)
-    return _all_leakages(channels, q, full_mask(config))[1][m, k, n]
 
 
 def gamma_direct(leakage: np.ndarray, lam: float) -> np.ndarray:
@@ -745,7 +721,7 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
     if len(refs) != n_solves:
         raise UsageError(f"need one reference count or {n_solves}, got {len(refs)}")
     powers0 = bs_powers(beams)
-    over = np.any(powers0 > config.Pmax * (1.0 + 1e-9), axis=-1)
+    over = np.any(powers0 > config.Pmax * (1.0 + POWER_FEASIBILITY_RTOL), axis=-1)
     if over.any():
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
     modes = [_ALGO_GAMMA[name] for name in algos]

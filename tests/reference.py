@@ -181,13 +181,13 @@ def zf_loop(channels, config):
     return beams
 
 
-def mslnr_loop(channels, config, unit_norm=False):
+def mslnr_loop(channels, config):
     """Max-SLNR beams D^{-1} h by one dense solve per active triple, with D
     the ridge (N K / Pmax) I plus every other active co-subchannel user's
     h_u h_u^H, accumulated one outer product at a time."""
     h = channels.normalized
     beams = np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
-    scale = 1.0 if unit_norm else np.sqrt(config.Pmax / (config.N * config.K))
+    scale = np.sqrt(config.Pmax / (config.N * config.K))
     ridge = config.N * config.K / config.Pmax
     for m, k, n in active_triples(config):
         dmat = ridge * np.eye(config.Nt, dtype=complex)

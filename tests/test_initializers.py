@@ -6,7 +6,7 @@ import reference
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, DegenerateChannelError
 from cbsim.initializers import init_cm, init_mslnr, init_zf, make_initial_beams
-from cbsim.metrics import bs_powers, power_feasible, slnr
+from cbsim.metrics import bs_powers, power_feasible
 from cbsim.network import ChannelState, realize_network
 
 
@@ -99,7 +99,7 @@ def test_zf_parallel_same_cell_channels_are_degenerate(K, first, second):
 
 
 def test_array_initializers_match_loop_oracles():
-    """zf and mslnr (both scalings) equal the per-triple loop forms on random
+    """zf and mslnr equal the per-triple loop forms on random
     sizes and partial assignments; zf only where every cell has at most Nt
     active users per subchannel."""
     rng = np.random.default_rng(43)
@@ -110,10 +110,8 @@ def test_array_initializers_match_loop_oracles():
                                Pmax=float(rng.uniform(0.5, 4.0)))
         config.assignment[:] = rng.random(config.assignment.shape) < 0.7
         state = synthetic_channels(config, draw)
-        for unit_norm in (False, True):
-            expected = reference.mslnr_loop(state, config, unit_norm)
-            got = init_mslnr(state, config, unit_norm=unit_norm)
-            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
+        got = init_mslnr(state, config)
+        assert np.max(np.abs(got - reference.mslnr_loop(state, config)), initial=0.0) <= 1e-12
         if np.all(config.assignment.sum(axis=1) <= config.Nt):
             zf_draws += 1
             got = init_zf(state, config)
@@ -186,14 +184,6 @@ def test_mslnr_equal_split_power():
     assert np.allclose(bs_powers(beams), config.Pmax, rtol=1e-12)
 
 
-def test_mslnr_unit_norm_mode():
-    config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    state = synthetic_channels(config, seed=9)
-    beams = init_mslnr(state, config, unit_norm=True)
-    norms = np.linalg.norm(beams, axis=-1)
-    assert np.allclose(norms, 1.0)
-
-
 def test_all_initializers_power_feasible():
     config = NetworkConfig()
     _, state = realize_network(config, 10)
@@ -211,9 +201,9 @@ def test_mslnr_dominates_cm_and_zf_in_slnr():
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
-                best = slnr(state, b_ms, config, m, k, n)
-                assert best >= slnr(state, b_cm, config, m, k, n) - 1e-9
-                assert best >= slnr(state, b_zf, config, m, k, n) - 1e-9
+                best = reference.slnr_scalar(state, b_ms, config, m, k, n)
+                assert best >= reference.slnr_scalar(state, b_cm, config, m, k, n) - 1e-9
+                assert best >= reference.slnr_scalar(state, b_zf, config, m, k, n) - 1e-9
 
 
 def test_unknown_initializer_rejected():

@@ -1,4 +1,5 @@
-"""SINR / rate / power / SLNR metric tests against scalar oracles."""
+"""SINR / rate / power metric tests against scalar oracles, and the SLNR
+oracle that the max-SLNR initializer test relies on."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,8 @@ from hypothesis import strategies as st
 
 import reference
 from cbsim.config import NetworkConfig
-from cbsim.errors import UsageError
-from cbsim.metrics import (bs_power, empty_beams, per_user_rate_samples,
-                           power_feasible, rate_report, sinr, slnr,
-                           weighted_sum_rate)
+from cbsim.metrics import (bs_powers, link_state, power_feasible, rate_report,
+                           sinr_of_link, weighted_sum_rate)
 from cbsim.network import ChannelState
 
 
@@ -18,6 +17,15 @@ def synthetic_channels(config, seed=0):
     shape = (config.M, config.n_users, config.N, config.Nt)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     return ChannelState(normalized=h, n_coordinated=config.M)
+
+
+def empty_beams(config):
+    return np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
+
+
+def sinr(state, beams, config):
+    """SINR of every triple, (M, K, N), from the batched link state."""
+    return sinr_of_link(config, link_state(state, beams, config))
 
 
 def single_link_state(h_vec):
@@ -30,13 +38,13 @@ def test_sinr_single_beam_no_interference():
     config, state = single_link_state([1.0, 0.0])
     beams = empty_beams(config)
     beams[0, 0, 0] = [2.0, 0.0]
-    assert sinr(state, beams, config, 0, 0, 0) == pytest.approx(4.0)
+    assert sinr(state, beams, config)[0, 0, 0] == pytest.approx(4.0)
 
 
 def test_sinr_zero_beam():
     config, state = single_link_state([1.0, 0.5])
     beams = empty_beams(config)
-    assert sinr(state, beams, config, 0, 0, 0) == 0.0
+    assert sinr(state, beams, config)[0, 0, 0] == 0.0
 
 
 def test_sinr_two_beam_hand_instance():
@@ -50,18 +58,10 @@ def test_sinr_two_beam_hand_instance():
     beams = empty_beams(config)
     beams[0, 0, 0] = [0.6, -0.8j]
     beams[1, 0, 0] = [0.5 + 0.5j, 0.1]
-    got = sinr(state, beams, config, 0, 0, 0)
-    want = reference.sinr_scalar(state, beams, config, 0, 0, 0)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_sinr_inactive_triple_is_usage_error():
-    config = NetworkConfig(M=1, N=2, K=1, Nt=2)
-    config.assignment[0, 0, 1] = False
-    state = synthetic_channels(config)
-    beams = empty_beams(config)
-    with pytest.raises(UsageError):
-        sinr(state, beams, config, 0, 0, 1)
+    got = sinr(state, beams, config)
+    for m, k, n in reference.active_triples(config):
+        want = reference.sinr_scalar(state, beams, config, m, k, n)
+        assert got[m, k, n] == pytest.approx(want, rel=1e-12)
 
 
 def test_wsr_zero_beams():
@@ -75,6 +75,7 @@ def test_wsr_single_beam_log2():
     beams = empty_beams(config)
     beams[0, 0, 0] = [np.sqrt(3.0)]        # SINR = 3, w = 1
     assert weighted_sum_rate(state, beams, config) == pytest.approx(2.0)
+    assert rate_report(state, beams, config).user_rates.tolist() == [[pytest.approx(2.0)]]
 
 
 def test_wsr_matches_scalar_oracle():
@@ -106,10 +107,10 @@ def test_wsr_invariant_to_user_relabel():
 def test_bs_power_and_feasibility():
     config = NetworkConfig(M=2, N=1, K=1, Nt=2, Pmax=2.0)
     beams = empty_beams(config)
-    assert bs_power(beams, 0) == 0.0
+    assert bs_powers(beams)[0] == 0.0
     assert power_feasible(beams, config)
     beams[0, 0, 0] = [np.sqrt(2.0), 0.0]   # exactly Pmax
-    assert bs_power(beams, 0) == pytest.approx(2.0)
+    assert bs_powers(beams)[0] == pytest.approx(2.0)
     assert power_feasible(beams, config)
     beams[1, 0, 0] = [np.sqrt(2.2), 0.0]   # 1.1 * Pmax
     assert not power_feasible(beams, config)
@@ -120,7 +121,7 @@ def test_slnr_single_user():
     beams = empty_beams(config)
     beams[0, 0, 0] = [1.0, 1.0]
     expected = abs(np.vdot(state.normalized[0, 0, 0], beams[0, 0, 0])) ** 2
-    assert slnr(state, beams, config, 0, 0, 0) == pytest.approx(expected)
+    assert reference.slnr_scalar(state, beams, config, 0, 0, 0) == pytest.approx(expected)
 
 
 def test_slnr_orthogonal_beam_has_no_leakage():
@@ -131,20 +132,9 @@ def test_slnr_orthogonal_beam_has_no_leakage():
     state = ChannelState(normalized=h, n_coordinated=1)
     beams = empty_beams(config)
     beams[0, 0, 0] = [3.0, 0.0]            # orthogonal to user 1's channel
-    assert slnr(state, beams, config, 0, 0, 0) == pytest.approx(9.0)
-    assert slnr(state, beams, config, 0, 0, 0) == pytest.approx(
-        sinr(state, beams, config, 0, 0, 0))
-
-
-def test_slnr_matches_scalar_oracle():
-    config = NetworkConfig(M=2, N=2, K=2, Nt=3)
-    state = synthetic_channels(config, seed=12)
-    rng = np.random.default_rng(13)
-    beams = (rng.standard_normal((2, 2, 2, 3))
-             + 1j * rng.standard_normal((2, 2, 2, 3))) * 0.5
-    got = slnr(state, beams, config, 1, 0, 1)
-    assert got == pytest.approx(
-        reference.slnr_scalar(state, beams, config, 1, 0, 1), rel=1e-12)
+    slnr = reference.slnr_scalar(state, beams, config, 0, 0, 0)
+    assert slnr == pytest.approx(9.0)
+    assert slnr == pytest.approx(sinr(state, beams, config)[0, 0, 0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,7 +144,7 @@ def test_isolated_beam_scaling(alpha):
     beams = empty_beams(config)
     beams[0, 0, 0] = [0.5, 0.25 + 0.1j]
     base = abs(np.vdot(state.normalized[0, 0, 0], beams[0, 0, 0])) ** 2
-    assert sinr(state, beams * alpha, config, 0, 0, 0) == pytest.approx(
+    assert sinr(state, beams * alpha, config)[0, 0, 0] == pytest.approx(
         alpha ** 2 * base, rel=1e-9)
 
 
@@ -174,27 +164,4 @@ def test_slnr_bounded_by_desired_power():
         for k in range(2):
             cap = abs(np.vdot(state.normalized[m, config.user_id(m, k), 0],
                               beams[m, k, 0])) ** 2
-            assert slnr(state, beams, config, m, k, 0) <= cap + 1e-12
-
-
-def test_per_user_rate_samples_counts():
-    config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    state = synthetic_channels(config, seed=30)
-    rng = np.random.default_rng(31)
-    reports = []
-    for _ in range(5):
-        beams = (rng.standard_normal((2, 2, 2, 2))
-                 + 1j * rng.standard_normal((2, 2, 2, 2))) * 0.3
-        reports.append(rate_report(state, beams, config))
-    samples = per_user_rate_samples(reports)
-    assert samples.shape == (5 * config.M * config.K,)
-    assert np.all(np.diff(samples) >= 0)
-
-
-def test_per_user_rate_samples_trivial():
-    config, state = single_link_state([1.0])
-    beams = empty_beams(config)
-    beams[0, 0, 0] = [np.sqrt(3.0)]
-    rep = rate_report(state, beams, config)
-    assert per_user_rate_samples([rep]).tolist() == [pytest.approx(2.0)]
-
+            assert reference.slnr_scalar(state, beams, config, m, k, 0) <= cap + 1e-12

@@ -190,6 +190,15 @@ def test_scalar_noise_division():
     assert np.allclose(state.normalized[0, 0, 0], [1.0, 0.0, 0.0])
 
 
+def test_normalize_needs_coordinated_count():
+    """A state built without n_coordinated has no coordinated BSs to slice;
+    normalizing it is an error, not an empty channel stack."""
+    state = ChannelState(raw=np.ones((1, 1, 1, 2), dtype=complex), shadow=np.ones((1, 1)),
+                         noise=np.ones((1, 1)))
+    with pytest.raises(InvalidStateError, match="n_coordinated"):
+        normalize_channels(state)
+
+
 def test_nonpositive_noise_rejected():
     config = small_config()
     topo = build_topology(config, seed=4)

@@ -8,10 +8,12 @@ import reference
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError
 from cbsim.initializers import init_mslnr
+from cbsim.metrics import link_state
 from cbsim.network import ChannelState, realize_network
-from cbsim.refim import (feedback_bits, invert_rank_r, leakage_refim,
+from cbsim.refim import (feedback_bits, invert_rank_r,
                          out_of_cell_reference_counts, reference_map)
-from cbsim.solver import LN2, gamma_sherman_morrison, leakage_full, solve_batch
+from cbsim.solver import (LN2, _all_leakages, _q_from_link, full_mask,
+                          gamma_sherman_morrison, solve_batch)
 
 
 def synthetic_channels(config, seed=0):
@@ -216,34 +218,39 @@ def test_reference_map_covers_active_triples():
 # truncated leakage
 # ---------------------------------------------------------------------------
 
+def leakages(state, beams, config, mask):
+    """Leakage matrix of every triple over the victim mask, (M, K, N, Nt, Nt),
+    as the solver builds it from the beams' link state."""
+    q = _q_from_link(config, link_state(state, beams, config))
+    return _all_leakages(state, q, mask)[1]
+
+
 def test_refim_leakage_empty_refs_is_selfish_mode():
     config = NetworkConfig(M=2, N=1, K=2, Nt=2)
     state = synthetic_channels(config, 7)
-    leak = leakage_refim(state, random_beams(config, 8), config, 0, 0, 0, [])
-    assert np.allclose(leak, 0.0)
+    leak = leakages(state, random_beams(config, 8), config, reference_map(state, config) < 0)
+    assert np.all(leak == 0.0)
 
 
 def test_refim_leakage_single_reference_is_rank_one():
     config = NetworkConfig()
     _, state = realize_network(config, 9)
     beams = random_beams(config, 10, scale=0.2)
-    refs = select_references(state, config, 0, 0, 0, 1)
-    leak = leakage_refim(state, beams, config, 0, 0, 0, refs)
-    evals = np.sort(np.linalg.eigvalsh(leak))[::-1]
-    assert evals[1] <= 1e-10 * max(np.trace(leak).real, 1e-300)
+    leak = leakages(state, beams, config, reference_map(state, config) < 1)
+    evals = np.sort(np.linalg.eigvalsh(leak), axis=-1)[..., ::-1]
+    assert np.all(evals[..., 0] > 0.0)
+    assert np.all(evals[..., 1] <= 1e-10 * np.trace(leak, axis1=-2, axis2=-1).real)
 
 
 def test_refim_leakage_all_candidates_equals_full():
     config = NetworkConfig()
     _, state = realize_network(config, 11)
     beams = random_beams(config, 12, scale=0.2)
-    for (m, k, n) in [(0, 0, 0), (2, 1, 2), (1, 2, 1)]:
-        refs = select_references(state, config, m, k, n,
-                                 config.M * config.K - 1)
-        truncated = leakage_refim(state, beams, config, m, k, n, refs)
-        full = leakage_full(state, beams, config, m, k, n)
-        assert np.linalg.norm(truncated - full) <= 1e-12 * max(
-            np.linalg.norm(full), 1e-300)
+    truncated = leakages(state, beams, config,
+                         reference_map(state, config) < config.M * config.K - 1)
+    full = leakages(state, beams, config, full_mask(config))
+    dev = np.linalg.norm(truncated - full, axis=(-2, -1))
+    assert np.all(dev <= 1e-12 * np.maximum(np.linalg.norm(full, axis=(-2, -1)), 1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ import reference
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_cm, init_mslnr
-from cbsim.metrics import bs_powers, empty_beams, sinr, weighted_sum_rate
+from cbsim.metrics import bs_powers, link_state, sinr_of_link, weighted_sum_rate
 from cbsim.network import ChannelState, realize_network
-from cbsim.solver import (GAMMA_MODES, LN2, DualEvaluator, _all_leakages, _betas_power, beta,
-                          finite_difference_gradient, full_mask, gamma_direct,
-                          gamma_sherman_morrison, interference, interference_all,
+from cbsim.solver import (GAMMA_MODES, LN2, DualEvaluator, _all_leakages, _betas_power,
+                          _q_from_link, beta, finite_difference_gradient, full_mask,
+                          gamma_direct, gamma_sherman_morrison, interference_all,
                           kkt_report, lagrangian_gradient, lagrangian_value,
-                          lambda_bisection, leakage_full, q_coefficients, solve,
-                          stationarity_residuals, update_beams)
+                          lambda_bisection, solve, stationarity_residuals, update_beams)
 
 complex_entries = st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0,
                                      allow_nan=False, allow_infinity=False)
@@ -35,6 +34,17 @@ def random_beams(config, seed, scale=0.4):
     return beams * config.assignment[..., None]
 
 
+def empty_beams(config):
+    return np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
+
+
+def full_leakages(state, beams, config):
+    """Full leakage matrix of every triple, (M, K, N, Nt, Nt), as the solver
+    builds it: victim weights q from the link state over the full victim mask."""
+    q = _q_from_link(config, link_state(state, beams, config))
+    return _all_leakages(state, q, full_mask(config))[1]
+
+
 def random_psd(rng, nt, scale=1.0):
     x = (rng.standard_normal((nt, nt)) + 1j * rng.standard_normal((nt, nt))) / np.sqrt(2)
     return scale * (x @ x.conj().T)
@@ -48,21 +58,23 @@ def test_interference_single_beam_is_zero():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
     state = synthetic_channels(config)
     beams = random_beams(config, 1)
-    assert interference(state, beams, config, 0, 0, 0) == 0.0
+    assert interference_all(state, beams, config)[0, 0, 0] == 0.0
 
 
 def test_interference_matches_sinr_identity():
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
     state = synthetic_channels(config, 2)
     beams = random_beams(config, 3)
+    interf = interference_all(state, beams, config)
+    sinrs = sinr_of_link(config, link_state(state, beams, config))
     for m in range(2):
         for k in range(2):
             for n in range(2):
-                i = interference(state, beams, config, m, k, n)
-                s = sinr(state, beams, config, m, k, n)
                 h = state.normalized[m, config.user_id(m, k), n]
                 sig = abs(np.vdot(h, beams[m, k, n])) ** 2
-                assert s * (1.0 + i) == pytest.approx(sig, rel=1e-10)
+                assert sinrs[m, k, n] * (1.0 + interf[m, k, n]) == pytest.approx(sig, rel=1e-10)
+                assert interf[m, k, n] == pytest.approx(
+                    reference.interference_scalar(state, beams, config, m, k, n), rel=1e-12)
 
 
 def test_interference_orthogonal_interferer():
@@ -76,15 +88,7 @@ def test_interference_orthogonal_interferer():
     beams = empty_beams(config)
     beams[0, 0, 0] = [1.0, 0.0]
     beams[1, 0, 0] = [1.0, 0.0]   # orthogonal to h[1, user0]
-    assert interference(state, beams, config, 0, 0, 0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_interference_inactive_triple_usage_error():
-    config = NetworkConfig(M=1, N=2, K=1, Nt=2)
-    config.assignment[0, 0, 1] = False
-    state = synthetic_channels(config)
-    with pytest.raises(UsageError):
-        interference(state, empty_beams(config), config, 0, 0, 1)
+    assert interference_all(state, beams, config)[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +98,7 @@ def test_interference_inactive_triple_usage_error():
 def test_leakage_zero_for_lone_user():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
     state = synthetic_channels(config)
-    leak = leakage_full(state, random_beams(config, 4), config, 0, 0, 0)
+    leak = full_leakages(state, random_beams(config, 4), config)[0, 0, 0]
     assert np.allclose(leak, 0.0)
 
 
@@ -103,7 +107,7 @@ def test_leakage_zero_when_other_beams_off():
     state = synthetic_channels(config, 5)
     beams = empty_beams(config)
     beams[0, 0, 0] = [1.0, 0.5]
-    leak = leakage_full(state, beams, config, 0, 0, 0)
+    leak = full_leakages(state, beams, config)[0, 0, 0]
     assert np.allclose(leak, 0.0)
 
 
@@ -111,17 +115,17 @@ def test_leakage_matches_scalar_oracle():
     config = NetworkConfig(M=2, N=2, K=2, Nt=3)
     state = synthetic_channels(config, 6)
     beams = random_beams(config, 7)
-    for (m, k, n) in [(0, 0, 0), (1, 1, 1), (0, 1, 1)]:
-        got = leakage_full(state, beams, config, m, k, n)
+    got = full_leakages(state, beams, config)
+    for (m, k, n) in reference.active_triples(config):
         want = reference.leakage_scalar(state, beams, config, m, k, n)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-14)
+        assert np.allclose(got[m, k, n], want, rtol=1e-10, atol=1e-14)
 
 
 def test_leakage_invariants():
     config = NetworkConfig(M=2, N=1, K=3, Nt=3)
     state = synthetic_channels(config, 8)
     beams = random_beams(config, 9)
-    mat = leakage_full(state, beams, config, 0, 1, 0)
+    mat = full_leakages(state, beams, config)[0, 1, 0]
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
     evals = np.linalg.eigvalsh(mat)
     assert evals.min() >= -1e-10 * np.trace(mat).real
@@ -268,8 +272,8 @@ def bisection_setup(seed, gamma_db=30.0):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2, gamma_db=gamma_db)
     _, state = realize_network(config, seed)
     beams = init_mslnr(state, config)
-    weights, leakages = _all_leakages(state, q_coefficients(state, beams, config),
-                                      full_mask(config))
+    weights, leakages = _all_leakages(
+        state, _q_from_link(config, link_state(state, beams, config)), full_mask(config))
     return config, state, weights, leakages, interference_all(state, beams, config)
 
 
