@@ -75,7 +75,14 @@ def test_wsr_single_beam_log2():
     beams = empty_beams(config)
     beams[0, 0, 0] = [np.sqrt(3.0)]        # SINR = 3, w = 1
     assert weighted_sum_rate(state, beams, config) == pytest.approx(2.0)
-    assert rate_report(state, beams, config).user_rates.tolist() == [[pytest.approx(2.0)]]
+
+
+def test_per_user_rate_samples_trivial():
+    config, state = single_link_state([1.0])
+    beams = empty_beams(config)
+    beams[0, 0, 0] = [np.sqrt(3.0)]
+    rep = rate_report(state, beams, config)
+    assert rep.user_rates.ravel().tolist() == [pytest.approx(2.0)]
 
 
 def test_wsr_matches_scalar_oracle():
