@@ -8,6 +8,14 @@ from two checkouts into two directories and comparing the sums:
     PYTHONPATH=src python3 scripts/csv_identity.py /tmp/after     # change
     diff /tmp/before/SHA256SUMS /tmp/after/SHA256SUMS
 
+A change that moves last digits is measured cell by cell instead:
+
+    python3 scripts/csv_identity.py --compare /tmp/before /tmp/after
+
+prints, for every CSV of the first directory, the number of cells that
+differ and the largest relative difference |a - b| / max(|a|, |b|) among
+them (inf where a differing cell is not a number or a row is missing).
+
 The matrix: convergence, snr_sweep, ref_sweep and cdf at desk scale and at
 (M, N, K, Nt) = (2, 2, 2, 2), (3, 2, 4, 2), (3, 3, 3, 4) and (2, 3, 2, 1),
 plus the feedback table, each at seeds 1 and 2 with 4 trials, gamma = 10,
@@ -22,12 +30,13 @@ and refs from a config file.
 """
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
+import math
 import sys
 from pathlib import Path
-
-from cbsim.cli import main as sim
 
 SIZES = {"desk": None, "m2n2k2t2": (2, 2, 2, 2), "m3n2k4t2": (3, 2, 4, 2),
          "m3n3k3t4": (3, 3, 3, 4), "m2n3k2t1": (2, 3, 2, 1)}
@@ -42,16 +51,54 @@ FEEDBACK_LISTS = "k_list = 2, 4, 7\nnt_list = 1,3\nqbits = 6\nrefs = 3\n"
 
 
 def run(argv: list[str]) -> None:
+    from cbsim.cli import main as sim
+
     with contextlib.redirect_stdout(io.StringIO()):
         code = sim(argv)
     if code != 0:
         sys.exit(f"sim {' '.join(argv)} exited with {code}")
 
 
+def cell_difference(a: str | None, b: str | None) -> float:
+    """Relative difference of two cells: 0 when equal, inf where one is missing
+    or either is not a number."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    return list(csv.reader(path.read_text().splitlines())) if path.exists() else []
+
+
+def compare(before: Path, after: Path) -> None:
+    """Print the differing cells and their largest relative difference per CSV."""
+    differing = 0
+    for path in sorted(before.glob("*.csv")):
+        rows = itertools.zip_longest(read_rows(path), read_rows(after / path.name), fillvalue=[])
+        diffs = [cell_difference(a, b) for row_a, row_b in rows
+                 for a, b in itertools.zip_longest(row_a, row_b) if a != b]
+        differing += bool(diffs)
+        print(f"{path.name:32s} {len(diffs):5d} cells differ, max rel {max(diffs, default=0.0):.3g}")
+    print(f"{differing} CSVs differ")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("outdir", type=Path)
-    out = parser.parse_args().outdir
+    parser.add_argument("outdir", type=Path, nargs="?")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
+                        help="compare two output directories instead of writing one")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    if args.outdir is None:
+        parser.error("need OUTDIR or --compare BEFORE AFTER")
+    out = args.outdir
     out.mkdir(parents=True, exist_ok=True)
     csvs = []
     for label, size in SIZES.items():

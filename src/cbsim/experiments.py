@@ -120,8 +120,8 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
     solver start; one :func:`solver.solve_batch` runs every (algorithm, trial,
     gamma) solve, cb_refim at every one of ``ref_counts`` when given; one
     batched link state rates every row. A solve's result does not depend on
-    its batch, so each trial's result is bit-identical to its
-    :func:`run_solver_trial` alone.
+    its batch, so each trial's result is bit-identical to a call on that
+    trial alone.
     """
     sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in spec.gamma_db]
     draws = []
@@ -177,12 +177,6 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
                     suffix = "" if refs is None else f"_r{refs}"
                     trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
     return results
-
-
-def run_solver_trial(config: NetworkConfig, spec: ExperimentSpec, trial: int,
-                     ref_counts: tuple[int, ...] | None = None) -> TrialResult:
-    """One channel realization: :func:`run_solver_trials` on one trial."""
-    return run_solver_trials(config, spec, (trial,), ref_counts)[0]
 
 
 def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec,

@@ -100,7 +100,7 @@ def init_mslnr(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     """
     ridge = config.N * config.K / config.Pmax
     unit = np.ones((config.n_users, config.N))
-    _, leak = solver._all_leakages(channels, unit, solver.full_mask(config))
+    leak = solver._all_leakages(channels, unit, solver.full_mask(config))
     dmat = leak + ridge * np.eye(config.Nt)
     direction = np.linalg.solve(dmat, own_links(channels, config)[..., None])[..., 0]
     norms = np.linalg.norm(direction, axis=-1)

@@ -1,4 +1,5 @@
-"""Reference-user machinery: selection, rank-r inversion, feedback accounting.
+"""Reference-user machinery: selection, feedback accounting, and the
+reference form of the paper's rank-one recursion.
 
 Instead of summing leakage over every co-subchannel user, a BS approximates
 its leakage matrix with the few users that absorb most of it. The reference
@@ -11,6 +12,12 @@ drawn from all users scheduled on the subchannel across the cluster (the
 beam's own cell included, since intra-cell leakage matters too). With
 single-antenna transmitters the alignment factor is common to all candidates
 and the rule degenerates to picking the strongest channel gain.
+
+A BS can invert the truncated leakage plus lambda*ln2*I by one rank-one
+update per reference, with no dense inversion (:func:`invert_rank_r`). The
+solver takes the same inverse from the eigendecomposition its dual search
+already holds, so that saving is counted work, not executed code; the
+recursion is the reference the tests check the solver against.
 """
 from __future__ import annotations
 
@@ -49,7 +56,8 @@ def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
 
 def invert_rank_r(coeffs: np.ndarray, vecs: np.ndarray, lam) -> np.ndarray:
     """Exact inverses of (lambda*ln2*I + sum_r q_r h_r h_r^H) by sequential
-    rank-one updates, batched over leading axes.
+    rank-one updates, batched over leading axes: the reference form of the
+    paper's recursion, which the solver no longer runs.
 
     coeffs (..., R) holds the q_r >= 0 and vecs (..., R, Nt) the h_r; lam
     broadcasts against the leading axes. Each update divides by

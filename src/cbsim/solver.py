@@ -16,7 +16,7 @@ T = L + lambda*ln2*I. Three variants are provided:
             rank(L) <= 1 and the working approximation otherwise.
   cb_refim  the leakage matrix is truncated to reference-user terms and
             Gamma is the exact inverse of that low-rank-plus-identity matrix,
-            obtained by sequential rank-one updates (no dense inversion).
+            taken like icbf's from the leakage's eigendecomposition.
 
 The double loop recomputes leakage matrices and one network-wide
 :class:`DualEvaluator` in the outer loop and (interference, dual variables,
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,10 +61,10 @@ from .network import ChannelState, own_links
 LN2 = float(np.log(2.0))
 
 ALGORITHMS = ("icbf", "icbf_wi", "cb_refim")
-_ALGO_GAMMA = {"icbf": "direct", "icbf_wi": "sherman_morrison", "cb_refim": "rank_r"}
+_ALGO_GAMMA = {"icbf": "direct", "icbf_wi": "sherman_morrison", "cb_refim": "direct"}
 #: Gamma modes in the order :class:`DualEvaluator` and :func:`solve_batch` keep
-#: their rows; direct and rank_r share the eigendecomposed form.
-GAMMA_MODES = ("direct", "rank_r", "sherman_morrison")
+#: their rows: the exact inverse, then the inverse-free form.
+GAMMA_MODES = ("direct", "sherman_morrison")
 #: :class:`DualEvaluator` arrays stored pole-major and flat, (poles, rows*N*K)
 _POLE_MAJOR = ("poles", "proj", "sm_terms")
 
@@ -118,14 +119,12 @@ def _victim_weights(mask: np.ndarray, q: np.ndarray) -> np.ndarray:
     return mask * np.swapaxes(q, -1, -2)[..., None, None, :, :]
 
 
-def _all_leakages(channels: ChannelState, q: np.ndarray,
-                  mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Victim weights W[m,k,n,g] = mask[m,k,n,g] * q[g,n] and the leakage
-    matrices L[m,k,n] = sum_g W[m,k,n,g] h_{m,g}(n) h_{m,g}(n)^H, with any
-    leading batch axes of the channels, q and mask."""
-    w = _victim_weights(mask, q)
+def _all_leakages(channels: ChannelState, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Leakage matrices L[m,k,n] = sum_g W[m,k,n,g] h_{m,g}(n) h_{m,g}(n)^H with
+    the victim weights W = :func:`_victim_weights`, with any leading batch
+    axes of the channels, q and mask."""
     h = channels.normalized
-    return w, np.einsum("...mkng,...mgna,...mgnb->...mknab", w, h, h.conj())
+    return np.einsum("...mkng,...mgna,...mgnb->...mknab", _victim_weights(mask, q), h, h.conj())
 
 
 def gamma_direct(leakage: np.ndarray, lam: float) -> np.ndarray:
@@ -176,9 +175,9 @@ def beta(channels: ChannelState, config: NetworkConfig, m: int, k: int, n: int,
 class DualEvaluator:
     """u = h^H Gamma h, ||Gamma h||^2 and Gamma h of every triple at per-BS duals.
 
-    Built once per leakage, i.e. once per outer iteration. Channels, victim
-    weights and leakages may carry one leading batch axis of B solves, which
-    the evaluator folds into its BS axis: its arrays are (B*M, N, K, ...), so
+    Built once per leakage, i.e. once per outer iteration. Channels and
+    leakages may carry one leading batch axis of B solves, which the
+    evaluator folds into its BS axis: its arrays are (B*M, N, K, ...), so
     each BS's triples run in (n, k) order, and every dual search and Gamma h
     covers all the solves at once. Inactive triples have zero weight and so
     zero beta.
@@ -188,21 +187,21 @@ class DualEvaluator:
     rows form one contiguous block. Every array is indexed by row (the
     pole-major ones below by the triples of each row); a form's arrays are
     computed on the rows of its modes and are zero elsewhere. The
-    exact-inverse modes (direct and rank_r) eigendecompose the leakage
-    matrices once, L = V diag(e) V^H, after which, with c = V^H h and
-    x = lambda*ln2, every dual value costs O(Nt) per triple:
+    exact-inverse mode (icbf, and cb_refim on its truncated leakage)
+    eigendecomposes the leakage matrices once, L = V diag(e) V^H, after
+    which, with c = V^H h and x = lambda*ln2, every dual value costs O(Nt)
+    per triple:
 
         u = sum_i |c_i|^2 / (e_i + x),   ||Gamma h||^2 = sum_i |c_i|^2 / (e_i + x)^2
 
-    and icbf's Gamma h = V (c / (e + x)). The inverse-free mode's
+    and Gamma h = V (c / (e + x)). The inverse-free mode's
     Gamma h = (h - L h / (x + tr L)) / x = (x h + r0) / (x (x + t)), with
     t = tr L and r0 = t h - L h, gives the dual values in closed scalar form:
 
         u = (x H + S) / (x (x + t)),   ||Gamma h||^2 = (x (x H + 2 S) + S2) / (x (x + t))^2
 
     with H = ||h||^2, S = h^H r0 >= 0 and S2 = ||r0||^2 taken once per build,
-    every term non-negative. cb_refim's Gamma is :func:`refim.invert_rank_r`
-    over the victim weights of :func:`_all_leakages`.
+    every term non-negative.
 
     The dual search reads these per-triple values from flat arrays laid out
     pole-major (:data:`_POLE_MAJOR`): e and |c|^2 as (Nt, rows*N*K), and
@@ -211,16 +210,14 @@ class DualEvaluator:
     reduction over the short leading axis, not one inner loop per triple.
     """
 
-    def __init__(self, channels: ChannelState, weights: np.ndarray,
-                 leakages: np.ndarray, config: NetworkConfig, gamma_mode: str | list[str]):
+    def __init__(self, channels: ChannelState, leakages: np.ndarray, config: NetworkConfig,
+                 gamma_mode: str | list[str]):
         self.lead = channels.normalized.shape[:-4]                    # () or (B,)
         self.n_bs = config.M
         self.per_row = config.N * config.K                            # triples per row
-        h = channels.normalized
-        h = h.reshape((-1,) + h.shape[-3:]).swapaxes(1, 2)            # (BM, N, MK, Nt)
-        n_rows = len(h)
-        modes = ([gamma_mode] * (n_rows // config.M) if isinstance(gamma_mode, str)
-                 else list(gamma_mode))
+        n_solves = math.prod(self.lead)
+        n_rows = n_solves * config.M
+        modes = [gamma_mode] * n_solves if isinstance(gamma_mode, str) else list(gamma_mode)
         for mode in modes:
             if mode not in GAMMA_MODES:
                 raise ConfigurationError(f"unknown gamma mode '{mode}'")
@@ -228,18 +225,17 @@ class DualEvaluator:
         if len(self.modes) != n_rows or np.any(np.diff(self.modes) < 0):
             raise UsageError(f"need one gamma mode or one per solve in the order "
                              f"{GAMMA_MODES}, got {modes}")
-        self._find_blocks()
+        self._find_split()
         hs = own_links(channels, config).reshape(-1, config.K, config.N, config.Nt)
         self.hs = np.ascontiguousarray(hs.swapaxes(1, 2))             # own users (BM, N, K, Nt)
         own = (config.weights * config.assignment).swapaxes(1, 2)
-        self.weights = np.tile(own, (n_rows // config.M, 1, 1))
+        self.weights = np.tile(own, (n_solves, 1, 1))
         hh = np.sum(np.abs(self.hs) ** 2, axis=-1)
         self.wh = self.weights * hh                                   # w ||h||^2
         self.lam_up = np.max(self.wh, axis=(1, 2)) / LN2             # lambda_upper
         mats = leakages.reshape((-1,) + leakages.shape[-4:]).swapaxes(1, 2)
-        first, last = self.blocks
-        eig, sm = slice(None, last), slice(last, None)
-        if last < n_rows:
+        eig, sm = slice(None, self.split), slice(self.split, None)
+        if self.split < n_rows:
             lh = np.einsum("...ij,...j->...i", mats[sm], self.hs[sm])
             tr = np.einsum("...ii->...", mats[sm]).real
             r0 = tr[..., None] * self.hs[sm] - lh                     # (tr L - L) h
@@ -249,7 +245,7 @@ class DualEvaluator:
             terms = np.stack((hh[sm], np.maximum(s, 0.0), np.sum(np.abs(r0) ** 2, axis=-1), tr),
                              axis=-1)
             self.sm_terms = _pole_major(_on_rows(sm, terms, n_rows))
-        if last:
+        if self.split:
             evals, vecs = np.linalg.eigh(mats[eig])
             evals = np.clip(evals, 0.0, None)                         # PSD up to rounding
             self.poles = _pole_major(_on_rows(eig, evals, n_rows))
@@ -257,13 +253,10 @@ class DualEvaluator:
             coef = np.einsum("...ij,...j->...i", vecs.conj().swapaxes(-1, -2), self.hs[eig])
             self.coef = _on_rows(eig, coef, n_rows)
             self.proj = _pole_major(_on_rows(eig, np.abs(coef) ** 2, n_rows))
-        if first < last:   # rank_r: victim weights (BM, N, K, MK), channels (BM, N, 1, MK, Nt)
-            self.victim_w = weights.reshape((-1,) + weights.shape[-3:]).swapaxes(1, 2)
-            self.victims = h[:, :, None]
 
-    def _find_blocks(self) -> None:
-        # rows [0, first) are direct, [first, last) rank_r, the rest sherman_morrison
-        self.blocks = tuple(np.searchsorted(self.modes, (1, 2)).tolist())
+    def _find_split(self) -> None:
+        # rows [0, split) are direct, the rest sherman_morrison
+        self.split = int(np.searchsorted(self.modes, 1))
 
     def _rows(self, solves: np.ndarray) -> np.ndarray:
         return (solves[:, None] * self.n_bs + np.arange(self.n_bs)).ravel()
@@ -284,7 +277,7 @@ class DualEvaluator:
                 axis, index = self._index(name, rows)
                 setattr(sub, name, np.take(value, index, axis=axis))
         sub.lead = (len(solves),)
-        sub._find_blocks()
+        sub._find_split()
         return sub
 
     def put(self, solves: np.ndarray, other: "DualEvaluator") -> None:
@@ -320,7 +313,7 @@ class DualEvaluator:
         x = np.repeat(lam * LN2, self.per_row)
         u, g2 = np.empty_like(x), np.empty_like(x)
         du, dg2 = (np.empty_like(x), np.empty_like(x)) if slope else (None, None)
-        split = self.blocks[1] * self.per_row          # eigendecomposed triples come first
+        split = self.split * self.per_row              # eigendecomposed triples come first
         if split:
             proj = self.proj[:, :split]
             d = self.poles[:, :split] + x[:split]
@@ -350,20 +343,15 @@ class DualEvaluator:
         """Gamma h of every triple at duals (..., M), shape (..., M, K, N, Nt)."""
         lam = lam.reshape(-1)
         x = (lam * LN2)[:, None, None]
-        first, last = self.blocks
+        split = self.split
         parts = []
-        if first:
-            d = slice(None, first)
-            evals = self.poles[:, :first * self.per_row].T.reshape(self.coef[d].shape)
+        if split:
+            d = slice(None, split)
+            evals = self.poles[:, :split * self.per_row].T.reshape(self.coef[d].shape)
             parts.append(np.einsum("...ij,...j->...i", self.vecs[d],
                                    self.coef[d] / (evals + x[d, ..., None])))
-        if first < last:
-            from . import refim
-            r = slice(first, last)
-            gamma = refim.invert_rank_r(self.victim_w[r], self.victims[r], lam[r, None, None])
-            parts.append(np.einsum("...ij,...j->...i", gamma, self.hs[r]))
-        if last < len(lam):
-            sm = slice(last, None)
+        if split < len(lam):
+            sm = slice(split, None)
             parts.append(self._residual(x[sm], sm) / x[sm, ..., None])
         gh = (parts[0] if len(parts) == 1 else np.concatenate(parts)).swapaxes(1, 2)
         return gh.reshape(self.lead + (self.n_bs,) + gh.shape[1:])
@@ -755,10 +743,8 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
         if any(fresh):
             pos = np.flatnonzero(fresh)
             sub_chans, sub_link = _take(chans, link, pos)
-            weights, leakages = _all_leakages(sub_chans, _q_from_link(config, sub_link),
-                                              masks[live[pos]])
-            new = DualEvaluator(sub_chans, weights, leakages, config,
-                                [modes[b] for b in live[pos]])
+            leakages = _all_leakages(sub_chans, _q_from_link(config, sub_link), masks[live[pos]])
+            new = DualEvaluator(sub_chans, leakages, config, [modes[b] for b in live[pos]])
             if all(fresh):
                 ev = new
             else:

@@ -232,8 +232,8 @@ def test_criterion_6_reference_count_sweep(suite):
     beams, _ = solve(channels, config, init_mslnr(channels, config), "icbf_wi")
     q = _q_from_link(config, link_state(channels, beams, config))
     all_candidates = refim.reference_map(channels, config) < config.M * config.K - 1
-    _, truncated = _all_leakages(channels, q, all_candidates)
-    _, full = _all_leakages(channels, q, full_mask(config))
+    truncated = _all_leakages(channels, q, all_candidates)
+    full = _all_leakages(channels, q, full_mask(config))
     scale = np.maximum(np.linalg.norm(full, axis=(-2, -1)), 1e-300)
     worst = float(np.max(np.linalg.norm(truncated - full, axis=(-2, -1)) / scale))
     ok = ratio >= 0.88 and worst <= 1e-10
@@ -330,7 +330,7 @@ def test_criterion_9_power_feasibility_and_dual_monotonicity(suite):
         beams *= np.sqrt(config.Pmax / bs_powers(beams).max())
         interf = interference_all(channels, beams, config)
         q = _q_from_link(config, link_state(channels, beams, config))
-        _, leak = _all_leakages(channels, q, full_mask(config))
+        leak = _all_leakages(channels, q, full_mask(config))
         for mode, gamma_fn in (("direct", gamma_direct),
                                ("sherman_morrison", gamma_sherman_morrison)):
             m = 0

@@ -18,7 +18,14 @@ from cbsim import solver
 from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr
 from cbsim.network import ChannelState, realize_network
-from cbsim.solver import GAMMA_MODES, DualEvaluator, _all_leakages, full_mask
+from cbsim.refim import reference_map
+from cbsim.solver import DualEvaluator, _all_leakages, full_mask
+
+#: One solve per algorithm, in the evaluator's mode order: icbf's direct solve,
+#: cb_refim's direct solve on a leakage truncated to two victims per beam, and
+#: icbf_wi's inverse-free solve.
+ALGO_MODES = ("direct", "direct", "sherman_morrison")
+ALGO_VICTIMS = (None, 2, None)
 
 
 def oracle(ev, interf, config):
@@ -44,7 +51,8 @@ def mixed_batch(rng, config, modes, victims=None, gain=(-2.0, 4.0), q_scale=(-4.
     """An evaluator over one solve per mode (modes in GAMMA_MODES order) on
     random channels whose per-link gains span ``gain`` decades, random
     interference, and the leakage matrices. ``victims`` caps the victims per
-    beam, so the leakage matrices have at most that rank."""
+    beam, one cap for every solve or one per solve (None: no cap), so the
+    leakage matrices have at most that rank."""
     b = len(modes)
     shape = (b, config.M, config.n_users, config.N, config.Nt)
     scale = 10.0 ** rng.uniform(*gain, shape[:3] + (1, 1))
@@ -53,11 +61,18 @@ def mixed_batch(rng, config, modes, victims=None, gain=(-2.0, 4.0), q_scale=(-4.
     q = 10.0 ** rng.uniform(*q_scale, (b, config.n_users, config.N))
     mask = np.broadcast_to(full_mask(config), (b,) + full_mask(config).shape)
     if victims is not None:
+        caps = [victims] * b if np.ndim(victims) == 0 else victims
+        caps = np.array([np.inf if cap is None else cap for cap in caps])
         order = np.argsort(rng.random(mask.shape), axis=-1)
-        mask = mask & (np.argsort(order, axis=-1) < victims)
-    weights, leakages = _all_leakages(channels, q, mask)
+        mask = mask & (np.argsort(order, axis=-1) < caps[:, None, None, None, None])
+    leakages = _all_leakages(channels, q, mask)
     interf = 10.0 ** rng.uniform(*interference, (b, config.M, config.K, config.N))
-    return DualEvaluator(channels, weights, leakages, config, list(modes)), interf, leakages
+    return DualEvaluator(channels, leakages, config, list(modes)), interf, leakages
+
+
+def every_algorithm(rng, config, **ranges):
+    """:func:`mixed_batch` over one solve per algorithm (ALGO_MODES)."""
+    return mixed_batch(rng, config, ALGO_MODES, ALGO_VICTIMS, **ranges)
 
 
 def random_config(rng, **fixed):
@@ -76,8 +91,9 @@ def random_config(rng, **fixed):
 def test_search_matches_the_bisection_on_random_mixed_evaluators(seed, warm):
     rng = np.random.default_rng(seed)
     config = random_config(rng)
-    modes = sorted(rng.choice(GAMMA_MODES, int(rng.integers(1, 5))), key=GAMMA_MODES.index)
-    ev, interf, _ = mixed_batch(rng, config, modes)
+    algos = np.sort(rng.integers(0, len(ALGO_MODES), int(rng.integers(1, 5))))
+    victims = [int(rng.integers(0, config.n_users)) if ALGO_VICTIMS[a] else None for a in algos]
+    ev, interf, _ = mixed_batch(rng, config, [ALGO_MODES[a] for a in algos], victims)
     start = None
     if warm == "random":
         start = 10.0 ** rng.uniform(-10.0, 2.0, ev.lead + (config.M,))
@@ -87,7 +103,8 @@ def test_search_matches_the_bisection_on_random_mixed_evaluators(seed, warm):
 
 
 def test_search_matches_the_bisection_on_channel_draws():
-    """Real channels and mslnr leakages at 10, 30 and 50 dB, every Gamma mode."""
+    """Real channels and mslnr leakages at 10, 30 and 50 dB, one solve per
+    algorithm, cb_refim's on one reference."""
     for gamma_db in (10.0, 30.0, 50.0):
         config = NetworkConfig(gamma_db=gamma_db)
         draws = [realize_network(config, seed)[1] for seed in (3, 4, 5)]
@@ -95,9 +112,10 @@ def test_search_matches_the_bisection_on_channel_draws():
                                 n_coordinated=config.M)
         beams = np.stack([init_mslnr(d, config) for d in draws])
         link = solver.link_state(channels, beams, config)
-        weights, leakages = _all_leakages(channels, solver._q_from_link(config, link),
-                                          full_mask(config))
-        ev = DualEvaluator(channels, weights, leakages, config, list(GAMMA_MODES))
+        masks = np.stack([full_mask(config), reference_map(draws[1], config) < 1,
+                          full_mask(config)])
+        leakages = _all_leakages(channels, solver._q_from_link(config, link), masks)
+        ev = DualEvaluator(channels, leakages, config, list(ALGO_MODES))
         interf = solver._interference_of_link(config, link)
         duals = assert_same_search(ev, interf, config)[0]
         assert_same_search(ev, interf, config, duals * 1.05)
@@ -105,8 +123,8 @@ def test_search_matches_the_bisection_on_channel_draws():
 
 def case_beams_off(rng):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES)
-    interf[1] = 1e15                       # the rank_r solve: every beam stays off
+    ev, interf, _ = every_algorithm(rng, config)
+    interf[1] = 1e15                       # the cb_refim solve: every beam stays off
     return ev, interf, config, lambda duals, betas: (np.all(duals[1] == config.lambda_min)
                                                      and np.all(betas[1] == 0.0))
 
@@ -115,8 +133,9 @@ def case_fits_at_the_floor(rng):
     # full-rank leakage comparable to the own link: even at lambda_min the
     # beams that stay on need little power
     config = NetworkConfig(M=2, N=2, K=3, Nt=2, Pmax=3.0)
-    ev, interf, _ = mixed_batch(rng, config, ("direct", "rank_r"), q_scale=(-2.0, -1.5),
-                             gain=(1.0, 2.0), interference=(-3.0, -2.0))
+    ev, interf, _ = mixed_batch(rng, config, ("direct", "direct"), (None, 2),
+                                q_scale=(-2.0, -1.5), gain=(1.0, 2.0),
+                                interference=(-3.0, -2.0))
     return ev, interf, config, lambda duals, betas: (np.any(duals == config.lambda_min)
                                                      and np.any(betas > 0.0))
 
@@ -125,8 +144,8 @@ def case_width_stopped(rng):
     # strong links without leakage: lambda* sits ~1e-10 below lambda_upper, and
     # the power tolerance is a narrower interval than the bracket width
     config = NetworkConfig(M=1, N=1, K=1, Nt=2, weights=np.ones((1, 1, 1)))
-    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES, gain=(10.0, 10.5), q_scale=(-30, -29),
-                             interference=(-3.0, -2.0))
+    ev, interf, _ = every_algorithm(rng, config, gain=(10.0, 10.5), q_scale=(-30, -29),
+                                    interference=(-3.0, -2.0))
 
     def width_stopped(duals, betas):
         flat = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
@@ -139,7 +158,7 @@ def case_steep(rng):
     # a tiny budget is met just before the last beams switch off, where
     # ln f falls steeply in ln lambda
     config = NetworkConfig(M=3, N=2, K=2, Nt=3, Pmax=1e-7)
-    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES)
+    ev, interf, _ = every_algorithm(rng, config)
 
     def steep(duals, betas):
         flat = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
@@ -193,7 +212,7 @@ def test_a_wrong_prediction_is_caught_and_searched_exactly(monkeypatch, wrong):
     tolerance, or the smallest midpoint that fit with room."""
     rng = np.random.default_rng(7)
     config = NetworkConfig(M=3, N=2, K=2, Nt=3)
-    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES)
+    ev, interf, _ = every_algorithm(rng, config)
     real = solver._locate
 
     def misled(*args):
@@ -240,8 +259,8 @@ def test_slope_matches_finite_differences():
     every Gamma mode."""
     rng = np.random.default_rng(11)
     config = NetworkConfig(M=2, N=2, K=2, Nt=3)
-    ev, interf, _ = mixed_batch(rng, config, GAMMA_MODES, q_scale=(-1.0, 0.0),
-                             interference=(-2.0, -1.0))
+    ev, interf, _ = every_algorithm(rng, config, q_scale=(-1.0, 0.0),
+                                    interference=(-2.0, -1.0))
     flat = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
     lam = 0.3 * ev.lam_up
     _, f, df = solver._betas_power(ev, lam, flat, slope=True)

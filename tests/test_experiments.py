@@ -11,7 +11,7 @@ from cbsim.cli import main, parse_config
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.experiments import (ExperimentSpec, feedback_table,
-                               run_experiment, run_solver_trial, trial_seeds)
+                               run_experiment, run_solver_trials, trial_seeds)
 from cbsim.initializers import init_mslnr
 from cbsim.network import ChannelState, apply_noise, build_topology, draw_channels
 from cbsim.refim import feedback_bits
@@ -226,8 +226,8 @@ def test_one_solve_batch_per_group(tmp_path, monkeypatch):
 def test_trial_results_independent_of_other_trials():
     config = small_config()
     spec3 = small_spec("snr_sweep", "unused.csv", trials=3)
-    solo = run_solver_trial(config, spec3, 2)
-    again = run_solver_trial(config, small_spec("snr_sweep", "unused.csv", trials=9), 2)
+    solo = run_solver_trials(config, spec3, (2,))[0]
+    again = run_solver_trials(config, small_spec("snr_sweep", "unused.csv", trials=9), (2,))[0]
     key = ("icbf", 20.0)
     assert solo.final_wsr[key] == again.final_wsr[key]
 
@@ -526,7 +526,7 @@ def failing_trial_seeds(doomed):
 def test_failed_trials_are_excluded_with_warning(tmp_path, monkeypatch, capsys):
     config = small_config()
     spec = small_spec("snr_sweep", tmp_path / "flaky.csv", trials=3, algos=("cm", "icbf"))
-    solo = [run_solver_trial(config, spec, t) for t in (0, 2)]
+    solo = [run_solver_trials(config, spec, (t,))[0] for t in (0, 2)]
     assert experiments._trials_per_group(config, spec, None) == 3
     monkeypatch.setattr(experiments, "trial_seeds", failing_trial_seeds({1}))
     run_experiment(config, spec)
@@ -546,7 +546,7 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
     config = small_config()
     spec = small_spec("snr_sweep", tmp_path / "singular.csv", trials=3, algos=("icbf",),
                       gamma_db=(20.0, 30.0))
-    solo = [run_solver_trial(config, spec, t) for t in (0, 2)]
+    solo = [run_solver_trials(config, spec, (t,))[0] for t in (0, 2)]
     doomed = trial_channels(config, spec.seed, 1, 30.0)
     real_solve, batches = solver.solve_batch, []
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from cbsim.config import NetworkConfig
-from cbsim.experiments import DEFAULT_ALGOS, ExperimentSpec, run_solver_trial
+from cbsim.experiments import DEFAULT_ALGOS, ExperimentSpec, run_solver_trials
 from cbsim.network import build_topology
 
 DATA = Path(__file__).resolve().parent / "data" / "fingerprint.json"
@@ -49,7 +49,7 @@ def compute_fingerprint() -> dict:
     for t in range(FP_TRIALS):
         entry = {}
         for label, spec in _runs():
-            result = run_solver_trial(config, spec, t)
+            result = run_solver_trials(config, spec, (t,))[0]
             for (algo, gamma), wsr in result.final_wsr.items():
                 name = algo if label == "all" else f"{algo}_{label}"
                 entry[f"{name}@{gamma:g}"] = {

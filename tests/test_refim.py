@@ -1,4 +1,5 @@
-"""Reference-user selection, truncated leakage, rank-r inversion, feedback."""
+"""Reference-user selection, truncated leakage, the rank-one recursion and
+cb_refim's Gamma against it, feedback."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError
 from cbsim.initializers import init_mslnr
 from cbsim.metrics import link_state
-from cbsim.network import ChannelState, realize_network
+from cbsim.network import ChannelState, own_links, realize_network
 from cbsim.refim import (feedback_bits, invert_rank_r,
                          out_of_cell_reference_counts, reference_map)
-from cbsim.solver import (LN2, _all_leakages, _q_from_link, full_mask,
-                          gamma_sherman_morrison, solve_batch)
+from cbsim.solver import (LN2, DualEvaluator, _all_leakages, _q_from_link, _victim_weights,
+                          full_mask, gamma_sherman_morrison, solve_batch)
 
 
 def synthetic_channels(config, seed=0):
@@ -222,7 +223,7 @@ def leakages(state, beams, config, mask):
     """Leakage matrix of every triple over the victim mask, (M, K, N, Nt, Nt),
     as the solver builds it from the beams' link state."""
     q = _q_from_link(config, link_state(state, beams, config))
-    return _all_leakages(state, q, mask)[1]
+    return _all_leakages(state, q, mask)
 
 
 def test_refim_leakage_empty_refs_is_selfish_mode():
@@ -315,6 +316,41 @@ def test_invert_rank_r_batched_matches_each_slice():
             keep = qs[b, a] > 0
             single = invert_rank_r(qs[b, a, keep], hs[b, a, keep], lams[b, 0])
             assert np.linalg.norm(g[b, a] - single) <= 1e-14 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("seed, gamma_db", [(1, 10.0), (2, 30.0), (3, 50.0)])
+def test_cb_refim_gamma_h_matches_the_rank_one_recursion(seed, gamma_db):
+    """On a real channel draw, the Gamma h that a cb_refim solve takes from its
+    evaluator's eigendecomposition equals the paper's recursion times h, at
+    every reference count 0..MK-1 (0 gives Gamma = I / x) and at the dual
+    floor, the bracket middle and lambda_upper.
+
+    Both are exact inverses of T = L + x I, so they agree to 1e-10 relative
+    up to T's conditioning. At the dual floor x is about 7e-11: rounding in
+    L of order eps ||L|| then moves either inverse by up to about
+    eps cond(T) relative, and with fewer references than antennas cond(T)
+    is near 1e12, so the bound there widens by 8 eps cond(T)."""
+    config = NetworkConfig(gamma_db=gamma_db)
+    _, state = realize_network(config, seed)
+    q = _q_from_link(config, link_state(state, init_mslnr(state, config), config))
+    counts = np.arange(config.n_users)
+    masks = reference_map(state, config) < counts[:, None, None, None, None]
+    stack = ChannelState(normalized=np.broadcast_to(state.normalized,
+                                                    counts.shape + state.normalized.shape))
+    leak = _all_leakages(stack, q, masks)                      # (count, M, K, N, Nt, Nt)
+    ev = DualEvaluator(stack, leak, config, "direct")
+    coeffs = _victim_weights(masks, q)                         # (count, M, K, N, MK)
+    victims = state.normalized.swapaxes(1, 2)[:, None]         # (M, 1, N, MK, Nt)
+    own = own_links(state, config)
+    e_max = np.linalg.eigvalsh(leak)[..., -1]
+    for lam in (np.full(ev.lam_up.shape, config.lambda_min),
+                0.5 * (config.lambda_min + ev.lam_up), ev.lam_up):
+        lam = lam.reshape(len(counts), config.M, 1, 1)
+        got = ev.gamma_h(lam)
+        want = np.einsum("...ij,...j->...i", invert_rank_r(coeffs, victims, lam), own)
+        x = lam * LN2
+        rel = np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+        assert np.all(rel <= 1e-10 + 8.0 * np.finfo(float).eps * (e_max + x) / x)
 
 
 # ---------------------------------------------------------------------------

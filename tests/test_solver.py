@@ -10,7 +10,8 @@ from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_cm, init_mslnr
 from cbsim.metrics import bs_powers, link_state, sinr_of_link, weighted_sum_rate
 from cbsim.network import ChannelState, realize_network
-from cbsim.solver import (GAMMA_MODES, LN2, DualEvaluator, _all_leakages, _betas_power,
+from cbsim.refim import reference_map
+from cbsim.solver import (LN2, DualEvaluator, _all_leakages, _betas_power,
                           _q_from_link, beta, finite_difference_gradient, full_mask,
                           gamma_direct, gamma_sherman_morrison, interference_all,
                           kkt_report, lagrangian_gradient, lagrangian_value,
@@ -42,7 +43,7 @@ def full_leakages(state, beams, config):
     """Full leakage matrix of every triple, (M, K, N, Nt, Nt), as the solver
     builds it: victim weights q from the link state over the full victim mask."""
     q = _q_from_link(config, link_state(state, beams, config))
-    return _all_leakages(state, q, full_mask(config))[1]
+    return _all_leakages(state, q, full_mask(config))
 
 
 def random_psd(rng, nt, scale=1.0):
@@ -268,21 +269,19 @@ def test_beta_fixed_point_residual(seed, lam, interf):
 # dual bisection
 # ---------------------------------------------------------------------------
 
-def bisection_setup(seed, gamma_db=30.0):
+def bisection_setup(seed, gamma_db=30.0, refs=None):
+    """A channel draw, its leakages at the mslnr beams and the interference;
+    with ``refs``, cb_refim's leakages truncated to that many references."""
     config = NetworkConfig(M=2, N=2, K=2, Nt=2, gamma_db=gamma_db)
     _, state = realize_network(config, seed)
     beams = init_mslnr(state, config)
-    weights, leakages = _all_leakages(
-        state, _q_from_link(config, link_state(state, beams, config)), full_mask(config))
-    return config, state, weights, leakages, interference_all(state, beams, config)
+    mask = full_mask(config) if refs is None else reference_map(state, config) < refs
+    leakages = _all_leakages(state, _q_from_link(config, link_state(state, beams, config)), mask)
+    return config, state, leakages, interference_all(state, beams, config)
 
 
-def no_victims(config):
-    return np.zeros((config.M, config.K, config.N, config.n_users))
-
-
-def bisect(state, weights, leakages, interf, config, mode):
-    ev = DualEvaluator(state, weights, leakages, config, mode)
+def bisect(state, leakages, interf, config, mode):
+    ev = DualEvaluator(state, leakages, config, mode)
     return ev, *lambda_bisection(ev, interf, config)
 
 
@@ -291,8 +290,7 @@ def test_bisection_returns_floor_when_beams_off():
                            weights=np.zeros((1, 1, 1)))   # w = 0 kills the beam
     state = synthetic_channels(config, 14)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    _, duals, betas = bisect(state, no_victims(config), leakages, np.zeros((1, 1, 1)),
-                             config, "direct")
+    _, duals, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, "direct")
     assert duals[0] == config.lambda_min == 1e-10
     assert np.all(betas == 0.0)
 
@@ -303,8 +301,7 @@ def test_bisection_inactive_constraint_keeps_floor():
     h = np.full((1, 1, 1, 2), 1e-6, dtype=complex)
     state = ChannelState(normalized=h, n_coordinated=1)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    _, duals, betas = bisect(state, no_victims(config), leakages, np.zeros((1, 1, 1)),
-                             config, "direct")
+    _, duals, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, "direct")
     assert duals[0] == config.lambda_min
     # power implied by the returned betas stays within budget
     gamma = gamma_direct(leakages[(0, 0, 0)], duals[0])
@@ -314,8 +311,8 @@ def test_bisection_inactive_constraint_keeps_floor():
 
 @pytest.mark.parametrize("mode", ["direct", "sherman_morrison"])
 def test_bisection_against_dense_scan(mode):
-    config, state, weights, leakages, interf = bisection_setup(17)
-    _, duals, _ = bisect(state, weights, leakages, interf, config, mode)
+    config, state, leakages, interf = bisection_setup(17)
+    _, duals, _ = bisect(state, leakages, interf, config, mode)
     gamma_fn = gamma_direct if mode == "direct" else gamma_sherman_morrison
     for m in range(config.M):
         lam_star = duals[m]
@@ -350,8 +347,8 @@ def test_bisection_against_dense_scan(mode):
 
 def test_bisected_power_feasible_every_bs():
     for seed in (21, 22):
-        config, state, weights, leakages, interf = bisection_setup(seed)
-        ev, duals, betas = bisect(state, weights, leakages, interf, config, "direct")
+        config, state, leakages, interf = bisection_setup(seed)
+        ev, duals, betas = bisect(state, leakages, interf, config, "direct")
         beams = update_beams(ev, duals, betas)
         assert np.all(bs_powers(beams) <= config.Pmax * (1.0 + 1e-9))
 
@@ -360,15 +357,18 @@ def test_bisected_power_feasible_every_bs():
 # update_beams
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("mode, gamma_fn", [("direct", gamma_direct),
-                                            ("sherman_morrison", gamma_sherman_morrison),
-                                            ("rank_r", gamma_direct)])
-def test_gamma_h_matches_dense_forms(mode, gamma_fn):
-    """The evaluator's Gamma h equals the dense per-triple Gamma times h;
-    rank_r's sequential updates invert the same matrix as the direct solve."""
-    config, state, weights, leakages, _ = bisection_setup(26)
+@pytest.mark.parametrize("mode, gamma_fn, refs",
+                         [("direct", gamma_direct, None),
+                          ("sherman_morrison", gamma_sherman_morrison, None),
+                          ("direct", gamma_direct, 1)],
+                         ids=["direct-gamma_direct", "sherman_morrison-gamma_sherman_morrison",
+                              "direct_truncated-gamma_direct"])
+def test_gamma_h_matches_dense_forms(mode, gamma_fn, refs):
+    """The evaluator's Gamma h equals the dense per-triple Gamma times h, on
+    the full leakage and on cb_refim's leakage truncated to one reference."""
+    config, state, leakages, _ = bisection_setup(26, refs=refs)
     config.assignment[1, 0, 1] = False     # a hole in BS 1's (n, k) order
-    ev = DualEvaluator(state, weights, leakages, config, mode)
+    ev = DualEvaluator(state, leakages, config, mode)
     duals = np.array([0.05, 0.4])
     gh = ev.gamma_h(duals)
     for m, k, n in zip(*np.nonzero(config.assignment)):
@@ -378,26 +378,31 @@ def test_gamma_h_matches_dense_forms(mode, gamma_fn):
 
 
 def test_dual_function_matches_dense_forms_on_a_mixed_evaluator():
-    """u, ||Gamma h||^2, beta^2 and the per-BS power of one evaluator holding a
-    direct, a rank_r and a sherman_morrison solve equal the dense per-triple
-    forms, at the dual floor, a middle dual and the dual upper bound."""
-    setups = [bisection_setup(seed) for seed in (26, 27, 28)]
+    """u, ||Gamma h||^2, beta^2 and the per-BS power of one evaluator holding
+    icbf's direct solve, cb_refim's direct solve on a leakage truncated to two
+    references, and icbf_wi's sherman_morrison solve equal the dense per-triple
+    forms, at the dual floor, a middle dual and the dual upper bound.
+
+    Two references of three candidates keep the truncated leakage at full
+    rank (Nt = 2). With fewer, L + x I at the dual floor has a condition
+    number near 1e12, and any two exact inverses agree only to about eps
+    times that (the conditioning bound of test_refim's recursion oracle)."""
+    modes = ("direct", "direct", "sherman_morrison")
+    setups = [bisection_setup(seed, refs=refs) for seed, refs in ((26, None), (27, 2), (28, None))]
     config = setups[0][0]
     config.assignment[1, 0, 1] = False     # a hole in BS 1's (n, k) order
     state = ChannelState(normalized=np.stack([s[1].normalized for s in setups]),
                          n_coordinated=config.M)
-    leakages = np.stack([s[3] for s in setups])
-    interf = np.stack([s[4] for s in setups])
-    ev = DualEvaluator(state, np.stack([s[2] for s in setups]), leakages, config,
-                       list(GAMMA_MODES))
-    dense = {"direct": gamma_direct, "rank_r": gamma_direct,
-             "sherman_morrison": gamma_sherman_morrison}
+    leakages = np.stack([s[2] for s in setups])
+    interf = np.stack([s[3] for s in setups])
+    ev = DualEvaluator(state, leakages, config, list(modes))
+    dense = {"direct": gamma_direct, "sherman_morrison": gamma_sherman_morrison}
     flat_interf = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
     for lam in (np.full(ev.lam_up.shape, config.lambda_min),
                 0.5 * (config.lambda_min + ev.lam_up), ev.lam_up):
         u, g2 = ev.u_g2(lam)
         b2, power = _betas_power(ev, lam, flat_interf)
-        for b, mode in enumerate(GAMMA_MODES):
+        for b, mode in enumerate(modes):
             for m in range(config.M):
                 row = b * config.M + m
                 want_power = 0.0
@@ -428,8 +433,7 @@ def test_pole_major_sums_equal_trailing_axis_sums_bit_for_bit(nt, rows):
     leakages = np.array([random_psd(rng, nt, scale) for scale in
                          10.0 ** rng.uniform(-3, 3, rows * config.K * config.N)])
     leakages = leakages.reshape(rows, config.M, config.K, config.N, nt, nt)
-    victim_w = np.zeros((rows, config.M, config.K, config.N, config.n_users))
-    ev = DualEvaluator(state, victim_w, leakages, config, "direct")
+    ev = DualEvaluator(state, leakages, config, "direct")
     lam = 10.0 ** rng.uniform(-10, 1, rows)
     u, g2 = ev.u_g2(lam)
     proj = np.abs(ev.coef) ** 2                           # (rows, N, K, Nt)
@@ -444,8 +448,8 @@ def test_sherman_morrison_row_without_leakage():
     config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
     state = synthetic_channels(config, 47)
     hh = np.linalg.norm(state.normalized) ** 2
-    ev = DualEvaluator(state, no_victims(config), np.zeros((1, 1, 1, 3, 3), dtype=complex),
-                       config, "sherman_morrison")
+    ev = DualEvaluator(state, np.zeros((1, 1, 1, 3, 3), dtype=complex), config,
+                       "sherman_morrison")
     for lam in (config.lambda_min, 1e-3, 10.0):
         u, g2 = ev.u_g2(np.array([lam]))
         x = lam * LN2
@@ -455,9 +459,9 @@ def test_sherman_morrison_row_without_leakage():
 
 
 def test_dual_evaluator_rejects_unknown_mode():
-    config, state, weights, leakages, _ = bisection_setup(27)
+    config, state, leakages, _ = bisection_setup(27)
     with pytest.raises(ConfigurationError, match="bogus"):
-        DualEvaluator(state, weights, leakages, config, "bogus")
+        DualEvaluator(state, leakages, config, "bogus")
 
 
 def test_update_beams_recovers_matched_direction():
@@ -468,7 +472,7 @@ def test_update_beams_recovers_matched_direction():
     h = state.normalized[0, 0, 0]
     gamma = gamma_direct(leakages[(0, 0, 0)], duals[0])
     b = beta(state, config, 0, 0, 0, gamma, 0.0)
-    ev = DualEvaluator(state, no_victims(config), leakages, config, "direct")
+    ev = DualEvaluator(state, leakages, config, "direct")
     beams = update_beams(ev, duals, np.full((1, 1, 1), b))
     v = beams[0, 0, 0]
     assert abs(np.vdot(v, h)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(h))
@@ -478,7 +482,7 @@ def test_update_beams_zero_beta_switches_off():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
     state = synthetic_channels(config, 24)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    ev = DualEvaluator(state, no_victims(config), leakages, config, "direct")
+    ev = DualEvaluator(state, leakages, config, "direct")
     beams = update_beams(ev, np.array([1.0]), np.zeros((1, 1, 1)))
     assert np.all(beams == 0.0)
 
@@ -486,8 +490,8 @@ def test_update_beams_zero_beta_switches_off():
 def test_update_beams_stationarity_for_given_state():
     """Fresh beams satisfy the stationarity equation under the leakage and
     interference they were computed from (exact-inverse mode)."""
-    config, state, weights, leakages, interf = bisection_setup(25)
-    ev, duals, betas = bisect(state, weights, leakages, interf, config, "direct")
+    config, state, leakages, interf = bisection_setup(25)
+    ev, duals, betas = bisect(state, leakages, interf, config, "direct")
     beams = update_beams(ev, duals, betas)
     for m in range(config.M):
         for k in range(config.K):
@@ -721,8 +725,7 @@ def test_dual_evaluator_stable_at_floor_with_aligned_rank_one_leakage():
         other = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         mat = (rng.uniform(0.5, 2.0) * np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
                + mix * np.outer(other, other.conj()) / np.linalg.norm(other) ** 2)
-        ev = DualEvaluator(state, no_victims(config), mat[None, None, None], config,
-                           "sherman_morrison")
+        ev = DualEvaluator(state, mat[None, None, None], config, "sherman_morrison")
         for lam in (1e-10, 1e-6, 1e-2):
             u, g2 = ev.u_g2(np.array([lam]))
             gam = gamma_sherman_morrison(mat, lam)
