@@ -31,8 +31,8 @@ from . import initializers, metrics, refim, solver
 from .config import (BOOLEAN, FINITE, PATH, NetworkConfig, check_settings, integer,
                      list_of, one_of, setting, setting_keys)
 from .errors import CbsimError, ConfigurationError, InvalidStateError
-from .network import (ChannelState, apply_noise, build_topology, draw_channels,
-                      dump_channels_csv, dump_topology_csv)
+from .network import (apply_noise, build_topology, draw_channels, dump_channels_csv,
+                      dump_topology_csv)
 
 EXPERIMENT_KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf", "feedback")
 SOLVER_ALGOS = set(solver.ALGORITHMS)
@@ -132,13 +132,12 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
         draws.append(noisy.normalized)
         if spec.dump_prefix and t == 0:
             dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
-            dump_channels_csv(ChannelState(normalized=noisy.normalized[0]),
-                              f"{spec.dump_prefix}_channels.csv")
-    channels = ChannelState(normalized=np.stack(draws))
-    shape = channels.normalized.shape[:2]                       # (trial, gamma)
+            dump_channels_csv(noisy.normalized[0], f"{spec.dump_prefix}_channels.csv")
+    h = np.stack(draws)
+    shape = h.shape[:2]                                         # (trial, gamma)
     baselines = [algo for algo in spec.algos if algo in BASELINE_ALGOS]
     solves = _solves(spec, ref_counts)
-    inits = {name: initializers.make_initial_beams(name, channels, config)
+    inits = {name: initializers.make_initial_beams(name, h, config)
              for name in dict.fromkeys(baselines + ([spec.init] if solves else []))}
     # one row per baseline and per solve: algo, the reference count of a
     # ref_sweep key or None, and beams and traces by (trial, gamma)
@@ -149,14 +148,14 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
 
         each = shape[0] * shape[1]
         beams, traces = solver.solve_batch(
-            ChannelState(normalized=per_solve(channels.normalized)), config,
-            per_solve(inits[spec.init]), [algo for algo, _ in solves for _ in range(each)],
+            per_solve(h), config, per_solve(inits[spec.init]),
+            [algo for algo, _ in solves for _ in range(each)],
             [refs for _, refs in solves for _ in range(each)])
         beams = beams.reshape((len(solves),) + shape + beams.shape[1:])
         traces = np.array(traces, dtype=object).reshape((len(solves),) + shape)
         rows += [(algo, refs if algo == "cb_refim" and ref_counts is not None else None,
                   beams[s], traces[s]) for s, (algo, refs) in enumerate(solves)]
-    link = metrics.link_state(channels, np.stack([row[2] for row in rows]), config)
+    link = metrics.link_state(h, np.stack([row[2] for row in rows]), config)
     wsr = metrics.sum_rate_of_link(config, link).tolist()
     user_rates = np.sum(np.log2(1.0 + metrics.sinr_of_link(config, link))
                         * config.assignment, axis=-1)
@@ -360,8 +359,8 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
                 if (k, t) not in drops:
                     drops[k, t] = build_topology(cfg, s_topo)
                 topology = drops[k, t]
-                channels = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan))
-                ranks = refim.reference_map(channels, cfg)
+                h = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan)).normalized
+                ranks = refim.reference_map(h, cfg)
                 counts = refim.out_of_cell_reference_counts(cfg, ranks < spec.refs)
                 totals.append(refim.feedback_bits(cfg, "cb_refim", counts,
                                                   qbits=spec.qbits))

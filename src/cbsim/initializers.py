@@ -2,9 +2,10 @@
 
 All three split the power budget evenly across the N*K beams of a BS, so the
 per-BS power constraint holds with equality under the default full
-assignment. Each takes channels with any leading batch axes (a stack of
-channel draws) and returns beams (..., M, K, N, Nt), every draw's bit for bit
-what it is alone; a degenerate channel is reported by draw, cell and user.
+assignment. Each takes the noise-normalized channels h (..., M, MK, N, Nt),
+with any leading batch axes (a stack of channel draws), and returns beams
+(..., M, K, N, Nt), every draw's bit for bit what it is alone; a degenerate
+channel is reported by draw, cell and user.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from . import solver
 from .config import NetworkConfig
 from .errors import ConfigurationError, DegenerateChannelError
-from .network import ChannelState, own_links
+from .network import own_links
 
 
 def _beam_scale(config: NetworkConfig) -> float:
@@ -28,12 +29,12 @@ def _first_user(where: np.ndarray) -> str:
     return f"({m}, {k})" + (f" of draw {', '.join(map(str, draw))}" if draw else "")
 
 
-def init_cm(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
+def init_cm(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Channel-matched (maximum ratio transmission) beams.
 
     v_{m,k}(n) = sqrt(Pmax / (N K)) * h_{m,k}(n) / ||h_{m,k}(n)||
     """
-    own = own_links(channels, config)                                  # (..., M, K, N, Nt)
+    own = own_links(h, config)                                         # (..., M, K, N, Nt)
     norms = np.linalg.norm(own, axis=-1)
     zero = np.any(norms == 0.0, axis=-1, keepdims=True)               # per user, any subchannel
     if zero.any():
@@ -54,7 +55,7 @@ def check_zf(config: NetworkConfig) -> None:
             f"has {active[m, :, n].sum()} > Nt={config.Nt}")
 
 
-def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
+def init_zf(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Per-cell zero-forcing beams.
 
     Each beam is the channel projected onto the orthogonal complement of the
@@ -70,7 +71,7 @@ def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     """
     check_zf(config)
     active = config.assignment                                         # (M, K, N)
-    hs = (own_links(channels, config) * active[..., None]).swapaxes(-3, -2)  # (..., M, N, K, Nt)
+    hs = (own_links(h, config) * active[..., None]).swapaxes(-3, -2)   # (..., M, N, K, Nt)
     # others[..., m, n, k] (Nt, K): the channels of cell m's active users on n but k, as columns
     others = np.swapaxes(hs[..., None, :, :] * ~np.eye(config.K, dtype=bool)[..., None], -1, -2)
     span = others @ (np.linalg.pinv(others) @ hs[..., None])           # (..., M, N, K, Nt, 1)
@@ -84,7 +85,7 @@ def init_zf(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     return _beam_scale(config) * residual / np.where(active, norms, 1.0)[..., None]
 
 
-def init_mslnr(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
+def init_mslnr(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Maximum signal-to-leakage-plus-noise-ratio beams.
 
     Direction maximizes |h^H x|^2 / (x^H D x) with
@@ -100,9 +101,9 @@ def init_mslnr(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     """
     ridge = config.N * config.K / config.Pmax
     unit = np.ones((config.n_users, config.N))
-    leak = solver._all_leakages(channels, unit, solver.full_mask(config))
+    leak = solver._all_leakages(h, unit, solver.full_mask(config))
     dmat = leak + ridge * np.eye(config.Nt)
-    direction = np.linalg.solve(dmat, own_links(channels, config)[..., None])[..., 0]
+    direction = np.linalg.solve(dmat, own_links(h, config)[..., None])[..., 0]
     norms = np.linalg.norm(direction, axis=-1)
     active = config.assignment
     zero = active & (norms == 0.0)
@@ -115,11 +116,10 @@ def init_mslnr(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
 INITIALIZERS = {"cm": init_cm, "zf": init_zf, "mslnr": init_mslnr}
 
 
-def make_initial_beams(name: str, channels: ChannelState,
-                       config: NetworkConfig) -> np.ndarray:
+def make_initial_beams(name: str, h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     try:
         fn = INITIALIZERS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown initializer '{name}', expected one of {sorted(INITIALIZERS)}")
-    return fn(channels, config)
+    return fn(h, config)

@@ -11,7 +11,6 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import UsageError
-from .network import ChannelState
 
 #: Relative slack applied to the per-BS power budget when checking feasibility.
 POWER_FEASIBILITY_RTOL = 1e-9
@@ -22,7 +21,7 @@ def check_active(config: NetworkConfig, m: int, k: int, n: int) -> None:
         raise UsageError(f"triple (m={m}, k={k}, n={n}) is not active")
 
 
-def link_state(channels: ChannelState, beams: np.ndarray,
+def link_state(h: np.ndarray, beams: np.ndarray,
                config: NetworkConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes, total received power and signal power of every link.
 
@@ -33,7 +32,6 @@ def link_state(channels: ChannelState, beams: np.ndarray,
     leading batch axes that broadcast together (one stack of draws against
     several beam sets for it), which every output then leads with.
     """
-    h = channels.normalized
     amps = np.einsum("...jgna,...juna->...jugn", h.conj(), beams)
     p = np.abs(amps) ** 2
     total = np.einsum("...jugn,jun->...gn", p, config.assignment.astype(float))
@@ -60,10 +58,10 @@ def sum_rate_of_link(config: NetworkConfig, link: tuple) -> float | np.ndarray:
     return float(wsr) if wsr.ndim == 0 else wsr
 
 
-def weighted_sum_rate(channels: ChannelState, beams: np.ndarray,
+def weighted_sum_rate(h: np.ndarray, beams: np.ndarray,
                       config: NetworkConfig) -> float:
     """sum over active (m, k, n) of w_k(n) * log2(1 + SINR_{m,k}(n))."""
-    return sum_rate_of_link(config, link_state(channels, beams, config))
+    return sum_rate_of_link(config, link_state(h, beams, config))
 
 
 def bs_powers(beams: np.ndarray) -> np.ndarray:
@@ -85,9 +83,9 @@ class RateReport:
     powers: np.ndarray        # (M,)
 
 
-def rate_report(channels: ChannelState, beams: np.ndarray,
+def rate_report(h: np.ndarray, beams: np.ndarray,
                 config: NetworkConfig) -> RateReport:
-    s = sinr_of_link(config, link_state(channels, beams, config))
+    s = sinr_of_link(config, link_state(h, beams, config))
     r = np.log2(1.0 + s)
     wsr = float(np.sum(config.weights * r * config.assignment))
     user_rates = np.sum(r * config.assignment, axis=2)

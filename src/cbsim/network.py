@@ -54,7 +54,6 @@ class Topology:
     """
     bs_xy: np.ndarray
     user_xy: np.ndarray
-    n_coordinated: int
 
     def user_bs_distances(self) -> np.ndarray:
         """Distance matrix of shape (n_bs, M*K) from every BS to every user."""
@@ -72,19 +71,20 @@ class ChannelState:
     noise:      (..., M*K, N) linear noise power per (user, subchannel)
     normalized: (..., M, M*K, N, Nt) complex, coordinated BSs only,
                 normalized = raw / sqrt(noise); the leading axes, if any,
-                stack SNR points or channel draws
+                stack SNR points
+
+    Every layer below this one takes the normalized array itself, ``h``,
+    with any leading axes that stack SNR points or channel draws.
     """
     raw: np.ndarray | None = None
     shadow: np.ndarray | None = None
     noise: np.ndarray | None = None
     normalized: np.ndarray | None = None
-    n_coordinated: int = 0
 
 
-def own_links(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
+def own_links(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Normalized channel from every BS to its own users, shape (..., M, K, N, Nt):
-    own[..., m, k] = h_{m,(m,k)}, with any leading batch axes of the channels."""
-    h = channels.normalized
+    own[..., m, k] = h_{m,(m,k)}, with any leading batch axes of the channels h."""
     bs = np.arange(config.M)
     return h.reshape(h.shape[:-3] + (config.M, config.K) + h.shape[-2:])[..., bs, bs, :, :, :]
 
@@ -144,7 +144,7 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
     offsets = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
     user_xy = cluster[:, None, :] + offsets
 
-    return Topology(bs_xy=bs_xy, user_xy=user_xy, n_coordinated=config.M)
+    return Topology(bs_xy=bs_xy, user_xy=user_xy)
 
 
 def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> ChannelState:
@@ -167,7 +167,7 @@ def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> Chann
 
     amp = np.sqrt(path_gain(dist) * shadow)
     raw = amp[:, :, None, None] * fading
-    return ChannelState(raw=raw, shadow=shadow, n_coordinated=config.M)
+    return ChannelState(raw=raw, shadow=shadow)
 
 
 def compute_noise(topology: Topology, config: NetworkConfig,
@@ -182,26 +182,22 @@ def compute_noise(topology: Topology, config: NetworkConfig,
     if channels.shadow is None:
         raise InvalidStateError("draw_channels must run before compute_noise")
     dist = topology.user_bs_distances()
-    m0 = topology.n_coordinated
-    gains = path_gain(dist[m0:]) * channels.shadow[m0:]       # (24, MK)
-    out_power = gains.sum(axis=0) * config.Pmax / config.N    # (MK,)
+    gains = path_gain(dist[config.M:]) * channels.shadow[config.M:]  # (24, MK)
+    out_power = gains.sum(axis=0) * config.Pmax / config.N           # (MK,)
     noise = (config.sigma2 if sigma2 is None else np.asarray(sigma2)[:, None]) + out_power
     channels.noise = np.repeat(noise[..., None], config.N, axis=-1)
     return channels.noise
 
 
-def normalize_channels(channels: ChannelState) -> ChannelState:
-    """Fill ``normalized`` with raw / sqrt(noise) for the coordinated BSs,
+def normalize_channels(channels: ChannelState, config: NetworkConfig) -> ChannelState:
+    """Fill ``normalized`` with raw / sqrt(noise) for the M coordinated BSs,
     with the leading axes of the noise."""
     if channels.raw is None or channels.noise is None:
         raise InvalidStateError("raw channels and noise must exist before normalization")
     if np.any(channels.noise <= 0):
         raise InvalidStateError("noise power must be strictly positive")
-    m0 = channels.n_coordinated
-    if m0 < 1:
-        raise InvalidStateError(f"need n_coordinated >= 1 to normalize, got {m0}")
     scale = 1.0 / np.sqrt(channels.noise)                     # (..., MK, N)
-    normalized = channels.raw[:m0] * scale[..., None, :, :, None]
+    normalized = channels.raw[:config.M] * scale[..., None, :, :, None]
     if not np.all(np.isfinite(normalized)):
         raise InvalidStateError("normalized channels contain non-finite entries")
     norms = np.linalg.norm(normalized, axis=-1)
@@ -223,10 +219,9 @@ def apply_noise(topology: Topology, config: NetworkConfig,
     """Noise + normalization of a fresh state sharing an existing raw draw:
     at ``config.sigma2``, or at every thermal floor of ``sigma2`` in one
     broadcast, one entry of a leading axis each."""
-    fresh = ChannelState(raw=channels.raw, shadow=channels.shadow,
-                         n_coordinated=channels.n_coordinated)
+    fresh = ChannelState(raw=channels.raw, shadow=channels.shadow)
     compute_noise(topology, config, fresh, sigma2)
-    return normalize_channels(fresh)
+    return normalize_channels(fresh, config)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +229,13 @@ def apply_noise(topology: Topology, config: NetworkConfig,
 # ---------------------------------------------------------------------------
 
 def dump_topology_csv(topology: Topology, path: str | Path) -> None:
-    """Columns: kind, cell, index, x_m, y_m. BS rows first, then users."""
+    """Columns: kind, cell, index, x_m, y_m. BS rows first, then users; the
+    first M sites, one per cell of users, are the coordinated ones."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "cell", "index", "x_m", "y_m"])
         for b, (x, y) in enumerate(topology.bs_xy):
-            kind = "bs_coordinated" if b < topology.n_coordinated else "bs_uncoordinated"
+            kind = "bs_coordinated" if b < len(topology.user_xy) else "bs_uncoordinated"
             writer.writerow([kind, "", b, f"{x:.6f}", f"{y:.6f}"])
         for m in range(topology.user_xy.shape[0]):
             for k in range(topology.user_xy.shape[1]):
@@ -247,11 +243,9 @@ def dump_topology_csv(topology: Topology, path: str | Path) -> None:
                 writer.writerow(["user", m, k, f"{x:.6f}", f"{y:.6f}"])
 
 
-def dump_channels_csv(channels: ChannelState, path: str | Path) -> None:
-    """Normalized channels, one row per (m, k, n): m, k, n, re/im per antenna."""
-    if channels.normalized is None:
-        raise InvalidStateError("normalize_channels must run before dumping")
-    h = channels.normalized
+def dump_channels_csv(h: np.ndarray, path: str | Path) -> None:
+    """Normalized channels h (M, MK, N, Nt) of one draw, one row per (m, k, n):
+    m, k, n, re/im per antenna."""
     m_count, n_users, n_sub, nt = h.shape
     header = ["m", "k", "n"]
     for a in range(nt):

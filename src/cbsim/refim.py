@@ -25,13 +25,13 @@ import numpy as np
 
 from .config import NetworkConfig
 from .errors import ConfigurationError
-from .network import ChannelState, own_links
+from .network import own_links
 from .solver import ALGORITHMS, LN2, full_mask
 
 
-def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
+def reference_map(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Place of every user in every beam's candidate order, shape (..., M, K, N, MK)
-    with any leading batch axes of the channels (a stack of draws).
+    with any leading batch axes of the channels h (a stack of draws).
 
     ranks[m, k, n, g] = i when user g is the (i+1)-th highest-scoring
     candidate of beam (m, k, n), and the largest int when g is no candidate.
@@ -43,10 +43,9 @@ def reference_map(channels: ChannelState, config: NetworkConfig) -> np.ndarray:
     score is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2, and
     sorted once per beam. Every draw of a stack gets its own ranks bit for bit.
     """
-    h = channels.normalized                                           # (..., M, MK, N, Nt)
     gain = np.sum(np.abs(h) ** 2, axis=-1).swapaxes(-1, -2)[..., None, :, :]  # (..., M, 1, N, MK)
     cross = np.abs(np.einsum("...mgna,...mkna->...mkng", h.conj(),
-                             own_links(channels, config))) ** 2
+                             own_links(h, config))) ** 2
     candidates = full_mask(config)
     order = np.argsort(np.where(candidates, -(gain * cross), np.inf), axis=-1, kind="stable")
     ranks = np.empty_like(order)

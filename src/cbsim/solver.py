@@ -56,7 +56,7 @@ from .config import NetworkConfig
 from .errors import BracketError, ConfigurationError, InvalidStateError, UsageError
 from .metrics import (POWER_FEASIBILITY_RTOL, bs_powers, check_active, link_state,
                       sum_rate_of_link, weighted_sum_rate)
-from .network import ChannelState, own_links
+from .network import own_links
 
 LN2 = float(np.log(2.0))
 
@@ -81,10 +81,10 @@ def _interference_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
     return (total - sig).reshape(total.shape[:-2] + (config.M, config.K, config.N))
 
 
-def interference_all(channels: ChannelState, beams: np.ndarray,
+def interference_all(h: np.ndarray, beams: np.ndarray,
                      config: NetworkConfig) -> np.ndarray:
     """Co-channel interference i_{m,k}(n) for every triple, shape (M, K, N)."""
-    return _interference_of_link(config, link_state(channels, beams, config))
+    return _interference_of_link(config, link_state(h, beams, config))
 
 
 def _q_from_link(config: NetworkConfig, link: tuple) -> np.ndarray:
@@ -119,11 +119,10 @@ def _victim_weights(mask: np.ndarray, q: np.ndarray) -> np.ndarray:
     return mask * np.swapaxes(q, -1, -2)[..., None, None, :, :]
 
 
-def _all_leakages(channels: ChannelState, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _all_leakages(h: np.ndarray, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Leakage matrices L[m,k,n] = sum_g W[m,k,n,g] h_{m,g}(n) h_{m,g}(n)^H with
     the victim weights W = :func:`_victim_weights`, with any leading batch
-    axes of the channels, q and mask."""
-    h = channels.normalized
+    axes of the channels h, q and mask."""
     return np.einsum("...mkng,...mgna,...mgnb->...mknab", _victim_weights(mask, q), h, h.conj())
 
 
@@ -149,7 +148,7 @@ def gamma_sherman_morrison(leakage: np.ndarray, lam: float) -> np.ndarray:
     return 0.5 * (gamma + gamma.conj().T)
 
 
-def beta(channels: ChannelState, config: NetworkConfig, m: int, k: int, n: int,
+def beta(h: np.ndarray, config: NetworkConfig, m: int, k: int, n: int,
          gamma: np.ndarray, interference_value: float,
          weight: float | None = None) -> float:
     """Beam power scalar: beta^2 = [w*u - i - 1]^+ / u^2 with u = h^H Gamma h.
@@ -161,8 +160,8 @@ def beta(channels: ChannelState, config: NetworkConfig, m: int, k: int, n: int,
     check_active(config, m, k, n)
     if weight is None:
         weight = float(config.weights[m, k, n])
-    h = channels.normalized[m, config.user_id(m, k), n]
-    u_c = np.vdot(h, gamma @ h)
+    own = h[m, config.user_id(m, k), n]
+    u_c = np.vdot(own, gamma @ own)
     u = float(u_c.real)
     if abs(u_c.imag) > 1e-10 * max(abs(u), 1e-300):
         raise InvalidStateError(f"h^H Gamma h has a complex residue: {u_c!r}")
@@ -210,9 +209,9 @@ class DualEvaluator:
     reduction over the short leading axis, not one inner loop per triple.
     """
 
-    def __init__(self, channels: ChannelState, leakages: np.ndarray, config: NetworkConfig,
+    def __init__(self, h: np.ndarray, leakages: np.ndarray, config: NetworkConfig,
                  gamma_mode: str | list[str]):
-        self.lead = channels.normalized.shape[:-4]                    # () or (B,)
+        self.lead = h.shape[:-4]                                      # () or (B,)
         self.n_bs = config.M
         self.per_row = config.N * config.K                            # triples per row
         n_solves = math.prod(self.lead)
@@ -226,7 +225,7 @@ class DualEvaluator:
             raise UsageError(f"need one gamma mode or one per solve in the order "
                              f"{GAMMA_MODES}, got {modes}")
         self._find_split()
-        hs = own_links(channels, config).reshape(-1, config.K, config.N, config.Nt)
+        hs = own_links(h, config).reshape(-1, config.K, config.N, config.Nt)
         self.hs = np.ascontiguousarray(hs.swapaxes(1, 2))             # own users (BM, N, K, Nt)
         own = (config.weights * config.assignment).swapaxes(1, 2)
         self.weights = np.tile(own, (n_solves, 1, 1))
@@ -654,19 +653,13 @@ class SolverTrace:
                 writer.writerow(row)
 
 
-def _take(channels: ChannelState, link: tuple,
-          solves: np.ndarray) -> tuple[ChannelState, tuple]:
-    """The batched channels and link state of the given batch positions."""
-    return ChannelState(normalized=channels.normalized[solves]), tuple(a[solves] for a in link)
-
-
-def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray,
+def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
                 algo: str | list[str], ref_counts: int | list[int] = 1
                 ) -> tuple[np.ndarray, list[SolverTrace]]:
     """Run the double-loop coordinated beamforming algorithm on B independent solves.
 
     The solves share ``config``. Each has its own noise-normalized channels,
-    ``channels.normalized[b]`` of (B, M, MK, N, Nt), which carry its transmit
+    ``h[b]`` of the array h (B, M, MK, N, Nt), which carry its transmit
     SNR (``config.gamma_db`` is not read), its own initial beams in ``inits``
     (B, M, K, N, Nt), its own algorithm (``algo``: one name for all, or one
     per solve) and, for cb_refim, its own reference count (``ref_counts``: one
@@ -691,18 +684,19 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
     Returns the best beams (B, M, K, N, Nt) and one :class:`SolverTrace` per
     solve, both in the caller's order.
     """
-    h = channels.normalized
-    n_solves = len(h)
+    beams = np.array(inits)
+    is_array = isinstance(h, np.ndarray) and h.ndim > 0
+    n_solves = len(h) if is_array else len(beams)
     algos = [algo] * n_solves if isinstance(algo, str) else list(algo)
     for name in algos:
         if name not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm '{name}', expected one of {ALGORITHMS}")
-    beams = np.array(inits)
     want = ((n_solves, config.M, config.n_users, config.N, config.Nt),
             (n_solves, config.M, config.K, config.N, config.Nt))
-    if not n_solves or (h.shape, beams.shape) != want:
+    got = h.shape if is_array else type(h).__name__
+    if not n_solves or (got, beams.shape) != want:
         raise UsageError(f"need channels {want[0]} and initial beams {want[1]}, "
-                         f"got {h.shape} and {beams.shape}")
+                         f"got {got} and {beams.shape}")
     if len(algos) != n_solves:
         raise UsageError(f"need one algorithm or {n_solves}, got {len(algos)}")
     refs = [ref_counts] * n_solves if np.ndim(ref_counts) == 0 else list(ref_counts)
@@ -714,7 +708,7 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
     modes = [_ALGO_GAMMA[name] for name in algos]
     order = sorted(range(n_solves), key=lambda b: GAMMA_MODES.index(modes[b]))
-    chans = ChannelState(normalized=h[order])
+    h = h[order]
     beams = beams[order]
     algos, refs, modes = ([seq[b] for b in order] for seq in (algos, refs, modes))
     masks = np.repeat(full_mask(config)[None], n_solves, axis=0)
@@ -724,10 +718,10 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
         counts = np.array(refs)[cb]
         if counts.min() < 0:
             raise ConfigurationError(f"reference count must be >= 0, got {counts.min()}")
-        ranks = refim.reference_map(ChannelState(normalized=chans.normalized[cb]), config)
+        ranks = refim.reference_map(h[cb], config)
         masks[cb] = ranks < counts[:, None, None, None, None]
 
-    link = link_state(chans, beams, config)
+    link = link_state(h, beams, config)
     # per solve, by batch position: latest and best sum-rate, best iterate, counters
     wsr = sum_rate_of_link(config, link).tolist()
     traces = [SolverTrace(algo=name, init_sum_rate=w) for name, w in zip(algos, wsr)]
@@ -735,16 +729,16 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
     best_duals = [np.full(config.M, config.lambda_min)] * n_solves
     prev_outer, outer, inner = list(wsr), [0] * n_solves, [0] * n_solves
 
-    # live lists the solves still running; chans, link, ev and fresh follow its order
+    # live lists the solves still running; h, link, ev and fresh follow its order
     live = np.arange(n_solves)
     fresh = [True] * n_solves                # starting an outer iteration
     ev = duals = None                        # duals: the previous step's, a warm start
     while live.size:
         if any(fresh):
             pos = np.flatnonzero(fresh)
-            sub_chans, sub_link = _take(chans, link, pos)
-            leakages = _all_leakages(sub_chans, _q_from_link(config, sub_link), masks[live[pos]])
-            new = DualEvaluator(sub_chans, leakages, config, [modes[b] for b in live[pos]])
+            sub, q = h[pos], _q_from_link(config, tuple(a[pos] for a in link))
+            leakages = _all_leakages(sub, q, masks[live[pos]])
+            new = DualEvaluator(sub, leakages, config, [modes[b] for b in live[pos]])
             if all(fresh):
                 ev = new
             else:
@@ -752,9 +746,9 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
 
         duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config, duals)
         beams = update_beams(ev, duals, betas)
-        link = link_state(chans, beams, config)
+        link = link_state(h, beams, config)
         now = sum_rate_of_link(config, link).tolist()
-        res = np.max(_residuals_of_link(chans, beams, duals, config, link),
+        res = np.max(_residuals_of_link(h, beams, duals, config, link),
                      axis=(-3, -2, -1)).tolist()
         powers = bs_powers(beams)
         fresh, done = [], []
@@ -790,16 +784,16 @@ def solve_batch(channels: ChannelState, config: NetworkConfig, inits: np.ndarray
         if any(done):
             keep = np.flatnonzero(np.logical_not(done))
             live, fresh = live[keep], [fresh[i] for i in keep]
-            chans, link = _take(chans, link, keep)
+            h, link = h[keep], tuple(a[keep] for a in link)
             ev, duals = ev.select(keep), duals[keep]
     back = np.argsort(order)      # batch position of each solve in the caller's order
     return np.stack(best_beams)[back], [traces[b] for b in back]
 
 
-def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
+def solve(h: np.ndarray, config: NetworkConfig, init: np.ndarray,
           algo: str, ref_count: int = 1) -> tuple[np.ndarray, SolverTrace]:
-    """One solve: :func:`solve_batch` with B = 1."""
-    beams, traces = solve_batch(ChannelState(normalized=channels.normalized[None]),
+    """One solve of the channels h (M, MK, N, Nt): :func:`solve_batch` with B = 1."""
+    beams, traces = solve_batch(h[None] if isinstance(h, np.ndarray) else h,
                                 config, init[None], algo, ref_count)
     return beams[0], traces[0]
 
@@ -808,31 +802,30 @@ def solve(channels: ChannelState, config: NetworkConfig, init: np.ndarray,
 # KKT diagnostics
 # ---------------------------------------------------------------------------
 
-def lagrangian_value(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
+def lagrangian_value(h: np.ndarray, beams: np.ndarray, duals: np.ndarray,
                      config: NetworkConfig) -> float:
     """Weighted sum-rate plus the dual-weighted power slack."""
     slack = config.Pmax - bs_powers(beams)
-    return weighted_sum_rate(channels, beams, config) + float(np.dot(duals, slack))
+    return weighted_sum_rate(h, beams, config) + float(np.dot(duals, slack))
 
 
-def _stationarity_terms(channels: ChannelState, config: NetworkConfig,
+def _stationarity_terms(h: np.ndarray, config: NetworkConfig,
                         link: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the stationarity equation without the dual term, each
     (..., M, K, N, Nt): the leakage term L v, and the own-link term
     w G v / (1 + total received power), from the beams' :func:`link_state`."""
-    h = channels.normalized
     amps, total, _ = link
     weights = _victim_weights(full_mask(config), _q_from_link(config, link))
     leak = np.einsum("...mkng,...mkgn,...mgna->...mkna", weights, amps, h)
     shape = total.shape[:-2] + (config.M, config.K, config.N)
     gids = np.arange(config.n_users)
     own_amps = amps[..., gids // config.K, gids % config.K, gids, :].reshape(shape)
-    own = own_links(channels, config) * own_amps[..., None]
+    own = own_links(h, config) * own_amps[..., None]
     gain = config.weights / (1.0 + total.reshape(shape))
     return leak, gain[..., None] * own
 
 
-def lagrangian_gradient(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
+def lagrangian_gradient(h: np.ndarray, beams: np.ndarray, duals: np.ndarray,
                         config: NetworkConfig) -> np.ndarray:
     """Analytic gradient of the Lagrangian, shape (M, K, N, Nt).
 
@@ -840,12 +833,12 @@ def lagrangian_gradient(channels: ChannelState, beams: np.ndarray, duals: np.nda
     conjugate Wirtinger derivative, which is what central finite differences
     of the real-valued Lagrangian reproduce component-wise.
     """
-    leak, own = _stationarity_terms(channels, config, link_state(channels, beams, config))
+    leak, own = _stationarity_terms(h, config, link_state(h, beams, config))
     grad = (2.0 / LN2) * (own - leak) - 2.0 * duals[:, None, None, None] * beams
     return np.where(config.assignment[..., None], grad, 0.0)
 
 
-def finite_difference_gradient(channels: ChannelState, beams: np.ndarray,
+def finite_difference_gradient(h: np.ndarray, beams: np.ndarray,
                                duals: np.ndarray, config: NetworkConfig,
                                step: float = 1e-5) -> np.ndarray:
     """Central finite differences of the Lagrangian over Re/Im of each beam entry."""
@@ -857,26 +850,25 @@ def finite_difference_gradient(channels: ChannelState, beams: np.ndarray,
                 vp[m, k, n, a] += step * direction
                 vm = beams.copy()
                 vm[m, k, n, a] -= step * direction
-                diff = (lagrangian_value(channels, vp, duals, config)
-                        - lagrangian_value(channels, vm, duals, config))
+                diff = (lagrangian_value(h, vp, duals, config)
+                        - lagrangian_value(h, vm, duals, config))
                 grad[m, k, n, a] += direction * diff / (2.0 * step)
     return grad
 
 
-def stationarity_residuals(channels: ChannelState, beams: np.ndarray,
+def stationarity_residuals(h: np.ndarray, beams: np.ndarray,
                            duals: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Relative stationarity residual per triple, shape (M, K, N).
 
     || (L + lambda*ln2*I) v - w G v / (1 + v^H G v + i) || / ||v||
     with L and i recomputed from the given beams; zero where the beam is off.
     """
-    return _residuals_of_link(channels, beams, duals, config,
-                              link_state(channels, beams, config))
+    return _residuals_of_link(h, beams, duals, config, link_state(h, beams, config))
 
 
-def _residuals_of_link(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
+def _residuals_of_link(h: np.ndarray, beams: np.ndarray, duals: np.ndarray,
                        config: NetworkConfig, link: tuple) -> np.ndarray:
-    leak, own = _stationarity_terms(channels, config, link)
+    leak, own = _stationarity_terms(h, config, link)
     lhs = leak + (duals * LN2)[..., None, None, None] * beams
     norm = np.linalg.norm(beams, axis=-1)
     on = config.assignment & (norm > 0.0)
@@ -895,7 +887,7 @@ class KKTReport:
     grad_rel_gap: float
 
 
-def kkt_report(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
+def kkt_report(h: np.ndarray, beams: np.ndarray, duals: np.ndarray,
                config: NetworkConfig, fd_step: float = 1e-5) -> KKTReport:
     """Evaluate all first-order conditions at (beams, duals).
 
@@ -905,9 +897,9 @@ def kkt_report(channels: ChannelState, beams: np.ndarray, duals: np.ndarray,
     powers = bs_powers(beams)
     violation = float(np.max(np.maximum(powers - config.Pmax, 0.0)))
     comp = float(np.max(np.abs(duals * (config.Pmax - powers))))
-    res = float(np.max(stationarity_residuals(channels, beams, duals, config)))
-    g_an = lagrangian_gradient(channels, beams, duals, config)
-    g_fd = finite_difference_gradient(channels, beams, duals, config, step=fd_step)
+    res = float(np.max(stationarity_residuals(h, beams, duals, config)))
+    g_an = lagrangian_gradient(h, beams, duals, config)
+    g_fd = finite_difference_gradient(h, beams, duals, config, step=fd_step)
     dev = np.abs(g_an - g_fd)
     rel = float(np.linalg.norm(g_an - g_fd) / max(np.linalg.norm(g_fd), 1e-300))
     return KKTReport(

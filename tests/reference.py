@@ -24,48 +24,47 @@ def amp(h_vec, v_vec):
     return total
 
 
-def received_power(channels, beams, config, j, u, g, n):
-    h = channels.normalized[j, g, n]
-    return abs(amp(h, beams[j, u, n])) ** 2
+def received_power(h, beams, config, j, u, g, n):
+    return abs(amp(h[j, g, n], beams[j, u, n])) ** 2
 
 
-def interference_scalar(channels, beams, config, m, k, n):
+def interference_scalar(h, beams, config, m, k, n):
     own = config.user_id(m, k)
     total = 0.0
     for j, u, nn in active_triples(config):
         if nn != n or (j, u) == (m, k):
             continue
-        total += received_power(channels, beams, config, j, u, own, n)
+        total += received_power(h, beams, config, j, u, own, n)
     return total
 
 
-def sinr_scalar(channels, beams, config, m, k, n):
+def sinr_scalar(h, beams, config, m, k, n):
     own = config.user_id(m, k)
-    sig = received_power(channels, beams, config, m, k, own, n)
-    return sig / (1.0 + interference_scalar(channels, beams, config, m, k, n))
+    sig = received_power(h, beams, config, m, k, own, n)
+    return sig / (1.0 + interference_scalar(h, beams, config, m, k, n))
 
 
-def wsr_scalar(channels, beams, config):
+def wsr_scalar(h, beams, config):
     total = 0.0
     for m, k, n in active_triples(config):
-        s = sinr_scalar(channels, beams, config, m, k, n)
+        s = sinr_scalar(h, beams, config, m, k, n)
         total += config.weights[m, k, n] * np.log2(1.0 + s)
     return total
 
 
-def slnr_scalar(channels, beams, config, m, k, n):
+def slnr_scalar(h, beams, config, m, k, n):
     own = config.user_id(m, k)
     v = beams[m, k, n]
-    sig = abs(amp(channels.normalized[m, own, n], v)) ** 2
+    sig = abs(amp(h[m, own, n], v)) ** 2
     leak = 0.0
     for j, u, nn in active_triples(config):
         if nn != n or (j, u) == (m, k):
             continue
-        leak += abs(amp(channels.normalized[m, config.user_id(j, u), n], v)) ** 2
+        leak += abs(amp(h[m, config.user_id(j, u), n], v)) ** 2
     return sig / (1.0 + leak)
 
 
-def leakage_scalar(channels, beams, config, m, k, n):
+def leakage_scalar(h, beams, config, m, k, n):
     """Leakage matrix via the double-denominator form of the victim weights:
 
         q_u = w_u * sig_u / ((1 + interference_u) * (1 + interference_u + sig_u))
@@ -79,13 +78,13 @@ def leakage_scalar(channels, beams, config, m, k, n):
         if nn != n or (j, u) == (m, k):
             continue
         g = config.user_id(j, u)
-        sig = received_power(channels, beams, config, j, u, g, n)
-        interf = interference_scalar(channels, beams, config, j, u, n)
+        sig = received_power(h, beams, config, j, u, g, n)
+        interf = interference_scalar(h, beams, config, j, u, n)
         q = config.weights[j, u, n] * sig / ((1.0 + interf) * (1.0 + interf + sig))
-        h = channels.normalized[m, g, n]
+        hg = h[m, g, n]
         for a in range(nt):
             for b in range(nt):
-                mat[a, b] += q * h[a] * complex(h[b]).conjugate()
+                mat[a, b] += q * hg[a] * complex(hg[b]).conjugate()
     return mat
 
 
@@ -126,9 +125,8 @@ def scheduled_users(config, m, n):
             if config.is_active(j, u, n)]
 
 
-def reference_scores(channels, config, m, k, n, candidates):
+def reference_scores(h, config, m, k, n, candidates):
     """||h_{m,u}(n)||^2 * |h_{m,u}(n)^H h_{m,k}(n)|^2 per candidate u."""
-    h = channels.normalized
     hk = h[m, config.user_id(m, k), n]
     scores = np.empty(len(candidates))
     for idx, (j, u) in enumerate(candidates):
@@ -137,7 +135,7 @@ def reference_scores(channels, config, m, k, n, candidates):
     return scores
 
 
-def select_references(channels, config, m, k, n, r_count):
+def select_references(h, config, m, k, n, r_count):
     """The r_count highest-scoring candidates of an active triple, descending
     score; ties break towards the lowest (cell, user)."""
     if not config.is_active(m, k, n) or r_count < 0:
@@ -145,17 +143,16 @@ def select_references(channels, config, m, k, n, r_count):
     candidates = [(j, u) for (j, u) in scheduled_users(config, m, n) if (j, u) != (m, k)]
     if r_count == 0 or not candidates:
         return []
-    scores = reference_scores(channels, config, m, k, n, candidates)
+    scores = reference_scores(h, config, m, k, n, candidates)
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i]))
     return [candidates[i] for i in order[:r_count]]
 
 
-def zf_loop(channels, config):
+def zf_loop(h, config):
     """Per-cell zero-forcing beams by one projection per active triple: the
     channel minus its projection on the other active same-cell channels of
     the subchannel, scaled to sqrt(Pmax / (N K)). Raises ValueError where
     the package raises a configuration or degenerate-channel error."""
-    h = channels.normalized
     beams = np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
     scale = np.sqrt(config.Pmax / (config.N * config.K))
     eye = np.eye(config.Nt, dtype=complex)
@@ -181,11 +178,10 @@ def zf_loop(channels, config):
     return beams
 
 
-def mslnr_loop(channels, config):
+def mslnr_loop(h, config):
     """Max-SLNR beams D^{-1} h by one dense solve per active triple, with D
     the ridge (N K / Pmax) I plus every other active co-subchannel user's
     h_u h_u^H, accumulated one outer product at a time."""
-    h = channels.normalized
     beams = np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
     scale = np.sqrt(config.Pmax / (config.N * config.K))
     ridge = config.N * config.K / config.Pmax

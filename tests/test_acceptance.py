@@ -17,8 +17,7 @@ import reference
 from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr, make_initial_beams
 from cbsim.metrics import link_state, rate_report
-from cbsim.network import (ChannelState, apply_noise, build_topology,
-                           draw_channels, realize_network)
+from cbsim.network import apply_noise, build_topology, draw_channels, realize_network
 from cbsim import refim
 from cbsim.experiments import ExperimentSpec, feedback_table, trial_seeds
 from cbsim.solver import (_all_leakages, _q_from_link, beta, full_mask, gamma_direct,
@@ -63,21 +62,19 @@ def suite():
         acc["user_rates"].setdefault((algo, gamma), []).append(rep.user_rates.ravel())
         acc["max_power"] = max(acc["max_power"], float(rep.powers.max()))
 
-    states = {gamma: [] for gamma in GAMMAS}        # gamma -> list of ChannelState
     for t in range(TRIALS):
         s_topo, s_chan = trial_seeds(MASTER_SEED, t)
         topology = build_topology(config0, s_topo)
         raw = draw_channels(topology, config0, s_chan)
         for gamma in GAMMAS:
             cfg = config0.with_gamma_db(gamma)
-            channels = apply_noise(topology, cfg, raw)
-            init = init_mslnr(channels, cfg)
-            states[gamma].append(channels)
-            acc["channels"].setdefault(gamma, []).append(channels.normalized)
+            h = apply_noise(topology, cfg, raw).normalized
+            init = init_mslnr(h, cfg)
+            acc["channels"].setdefault(gamma, []).append(h)
             acc["init"].setdefault(gamma, []).append(init)
             for base in BASELINES:
-                beams = init if base == "mslnr" else make_initial_beams(base, channels, cfg)
-                record(base, gamma, rate_report(channels, beams, cfg), None, cfg)
+                beams = init if base == "mslnr" else make_initial_beams(base, h, cfg)
+                record(base, gamma, rate_report(h, beams, cfg), None, cfg)
 
     # one batched solve per (algorithm, gamma) over all trials
     runs = [(algo, gamma, algo, 1) for gamma in GAMMAS for algo in SOLVER_ALGOS]
@@ -85,10 +82,10 @@ def suite():
     for name, gamma, algo, refs in runs:
         cfg = config0.with_gamma_db(gamma)
         inits = np.stack(acc["init"][gamma])
-        stacked = ChannelState(normalized=np.stack([ch.normalized for ch in states[gamma]]))
-        beams, traces = solve_batch(stacked, cfg, inits, algo, refs)
-        for channels, best, trace in zip(states[gamma], beams, traces):
-            record(name, gamma, rate_report(channels, best, cfg), trace, cfg)
+        h = np.stack(acc["channels"][gamma])
+        beams, traces = solve_batch(h, cfg, inits, algo, refs)
+        for one, best, trace in zip(h, beams, traces):
+            record(name, gamma, rate_report(one, best, cfg), trace, cfg)
     return acc
 
 
@@ -138,11 +135,11 @@ def test_criterion_2_kkt_stationarity_and_gradient():
     point, and analytic-vs-finite-difference Lagrangian gradients."""
     config = NetworkConfig(L_in_max=200, L_out_max=100,
                            inner_tol=1e-10, outer_tol=1e-9)
-    _, channels = realize_network(config, 7)
-    init = init_mslnr(channels, config)
-    beams, trace = solve(channels, config, init, "icbf")
-    rep = kkt_report(channels, beams, trace.duals, config)
-    res_init = float(np.max(stationarity_residuals(channels, init, trace.duals, config)))
+    h = realize_network(config, 7)[1].normalized
+    init = init_mslnr(h, config)
+    beams, trace = solve(h, config, init, "icbf")
+    rep = kkt_report(h, beams, trace.duals, config)
+    res_init = float(np.max(stationarity_residuals(h, init, trace.duals, config)))
 
     grad_ok, grad_worst = True, 0.0
     rng = np.random.default_rng(202)
@@ -153,7 +150,7 @@ def test_criterion_2_kkt_stationarity_and_gradient():
         from cbsim.metrics import bs_powers
         cand *= np.sqrt(0.8 * config.Pmax / bs_powers(cand).max())
         duals = rng.uniform(0.05, 1.0, size=config.M)
-        point_rep = kkt_report(channels, cand, duals, config)
+        point_rep = kkt_report(h, cand, duals, config)
         grad_worst = max(grad_worst, point_rep.grad_rel_gap)
         grad_ok &= point_rep.grad_rel_gap <= 1e-4
 
@@ -228,12 +225,12 @@ def test_criterion_6_reference_count_sweep(suite):
     ratio = mean_wsr(suite, "cb_refim", 30.0) / mean_wsr(suite, "cb_refim_full", 30.0)
 
     config = NetworkConfig()
-    _, channels = realize_network(config, 17)
-    beams, _ = solve(channels, config, init_mslnr(channels, config), "icbf_wi")
-    q = _q_from_link(config, link_state(channels, beams, config))
-    all_candidates = refim.reference_map(channels, config) < config.M * config.K - 1
-    truncated = _all_leakages(channels, q, all_candidates)
-    full = _all_leakages(channels, q, full_mask(config))
+    h = realize_network(config, 17)[1].normalized
+    beams, _ = solve(h, config, init_mslnr(h, config), "icbf_wi")
+    q = _q_from_link(config, link_state(h, beams, config))
+    all_candidates = refim.reference_map(h, config) < config.M * config.K - 1
+    truncated = _all_leakages(h, q, all_candidates)
+    full = _all_leakages(h, q, full_mask(config))
     scale = np.maximum(np.linalg.norm(full, axis=(-2, -1)), 1e-300)
     worst = float(np.max(np.linalg.norm(truncated - full, axis=(-2, -1)) / scale))
     ok = ratio >= 0.88 and worst <= 1e-10
@@ -264,8 +261,8 @@ def test_criterion_7_feedback_accounting(monkeypatch):
     spec = ExperimentSpec(kind="feedback", trials=30, seed=MASTER_SEED,
                           k_list=tuple(range(2, 11)), nt_list=(2, 3, 4))
 
-    def counting_reference_map(channels, cfg):
-        ranks = select(channels, cfg)
+    def counting_reference_map(h, cfg):
+        ranks = select(h, cfg)
         mask = ranks < spec.refs
         for m in range(cfg.M):
             for n in range(cfg.N):
@@ -302,12 +299,12 @@ def test_criterion_8_brute_force_optimality():
     worst, details = 2.0, []
     for seed in range(20):
         config = NetworkConfig(M=2, K=1, N=1, Nt=2)
-        _, channels = realize_network(config, seed)
-        hmat = [[channels.normalized[m, u, 0] for u in range(2)] for m in range(2)]
+        h = realize_network(config, seed)[1].normalized
+        hmat = [[h[m, u, 0] for u in range(2)] for m in range(2)]
         best, n_points = reference.grid_search_two_cell(
             hmat, config.Pmax, float(config.weights[0, 0, 0]))
         assert n_points >= 1_000_000
-        _, trace = solve(channels, config, init_mslnr(channels, config), "icbf")
+        _, trace = solve(h, config, init_mslnr(h, config), "icbf")
         worst = min(worst, trace.best_sum_rate / best)
     _check(8, "brute-force optimality", worst >= 0.98,
            f"worst icbf/grid ratio {worst:.4f} over 20 seeds (need >=0.98)")
@@ -322,15 +319,15 @@ def test_criterion_9_power_feasibility_and_dual_monotonicity(suite):
     worst_increase = -np.inf
     for seed in (51, 52, 53):
         config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-        _, channels = realize_network(config, seed)
+        h = realize_network(config, seed)[1].normalized
         rng = np.random.default_rng(seed)
         shape = (config.M, config.K, config.N, config.Nt)
         beams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         from cbsim.metrics import bs_powers
         beams *= np.sqrt(config.Pmax / bs_powers(beams).max())
-        interf = interference_all(channels, beams, config)
-        q = _q_from_link(config, link_state(channels, beams, config))
-        leak = _all_leakages(channels, q, full_mask(config))
+        interf = interference_all(h, beams, config)
+        q = _q_from_link(config, link_state(h, beams, config))
+        leak = _all_leakages(h, q, full_mask(config))
         for mode, gamma_fn in (("direct", gamma_direct),
                                ("sherman_morrison", gamma_sherman_morrison)):
             m = 0
@@ -341,9 +338,9 @@ def test_criterion_9_power_feasibility_and_dual_monotonicity(suite):
                 for k in range(2):
                     for n in range(2):
                         g = gamma_fn(leak[(m, k, n)], lam)
-                        h = channels.normalized[m, config.user_id(m, k), n]
-                        b = beta(channels, config, m, k, n, g, interf[m, k, n])
-                        total += b ** 2 * np.linalg.norm(g @ h) ** 2
+                        hk = h[m, config.user_id(m, k), n]
+                        b = beta(h, config, m, k, n, g, interf[m, k, n])
+                        total += b ** 2 * np.linalg.norm(g @ hk) ** 2
                 f_vals.append(total)
             worst_increase = max(worst_increase, float(np.max(np.diff(f_vals))))
     mono_ok = worst_increase <= 1e-9
@@ -382,10 +379,9 @@ def test_criterion_11_single_antenna_specialization():
     mismatches = 0
     for _ in range(1000):
         h = rng.standard_normal((3, 6, 1, 1)) + 1j * rng.standard_normal((3, 6, 1, 1))
-        channels = ChannelState(normalized=h, n_coordinated=3)
         m = int(rng.integers(0, 3))
         k = int(rng.integers(0, 2))
-        ranks = refim.reference_map(channels, config)[m, k, 0]
+        ranks = refim.reference_map(h, config)[m, k, 0]
         refs = [divmod(int(g), config.K) for g in np.argsort(ranks, kind="stable")[:1]]
         candidates = [(j, u) for j in range(3) for u in range(2) if (j, u) != (m, k)]
         gains = [abs(h[m, 2 * j + u, 0, 0]) ** 2 for (j, u) in candidates]

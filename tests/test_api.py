@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names, and the README's library examples."""
+import re
+from pathlib import Path
+
 import cbsim
 
 PUBLIC_NAMES = {
@@ -22,3 +25,19 @@ def test_public_names_are_pinned_and_resolve():
     assert set(cbsim.__all__) == PUBLIC_NAMES
     for name in cbsim.__all__:
         assert getattr(cbsim, name) is not None
+
+
+def test_readme_library_snippets_run(capsys):
+    """The README's two fenced python snippets run in order in one namespace,
+    the second on the first one's config: one solve, then two batches of 8."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippets = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    assert len(snippets) == 2
+    namespace = {}
+    for code in snippets:
+        exec(compile(code, "README.md", "exec"), namespace)
+    wsr, reason = capsys.readouterr().out.split()
+    assert float(wsr) > 0.0 and reason in ("outer_tol", "outer_cap")
+    config, beams, traces = namespace["config"], namespace["beams"], namespace["traces"]
+    assert beams.shape == (8, config.M, config.K, config.N, config.Nt)
+    assert [t.algo for t in traces] == ["icbf", "icbf_wi", "cb_refim", "icbf"] * 2

@@ -17,7 +17,7 @@ import reference
 from cbsim import solver
 from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr
-from cbsim.network import ChannelState, realize_network
+from cbsim.network import realize_network
 from cbsim.refim import reference_map
 from cbsim.solver import DualEvaluator, _all_leakages, full_mask
 
@@ -57,7 +57,6 @@ def mixed_batch(rng, config, modes, victims=None, gain=(-2.0, 4.0), q_scale=(-4.
     shape = (b, config.M, config.n_users, config.N, config.Nt)
     scale = 10.0 ** rng.uniform(*gain, shape[:3] + (1, 1))
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(scale / 2)
-    channels = ChannelState(normalized=h, n_coordinated=config.M)
     q = 10.0 ** rng.uniform(*q_scale, (b, config.n_users, config.N))
     mask = np.broadcast_to(full_mask(config), (b,) + full_mask(config).shape)
     if victims is not None:
@@ -65,9 +64,9 @@ def mixed_batch(rng, config, modes, victims=None, gain=(-2.0, 4.0), q_scale=(-4.
         caps = np.array([np.inf if cap is None else cap for cap in caps])
         order = np.argsort(rng.random(mask.shape), axis=-1)
         mask = mask & (np.argsort(order, axis=-1) < caps[:, None, None, None, None])
-    leakages = _all_leakages(channels, q, mask)
+    leakages = _all_leakages(h, q, mask)
     interf = 10.0 ** rng.uniform(*interference, (b, config.M, config.K, config.N))
-    return DualEvaluator(channels, leakages, config, list(modes)), interf, leakages
+    return DualEvaluator(h, leakages, config, list(modes)), interf, leakages
 
 
 def every_algorithm(rng, config, **ranges):
@@ -107,15 +106,13 @@ def test_search_matches_the_bisection_on_channel_draws():
     algorithm, cb_refim's on one reference."""
     for gamma_db in (10.0, 30.0, 50.0):
         config = NetworkConfig(gamma_db=gamma_db)
-        draws = [realize_network(config, seed)[1] for seed in (3, 4, 5)]
-        channels = ChannelState(normalized=np.stack([d.normalized for d in draws]),
-                                n_coordinated=config.M)
-        beams = np.stack([init_mslnr(d, config) for d in draws])
-        link = solver.link_state(channels, beams, config)
-        masks = np.stack([full_mask(config), reference_map(draws[1], config) < 1,
+        h = np.stack([realize_network(config, seed)[1].normalized for seed in (3, 4, 5)])
+        beams = init_mslnr(h, config)
+        link = solver.link_state(h, beams, config)
+        masks = np.stack([full_mask(config), reference_map(h[1], config) < 1,
                           full_mask(config)])
-        leakages = _all_leakages(channels, solver._q_from_link(config, link), masks)
-        ev = DualEvaluator(channels, leakages, config, list(ALGO_MODES))
+        leakages = _all_leakages(h, solver._q_from_link(config, link), masks)
+        ev = DualEvaluator(h, leakages, config, list(ALGO_MODES))
         interf = solver._interference_of_link(config, link)
         duals = assert_same_search(ev, interf, config)[0]
         assert_same_search(ev, interf, config, duals * 1.05)
@@ -247,8 +244,8 @@ def test_a_search_evaluates_f_a_few_times(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(solver, "_betas_power", counted)
     config = NetworkConfig()
-    _, channels = realize_network(config, 1)
-    _, trace = solver.solve(channels, config, init_mslnr(channels, config), "icbf")
+    h = realize_network(config, 1)[1].normalized
+    _, trace = solver.solve(h, config, init_mslnr(h, config), "icbf")
     searches = len(trace.iteration_index)
     assert calls["exact"] == 0
     assert calls["evals"] <= 12 * searches

@@ -14,7 +14,7 @@ import pytest
 from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr
 from cbsim.metrics import power_feasible, weighted_sum_rate
-from cbsim.network import ChannelState, realize_network
+from cbsim.network import realize_network
 from cbsim.solver import ALGORITHMS, solve, solve_batch
 
 SEEDS = range(5)
@@ -51,14 +51,14 @@ EDGE_CONFIGS = {
 }
 
 
-def assert_clean(config, channels, beams, trace):
+def assert_clean(config, h, beams, trace):
     assert np.all(np.isfinite(beams)) and np.all(np.isfinite(trace.duals))
     assert np.all(np.isfinite(trace.sum_rates)) and np.all(np.isfinite(trace.residuals))
     assert power_feasible(beams, config)
     assert np.all(np.array(trace.bs_power_trace) <= config.Pmax * (1.0 + 1e-9))
     assert trace.best_sum_rate >= trace.init_sum_rate
     assert trace.best_sum_rate == pytest.approx(
-        weighted_sum_rate(channels, beams, config), rel=1e-12)
+        weighted_sum_rate(h, beams, config), rel=1e-12)
     assert np.all(beams[~config.assignment] == 0.0)
     assert np.all(trace.duals >= config.lambda_min)
 
@@ -68,12 +68,12 @@ def assert_clean(config, channels, beams, trace):
 def test_edge_config_solves_cleanly(name, algo):
     for seed in SEEDS:
         config = EDGE_CONFIGS[name]()
-        _, channels = realize_network(config, seed)
+        h = realize_network(config, seed)[1].normalized
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            init = init_mslnr(channels, config)
-            beams, trace = solve(channels, config, init, algo, ref_count=1)
-        assert_clean(config, channels, beams, trace)
+            init = init_mslnr(h, config)
+            beams, trace = solve(h, config, init, algo, ref_count=1)
+        assert_clean(config, h, beams, trace)
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -81,15 +81,13 @@ def test_edge_config_solves_cleanly(name, algo):
 def test_edge_config_batch_of_seeds_solves_cleanly(name, algo):
     """All seeds as one batch: each solve clean and equal to its own solve."""
     config = EDGE_CONFIGS[name]()
-    states = [realize_network(config, seed)[1] for seed in SEEDS]
+    h = np.stack([realize_network(config, seed)[1].normalized for seed in SEEDS])
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        inits = np.stack([init_mslnr(channels, config) for channels in states])
-        stacked = ChannelState(normalized=np.stack([ch.normalized for ch in states]))
-        beams, traces = solve_batch(stacked, config, inits, algo, ref_counts=1)
-        alone = [solve(channels, config, init, algo, ref_count=1)
-                 for channels, init in zip(states, inits)]
-    for channels, best, trace, (beams_1, trace_1) in zip(states, beams, traces, alone):
-        assert_clean(config, channels, best, trace)
+        inits = init_mslnr(h, config)
+        beams, traces = solve_batch(h, config, inits, algo, ref_counts=1)
+        alone = [solve(one, config, init, algo, ref_count=1) for one, init in zip(h, inits)]
+    for one, best, trace, (beams_1, trace_1) in zip(h, beams, traces, alone):
+        assert_clean(config, one, best, trace)
         assert np.array_equal(best, beams_1) and trace.sum_rates == trace_1.sum_rates
         assert np.array_equal(trace.duals, trace_1.duals)

@@ -13,7 +13,7 @@ from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.experiments import (ExperimentSpec, feedback_table,
                                run_experiment, run_solver_trials, trial_seeds)
 from cbsim.initializers import init_mslnr
-from cbsim.network import ChannelState, apply_noise, build_topology, draw_channels
+from cbsim.network import apply_noise, build_topology, draw_channels
 from cbsim.refim import feedback_bits
 
 
@@ -42,7 +42,7 @@ def trial_channels(config, seed, trial, gamma):
     s_topo, s_chan = trial_seeds(seed, trial)
     topology = build_topology(config, s_topo)
     cfg = config.with_gamma_db(gamma)
-    return apply_noise(topology, cfg, draw_channels(topology, config, s_chan))
+    return apply_noise(topology, cfg, draw_channels(topology, config, s_chan)).normalized
 
 
 def test_trial_seed_mixing_is_deterministic_and_distinct():
@@ -135,8 +135,8 @@ def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
             for t in range(spec.trials):
                 s_topo, s_chan = trial_seeds(spec.seed, t)
                 topology = build_topology(cfg, s_topo)
-                channels = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan))
-                mask = refim.reference_map(channels, cfg) < spec.refs
+                h = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan)).normalized
+                mask = refim.reference_map(h, cfg) < spec.refs
                 counts = refim.out_of_cell_reference_counts(cfg, mask)
                 totals.append(feedback_bits(cfg, "cb_refim", counts, qbits=spec.qbits))
             expected.append(dict(K=k, Nt=nt, icbf_bits=feedback_bits(cfg, "icbf", qbits=8),
@@ -209,9 +209,9 @@ def test_one_solve_batch_per_group(tmp_path, monkeypatch):
     run_experiment(config, small_spec("ref_sweep", one_group, **spec))
     real_solve, batches = solver.solve_batch, []
 
-    def counting(channels, config, inits, algo, ref_counts=1):
+    def counting(h, config, inits, algo, ref_counts=1):
         batches.append(Counter(algo))
-        return real_solve(channels, config, inits, algo, ref_counts)
+        return real_solve(h, config, inits, algo, ref_counts)
 
     monkeypatch.setattr(solver, "solve_batch", counting)
     # 2 gammas x (icbf, icbf_wi and cb_refim at 0..3 refs) = 12 solves per trial
@@ -248,17 +248,17 @@ def test_harness_matches_a_loop_of_single_solves():
         raw = draw_channels(topology, config, s_chan)
         for gamma in spec.gamma_db:
             cfg = config.with_gamma_db(gamma)
-            channels = apply_noise(topology, cfg, raw)
-            start = initializers.make_initial_beams(spec.init, channels, cfg)
+            h = apply_noise(topology, cfg, raw).normalized
+            start = initializers.make_initial_beams(spec.init, h, cfg)
             for algo in spec.algos:
                 if algo not in solver.ALGORITHMS:
-                    runs = [(None, initializers.make_initial_beams(algo, channels, cfg), None)]
+                    runs = [(None, initializers.make_initial_beams(algo, h, cfg), None)]
                 elif algo == "cb_refim":
-                    runs = [(r, *solver.solve(channels, cfg, start, algo, r)) for r in ref_counts]
+                    runs = [(r, *solver.solve(h, cfg, start, algo, r)) for r in ref_counts]
                 else:
-                    runs = [(None, *solver.solve(channels, cfg, start, algo, spec.refs))]
+                    runs = [(None, *solver.solve(h, cfg, start, algo, spec.refs))]
                 for refs, beams, trace in runs:
-                    report = metrics.rate_report(channels, beams, cfg)
+                    report = metrics.rate_report(h, beams, cfg)
                     key = (algo, gamma) if refs is None else (algo, gamma, refs)
                     want.final_wsr[key] = report.weighted_sum_rate
                     series = trace.outer_sum_rates if trace else [report.weighted_sum_rate]
@@ -274,9 +274,9 @@ def test_each_initializer_runs_once_per_group(monkeypatch):
     calls = []
 
     def counting(name, init):
-        def wrapper(channels, cfg):
-            calls.append((name, channels.normalized.shape[:2]))
-            return init(channels, cfg)
+        def wrapper(h, cfg):
+            calls.append((name, h.shape[:2]))
+            return init(h, cfg)
         return wrapper
 
     for name, init in list(initializers.INITIALIZERS.items()):
@@ -481,10 +481,9 @@ def test_cli_dump_prefix_writes_debug_csvs(tmp_path):
         "dbg_trace_icbf_20.csv", "dbg_trace_icbf_30.csv"]
     config, spec = parse_config("snr_sweep", None, {"trials": 2, "algos": ("icbf",),
                                                    "gamma_db": (20.0, 30.0)})
-    channels = [trial_channels(config, spec.seed, 0, gamma) for gamma in (20.0, 30.0)]
-    inits = np.stack([init_mslnr(ch, config) for ch in channels])
-    stacked = ChannelState(normalized=np.stack([ch.normalized for ch in channels]))
-    _, traces = solver.solve_batch(stacked, config, inits, "icbf")
+    h = np.stack([trial_channels(config, spec.seed, 0, gamma) for gamma in (20.0, 30.0)])
+    inits = init_mslnr(h, config)
+    _, traces = solver.solve_batch(h, config, inits, "icbf")
     for gamma, trace in zip(("20", "30"), traces):
         want = tmp_path / f"want_{gamma}.csv"
         trace.to_csv(want)
@@ -550,11 +549,11 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
     doomed = trial_channels(config, spec.seed, 1, 30.0)
     real_solve, batches = solver.solve_batch, []
 
-    def singular_in_trial_1(channels, *args, **kwargs):
-        batches.append(len(channels.normalized))
-        if any(np.array_equal(h, doomed.normalized) for h in channels.normalized):
+    def singular_in_trial_1(h, *args, **kwargs):
+        batches.append(len(h))
+        if any(np.array_equal(one, doomed) for one in h):
             raise np.linalg.LinAlgError("injected singular matrix")
-        return real_solve(channels, *args, **kwargs)
+        return real_solve(h, *args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_batch", singular_in_trial_1)
     run_experiment(config, spec)

@@ -9,42 +9,41 @@ import reference
 from cbsim.config import NetworkConfig
 from cbsim.metrics import (bs_powers, link_state, power_feasible, rate_report,
                            sinr_of_link, weighted_sum_rate)
-from cbsim.network import ChannelState
 
 
 def synthetic_channels(config, seed=0):
     rng = np.random.default_rng(seed)
     shape = (config.M, config.n_users, config.N, config.Nt)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    return ChannelState(normalized=h, n_coordinated=config.M)
+    return h
 
 
 def empty_beams(config):
     return np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
 
 
-def sinr(state, beams, config):
+def sinr(h, beams, config):
     """SINR of every triple, (M, K, N), from the batched link state."""
-    return sinr_of_link(config, link_state(state, beams, config))
+    return sinr_of_link(config, link_state(h, beams, config))
 
 
 def single_link_state(h_vec):
     config = NetworkConfig(M=1, N=1, K=1, Nt=len(h_vec), weights=np.ones((1, 1, 1)))
     h = np.asarray(h_vec, dtype=complex).reshape(1, 1, 1, -1)
-    return config, ChannelState(normalized=h, n_coordinated=1)
+    return config, h
 
 
 def test_sinr_single_beam_no_interference():
-    config, state = single_link_state([1.0, 0.0])
+    config, h = single_link_state([1.0, 0.0])
     beams = empty_beams(config)
     beams[0, 0, 0] = [2.0, 0.0]
-    assert sinr(state, beams, config)[0, 0, 0] == pytest.approx(4.0)
+    assert sinr(h, beams, config)[0, 0, 0] == pytest.approx(4.0)
 
 
 def test_sinr_zero_beam():
-    config, state = single_link_state([1.0, 0.5])
+    config, h = single_link_state([1.0, 0.5])
     beams = empty_beams(config)
-    assert sinr(state, beams, config)[0, 0, 0] == 0.0
+    assert sinr(h, beams, config)[0, 0, 0] == 0.0
 
 
 def test_sinr_two_beam_hand_instance():
@@ -54,61 +53,59 @@ def test_sinr_two_beam_hand_instance():
     h[1, 0, 0] = [0.3 - 0.2j, 0.4j]        # BS1 -> user0 (interference path)
     h[0, 1, 0] = [0.1, 0.2]
     h[1, 1, 0] = [1.0, -1.0j]
-    state = ChannelState(normalized=h, n_coordinated=2)
     beams = empty_beams(config)
     beams[0, 0, 0] = [0.6, -0.8j]
     beams[1, 0, 0] = [0.5 + 0.5j, 0.1]
-    got = sinr(state, beams, config)
+    got = sinr(h, beams, config)
     for m, k, n in reference.active_triples(config):
-        want = reference.sinr_scalar(state, beams, config, m, k, n)
+        want = reference.sinr_scalar(h, beams, config, m, k, n)
         assert got[m, k, n] == pytest.approx(want, rel=1e-12)
 
 
 def test_wsr_zero_beams():
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    state = synthetic_channels(config)
-    assert weighted_sum_rate(state, empty_beams(config), config) == 0.0
+    h = synthetic_channels(config)
+    assert weighted_sum_rate(h, empty_beams(config), config) == 0.0
 
 
 def test_wsr_single_beam_log2():
-    config, state = single_link_state([1.0])
+    config, h = single_link_state([1.0])
     beams = empty_beams(config)
     beams[0, 0, 0] = [np.sqrt(3.0)]        # SINR = 3, w = 1
-    assert weighted_sum_rate(state, beams, config) == pytest.approx(2.0)
+    assert weighted_sum_rate(h, beams, config) == pytest.approx(2.0)
 
 
 def test_per_user_rate_samples_trivial():
-    config, state = single_link_state([1.0])
+    config, h = single_link_state([1.0])
     beams = empty_beams(config)
     beams[0, 0, 0] = [np.sqrt(3.0)]
-    rep = rate_report(state, beams, config)
+    rep = rate_report(h, beams, config)
     assert rep.user_rates.ravel().tolist() == [pytest.approx(2.0)]
 
 
 def test_wsr_matches_scalar_oracle():
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    state = synthetic_channels(config, seed=5)
+    h = synthetic_channels(config, seed=5)
     rng = np.random.default_rng(6)
     beams = (rng.standard_normal((2, 2, 2, 2))
              + 1j * rng.standard_normal((2, 2, 2, 2))) * 0.4
-    got = weighted_sum_rate(state, beams, config)
-    assert got == pytest.approx(reference.wsr_scalar(state, beams, config), rel=1e-12)
+    got = weighted_sum_rate(h, beams, config)
+    assert got == pytest.approx(reference.wsr_scalar(h, beams, config), rel=1e-12)
 
 
 def test_wsr_invariant_to_user_relabel():
     config = NetworkConfig(M=2, N=2, K=3, Nt=2)
-    state = synthetic_channels(config, seed=9)
+    h = synthetic_channels(config, seed=9)
     rng = np.random.default_rng(10)
     beams = (rng.standard_normal((2, 3, 2, 2))
              + 1j * rng.standard_normal((2, 3, 2, 2))) * 0.3
-    base = weighted_sum_rate(state, beams, config)
+    base = weighted_sum_rate(h, beams, config)
     perm = np.array([2, 0, 1])
-    permuted_h = state.normalized.copy()
+    permuted_h = h.copy()
     for m in range(2):
-        block = state.normalized[:, m * 3:(m + 1) * 3]
+        block = h[:, m * 3:(m + 1) * 3]
         permuted_h[:, m * 3:(m + 1) * 3] = block[:, perm]
-    state_p = ChannelState(normalized=permuted_h, n_coordinated=2)
-    assert weighted_sum_rate(state_p, beams[:, perm], config) == pytest.approx(base)
+    assert weighted_sum_rate(permuted_h, beams[:, perm], config) == pytest.approx(base)
 
 
 def test_bs_power_and_feasibility():
@@ -124,11 +121,11 @@ def test_bs_power_and_feasibility():
 
 
 def test_slnr_single_user():
-    config, state = single_link_state([1.0, 2.0])
+    config, h = single_link_state([1.0, 2.0])
     beams = empty_beams(config)
     beams[0, 0, 0] = [1.0, 1.0]
-    expected = abs(np.vdot(state.normalized[0, 0, 0], beams[0, 0, 0])) ** 2
-    assert reference.slnr_scalar(state, beams, config, 0, 0, 0) == pytest.approx(expected)
+    expected = abs(np.vdot(h[0, 0, 0], beams[0, 0, 0])) ** 2
+    assert reference.slnr_scalar(h, beams, config, 0, 0, 0) == pytest.approx(expected)
 
 
 def test_slnr_orthogonal_beam_has_no_leakage():
@@ -136,22 +133,21 @@ def test_slnr_orthogonal_beam_has_no_leakage():
     h = np.zeros((1, 2, 1, 2), dtype=complex)
     h[0, 0, 0] = [1.0, 0.0]
     h[0, 1, 0] = [0.0, 1.0]
-    state = ChannelState(normalized=h, n_coordinated=1)
     beams = empty_beams(config)
     beams[0, 0, 0] = [3.0, 0.0]            # orthogonal to user 1's channel
-    slnr = reference.slnr_scalar(state, beams, config, 0, 0, 0)
+    slnr = reference.slnr_scalar(h, beams, config, 0, 0, 0)
     assert slnr == pytest.approx(9.0)
-    assert slnr == pytest.approx(sinr(state, beams, config)[0, 0, 0])
+    assert slnr == pytest.approx(sinr(h, beams, config)[0, 0, 0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(min_value=0.01, max_value=50.0))
 def test_isolated_beam_scaling(alpha):
-    config, state = single_link_state([0.8 + 0.1j, -0.3j])
+    config, h = single_link_state([0.8 + 0.1j, -0.3j])
     beams = empty_beams(config)
     beams[0, 0, 0] = [0.5, 0.25 + 0.1j]
-    base = abs(np.vdot(state.normalized[0, 0, 0], beams[0, 0, 0])) ** 2
-    assert sinr(state, beams * alpha, config)[0, 0, 0] == pytest.approx(
+    base = abs(np.vdot(h[0, 0, 0], beams[0, 0, 0])) ** 2
+    assert sinr(h, beams * alpha, config)[0, 0, 0] == pytest.approx(
         alpha ** 2 * base, rel=1e-9)
 
 
@@ -163,12 +159,12 @@ def test_rate_monotone_in_sinr():
 
 def test_slnr_bounded_by_desired_power():
     config = NetworkConfig(M=2, N=1, K=2, Nt=2)
-    state = synthetic_channels(config, seed=20)
+    h = synthetic_channels(config, seed=20)
     rng = np.random.default_rng(21)
     beams = (rng.standard_normal((2, 2, 1, 2))
              + 1j * rng.standard_normal((2, 2, 1, 2)))
     for m in range(2):
         for k in range(2):
-            cap = abs(np.vdot(state.normalized[m, config.user_id(m, k), 0],
+            cap = abs(np.vdot(h[m, config.user_id(m, k), 0],
                               beams[m, k, 0])) ** 2
-            assert reference.slnr_scalar(state, beams, config, m, k, 0) <= cap + 1e-12
+            assert reference.slnr_scalar(h, beams, config, m, k, 0) <= cap + 1e-12

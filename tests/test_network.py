@@ -176,7 +176,7 @@ def test_unit_noise_leaves_channels_unchanged():
     topo = build_topology(config, seed=4)
     state = draw_channels(topo, config, seed=5)
     state.noise = np.ones((config.n_users, config.N))
-    normalize_channels(state)
+    normalize_channels(state, config)
     assert np.array_equal(state.normalized, state.raw[:config.M])
 
 
@@ -184,19 +184,9 @@ def test_scalar_noise_division():
     state = ChannelState(
         raw=np.array([[[[2.0 + 0j, 0.0, 0.0]]]]),
         shadow=np.ones((1, 1)),
-        noise=np.full((1, 1), 4.0),
-        n_coordinated=1)
-    normalize_channels(state)
+        noise=np.full((1, 1), 4.0))
+    normalize_channels(state, NetworkConfig(M=1, N=1, K=1, Nt=3))
     assert np.allclose(state.normalized[0, 0, 0], [1.0, 0.0, 0.0])
-
-
-def test_normalize_needs_coordinated_count():
-    """A state built without n_coordinated has no coordinated BSs to slice;
-    normalizing it is an error, not an empty channel stack."""
-    state = ChannelState(raw=np.ones((1, 1, 1, 2), dtype=complex), shadow=np.ones((1, 1)),
-                         noise=np.ones((1, 1)))
-    with pytest.raises(InvalidStateError, match="n_coordinated"):
-        normalize_channels(state)
 
 
 def test_nonpositive_noise_rejected():
@@ -205,7 +195,7 @@ def test_nonpositive_noise_rejected():
     state = draw_channels(topo, config, seed=5)
     state.noise = np.zeros((config.n_users, config.N))
     with pytest.raises(InvalidStateError):
-        normalize_channels(state)
+        normalize_channels(state, config)
 
 
 def test_normalize_requires_noise():
@@ -213,7 +203,7 @@ def test_normalize_requires_noise():
     topo = build_topology(config, seed=4)
     state = draw_channels(topo, config, seed=5)
     with pytest.raises(InvalidStateError):
-        normalize_channels(state)
+        normalize_channels(state, config)
 
 
 @settings(max_examples=15, deadline=None)
@@ -244,15 +234,26 @@ def test_apply_noise_shares_raw_draw():
 
 
 def test_csv_dumps(tmp_path):
+    """Both dumps in their documented layout: the M coordinated sites first,
+    and one channel row per (m, k, n) with re/im per antenna, h[0, 0, 0]
+    first."""
     config = small_config()
     topo, state = realize_network(config, 21)
+    h = state.normalized
     tpath = tmp_path / "topo.csv"
     cpath = tmp_path / "chan.csv"
     dump_topology_csv(topo, tpath)
-    dump_channels_csv(state, cpath)
+    dump_channels_csv(h, cpath)
     tlines = tpath.read_text().splitlines()
     assert tlines[0] == "kind,cell,index,x_m,y_m"
     assert len(tlines) == 1 + 27 + config.M * config.K
+    kinds = [line.split(",")[0] for line in tlines[1:]]
+    assert kinds[:config.M] == ["bs_coordinated"] * config.M
+    assert kinds.count("bs_coordinated") == config.M
     clines = cpath.read_text().splitlines()
-    assert clines[0].startswith("m,k,n,re0,im0")
+    assert clines[0] == "m,k,n," + ",".join(f"re{a},im{a}" for a in range(config.Nt))
     assert len(clines) == 1 + config.M * config.n_users * config.N
+    first = clines[1].split(",")
+    assert first[:3] == ["0", "0", "0"]
+    values = np.array([float(x) for x in first[3:]])
+    assert np.allclose(values[0::2] + 1j * values[1::2], h[0, 0, 0], rtol=1e-12, atol=0)

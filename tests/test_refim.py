@@ -10,7 +10,7 @@ from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError
 from cbsim.initializers import init_mslnr
 from cbsim.metrics import link_state
-from cbsim.network import ChannelState, own_links, realize_network
+from cbsim.network import own_links, realize_network
 from cbsim.refim import (feedback_bits, invert_rank_r,
                          out_of_cell_reference_counts, reference_map)
 from cbsim.solver import (LN2, DualEvaluator, _all_leakages, _q_from_link, _victim_weights,
@@ -21,7 +21,7 @@ def synthetic_channels(config, seed=0):
     rng = np.random.default_rng(seed)
     shape = (config.M, config.n_users, config.N, config.Nt)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    return ChannelState(normalized=h, n_coordinated=config.M)
+    return h
 
 
 def random_beams(config, seed, scale=0.4):
@@ -43,9 +43,9 @@ def references_of(ranks, config, r_count):
             for m, k, n in reference.active_triples(config)}
 
 
-def select_references(state, config, m, k, n, r_count):
+def select_references(h, config, m, k, n, r_count):
     """The library's references of one active triple."""
-    return references_of(reference_map(state, config), config, r_count)[(m, k, n)]
+    return references_of(reference_map(h, config), config, r_count)[(m, k, n)]
 
 
 def mask_of(config, refmap):
@@ -57,8 +57,8 @@ def mask_of(config, refmap):
     return mask
 
 
-def oracle_references(state, config, r_count):
-    return {t: reference.select_references(state, config, *t, r_count)
+def oracle_references(h, config, r_count):
+    return {t: reference.select_references(h, config, *t, r_count)
             for t in reference.active_triples(config)}
 
 
@@ -71,10 +71,10 @@ def test_reference_map_matches_scalar_oracle():
         config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
                                K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)))
         config.assignment[:] = rng.random(config.assignment.shape) < 0.7
-        state = synthetic_channels(config, draw)
+        h = synthetic_channels(config, draw)
         r_count = int(rng.choice([0, 1, 2, config.n_users + 1, rng.integers(0, config.n_users)]))
-        ranks = reference_map(state, config)
-        expected = oracle_references(state, config, r_count)
+        ranks = reference_map(h, config)
+        expected = oracle_references(h, config, r_count)
         assert references_of(ranks, config, r_count) == expected
         assert np.array_equal(ranks < r_count, mask_of(config, expected))
 
@@ -88,46 +88,44 @@ def test_mask_of_any_count_from_one_selection():
         config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
                                K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)))
         config.assignment[:] = rng.random(config.assignment.shape) < 0.7
-        state = synthetic_channels(config, draw)
+        h = synthetic_channels(config, draw)
         drawn = int(rng.integers(0, config.n_users + 2))
-        ranks = reference_map(state, config)
+        ranks = reference_map(h, config)
         for r_count in range(config.n_users + 2):
-            expected = oracle_references(state, config, r_count)
+            expected = oracle_references(h, config, r_count)
             assert np.array_equal(ranks < r_count, mask_of(config, expected))
             if r_count == drawn:
                 assert references_of(ranks, config, r_count) == expected
 
 
 def test_reference_map_on_a_stack_of_draws():
-    """On a ChannelState stacking 6 draws along two leading axes, every
-    draw's ranks equal its own unstacked ranks bit for bit, on random sizes
-    and partial assignments."""
+    """On an array stacking 6 draws along two leading axes, every draw's
+    ranks equal its own unstacked ranks bit for bit, on random sizes and
+    partial assignments."""
     rng = np.random.default_rng(33)
     for draw in range(50):
         config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
                                K=int(rng.integers(1, 5)), Nt=int(rng.integers(1, 5)))
         config.assignment[:] = rng.random(config.assignment.shape) < 0.7
-        states = [synthetic_channels(config, 6 * draw + d) for d in range(6)]
-        h = np.stack([state.normalized for state in states])
-        ranks = reference_map(ChannelState(normalized=h.reshape((2, 3) + h.shape[1:])), config)
+        h = np.stack([synthetic_channels(config, 6 * draw + d) for d in range(6)])
+        ranks = reference_map(h.reshape((2, 3) + h.shape[1:]), config)
         assert ranks.shape == (2, 3, config.M, config.K, config.N, config.n_users)
-        for d, state in enumerate(states):
-            assert np.array_equal(ranks[divmod(d, 3)], reference_map(state, config))
+        for d, one in enumerate(h):
+            assert np.array_equal(ranks[divmod(d, 3)], reference_map(one, config))
 
 
 def test_negative_reference_count_rejected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
-    state = synthetic_channels(config)
-    init = init_mslnr(state, config)[None]
+    h = synthetic_channels(config)
+    init = init_mslnr(h, config)[None]
     with pytest.raises(ConfigurationError, match="reference count"):
-        solve_batch(ChannelState(normalized=state.normalized[None]), config, init,
-                    "cb_refim", ref_counts=[-1])
+        solve_batch(h[None], config, init, "cb_refim", ref_counts=[-1])
 
 
 def test_single_candidate_is_selected():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
-    state = synthetic_channels(config, 1)
-    refs = select_references(state, config, 0, 0, 0, r_count=3)
+    h = synthetic_channels(config, 1)
+    refs = select_references(h, config, 0, 0, 0, r_count=3)
     assert refs == [(0, 1)]
 
 
@@ -137,24 +135,23 @@ def test_orthogonal_candidate_loses():
     h[0, 0, 0] = [1.0, 0.0]
     h[0, 1, 0] = [0.0, 5.0]       # orthogonal to user 0: score 0
     h[0, 2, 0] = [0.1, 0.0]       # weakly aligned, but nonzero score
-    state = ChannelState(normalized=h, n_coordinated=1)
-    refs = select_references(state, config, 0, 0, 0, r_count=1)
+    refs = select_references(h, config, 0, 0, 0, r_count=1)
     assert refs == [(0, 2)]
 
 
 def test_selection_matches_exhaustive_argmax():
     config = NetworkConfig()
-    _, state = realize_network(config, 2)
+    h = realize_network(config, 2)[1].normalized
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
-                hk = state.normalized[m, config.user_id(m, k), n]
+                hk = h[m, config.user_id(m, k), n]
                 best, best_score = None, -1.0
                 for j in range(config.M):
                     for u in range(config.K):
                         if (j, u) == (m, k):
                             continue
-                        hu = state.normalized[m, config.user_id(j, u), n]
+                        hu = h[m, config.user_id(j, u), n]
                         gmat = np.outer(hu, hu.conj())
                         score = np.linalg.norm(gmat @ hk) ** 2
                         # identity: ||G h_k||^2 = ||h_u||^2 |h_u^H h_k|^2
@@ -163,13 +160,13 @@ def test_selection_matches_exhaustive_argmax():
                         assert score == pytest.approx(alt, rel=1e-10)
                         if score > best_score:
                             best, best_score = (j, u), score
-                assert select_references(state, config, m, k, n, 1) == [best]
+                assert select_references(h, config, m, k, n, 1) == [best]
 
 
 def test_selection_orders_by_score_and_caps_at_candidates():
     config = NetworkConfig(M=2, N=1, K=2, Nt=2)
-    state = synthetic_channels(config, 3)
-    refs = select_references(state, config, 0, 0, 0, r_count=99)
+    h = synthetic_channels(config, 3)
+    refs = select_references(h, config, 0, 0, 0, r_count=99)
     assert len(refs) == config.M * config.K - 1
     assert (0, 0) not in refs
     assert len(set(refs)) == len(refs)
@@ -179,12 +176,11 @@ def test_selection_orders_by_score_and_caps_at_candidates():
 @given(scale=st.floats(min_value=0.01, max_value=100.0))
 def test_selection_invariant_to_own_channel_rescaling(scale):
     config = NetworkConfig(M=2, N=1, K=2, Nt=3)
-    state = synthetic_channels(config, 4)
-    base = select_references(state, config, 0, 0, 0, 2)
-    scaled = state.normalized.copy()
+    h = synthetic_channels(config, 4)
+    base = select_references(h, config, 0, 0, 0, 2)
+    scaled = h.copy()
     scaled[0, 0, 0] *= scale
-    state2 = ChannelState(normalized=scaled, n_coordinated=2)
-    assert select_references(state2, config, 0, 0, 0, 2) == base
+    assert select_references(scaled, config, 0, 0, 0, 2) == base
 
 
 def test_single_antenna_reduces_to_strongest_gain():
@@ -195,9 +191,8 @@ def test_single_antenna_reduces_to_strongest_gain():
     for _ in range(200):
         h = (rng.standard_normal((3, 6, 1, 1))
              + 1j * rng.standard_normal((3, 6, 1, 1)))
-        state = ChannelState(normalized=h, n_coordinated=3)
         m, k = rng.integers(0, 3), rng.integers(0, 2)
-        refs = select_references(state, config, m, int(k), 0, 1)
+        refs = select_references(h, config, m, int(k), 0, 1)
         candidates = [(j, u) for j in range(3) for u in range(2) if (j, u) != (m, k)]
         gains = [abs(h[m, 2 * j + u, 0, 0]) ** 2 for j, u in candidates]
         assert refs == [candidates[int(np.argmax(gains))]]
@@ -208,8 +203,8 @@ def test_reference_map_covers_active_triples():
     beam's candidate on that subchannel."""
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
     config.assignment[1, 0, 1] = False
-    state = synthetic_channels(config, 6)
-    candidates = reference_map(state, config) < np.iinfo(np.intp).max
+    h = synthetic_channels(config, 6)
+    candidates = reference_map(h, config) < np.iinfo(np.intp).max
     assert not candidates[1, 0, 1].any()
     assert not candidates[:, :, 1, config.user_id(1, 0)].any()
     assert np.sum(candidates.any(axis=-1)) == 2 * 2 * 2 - 1
@@ -219,25 +214,25 @@ def test_reference_map_covers_active_triples():
 # truncated leakage
 # ---------------------------------------------------------------------------
 
-def leakages(state, beams, config, mask):
+def leakages(h, beams, config, mask):
     """Leakage matrix of every triple over the victim mask, (M, K, N, Nt, Nt),
     as the solver builds it from the beams' link state."""
-    q = _q_from_link(config, link_state(state, beams, config))
-    return _all_leakages(state, q, mask)
+    q = _q_from_link(config, link_state(h, beams, config))
+    return _all_leakages(h, q, mask)
 
 
 def test_refim_leakage_empty_refs_is_selfish_mode():
     config = NetworkConfig(M=2, N=1, K=2, Nt=2)
-    state = synthetic_channels(config, 7)
-    leak = leakages(state, random_beams(config, 8), config, reference_map(state, config) < 0)
+    h = synthetic_channels(config, 7)
+    leak = leakages(h, random_beams(config, 8), config, reference_map(h, config) < 0)
     assert np.all(leak == 0.0)
 
 
 def test_refim_leakage_single_reference_is_rank_one():
     config = NetworkConfig()
-    _, state = realize_network(config, 9)
+    h = realize_network(config, 9)[1].normalized
     beams = random_beams(config, 10, scale=0.2)
-    leak = leakages(state, beams, config, reference_map(state, config) < 1)
+    leak = leakages(h, beams, config, reference_map(h, config) < 1)
     evals = np.sort(np.linalg.eigvalsh(leak), axis=-1)[..., ::-1]
     assert np.all(evals[..., 0] > 0.0)
     assert np.all(evals[..., 1] <= 1e-10 * np.trace(leak, axis1=-2, axis2=-1).real)
@@ -245,11 +240,11 @@ def test_refim_leakage_single_reference_is_rank_one():
 
 def test_refim_leakage_all_candidates_equals_full():
     config = NetworkConfig()
-    _, state = realize_network(config, 11)
+    h = realize_network(config, 11)[1].normalized
     beams = random_beams(config, 12, scale=0.2)
-    truncated = leakages(state, beams, config,
-                         reference_map(state, config) < config.M * config.K - 1)
-    full = leakages(state, beams, config, full_mask(config))
+    truncated = leakages(h, beams, config,
+                         reference_map(h, config) < config.M * config.K - 1)
+    full = leakages(h, beams, config, full_mask(config))
     dev = np.linalg.norm(truncated - full, axis=(-2, -1))
     assert np.all(dev <= 1e-12 * np.maximum(np.linalg.norm(full, axis=(-2, -1)), 1e-300))
 
@@ -331,17 +326,16 @@ def test_cb_refim_gamma_h_matches_the_rank_one_recursion(seed, gamma_db):
     eps cond(T) relative, and with fewer references than antennas cond(T)
     is near 1e12, so the bound there widens by 8 eps cond(T)."""
     config = NetworkConfig(gamma_db=gamma_db)
-    _, state = realize_network(config, seed)
-    q = _q_from_link(config, link_state(state, init_mslnr(state, config), config))
+    h = realize_network(config, seed)[1].normalized
+    q = _q_from_link(config, link_state(h, init_mslnr(h, config), config))
     counts = np.arange(config.n_users)
-    masks = reference_map(state, config) < counts[:, None, None, None, None]
-    stack = ChannelState(normalized=np.broadcast_to(state.normalized,
-                                                    counts.shape + state.normalized.shape))
+    masks = reference_map(h, config) < counts[:, None, None, None, None]
+    stack = np.broadcast_to(h, counts.shape + h.shape)
     leak = _all_leakages(stack, q, masks)                      # (count, M, K, N, Nt, Nt)
     ev = DualEvaluator(stack, leak, config, "direct")
     coeffs = _victim_weights(masks, q)                         # (count, M, K, N, MK)
-    victims = state.normalized.swapaxes(1, 2)[:, None]         # (M, 1, N, MK, Nt)
-    own = own_links(state, config)
+    victims = h.swapaxes(1, 2)[:, None]                        # (M, 1, N, MK, Nt)
+    own = own_links(h, config)
     e_max = np.linalg.eigvalsh(leak)[..., -1]
     for lam in (np.full(ev.lam_up.shape, config.lambda_min),
                 0.5 * (config.lambda_min + ev.lam_up), ev.lam_up):

@@ -4,6 +4,8 @@ A batch runs its solves in lockstep, one inner iteration each per step, and
 each solve leaves when its own stop tests say so. Nothing of one solve may
 depend on the others in its batch or on their order, down to the last bit.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -17,21 +19,16 @@ GAMMAS = (10.0, 30.0, 50.0)
 
 
 def trial(seed, config=None):
-    """(channels, config, mslnr beams) at every gamma of one channel draw."""
+    """(channels h, config, mslnr beams) at every gamma of one channel draw."""
     config = config or NetworkConfig()
     topology = build_topology(config, seed)
     raw = draw_channels(topology, config, seed + 1)
     out = []
     for gamma in GAMMAS:
         cfg = config.with_gamma_db(gamma)
-        channels = apply_noise(topology, cfg, raw)
-        out.append((channels, cfg, init_mslnr(channels, cfg)))
+        h = apply_noise(topology, cfg, raw).normalized
+        out.append((h, cfg, init_mslnr(h, cfg)))
     return out
-
-
-def stack(states):
-    """One ChannelState whose leading axis holds the given draws."""
-    return ChannelState(normalized=np.stack([ch.normalized for ch in states]))
 
 
 def assert_same_solve(batched, alone):
@@ -60,7 +57,7 @@ def test_mixed_batch_matches_each_solve(algo, reverse):
     solves = [(ch, cfg, init, r) for ch, cfg, init in trial(3) for r in refs]
     if reverse:
         solves.reverse()
-    beams, traces = solve_batch(stack([s[0] for s in solves]), solves[0][1],
+    beams, traces = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
                                 np.stack([s[2] for s in solves]), algo,
                                 [s[3] for s in solves])
     assert len(traces) == beams.shape[0] == len(solves)
@@ -79,7 +76,7 @@ def test_mixed_algorithm_batch_matches_each_solve():
               for algo, r in (("cb_refim", j % 3), ("icbf_wi", 1), ("icbf", 2),
                               ("cb_refim", 8 - j))]
     solves = solves[1::2] + solves[::2]          # mix the order of the algorithms
-    beams, traces = solve_batch(stack([s[0] for s in solves]), NetworkConfig(),
+    beams, traces = solve_batch(np.stack([s[0] for s in solves]), NetworkConfig(),
                                 np.stack([s[2] for s in solves]),
                                 [s[3] for s in solves], [s[4] for s in solves])
     assert [t.algo for t in traces] == [s[3] for s in solves]
@@ -93,11 +90,11 @@ def test_algorithm_list_checked():
     (ch, cfg, init), = trial(3)[:1]
     inits = np.stack([init] * 3)
     with pytest.raises(UsageError, match="one algorithm or 3, got 2"):
-        solve_batch(stack([ch] * 3), cfg, inits, ["icbf", "cb_refim"])
+        solve_batch(np.stack([ch] * 3), cfg, inits, ["icbf", "cb_refim"])
     with pytest.raises(ConfigurationError, match="'wmmse'"):
-        solve_batch(stack([ch] * 3), cfg, inits, ["icbf", "wmmse", "cb_refim"])
+        solve_batch(np.stack([ch] * 3), cfg, inits, ["icbf", "wmmse", "cb_refim"])
     with pytest.raises(ConfigurationError, match="reference count must be >= 0"):
-        solve_batch(stack([ch] * 3), cfg, inits, ["icbf", "icbf_wi", "cb_refim"], [-1, 1, -2])
+        solve_batch(np.stack([ch] * 3), cfg, inits, ["icbf", "icbf_wi", "cb_refim"], [-1, 1, -2])
 
 
 @pytest.mark.parametrize("seed, outer_cap, reasons", [
@@ -108,7 +105,7 @@ def test_stop_reason_alone_and_in_a_batch(seed, outer_cap, reasons):
     config = NetworkConfig(L_out_max=outer_cap)
     solves = trial(seed, config)
     alone = [solve(ch, cfg, init, "icbf_wi")[1] for ch, cfg, init in solves]
-    _, batched = solve_batch(stack([s[0] for s in solves]), config,
+    _, batched = solve_batch(np.stack([s[0] for s in solves]), config,
                              np.stack([s[2] for s in solves]), "icbf_wi")
     assert [t.stop_reason for t in alone] == [t.stop_reason for t in batched] == reasons
     assert [t.converged_outer for t in batched] == [r == "outer_tol" for r in reasons]
@@ -117,10 +114,19 @@ def test_stop_reason_alone_and_in_a_batch(seed, outer_cap, reasons):
 def test_batch_shape_mismatch_rejected():
     (ch, cfg, init), = trial(3)[:1]
     with pytest.raises(UsageError, match="initial beams"):
-        solve_batch(stack([ch] * 3), cfg, init[None], "icbf")
+        solve_batch(np.stack([ch] * 3), cfg, init[None], "icbf")
     with pytest.raises(UsageError, match="initial beams"):
-        solve_batch(ChannelState(normalized=ch.normalized[None][:0]), cfg, init[:0], "icbf")
+        solve_batch(ch[None][:0], cfg, init[:0], "icbf")
     with pytest.raises(UsageError, match="need channels"):
         solve_batch(ch, cfg, init[None], "icbf")      # one draw, not a stack of them
+    # the channels are one array, not the ChannelState that holds them, nor a list
+    wanted = re.escape(f"need channels {(1,) + ch.shape}")
+    state = ChannelState(normalized=ch)
+    with pytest.raises(UsageError, match=wanted + ".*got ChannelState"):
+        solve_batch(state, cfg, init[None], "icbf")
+    with pytest.raises(UsageError, match=wanted + ".*got ChannelState"):
+        solve(state, cfg, init, "icbf")
+    with pytest.raises(UsageError, match=wanted + ".*got list"):
+        solve_batch([ch], cfg, init[None], "icbf")
     with pytest.raises(UsageError, match="reference count"):
-        solve_batch(stack([ch] * 3), cfg, np.stack([init] * 3), "cb_refim", [0, 1])
+        solve_batch(np.stack([ch] * 3), cfg, np.stack([init] * 3), "cb_refim", [0, 1])

@@ -9,7 +9,7 @@ from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_cm, init_mslnr
 from cbsim.metrics import bs_powers, link_state, sinr_of_link, weighted_sum_rate
-from cbsim.network import ChannelState, realize_network
+from cbsim.network import realize_network
 from cbsim.refim import reference_map
 from cbsim.solver import (LN2, DualEvaluator, _all_leakages, _betas_power,
                           _q_from_link, beta, finite_difference_gradient, full_mask,
@@ -25,7 +25,7 @@ def synthetic_channels(config, seed=0):
     rng = np.random.default_rng(seed)
     shape = (config.M, config.n_users, config.N, config.Nt)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    return ChannelState(normalized=h, n_coordinated=config.M)
+    return h
 
 
 def random_beams(config, seed, scale=0.4):
@@ -39,11 +39,11 @@ def empty_beams(config):
     return np.zeros((config.M, config.K, config.N, config.Nt), dtype=complex)
 
 
-def full_leakages(state, beams, config):
+def full_leakages(h, beams, config):
     """Full leakage matrix of every triple, (M, K, N, Nt, Nt), as the solver
     builds it: victim weights q from the link state over the full victim mask."""
-    q = _q_from_link(config, link_state(state, beams, config))
-    return _all_leakages(state, q, full_mask(config))
+    q = _q_from_link(config, link_state(h, beams, config))
+    return _all_leakages(h, q, full_mask(config))
 
 
 def random_psd(rng, nt, scale=1.0):
@@ -57,25 +57,25 @@ def random_psd(rng, nt, scale=1.0):
 
 def test_interference_single_beam_is_zero():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
-    state = synthetic_channels(config)
+    h = synthetic_channels(config)
     beams = random_beams(config, 1)
-    assert interference_all(state, beams, config)[0, 0, 0] == 0.0
+    assert interference_all(h, beams, config)[0, 0, 0] == 0.0
 
 
 def test_interference_matches_sinr_identity():
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    state = synthetic_channels(config, 2)
+    h = synthetic_channels(config, 2)
     beams = random_beams(config, 3)
-    interf = interference_all(state, beams, config)
-    sinrs = sinr_of_link(config, link_state(state, beams, config))
+    interf = interference_all(h, beams, config)
+    sinrs = sinr_of_link(config, link_state(h, beams, config))
     for m in range(2):
         for k in range(2):
             for n in range(2):
-                h = state.normalized[m, config.user_id(m, k), n]
-                sig = abs(np.vdot(h, beams[m, k, n])) ** 2
+                hk = h[m, config.user_id(m, k), n]
+                sig = abs(np.vdot(hk, beams[m, k, n])) ** 2
                 assert sinrs[m, k, n] * (1.0 + interf[m, k, n]) == pytest.approx(sig, rel=1e-10)
                 assert interf[m, k, n] == pytest.approx(
-                    reference.interference_scalar(state, beams, config, m, k, n), rel=1e-12)
+                    reference.interference_scalar(h, beams, config, m, k, n), rel=1e-12)
 
 
 def test_interference_orthogonal_interferer():
@@ -85,11 +85,10 @@ def test_interference_orthogonal_interferer():
     h[1, 0, 0] = [0.0, 1.0]   # interferer channel into user 0
     h[0, 1, 0] = [0.3, 0.4]
     h[1, 1, 0] = [1.0, 0.0]
-    state = ChannelState(normalized=h, n_coordinated=2)
     beams = empty_beams(config)
     beams[0, 0, 0] = [1.0, 0.0]
     beams[1, 0, 0] = [1.0, 0.0]   # orthogonal to h[1, user0]
-    assert interference_all(state, beams, config)[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert interference_all(h, beams, config)[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -98,35 +97,35 @@ def test_interference_orthogonal_interferer():
 
 def test_leakage_zero_for_lone_user():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
-    state = synthetic_channels(config)
-    leak = full_leakages(state, random_beams(config, 4), config)[0, 0, 0]
+    h = synthetic_channels(config)
+    leak = full_leakages(h, random_beams(config, 4), config)[0, 0, 0]
     assert np.allclose(leak, 0.0)
 
 
 def test_leakage_zero_when_other_beams_off():
     config = NetworkConfig(M=2, N=1, K=1, Nt=2)
-    state = synthetic_channels(config, 5)
+    h = synthetic_channels(config, 5)
     beams = empty_beams(config)
     beams[0, 0, 0] = [1.0, 0.5]
-    leak = full_leakages(state, beams, config)[0, 0, 0]
+    leak = full_leakages(h, beams, config)[0, 0, 0]
     assert np.allclose(leak, 0.0)
 
 
 def test_leakage_matches_scalar_oracle():
     config = NetworkConfig(M=2, N=2, K=2, Nt=3)
-    state = synthetic_channels(config, 6)
+    h = synthetic_channels(config, 6)
     beams = random_beams(config, 7)
-    got = full_leakages(state, beams, config)
+    got = full_leakages(h, beams, config)
     for (m, k, n) in reference.active_triples(config):
-        want = reference.leakage_scalar(state, beams, config, m, k, n)
+        want = reference.leakage_scalar(h, beams, config, m, k, n)
         assert np.allclose(got[m, k, n], want, rtol=1e-10, atol=1e-14)
 
 
 def test_leakage_invariants():
     config = NetworkConfig(M=2, N=1, K=3, Nt=3)
-    state = synthetic_channels(config, 8)
+    h = synthetic_channels(config, 8)
     beams = random_beams(config, 9)
-    mat = full_leakages(state, beams, config)[0, 1, 0]
+    mat = full_leakages(h, beams, config)[0, 1, 0]
     assert np.allclose(mat, mat.conj().T, atol=1e-12)
     evals = np.linalg.eigvalsh(mat)
     assert evals.min() >= -1e-10 * np.trace(mat).real
@@ -223,26 +222,25 @@ def test_gamma_positive_definite_both_modes(lam, seed):
 
 def beta_setup(seed=12, nt=3):
     config = NetworkConfig(M=1, N=1, K=1, Nt=nt, weights=np.ones((1, 1, 1)))
-    state = synthetic_channels(config, seed)
-    return config, state
+    h = synthetic_channels(config, seed)
+    return config, h
 
 
 def test_beta_clamps_to_zero():
-    config, state = beta_setup()
-    h = state.normalized[0, 0, 0]
-    lam = 10.0 * np.linalg.norm(h) ** 2   # taxes the beam off
+    config, h = beta_setup()
+    hk = h[0, 0, 0]
+    lam = 10.0 * np.linalg.norm(hk) ** 2   # taxes the beam off
     gamma = gamma_direct(np.zeros((3, 3), dtype=complex), lam)
-    assert beta(state, config, 0, 0, 0, gamma, interference_value=0.0) == 0.0
+    assert beta(h, config, 0, 0, 0, gamma, interference_value=0.0) == 0.0
 
 
 def test_beta_direct_substitution():
     # w = 1, u = 2, i = 0 -> beta = 0.5; arrange u = 2 via a unit channel
     config = NetworkConfig(M=1, N=1, K=1, Nt=1, weights=np.ones((1, 1, 1)))
     h = np.ones((1, 1, 1, 1), dtype=complex)
-    state = ChannelState(normalized=h, n_coordinated=1)
     lam = 0.5 / LN2    # Gamma = 2 => u = |h|^2 * 2 = 2
     gamma = gamma_direct(np.zeros((1, 1), dtype=complex), lam)
-    assert beta(state, config, 0, 0, 0, gamma, 0.0) == pytest.approx(0.5)
+    assert beta(h, config, 0, 0, 0, gamma, 0.0) == pytest.approx(0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,17 +249,17 @@ def test_beta_direct_substitution():
 def test_beta_fixed_point_residual(seed, lam, interf):
     """v = beta * Gamma * h satisfies the stationarity equation for the given
     leakage and interference."""
-    config, state = beta_setup(seed)
+    config, h = beta_setup(seed)
     rng = np.random.default_rng(seed + 1)
     mat = random_psd(rng, 3, scale=0.5)
     gamma = gamma_direct(mat, lam)
-    h = state.normalized[0, 0, 0]
-    b = beta(state, config, 0, 0, 0, gamma, interf)
-    v = b * (gamma @ h)
+    hk = h[0, 0, 0]
+    b = beta(h, config, 0, 0, 0, gamma, interf)
+    v = b * (gamma @ hk)
     t = mat + lam * LN2 * np.eye(3)
-    sig = abs(np.vdot(h, v)) ** 2
+    sig = abs(np.vdot(hk, v)) ** 2
     lhs = t @ v
-    rhs = h * np.vdot(h, v) / (1.0 + sig + interf)
+    rhs = hk * np.vdot(hk, v) / (1.0 + sig + interf)
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * max(np.linalg.norm(lhs), 1e-12)
 
 
@@ -273,24 +271,24 @@ def bisection_setup(seed, gamma_db=30.0, refs=None):
     """A channel draw, its leakages at the mslnr beams and the interference;
     with ``refs``, cb_refim's leakages truncated to that many references."""
     config = NetworkConfig(M=2, N=2, K=2, Nt=2, gamma_db=gamma_db)
-    _, state = realize_network(config, seed)
-    beams = init_mslnr(state, config)
-    mask = full_mask(config) if refs is None else reference_map(state, config) < refs
-    leakages = _all_leakages(state, _q_from_link(config, link_state(state, beams, config)), mask)
-    return config, state, leakages, interference_all(state, beams, config)
+    h = realize_network(config, seed)[1].normalized
+    beams = init_mslnr(h, config)
+    mask = full_mask(config) if refs is None else reference_map(h, config) < refs
+    leakages = _all_leakages(h, _q_from_link(config, link_state(h, beams, config)), mask)
+    return config, h, leakages, interference_all(h, beams, config)
 
 
-def bisect(state, leakages, interf, config, mode):
-    ev = DualEvaluator(state, leakages, config, mode)
+def bisect(h, leakages, interf, config, mode):
+    ev = DualEvaluator(h, leakages, config, mode)
     return ev, *lambda_bisection(ev, interf, config)
 
 
 def test_bisection_returns_floor_when_beams_off():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2,
                            weights=np.zeros((1, 1, 1)))   # w = 0 kills the beam
-    state = synthetic_channels(config, 14)
+    h = synthetic_channels(config, 14)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    _, duals, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, "direct")
+    _, duals, betas = bisect(h, leakages, np.zeros((1, 1, 1)), config, "direct")
     assert duals[0] == config.lambda_min == 1e-10
     assert np.all(betas == 0.0)
 
@@ -299,9 +297,8 @@ def test_bisection_inactive_constraint_keeps_floor():
     # tiny channels: even at the dual floor the power fits the budget
     config = NetworkConfig(M=1, N=1, K=1, Nt=2, weights=np.ones((1, 1, 1)))
     h = np.full((1, 1, 1, 2), 1e-6, dtype=complex)
-    state = ChannelState(normalized=h, n_coordinated=1)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    _, duals, betas = bisect(state, leakages, np.zeros((1, 1, 1)), config, "direct")
+    _, duals, betas = bisect(h, leakages, np.zeros((1, 1, 1)), config, "direct")
     assert duals[0] == config.lambda_min
     # power implied by the returned betas stays within budget
     gamma = gamma_direct(leakages[(0, 0, 0)], duals[0])
@@ -311,8 +308,8 @@ def test_bisection_inactive_constraint_keeps_floor():
 
 @pytest.mark.parametrize("mode", ["direct", "sherman_morrison"])
 def test_bisection_against_dense_scan(mode):
-    config, state, leakages, interf = bisection_setup(17)
-    _, duals, _ = bisect(state, leakages, interf, config, mode)
+    config, h, leakages, interf = bisection_setup(17)
+    _, duals, _ = bisect(h, leakages, interf, config, mode)
     gamma_fn = gamma_direct if mode == "direct" else gamma_sherman_morrison
     for m in range(config.M):
         lam_star = duals[m]
@@ -322,9 +319,9 @@ def test_bisection_against_dense_scan(mode):
             for k in range(config.K):
                 for n in range(config.N):
                     gam = gamma_fn(leakages[(m, k, n)], lam)
-                    h = state.normalized[m, config.user_id(m, k), n]
-                    b = beta(state, config, m, k, n, gam, interf[m, k, n])
-                    total += b ** 2 * np.linalg.norm(gam @ h) ** 2
+                    hk = h[m, config.user_id(m, k), n]
+                    b = beta(h, config, m, k, n, gam, interf[m, k, n])
+                    total += b ** 2 * np.linalg.norm(gam @ hk) ** 2
             return total
 
         f_star = power_at(lam_star)
@@ -333,7 +330,7 @@ def test_bisection_against_dense_scan(mode):
                 or lam_star == config.lambda_min)
 
         lam_up = max(config.weights[m, k, n]
-                     * np.linalg.norm(state.normalized[m, config.user_id(m, k), n]) ** 2
+                     * np.linalg.norm(h[m, config.user_id(m, k), n]) ** 2
                      for k in range(config.K) for n in range(config.N)) / LN2
         grid = np.logspace(np.log10(config.lambda_min), np.log10(lam_up), 10_000)
         f_grid = np.array([power_at(l) for l in grid])
@@ -347,8 +344,8 @@ def test_bisection_against_dense_scan(mode):
 
 def test_bisected_power_feasible_every_bs():
     for seed in (21, 22):
-        config, state, leakages, interf = bisection_setup(seed)
-        ev, duals, betas = bisect(state, leakages, interf, config, "direct")
+        config, h, leakages, interf = bisection_setup(seed)
+        ev, duals, betas = bisect(h, leakages, interf, config, "direct")
         beams = update_beams(ev, duals, betas)
         assert np.all(bs_powers(beams) <= config.Pmax * (1.0 + 1e-9))
 
@@ -366,14 +363,14 @@ def test_bisected_power_feasible_every_bs():
 def test_gamma_h_matches_dense_forms(mode, gamma_fn, refs):
     """The evaluator's Gamma h equals the dense per-triple Gamma times h, on
     the full leakage and on cb_refim's leakage truncated to one reference."""
-    config, state, leakages, _ = bisection_setup(26, refs=refs)
+    config, h, leakages, _ = bisection_setup(26, refs=refs)
     config.assignment[1, 0, 1] = False     # a hole in BS 1's (n, k) order
-    ev = DualEvaluator(state, leakages, config, mode)
+    ev = DualEvaluator(h, leakages, config, mode)
     duals = np.array([0.05, 0.4])
     gh = ev.gamma_h(duals)
     for m, k, n in zip(*np.nonzero(config.assignment)):
-        h = state.normalized[m, config.user_id(m, k), n]
-        want = gamma_fn(leakages[m, k, n], duals[m]) @ h
+        hk = h[m, config.user_id(m, k), n]
+        want = gamma_fn(leakages[m, k, n], duals[m]) @ hk
         assert np.linalg.norm(gh[m, k, n] - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -391,11 +388,10 @@ def test_dual_function_matches_dense_forms_on_a_mixed_evaluator():
     setups = [bisection_setup(seed, refs=refs) for seed, refs in ((26, None), (27, 2), (28, None))]
     config = setups[0][0]
     config.assignment[1, 0, 1] = False     # a hole in BS 1's (n, k) order
-    state = ChannelState(normalized=np.stack([s[1].normalized for s in setups]),
-                         n_coordinated=config.M)
+    h = np.stack([s[1] for s in setups])
     leakages = np.stack([s[2] for s in setups])
     interf = np.stack([s[3] for s in setups])
-    ev = DualEvaluator(state, leakages, config, list(modes))
+    ev = DualEvaluator(h, leakages, config, list(modes))
     dense = {"direct": gamma_direct, "sherman_morrison": gamma_sherman_morrison}
     flat_interf = interf.swapaxes(-1, -2).reshape(ev.weights.shape)
     for lam in (np.full(ev.lam_up.shape, config.lambda_min),
@@ -408,9 +404,9 @@ def test_dual_function_matches_dense_forms_on_a_mixed_evaluator():
                 want_power = 0.0
                 for k in range(config.K):
                     for n in range(config.N):
-                        h = state.normalized[b, m, config.user_id(m, k), n]
-                        gh = dense[mode](leakages[b, m, k, n], lam[row]) @ h
-                        u_ref, g2_ref = np.vdot(h, gh).real, np.linalg.norm(gh) ** 2
+                        hk = h[b, m, config.user_id(m, k), n]
+                        gh = dense[mode](leakages[b, m, k, n], lam[row]) @ hk
+                        u_ref, g2_ref = np.vdot(hk, gh).real, np.linalg.norm(gh) ** 2
                         w = config.weights[m, k, n] * config.assignment[m, k, n]
                         b2_ref = max(w * u_ref - interf[b, m, k, n] - 1.0, 0.0) / u_ref ** 2
                         want_power += b2_ref * g2_ref
@@ -429,11 +425,10 @@ def test_pole_major_sums_equal_trailing_axis_sums_bit_for_bit(nt, rows):
     config = NetworkConfig(M=1, N=2, K=3, Nt=nt)
     shape = (rows, config.M, config.n_users, config.N, nt)
     h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    state = ChannelState(normalized=h, n_coordinated=config.M)
     leakages = np.array([random_psd(rng, nt, scale) for scale in
                          10.0 ** rng.uniform(-3, 3, rows * config.K * config.N)])
     leakages = leakages.reshape(rows, config.M, config.K, config.N, nt, nt)
-    ev = DualEvaluator(state, leakages, config, "direct")
+    ev = DualEvaluator(h, leakages, config, "direct")
     lam = 10.0 ** rng.uniform(-10, 1, rows)
     u, g2 = ev.u_g2(lam)
     proj = np.abs(ev.coef) ** 2                           # (rows, N, K, Nt)
@@ -446,9 +441,9 @@ def test_sherman_morrison_row_without_leakage():
     """With L = 0 (tr L = 0) the closed form gives u = H / x and
     ||Gamma h||^2 = H / x^2 > 0, down to the dual floor."""
     config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
-    state = synthetic_channels(config, 47)
-    hh = np.linalg.norm(state.normalized) ** 2
-    ev = DualEvaluator(state, np.zeros((1, 1, 1, 3, 3), dtype=complex), config,
+    h = synthetic_channels(config, 47)
+    hh = np.linalg.norm(h) ** 2
+    ev = DualEvaluator(h, np.zeros((1, 1, 1, 3, 3), dtype=complex), config,
                        "sherman_morrison")
     for lam in (config.lambda_min, 1e-3, 10.0):
         u, g2 = ev.u_g2(np.array([lam]))
@@ -459,30 +454,30 @@ def test_sherman_morrison_row_without_leakage():
 
 
 def test_dual_evaluator_rejects_unknown_mode():
-    config, state, leakages, _ = bisection_setup(27)
+    config, h, leakages, _ = bisection_setup(27)
     with pytest.raises(ConfigurationError, match="bogus"):
-        DualEvaluator(state, leakages, config, "bogus")
+        DualEvaluator(h, leakages, config, "bogus")
 
 
 def test_update_beams_recovers_matched_direction():
     config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
-    state = synthetic_channels(config, 23)
+    h = synthetic_channels(config, 23)
     leakages = np.zeros((1, 1, 1, 3, 3), dtype=complex)
     duals = np.array([0.5])
-    h = state.normalized[0, 0, 0]
+    hk = h[0, 0, 0]
     gamma = gamma_direct(leakages[(0, 0, 0)], duals[0])
-    b = beta(state, config, 0, 0, 0, gamma, 0.0)
-    ev = DualEvaluator(state, leakages, config, "direct")
+    b = beta(h, config, 0, 0, 0, gamma, 0.0)
+    ev = DualEvaluator(h, leakages, config, "direct")
     beams = update_beams(ev, duals, np.full((1, 1, 1), b))
     v = beams[0, 0, 0]
-    assert abs(np.vdot(v, h)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(h))
+    assert abs(np.vdot(v, hk)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(hk))
 
 
 def test_update_beams_zero_beta_switches_off():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
-    state = synthetic_channels(config, 24)
+    h = synthetic_channels(config, 24)
     leakages = np.zeros((1, 1, 1, 2, 2), dtype=complex)
-    ev = DualEvaluator(state, leakages, config, "direct")
+    ev = DualEvaluator(h, leakages, config, "direct")
     beams = update_beams(ev, np.array([1.0]), np.zeros((1, 1, 1)))
     assert np.all(beams == 0.0)
 
@@ -490,8 +485,8 @@ def test_update_beams_zero_beta_switches_off():
 def test_update_beams_stationarity_for_given_state():
     """Fresh beams satisfy the stationarity equation under the leakage and
     interference they were computed from (exact-inverse mode)."""
-    config, state, leakages, interf = bisection_setup(25)
-    ev, duals, betas = bisect(state, leakages, interf, config, "direct")
+    config, h, leakages, interf = bisection_setup(25)
+    ev, duals, betas = bisect(h, leakages, interf, config, "direct")
     beams = update_beams(ev, duals, betas)
     for m in range(config.M):
         for k in range(config.K):
@@ -499,11 +494,11 @@ def test_update_beams_stationarity_for_given_state():
                 v = beams[m, k, n]
                 if np.linalg.norm(v) == 0.0:
                     continue
-                h = state.normalized[m, config.user_id(m, k), n]
+                hk = h[m, config.user_id(m, k), n]
                 t = leakages[m, k, n] + duals[m] * LN2 * np.eye(config.Nt)
-                sig = abs(np.vdot(h, v)) ** 2
+                sig = abs(np.vdot(hk, v)) ** 2
                 lhs = t @ v
-                rhs = (config.weights[m, k, n] * h * np.vdot(h, v)
+                rhs = (config.weights[m, k, n] * hk * np.vdot(hk, v)
                        / (1.0 + sig + interf[m, k, n]))
                 assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
@@ -515,34 +510,34 @@ def test_update_beams_stationarity_for_given_state():
 def test_solve_single_link_waterfilling_limit():
     config = NetworkConfig(M=1, K=1, N=1, Nt=2, gamma_db=10.0,
                            weights=np.ones((1, 1, 1)))
-    _, state = realize_network(config, 3)
-    h = state.normalized[0, 0, 0]
+    h = realize_network(config, 3)[1].normalized
+    hk = h[0, 0, 0]
     # deliberately misaligned full-power start so the solver's own fixed
     # point (not the initializer) is returned
     init = empty_beams(config)
-    init[0, 0, 0] = np.sqrt(config.Pmax) * np.array([h[1], h[0]]) / np.linalg.norm(h)
-    beams, trace = solve(state, config, init, "icbf")
+    init[0, 0, 0] = np.sqrt(config.Pmax) * np.array([hk[1], hk[0]]) / np.linalg.norm(hk)
+    beams, trace = solve(h, config, init, "icbf")
     inner_count = len([1 for (o, i) in trace.iteration_index if o == 0])
     assert inner_count <= 2
     assert trace.best_sum_rate == pytest.approx(
-        np.log2(1.0 + config.Pmax * np.linalg.norm(h) ** 2), rel=1e-6)
+        np.log2(1.0 + config.Pmax * np.linalg.norm(hk) ** 2), rel=1e-6)
     assert bs_powers(beams)[0] == pytest.approx(config.Pmax, rel=1e-5)
     v = beams[0, 0, 0]
-    assert abs(np.vdot(v, h)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(h))
+    assert abs(np.vdot(v, hk)) == pytest.approx(np.linalg.norm(v) * np.linalg.norm(hk))
     # converged single link satisfies the stationarity equation essentially exactly
-    rep = kkt_report(state, beams, trace.duals, config)
+    rep = kkt_report(h, beams, trace.duals, config)
     assert rep.max_stationarity_residual <= 1e-8
 
 
 @pytest.mark.parametrize("algo", ["icbf", "icbf_wi", "cb_refim"])
 def test_solve_improves_on_initializer_and_stays_feasible(algo):
     config = NetworkConfig()
-    _, state = realize_network(config, 31)
-    init = init_mslnr(state, config)
-    beams, trace = solve(state, config, init, algo, ref_count=1)
+    h = realize_network(config, 31)[1].normalized
+    init = init_mslnr(h, config)
+    beams, trace = solve(h, config, init, algo, ref_count=1)
     assert trace.best_sum_rate >= trace.init_sum_rate
     assert trace.best_sum_rate == pytest.approx(
-        weighted_sum_rate(state, beams, config), rel=1e-12)
+        weighted_sum_rate(h, beams, config), rel=1e-12)
     # power feasibility after every inner iteration, not just at exit
     for powers in trace.bs_power_trace:
         assert np.all(powers <= config.Pmax * (1.0 + 1e-9))
@@ -551,9 +546,9 @@ def test_solve_improves_on_initializer_and_stays_feasible(algo):
 
 def test_solve_outer_iterations_settle_quickly():
     config = NetworkConfig()
-    _, state = realize_network(config, 32)
-    init = init_mslnr(state, config)
-    _, trace = solve(state, config, init, "icbf")
+    h = realize_network(config, 32)[1].normalized
+    init = init_mslnr(h, config)
+    _, trace = solve(h, config, init, "icbf")
     series = list(trace.outer_sum_rates)
     while len(series) < config.L_out_max:
         series.append(series[-1])
@@ -562,11 +557,11 @@ def test_solve_outer_iterations_settle_quickly():
 
 def test_solve_rejects_infeasible_init():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2)
-    state = synthetic_channels(config, 33)
+    h = synthetic_channels(config, 33)
     init = empty_beams(config)
     init[0, 0, 0] = [10.0 * np.sqrt(config.Pmax), 0.0]
     with pytest.raises(UsageError):
-        solve(state, config, init, "icbf")
+        solve(h, config, init, "icbf")
 
 
 @pytest.mark.parametrize("algo", ["icbf", "icbf_wi"])
@@ -574,14 +569,14 @@ def test_beams_live_in_channel_span(algo):
     """Solutions are combinations of the BS's channels to the co-subchannel
     users, visible when the antenna count exceeds the user count."""
     config = NetworkConfig(M=2, K=1, N=1, Nt=4)
-    _, state = realize_network(config, 34)
-    init = init_mslnr(state, config)
-    beams, _ = solve(state, config, init, algo)
+    h = realize_network(config, 34)[1].normalized
+    init = init_mslnr(h, config)
+    beams, _ = solve(h, config, init, algo)
     for m in range(config.M):
         v = beams[m, 0, 0]
         if np.linalg.norm(v) == 0.0:
             continue
-        basis = np.stack([state.normalized[m, g, 0] for g in range(config.n_users)]).T
+        basis = np.stack([h[m, g, 0] for g in range(config.n_users)]).T
         coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
         residual = np.linalg.norm(basis @ coef - v)
         assert residual <= 1e-8 * np.linalg.norm(v)
@@ -589,8 +584,8 @@ def test_beams_live_in_channel_span(algo):
 
 def test_trace_serialization(tmp_path):
     config = NetworkConfig(M=2, N=1, K=1, Nt=2)
-    _, state = realize_network(config, 35)
-    _, trace = solve(state, config, init_cm(state, config), "icbf")
+    h = realize_network(config, 35)[1].normalized
+    _, trace = solve(h, config, init_cm(h, config), "icbf")
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
@@ -604,49 +599,49 @@ def test_trace_serialization(tmp_path):
 
 def test_complementary_slackness_at_dual_floor():
     config = NetworkConfig(M=2, N=1, K=1, Nt=2)
-    _, state = realize_network(config, 36)
-    beams = init_cm(state, config) * 0.5   # slack power
+    h = realize_network(config, 36)[1].normalized
+    beams = init_cm(h, config) * 0.5   # slack power
     duals = np.full(config.M, config.lambda_min)
-    rep = kkt_report(state, beams, duals, config)
+    rep = kkt_report(h, beams, duals, config)
     assert rep.max_complementary_slackness <= 1e-10 * config.Pmax
 
 
 def test_gradient_matches_finite_differences_at_random_point():
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    _, state = realize_network(config, 37)
+    h = realize_network(config, 37)[1].normalized
     rng = np.random.default_rng(38)
     beams = random_beams(config, 39, scale=0.1)
     beams *= np.sqrt(config.Pmax / max(bs_powers(beams).max(), 1e-12)) * 0.7
     duals = rng.uniform(0.05, 1.0, size=config.M)
-    g_an = lagrangian_gradient(state, beams, duals, config)
-    g_fd = finite_difference_gradient(state, beams, duals, config, step=1e-5)
+    g_an = lagrangian_gradient(h, beams, duals, config)
+    g_fd = finite_difference_gradient(h, beams, duals, config, step=1e-5)
     rel = np.linalg.norm(g_an - g_fd) / np.linalg.norm(g_fd)
     assert rel <= 1e-4
 
 
 def test_gradient_zero_at_beam_off_point():
     config = NetworkConfig(M=1, N=1, K=1, Nt=2, weights=np.zeros((1, 1, 1)))
-    state = synthetic_channels(config, 40)
-    grad = lagrangian_gradient(state, empty_beams(config), np.array([1.0]), config)
+    h = synthetic_channels(config, 40)
+    grad = lagrangian_gradient(h, empty_beams(config), np.array([1.0]), config)
     assert np.allclose(grad, 0.0)
 
 
 def test_lagrangian_value_decomposition():
     config = NetworkConfig(M=2, N=1, K=1, Nt=2)
-    _, state = realize_network(config, 41)
-    beams = init_cm(state, config) * 0.8
+    h = realize_network(config, 41)[1].normalized
+    beams = init_cm(h, config) * 0.8
     duals = np.array([0.3, 0.7])
-    expected = (weighted_sum_rate(state, beams, config)
+    expected = (weighted_sum_rate(h, beams, config)
                 + np.dot(duals, config.Pmax - bs_powers(beams)))
-    assert lagrangian_value(state, beams, duals, config) == pytest.approx(expected)
+    assert lagrangian_value(h, beams, duals, config) == pytest.approx(expected)
 
 
 def test_stationarity_residual_skips_off_beams():
     config = NetworkConfig(M=1, N=1, K=2, Nt=2)
-    state = synthetic_channels(config, 42)
+    h = synthetic_channels(config, 42)
     beams = empty_beams(config)
     beams[0, 0, 0] = [0.4, 0.1]
-    res = stationarity_residuals(state, beams, np.array([0.2]), config)
+    res = stationarity_residuals(h, beams, np.array([0.2]), config)
     assert res[0, 1, 0] == 0.0
     assert res[0, 0, 0] > 0.0
 
@@ -656,11 +651,11 @@ def test_stationarity_residual_matches_scalar_oracle():
     scalar leakage and interference oracles, with inactive and off beams."""
     config = NetworkConfig(M=2, N=2, K=2, Nt=3)
     config.assignment[1, 0, 1] = False
-    state = synthetic_channels(config, 43)
+    h = synthetic_channels(config, 43)
     beams = random_beams(config, 44)
     beams[0, 1, 0] = 0.0
     duals = np.array([0.3, 0.05])
-    res = stationarity_residuals(state, beams, duals, config)
+    res = stationarity_residuals(h, beams, duals, config)
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
@@ -668,12 +663,12 @@ def test_stationarity_residual_matches_scalar_oracle():
                 if not config.assignment[m, k, n] or not v.any():
                     assert res[m, k, n] == 0.0
                     continue
-                h = state.normalized[m, config.user_id(m, k), n]
-                t = (reference.leakage_scalar(state, beams, config, m, k, n)
+                hk = h[m, config.user_id(m, k), n]
+                t = (reference.leakage_scalar(h, beams, config, m, k, n)
                      + duals[m] * LN2 * np.eye(config.Nt))
-                i = reference.interference_scalar(state, beams, config, m, k, n)
-                rhs = (config.weights[m, k, n] * h * np.vdot(h, v)
-                       / (1.0 + abs(np.vdot(h, v)) ** 2 + i))
+                i = reference.interference_scalar(h, beams, config, m, k, n)
+                rhs = (config.weights[m, k, n] * hk * np.vdot(hk, v)
+                       / (1.0 + abs(np.vdot(hk, v)) ** 2 + i))
                 want = np.linalg.norm(t @ v - rhs) / np.linalg.norm(v)
                 assert res[m, k, n] == pytest.approx(want, rel=1e-9)
 
@@ -688,10 +683,10 @@ def test_solve_with_partial_assignment(algo):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
     config.assignment[0, 1, 0] = False
     config.assignment[1, 0, 1] = False
-    _, state = realize_network(config, 44)
-    init = init_mslnr(state, config)
+    h = realize_network(config, 44)[1].normalized
+    init = init_mslnr(h, config)
     assert np.all(init[0, 1, 0] == 0.0)
-    beams, trace = solve(state, config, init, algo, ref_count=1)
+    beams, trace = solve(h, config, init, algo, ref_count=1)
     assert np.all(beams[0, 1, 0] == 0.0)
     assert np.all(beams[1, 0, 1] == 0.0)
     assert trace.best_sum_rate >= trace.init_sum_rate
@@ -702,12 +697,12 @@ def test_solve_with_partial_assignment(algo):
 def test_solve_single_antenna_taxation_path(algo):
     """Scalar channels drive the 1/(lambda*ln2 + L) taxation form end to end."""
     config = NetworkConfig(M=2, N=2, K=1, Nt=1)
-    _, state = realize_network(config, 45)
-    init = init_cm(state, config)
-    beams, trace = solve(state, config, init, algo, ref_count=1)
+    h = realize_network(config, 45)[1].normalized
+    init = init_cm(h, config)
+    beams, trace = solve(h, config, init, algo, ref_count=1)
     assert trace.best_sum_rate >= trace.init_sum_rate
     assert np.all(bs_powers(beams) <= config.Pmax * (1.0 + 1e-9))
-    res = stationarity_residuals(state, beams, trace.duals, config)
+    res = stationarity_residuals(h, beams, trace.duals, config)
     assert np.all(np.isfinite(res))
 
 
@@ -719,13 +714,13 @@ def test_dual_evaluator_stable_at_floor_with_aligned_rank_one_leakage():
     config = NetworkConfig(M=1, N=1, K=1, Nt=3, weights=np.ones((1, 1, 1)))
     for _ in range(25):
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        state = ChannelState(normalized=h.reshape(1, 1, 1, 3), n_coordinated=1)
         # leakage parallel to the channel, plus a small misaligned part
         mix = rng.uniform(0.0, 0.2)
         other = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         mat = (rng.uniform(0.5, 2.0) * np.outer(h, h.conj()) / np.linalg.norm(h) ** 2
                + mix * np.outer(other, other.conj()) / np.linalg.norm(other) ** 2)
-        ev = DualEvaluator(state, mat[None, None, None], config, "sherman_morrison")
+        ev = DualEvaluator(h.reshape(1, 1, 1, 3), mat[None, None, None], config,
+                           "sherman_morrison")
         for lam in (1e-10, 1e-6, 1e-2):
             u, g2 = ev.u_g2(np.array([lam]))
             gam = gamma_sherman_morrison(mat, lam)

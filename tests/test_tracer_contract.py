@@ -61,8 +61,8 @@ def test_cb_refim_solve_reaches_the_traced_layers(monkeypatch):
         count(solver, name)
     count(refim, "invert_rank_r")
     config = NetworkConfig()
-    _, channels = realize_network(config, 1)
-    _, trace = solver.solve(channels, config, init_mslnr(channels, config), "cb_refim")
+    h = realize_network(config, 1)[1].normalized
+    _, trace = solver.solve(h, config, init_mslnr(h, config), "cb_refim")
     inner = len(trace.iteration_index)
     # one joint dual search and one beam update per inner iteration; each
     # search evaluates f(lambda) more than once. The beams come from the

@@ -23,13 +23,8 @@ ITERS = 200
 
 def _batch(config, seeds):
     """Stacked normalized channels and mslnr starting beams, one per seed."""
-    hs, starts, states = [], [], []
-    for seed in seeds:
-        _, channels = realize_network(config, seed)
-        hs.append(channels.normalized)
-        starts.append(init_mslnr(channels, config))
-        states.append(channels)
-    return np.stack(hs), np.stack(starts), states
+    h = np.stack([realize_network(config, seed)[1].normalized for seed in seeds])
+    return h, init_mslnr(h, config)
 
 
 @pytest.fixture(scope="module")
@@ -37,21 +32,21 @@ def desk_run():
     """WMMSE on desk-scale realizations at 10, 30 and 50 dB, one batch, every
     trial run for all ITERS iterations (no early stop).
 
-    Returns the per-trial configs and channel states, the beams and the
-    weighted sum-rate history.
+    Returns the per-trial configs and channels, the beams and the weighted
+    sum-rate history.
     """
-    configs, hs, starts, states = [], [], [], []
+    configs, hs, starts = [], [], []
     for gamma in (10.0, 30.0, 50.0):
         config = NetworkConfig(gamma_db=gamma)
-        h, start, chans = _batch(config, range(10))
-        configs += [config] * len(chans)
+        h, start = _batch(config, range(10))
+        configs += [config] * len(h)
         hs.append(h)
         starts.append(start)
-        states += chans
-    beams, wsr = reference.wmmse(np.concatenate(hs), np.concatenate(starts),
+    h = np.concatenate(hs)
+    beams, wsr = reference.wmmse(h, np.concatenate(starts),
                                  configs[0].weights * configs[0].assignment,
                                  configs[0].Pmax, ITERS, tol=-np.inf)
-    return configs, states, beams, wsr
+    return configs, h, beams, wsr
 
 
 def test_wmmse_reaches_the_grid_search_optimum():
@@ -59,11 +54,11 @@ def test_wmmse_reaches_the_grid_search_optimum():
     one-user, two-antenna instances."""
     config = NetworkConfig(M=2, K=1, N=1, Nt=2)
     seeds = range(20)
-    h, start, states = _batch(config, seeds)
+    h, start = _batch(config, seeds)
     _, wsr = reference.wmmse(h, start, config.weights * config.assignment,
                              config.Pmax, ITERS)
-    for t, channels in enumerate(states):
-        hmat = [[channels.normalized[m, u, 0] for u in range(2)] for m in range(2)]
+    for t, one in enumerate(h):
+        hmat = [[one[m, u, 0] for u in range(2)] for m in range(2)]
         best, _ = reference.grid_search_two_cell(
             hmat, config.Pmax, float(config.weights[0, 0, 0]))
         assert wsr[t, -1] >= 0.98 * best, f"seed {seeds[t]}"
@@ -85,9 +80,9 @@ def test_wmmse_respects_every_power_budget(desk_run):
 
 def test_wmmse_rate_formula_matches_the_library(desk_run):
     """The oracle's own sum-rate equals cbsim's on the beams it returns."""
-    configs, states, beams, wsr = desk_run
-    for t, (config, channels) in enumerate(zip(configs, states)):
-        lib = weighted_sum_rate(channels, beams[t], config)
+    configs, h, beams, wsr = desk_run
+    for t, config in enumerate(configs):
+        lib = weighted_sum_rate(h[t], beams[t], config)
         assert wsr[t, -1] == pytest.approx(lib, rel=1e-12), f"{config.gamma_db} dB"
 
 
@@ -96,7 +91,7 @@ def test_wmmse_leaves_unscheduled_triples_silent():
     assignment[0, 1, :] = False
     assignment[2, :, 0] = False
     config = NetworkConfig(assignment=assignment)
-    h, start, _ = _batch(config, (3, 4))
+    h, start = _batch(config, (3, 4))
     beams, wsr = reference.wmmse(h, start, config.weights * config.assignment,
                                  config.Pmax, 20)
     assert np.all(beams[:, ~assignment] == 0.0)
