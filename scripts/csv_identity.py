@@ -7,6 +7,7 @@ from two checkouts into two directories and comparing the sums:
     PYTHONPATH=src python3 scripts/csv_identity.py /tmp/before    # parent
     PYTHONPATH=src python3 scripts/csv_identity.py /tmp/after     # change
     diff /tmp/before/SHA256SUMS /tmp/after/SHA256SUMS
+    diff /tmp/before/dumps/DUMPSUMS /tmp/after/dumps/DUMPSUMS
 
 A change that moves last digits is measured cell by cell instead:
 
@@ -27,6 +28,11 @@ network size, and at (3, 3, 3, 4) also every other network and solver key
 (pmax, the iteration caps, lambda_min, both tolerances and refs) at a
 non-default value. One more feedback run reads its k_list, nt_list, qbits
 and refs from a config file.
+
+The per-step solver traces join the check too: one desk snr_sweep and one
+desk ref_sweep at seed 1 also write their ``--dump-prefix`` files (trial 0's
+topology, channels and one trace per solve) under OUTDIR/dumps, summed in
+OUTDIR/dumps/DUMPSUMS, so SHA256SUMS keeps its matrix of CSVs.
 """
 import argparse
 import contextlib
@@ -48,6 +54,13 @@ ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 TUNED = ("m3n3k3t4", "pmax = 2.5\nL_in_max = 25\nL_out_max = 3\nlambda_min = 1e-9\n"
                      "inner_tol = 1e-5\nouter_tol = 1e-3\nrefs = 2\n")
 FEEDBACK_LISTS = "k_list = 2, 4, 7\nnt_list = 1,3\nqbits = 6\nrefs = 3\n"
+#: The runs whose --dump-prefix files go under OUTDIR/dumps.
+DUMPED = ("snr_sweep", "ref_sweep")
+
+
+def write_sums(path: Path, files: list[Path]) -> None:
+    path.write_text("".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+                            for p in files))
 
 
 def run(argv: list[str]) -> None:
@@ -133,9 +146,16 @@ def main() -> None:
     run(["feedback", "--config", str(cfg), "--trials", "4", "--seed", "1", "--no-timestamp",
          "--out", str(path)])
     csvs.append(path)
-    sums = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in csvs]
-    (out / "SHA256SUMS").write_text("".join(sums))
-    print(f"{len(csvs)} CSVs and SHA256SUMS written under {out}/")
+    write_sums(out / "SHA256SUMS", csvs)
+    dumps = out / "dumps"
+    dumps.mkdir(exist_ok=True)
+    for kind in DUMPED:
+        run([kind, *COMMON, "--seed", "1", "--algo", ",".join(ALGOS),
+             "--out", str(dumps / f"{kind}.csv"), "--dump-prefix", str(dumps / kind)])
+    dumped = sorted(p for kind in DUMPED for p in dumps.glob(f"{kind}_*.csv"))
+    write_sums(dumps / "DUMPSUMS", dumped)
+    print(f"{len(csvs)} CSVs and SHA256SUMS, {len(dumped)} dumps and dumps/DUMPSUMS "
+          f"written under {out}/")
 
 
 if __name__ == "__main__":

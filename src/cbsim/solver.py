@@ -616,12 +616,19 @@ def update_beams(ev: DualEvaluator, duals: np.ndarray, betas: np.ndarray) -> np.
 
 @dataclass
 class SolverTrace:
-    """Per-iteration diagnostics of one solve."""
+    """Per-iteration diagnostics of one solve.
+
+    One entry per inner iteration in ``iteration_index``, ``sum_rates`` and
+    ``bs_power_trace``; one per outer iteration in ``outer_sum_rates`` and
+    ``inner_converged``. ``duals`` are the per-BS duals (M,) of the returned
+    (best) beams, lambda_min where no iterate beat the start, and
+    ``final_residual`` is the largest relative stationarity residual over the
+    triples (:func:`stationarity_residuals`) at those beams and duals.
+    """
     algo: str
     iteration_index: list[tuple[int, int]] = field(default_factory=list)
     sum_rates: list[float] = field(default_factory=list)
     bs_power_trace: list[np.ndarray] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
     outer_sum_rates: list[float] = field(default_factory=list)
     init_sum_rate: float = 0.0
     inner_converged: list[bool] = field(default_factory=list)
@@ -629,6 +636,7 @@ class SolverTrace:
     non_monotone_steps: int = 0
     duals: np.ndarray | None = None
     best_sum_rate: float = 0.0
+    final_residual: float = math.nan
 
     @property
     def stop_reason(self) -> str:
@@ -636,20 +644,17 @@ class SolverTrace:
         return "outer_tol" if self.converged_outer else "outer_cap"
 
     def to_csv(self, path: str | Path) -> None:
-        """Columns: outer, inner, sum_rate, power_1..power_M, residual."""
+        """Columns: outer, inner, sum_rate, power_1..power_M."""
         n_bs = len(self.bs_power_trace[0]) if self.bs_power_trace else 0
         header = ["outer", "inner", "sum_rate"]
         header += [f"power_{m + 1}" for m in range(n_bs)]
-        header += ["residual"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for (outer, inner), wsr, powers, res in zip(
-                    self.iteration_index, self.sum_rates,
-                    self.bs_power_trace, self.residuals):
+            for (outer, inner), wsr, powers in zip(
+                    self.iteration_index, self.sum_rates, self.bs_power_trace):
                 row = [outer, inner, f"{wsr:.12g}"]
                 row += [f"{p:.12g}" for p in powers]
-                row.append(f"{res:.6g}")
                 writer.writerow(row)
 
 
@@ -683,6 +688,10 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
     outer loop ends, so it takes exactly the steps it would take alone.
     Returns the best beams (B, M, K, N, Nt) and one :class:`SolverTrace` per
     solve, both in the caller's order.
+
+    The stationarity residual is not computed on the inner steps: once every
+    solve has ended, one batched pass takes each solve's
+    ``SolverTrace.final_residual`` at its returned beams and duals.
     """
     beams = np.array(inits)
     is_array = isinstance(h, np.ndarray) and h.ndim > 0
@@ -726,7 +735,8 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
     wsr = sum_rate_of_link(config, link).tolist()
     traces = [SolverTrace(algo=name, init_sum_rate=w) for name, w in zip(algos, wsr)]
     best_wsr, best_beams = list(wsr), list(beams)
-    best_duals = [np.full(config.M, config.lambda_min)] * n_solves
+    best_duals = np.full((n_solves, config.M), config.lambda_min)
+    h_all = h
     prev_outer, outer, inner = list(wsr), [0] * n_solves, [0] * n_solves
 
     # live lists the solves still running; h, link, ev and fresh follow its order
@@ -748,8 +758,6 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
         beams = update_beams(ev, duals, betas)
         link = link_state(h, beams, config)
         now = sum_rate_of_link(config, link).tolist()
-        res = np.max(_residuals_of_link(h, beams, duals, config, link),
-                     axis=(-3, -2, -1)).tolist()
         powers = bs_powers(beams)
         fresh, done = [], []
         for i, b in enumerate(live.tolist()):
@@ -758,7 +766,6 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
             trace.iteration_index.append((outer[b], inner[b]))
             trace.sum_rates.append(now[i])
             trace.bs_power_trace.append(powers[i])
-            trace.residuals.append(res[i])
             if now[i] < before * (1.0 - 1e-12):
                 trace.non_monotone_steps += 1
             if now[i] > best_wsr[b]:
@@ -778,7 +785,7 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
                 inner[b] = 0
                 stop = trace.converged_outer or outer[b] == config.L_out_max
                 if stop:
-                    trace.best_sum_rate, trace.duals = best_wsr[b], best_duals[b]
+                    trace.best_sum_rate = best_wsr[b]
             fresh.append(ended and not stop)
             done.append(stop)
         if any(done):
@@ -786,8 +793,13 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
             live, fresh = live[keep], [fresh[i] for i in keep]
             h, link = h[keep], tuple(a[keep] for a in link)
             ev, duals = ev.select(keep), duals[keep]
+    best_beams = np.stack(best_beams)
+    res = _residuals_of_link(h_all, best_beams, best_duals, config,
+                             link_state(h_all, best_beams, config))
+    for trace, duals, value in zip(traces, best_duals, np.max(res, axis=(-3, -2, -1)).tolist()):
+        trace.duals, trace.final_residual = duals, value      # each trace its own row
     back = np.argsort(order)      # batch position of each solve in the caller's order
-    return np.stack(best_beams)[back], [traces[b] for b in back]
+    return best_beams[back], [traces[b] for b in back]
 
 
 def solve(h: np.ndarray, config: NetworkConfig, init: np.ndarray,

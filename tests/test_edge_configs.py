@@ -53,7 +53,7 @@ EDGE_CONFIGS = {
 
 def assert_clean(config, h, beams, trace):
     assert np.all(np.isfinite(beams)) and np.all(np.isfinite(trace.duals))
-    assert np.all(np.isfinite(trace.sum_rates)) and np.all(np.isfinite(trace.residuals))
+    assert np.all(np.isfinite(trace.sum_rates)) and np.isfinite(trace.final_residual)
     assert power_feasible(beams, config)
     assert np.all(np.array(trace.bs_power_trace) <= config.Pmax * (1.0 + 1e-9))
     assert trace.best_sum_rate >= trace.init_sum_rate

@@ -489,7 +489,7 @@ def test_cli_dump_prefix_writes_debug_csvs(tmp_path):
         trace.to_csv(want)
         got = (tmp_path / f"dbg_trace_icbf_{gamma}.csv").read_text()
         assert got == want.read_text()
-        assert got.splitlines()[0] == "outer,inner,sum_rate,power_1,power_2,power_3,residual"
+        assert got.splitlines()[0] == "outer,inner,sum_rate,power_1,power_2,power_3"
         assert len(got.splitlines()) == 1 + len(trace.sum_rates) > 1
 
 

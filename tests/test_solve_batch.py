@@ -9,11 +9,12 @@ import re
 import numpy as np
 import pytest
 
+from cbsim import solver
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_mslnr
 from cbsim.network import ChannelState, apply_noise, build_topology, draw_channels
-from cbsim.solver import ALGORITHMS, solve, solve_batch
+from cbsim.solver import ALGORITHMS, solve, solve_batch, stationarity_residuals
 
 GAMMAS = (10.0, 30.0, 50.0)
 
@@ -36,7 +37,7 @@ def assert_same_solve(batched, alone):
     assert trace_b.algo == trace_a.algo
     assert trace_b.iteration_index == trace_a.iteration_index
     assert trace_b.sum_rates == trace_a.sum_rates
-    assert trace_b.residuals == trace_a.residuals
+    assert trace_b.final_residual == trace_a.final_residual
     assert trace_b.outer_sum_rates == trace_a.outer_sum_rates
     assert len(trace_b.bs_power_trace) == len(trace_a.bs_power_trace)
     for powers_b, powers_a in zip(trace_b.bs_power_trace, trace_a.bs_power_trace):
@@ -130,3 +131,59 @@ def test_batch_shape_mismatch_rejected():
         solve_batch([ch], cfg, init[None], "icbf")
     with pytest.raises(UsageError, match="reference count"):
         solve_batch(np.stack([ch] * 3), cfg, np.stack([init] * 3), "cb_refim", [0, 1])
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_final_residual_is_the_stationarity_residual_at_the_returned_iterate(algo):
+    """At 10, 30 and 50 dB in one batch, bit for bit the largest residual
+    over the triples at the returned beams and duals."""
+    solves = trial(3)
+    beams, traces = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
+                                np.stack([s[2] for s in solves]), algo)
+    for (ch, cfg, _), best, trace in zip(solves, beams, traces):
+        want = np.max(stationarity_residuals(ch, best, trace.duals, cfg))
+        assert trace.final_residual == want
+        assert np.isfinite(want) and want > 0.0
+
+
+def test_residual_is_computed_once_per_batch(monkeypatch):
+    """One residual pass per solve_batch call, after the loop, against one
+    dual search per lockstep inner step."""
+    calls = {"_residuals_of_link": 0, "lambda_bisection": 0}
+
+    def count(name):
+        original = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(solver, name, wrapper)
+
+    for name in calls:
+        count(name)
+    solves = trial(3)
+    _, traces = solve_batch(np.stack([s[0] for s in solves] * 3), solves[0][1],
+                            np.stack([s[2] for s in solves] * 3),
+                            ["icbf"] * 3 + ["icbf_wi"] * 3 + ["cb_refim"] * 3)
+    steps = max(len(t.iteration_index) for t in traces)
+    assert calls == {"_residuals_of_link": 1, "lambda_bisection": steps}
+    assert steps > 1
+
+
+def test_each_trace_owns_its_duals():
+    """Solves that never beat their start, and solves that do, each hold
+    their own duals: writing one changes no other."""
+    config = NetworkConfig(weights=np.zeros((3, 3, 3)))
+    (ch, cfg, init), = trial(3, config)[:1]
+    _, stuck = solve_batch(np.stack([ch, ch]), cfg, np.stack([init, init]), "icbf")
+    assert all(t.best_sum_rate == t.init_sum_rate for t in stuck)
+    solves = trial(3)
+    _, improved = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
+                              np.stack([s[2] for s in solves]), "icbf")
+    assert all(t.best_sum_rate > t.init_sum_rate for t in improved)
+    for traces in (stuck, improved):
+        before = [t.duals.copy() for t in traces]
+        traces[0].duals[0] = -1.0
+        for trace, duals in zip(traces[1:], before[1:]):
+            assert trace.duals is not traces[0].duals
+            assert np.array_equal(trace.duals, duals)

@@ -589,7 +589,7 @@ def test_trace_serialization(tmp_path):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "outer,inner,sum_rate,power_1,power_2,residual"
+    assert lines[0] == "outer,inner,sum_rate,power_1,power_2"
     assert len(lines) == 1 + len(trace.sum_rates)
 
 
