@@ -18,11 +18,12 @@ differ and the largest relative difference |a - b| / max(|a|, |b|) among
 them (inf where a differing cell is not a number or a row is missing).
 
 The matrix: convergence, snr_sweep, ref_sweep and cdf at desk scale and at
-(M, N, K, Nt) = (2, 2, 2, 2), (3, 2, 4, 2), (3, 3, 3, 4) and (2, 3, 2, 1),
-plus the feedback table, each at seeds 1 and 2 with 4 trials, gamma = 10,
-30 and 50 dB and no timestamp line. The four solver kinds run once more at
-desk scale with ``--workers 2``, so the trials are split into groups and
-across processes. zf is left out where a cell has more users than antennas.
+(M, N, K, Nt) = (2, 2, 2, 2), (3, 2, 4, 2), (3, 3, 3, 4), (2, 3, 2, 1) and
+the single cell (1, 2, 2, 2), plus the feedback table, each at seeds 1 and
+2 with 4 trials, gamma = 10, 30 and 50 dB and no timestamp line. The four
+solver kinds run once more at desk scale with ``--workers 2``, so the
+trials are split into groups and across processes. zf is left out where a
+cell has more users than antennas.
 Every run goes through the ``sim`` command line; a config file sets the
 network size, and at (3, 3, 3, 4) also every other network and solver key
 (pmax, the iteration caps, lambda_min, both tolerances and refs) at a
@@ -45,7 +46,7 @@ import sys
 from pathlib import Path
 
 SIZES = {"desk": None, "m2n2k2t2": (2, 2, 2, 2), "m3n2k4t2": (3, 2, 4, 2),
-         "m3n3k3t4": (3, 3, 3, 4), "m2n3k2t1": (2, 3, 2, 1)}
+         "m3n3k3t4": (3, 3, 3, 4), "m2n3k2t1": (2, 3, 2, 1), "m1n2k2t2": (1, 2, 2, 2)}
 KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf")
 SEEDS = (1, 2)
 COMMON = ["--trials", "4", "--gamma-db", "10,30,50", "--no-timestamp"]

@@ -41,7 +41,8 @@ DEFAULT_ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 #: Errors that exclude one trial; numpy's LinAlgError is also scipy.linalg's.
 TRIAL_ERRORS = (CbsimError, np.linalg.LinAlgError)
 #: Byte budget of one solver batch's victim weights and leakage matrices;
-#: it sets how many trials :func:`_run_trials` solves as one group.
+#: it sets how many trials :func:`_run_trials` solves as one group, and
+#: how many draws :func:`feedback_table` ranks as one stack.
 BATCH_BYTES = 4 * 2**20
 
 
@@ -337,36 +338,50 @@ def _run_cdf(config: NetworkConfig, spec: ExperimentSpec) -> Path:
     return Path(spec.out)
 
 
+def _draws_per_stack(config: NetworkConfig) -> int:
+    """Channel draws per reference ranking of the feedback table: as many as
+    keep their working set within BATCH_BYTES, and at least one. Per link
+    that is two complex128 copies of its Nt channel entries (the draws and
+    their stack) and, per (beam, candidate) pair, of which there are K per
+    link, about four 8-byte arrays of the ranking."""
+    links = config.M * config.n_users * config.N
+    return max(1, BATCH_BYTES // (links * 32 * (config.Nt + config.K)))
+
+
 def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
-    """Feedback bits per (algo, K, Nt).
+    """Feedback bits per (algo, K, Nt), in Nt-major order.
 
     The full algorithm's count is deterministic. The reference-user variant
     depends on which references the channel draw selects, so its bit count is
     averaged over ``spec.trials`` independent realizations (reference
     selection only needs channels, no solving). A trial's user drop depends
     only on K, so each (K, trial) topology is built once and serves every
-    Nt; channels, noise and references are drawn per (Nt, K, trial).
+    Nt; channels and noise are drawn per (Nt, K, trial). Trials run in
+    chunks sized for the largest Nt by BATCH_BYTES: each (K, Nt) cell ranks
+    a chunk's draws as one stack, with one :func:`refim.reference_map` call,
+    which ranks every draw bit for bit as it would alone.
     """
     seeds = [trial_seeds(spec.seed, t) for t in range(spec.trials)]
-    drops = {}   # (K, trial) -> topology
-    rows = []
-    for nt in spec.nt_list:
-        for k in spec.k_list:
-            cfg = replace(config, K=int(k), Nt=int(nt), weights=None, assignment=None)
-            icbf_bits = refim.feedback_bits(cfg, "icbf", qbits=spec.qbits)
-            totals = []
-            for t, (s_topo, s_chan) in enumerate(seeds):
-                if (k, t) not in drops:
-                    drops[k, t] = build_topology(cfg, s_topo)
-                topology = drops[k, t]
-                h = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan)).normalized
-                ranks = refim.reference_map(h, cfg)
-                counts = refim.out_of_cell_reference_counts(cfg, ranks < spec.refs)
-                totals.append(refim.feedback_bits(cfg, "cb_refim", counts,
-                                                  qbits=spec.qbits))
-            rows.append(dict(K=int(k), Nt=int(nt), icbf_bits=icbf_bits,
-                             cb_refim_bits=float(np.mean(totals))))
-    return rows
+    cells = {(nt, k): replace(config, K=int(k), Nt=int(nt), weights=None, assignment=None)
+             for nt in spec.nt_list for k in spec.k_list}
+    totals = {cell: [] for cell in cells}
+    for k in spec.k_list:
+        size = min(_draws_per_stack(cells[nt, k]) for nt in spec.nt_list)
+        for lo in range(0, spec.trials, size):
+            chunk = seeds[lo:lo + size]
+            drops = [build_topology(cells[spec.nt_list[0], k], s_topo) for s_topo, _ in chunk]
+            for nt in spec.nt_list:
+                cfg = cells[nt, k]
+                h = np.stack([apply_noise(topology, cfg,
+                                          draw_channels(topology, cfg, s_chan)).normalized
+                              for topology, (_, s_chan) in zip(drops, chunk)])
+                counts = refim.out_of_cell_reference_counts(
+                    cfg, refim.reference_map(h, cfg) < spec.refs)
+                totals[nt, k] += [refim.feedback_bits(cfg, "cb_refim", c, qbits=spec.qbits)
+                                  for c in counts]
+    return [dict(K=cfg.K, Nt=cfg.Nt, icbf_bits=refim.feedback_bits(cfg, "icbf", qbits=spec.qbits),
+                 cb_refim_bits=float(np.mean(totals[cell])))
+            for cell, cfg in cells.items()]
 
 
 def _run_feedback(config: NetworkConfig, spec: ExperimentSpec) -> Path:

@@ -55,10 +55,12 @@ class Topology:
     bs_xy: np.ndarray
     user_xy: np.ndarray
 
-    def user_bs_distances(self) -> np.ndarray:
-        """Distance matrix of shape (n_bs, M*K) from every BS to every user."""
+    def user_bs_distances(self, bs: slice = slice(None)) -> np.ndarray:
+        """Distance matrix of shape (n, M*K) from the BSs ``bs_xy[bs]``, every
+        BS by default, to every user. Computed from the positions at call
+        time, row by row as the full matrix, so a moved BS is seen at once."""
         users = self.user_xy.reshape(-1, 2)
-        diff = self.bs_xy[:, None, :] - users[None, :, :]
+        diff = self.bs_xy[bs, None, :] - users[None, :, :]
         return np.linalg.norm(diff, axis=-1)
 
 
@@ -66,8 +68,10 @@ class Topology:
 class ChannelState:
     """Raw channels, shadowing, long-term noise and normalized channels.
 
-    raw:        (n_bs, M*K, N, Nt) complex, all BSs including uncoordinated
-    shadow:     (n_bs, M*K) linear shadowing gains L per link
+    raw:        (M, M*K, N, Nt) complex, the coordinated BSs only; the
+                uncoordinated ring enters through the noise alone
+    shadow:     (n_bs, M*K) linear shadowing gains L per link, every BS
+                (the ring's rows feed the noise)
     noise:      (..., M*K, N) linear noise power per (user, subchannel)
     normalized: (..., M, M*K, N, Nt) complex, coordinated BSs only,
                 normalized = raw / sqrt(noise); the leading axes, if any,
@@ -148,24 +152,29 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
 
 
 def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> ChannelState:
-    """Draw shadowing and small-scale fading for every (BS, user, subchannel).
+    """Draw shadowing for every (BS, user) link and small-scale fading for
+    every (coordinated BS, user, subchannel).
 
-    Returns a ChannelState with ``raw`` and ``shadow`` filled; noise and
-    normalized channels are computed by :func:`compute_noise` and
-    :func:`normalize_channels`.
+    The stream is that of a fading draw for every BS: shadowing, then the
+    real parts, then the imaginary parts, each over (n_bs, M*K, N, Nt). The
+    real parts are drawn in full to advance the generator, and the last
+    draw stops after the M coordinated rows, so ``raw`` equals the first M
+    rows of the full draw bit for bit. Returns a ChannelState with ``raw``
+    and ``shadow`` filled; noise and normalized channels are computed by
+    :func:`compute_noise` and :func:`normalize_channels`.
     """
     rng = np.random.default_rng(seed)
-    n_bs = topology.bs_xy.shape[0]
+    n_bs, m = topology.bs_xy.shape[0], config.M
     n_users = config.n_users
-    dist = topology.user_bs_distances()
 
     shadow_db = rng.normal(0.0, SHADOWING_STD_DB, size=(n_bs, n_users))
     shadow = 10.0 ** (shadow_db / 10.0)
 
     shape = (n_bs, n_users, config.N, config.Nt)
-    fading = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    real = rng.standard_normal(shape)[:m]
+    fading = (real + 1j * rng.standard_normal((m,) + shape[1:])) / np.sqrt(2.0)
 
-    amp = np.sqrt(path_gain(dist) * shadow)
+    amp = np.sqrt(path_gain(topology.user_bs_distances(slice(None, m))) * shadow[:m])
     raw = amp[:, :, None, None] * fading
     return ChannelState(raw=raw, shadow=shadow)
 
@@ -176,13 +185,14 @@ def compute_noise(topology: Topology, config: NetworkConfig,
 
     noise[g, n] = sigma^2 + sum over uncoordinated BSs of
     (200/d)^3.5 * L * Pmax / N, at ``config.sigma2`` or at each of the
-    thermal floors ``sigma2`` along a leading axis. Fills ``channels.noise``
-    and returns it.
+    thermal floors ``sigma2`` along a leading axis. Only the ring's
+    distances are computed, from the positions at call time. Fills
+    ``channels.noise`` and returns it.
     """
     if channels.shadow is None:
         raise InvalidStateError("draw_channels must run before compute_noise")
-    dist = topology.user_bs_distances()
-    gains = path_gain(dist[config.M:]) * channels.shadow[config.M:]  # (24, MK)
+    dist = topology.user_bs_distances(slice(config.M, None))          # (24, MK)
+    gains = path_gain(dist) * channels.shadow[config.M:]
     out_power = gains.sum(axis=0) * config.Pmax / config.N           # (MK,)
     noise = (config.sigma2 if sigma2 is None else np.asarray(sigma2)[:, None]) + out_power
     channels.noise = np.repeat(noise[..., None], config.N, axis=-1)

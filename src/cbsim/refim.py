@@ -90,13 +90,14 @@ SCALAR_FEEDBACK_REALS = 3
 def out_of_cell_reference_counts(config: NetworkConfig,
                                  mask: np.ndarray) -> np.ndarray:
     """Distinct reference users of BS m on subchannel n served by other BSs,
-    from the victim mask (M, K, N, MK), ``ranks < r`` of :func:`reference_map`.
+    shape (..., M, N), from the victim mask (..., M, K, N, MK), ``ranks < r``
+    of :func:`reference_map`, with any leading axes of a stack of draws.
 
     Intra-cell references cost nothing on the backhaul (the BS already knows
     its own users), and a user referenced by several of BS m's beams is
     fetched once.
     """
-    referenced = mask.any(axis=1)                                      # (M, N, MK)
+    referenced = mask.any(axis=-3)                                     # (..., M, N, MK)
     own_cell = np.arange(config.n_users) // config.K == np.arange(config.M)[:, None]
     return np.sum(referenced & ~own_cell[:, None], axis=-1)
 

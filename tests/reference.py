@@ -88,6 +88,29 @@ def leakage_scalar(h, beams, config, m, k, n):
     return mat
 
 
+def draw_channels_full(bs_xy, user_xy, N, Nt, seed):
+    """One channel draw of every BS, the uncoordinated ring included:
+    log-normal shadowing (8 dB), then the real and the imaginary parts of
+    the fading, each over (n_bs, MK, N, Nt), scaled by
+    sqrt((200 / d)^3.5 * L). Returns raw (n_bs, MK, N, Nt), shadow
+    (n_bs, MK) and the distance matrix (n_bs, MK)."""
+    rng = np.random.default_rng(seed)
+    users = user_xy.reshape(-1, 2)
+    dist = np.linalg.norm(bs_xy[:, None, :] - users[None, :, :], axis=-1)
+    shadow = 10.0 ** (rng.normal(0.0, 8.0, size=dist.shape) / 10.0)
+    shape = dist.shape + (N, Nt)
+    fading = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    raw = np.sqrt((200.0 / dist) ** 3.5 * shadow)[:, :, None, None] * fading
+    return raw, shadow, dist
+
+
+def noise_full(dist, shadow, M, N, Pmax, sigma2):
+    """Long-term noise (MK, N) from the full distance matrix: the thermal
+    floor plus the average received power of every BS past the first M."""
+    out_power = ((200.0 / dist[M:]) ** 3.5 * shadow[M:]).sum(axis=0) * Pmax / N
+    return np.repeat((sigma2 + out_power)[:, None], N, axis=-1)
+
+
 def out_of_cell_reference_counts_loop(config, refmap):
     """Distinct out-of-cell reference users per (BS, subchannel)."""
     counts = np.zeros((config.M, config.N), dtype=int)

@@ -263,12 +263,12 @@ def test_criterion_7_feedback_accounting(monkeypatch):
 
     def counting_reference_map(h, cfg):
         ranks = select(h, cfg)
-        mask = ranks < spec.refs
-        for m in range(cfg.M):
-            for n in range(cfg.N):
-                refs = {g for k in range(cfg.K) for g in np.flatnonzero(mask[m, k, n])
-                        if g // cfg.K != m}
-                out_of_cell.setdefault((cfg.K, cfg.Nt), []).append(len(refs))
+        for mask in (ranks < spec.refs).reshape((-1,) + ranks.shape[-4:]):   # per draw
+            for m in range(cfg.M):
+                for n in range(cfg.N):
+                    refs = {g for k in range(cfg.K) for g in np.flatnonzero(mask[m, k, n])
+                            if g // cfg.K != m}
+                    out_of_cell.setdefault((cfg.K, cfg.Nt), []).append(len(refs))
         return ranks
 
     monkeypatch.setattr(refim, "reference_map", counting_reference_map)

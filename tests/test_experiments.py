@@ -152,6 +152,31 @@ def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
     assert len(built) == 6 and set(built.values()) == {1}
 
 
+def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypatch):
+    """Each (K, Nt) cell ranks all its trials' draws as one stack, in one
+    reference_map call. A budget too small for every trial at once splits a
+    K's trials into chunks sized for its largest Nt, each ranked per Nt as
+    one stack, and the table stays bit for bit the same."""
+    config = NetworkConfig()
+    spec = small_spec("feedback", "unused.csv", trials=5, k_list=(2, 4), nt_list=(2, 3))
+    real, stacks = refim.reference_map, []
+
+    def counting(h, cfg):
+        stacks.append((cfg.K, cfg.Nt, h.shape[0]))
+        return real(h, cfg)
+
+    monkeypatch.setattr(refim, "reference_map", counting)
+    whole = feedback_table(config, spec)
+    assert stacks == [(2, 2, 5), (2, 3, 5), (4, 2, 5), (4, 3, 5)]
+    stacks.clear()
+    # two K=4, Nt=3 draws: 3 * 12 * 3 links of 32 * (3 + 4) bytes each
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 2 * 108 * 224)
+    assert experiments._draws_per_stack(
+        replace(config, K=4, Nt=3, weights=None, assignment=None)) == 2
+    assert feedback_table(config, spec) == whole
+    assert stacks == [(2, 2, 5), (2, 3, 5)] + [(4, 2, 2), (4, 3, 2)] * 2 + [(4, 2, 1), (4, 3, 1)]
+
+
 def test_csv_byte_identical_reruns(tmp_path):
     config = small_config()
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 """Topology, channel and noise model tests."""
+import itertools
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.network import (ChannelState, apply_noise, build_topology,
@@ -105,14 +107,36 @@ def test_shadowing_statistics():
 
 
 def test_rayleigh_component_statistics():
-    config = NetworkConfig(M=3, K=1234, N=1, Nt=1)
+    # ~1e5 coordinated links: 3 BSs x 33,336 users
+    config = NetworkConfig(M=3, K=11112, N=1, Nt=1)
     topo = build_topology(config, seed=5)
     state = draw_channels(topo, config, seed=6)
-    amp2 = path_gain(topo.user_bs_distances()) * state.shadow
+    amp2 = path_gain(topo.user_bs_distances()[:config.M]) * state.shadow[:config.M]
     fading = state.raw[:, :, 0, 0] / np.sqrt(amp2)
     flat = fading.ravel()
+    assert flat.size >= 1e5
     assert abs(flat.mean()) < 3.0 / np.sqrt(flat.size)
     assert abs(np.mean(np.abs(flat) ** 2) - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_draw_equals_the_coordinated_rows_of_a_full_draw(m):
+    """raw is the first M rows of a fading draw for every BS, bit for bit,
+    the shadowing is that draw's in full, and the noise, from the ring's
+    distances alone, equals the noise built from the full distance matrix."""
+    for k, n, nt in itertools.product((1, 2, 10), (1, 3), (1, 2, 4)):
+        config = NetworkConfig(M=m, K=k, N=n, Nt=nt, gamma_db=20.0)
+        for seed in (0, 17, 2**32 - 1):
+            topo = build_topology(config, seed)
+            state = draw_channels(topo, config, seed ^ 1)
+            raw, shadow, dist = reference.draw_channels_full(topo.bs_xy, topo.user_xy,
+                                                             n, nt, seed ^ 1)
+            assert state.raw.shape == (m, m * k, n, nt)
+            assert np.array_equal(state.raw, raw[:m])
+            assert np.array_equal(state.shadow, shadow)
+            assert np.array_equal(compute_noise(topo, config, state),
+                                  reference.noise_full(dist, shadow, m, n,
+                                                       config.Pmax, config.sigma2))
 
 
 def test_channel_draw_deterministic():

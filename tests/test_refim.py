@@ -415,6 +415,28 @@ def test_feedback_accounting_matches_loop_reference():
             assert bits == reference.feedback_bits_loop(config, algo, counts, qbits=8)
 
 
+def test_reference_counts_of_a_stack_of_draws():
+    """On a (T, M, K, N, MK) stack of victim masks the counts are each
+    draw's own, as one call per draw and the loop oracle count them."""
+    rng = np.random.default_rng(29)
+    for m, k, n in [(1, 3, 2), (2, 2, 1), (3, 4, 3)]:
+        config = NetworkConfig(M=m, K=k, N=n, Nt=2)
+        users = [(j, u) for j in range(m) for u in range(k)]
+        refmaps = []
+        for _ in range(5):
+            refmaps.append({(a, b, c): [users[i] for i in rng.integers(0, len(users), size=2)
+                                        if users[i] != (a, b)]
+                            for a, b, c in reference.active_triples(config)})
+        counts = out_of_cell_reference_counts(
+            config, np.stack([mask_of(config, refmap) for refmap in refmaps]))
+        assert counts.shape == (5, m, n)
+        for got, refmap in zip(counts, refmaps, strict=True):
+            assert np.array_equal(got, out_of_cell_reference_counts(config,
+                                                                    mask_of(config, refmap)))
+            assert np.array_equal(got, reference.out_of_cell_reference_counts_loop(config,
+                                                                                   refmap))
+
+
 def test_feedback_requires_counts_for_reference_mode():
     config = NetworkConfig()
     with pytest.raises(Exception):
