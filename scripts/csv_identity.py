@@ -28,7 +28,8 @@ Every run goes through the ``sim`` command line; a config file sets the
 network size, and at (3, 3, 3, 4) also every other network and solver key
 (pmax, the iteration caps, lambda_min, both tolerances and refs) at a
 non-default value. One more feedback run reads its k_list, nt_list, qbits
-and refs from a config file.
+and refs from a config file, and one runs 40 trials at desk scale, so the
+K = 10 cells rank their draws in two stacks.
 
 The per-step solver traces join the check too: one desk snr_sweep and one
 desk ref_sweep at seed 1 also write their ``--dump-prefix`` files (trial 0's
@@ -146,6 +147,9 @@ def main() -> None:
     cfg.write_text(FEEDBACK_LISTS)
     run(["feedback", "--config", str(cfg), "--trials", "4", "--seed", "1", "--no-timestamp",
          "--out", str(path)])
+    csvs.append(path)
+    path = out / "feedback_t40_s1.csv"
+    run(["feedback", "--trials", "40", "--seed", "1", "--no-timestamp", "--out", str(path)])
     csvs.append(path)
     write_sums(out / "SHA256SUMS", csvs)
     dumps = out / "dumps"

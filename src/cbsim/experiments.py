@@ -31,8 +31,9 @@ from . import initializers, metrics, refim, solver
 from .config import (BOOLEAN, FINITE, PATH, NetworkConfig, check_settings, integer,
                      list_of, one_of, setting, setting_keys)
 from .errors import CbsimError, ConfigurationError, InvalidStateError
-from .network import (apply_noise, build_topology, draw_channels, dump_channels_csv,
-                      dump_topology_csv)
+from .network import (N_UNCOORDINATED, ChannelState, apply_noise, build_topology,
+                      compute_noise, draw_channels, draw_fading, draw_long_term,
+                      dump_channels_csv, dump_topology_csv, normalize_channels)
 
 EXPERIMENT_KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf", "feedback")
 SOLVER_ALGOS = set(solver.ALGORITHMS)
@@ -343,9 +344,13 @@ def _draws_per_stack(config: NetworkConfig) -> int:
     keep their working set within BATCH_BYTES, and at least one. Per link
     that is two complex128 copies of its Nt channel entries (the draws and
     their stack) and, per (beam, candidate) pair, of which there are K per
-    link, about four 8-byte arrays of the ranking."""
+    link, about four 8-byte arrays of the ranking. Each draw also holds its
+    stream's normals (:meth:`LongTerm.normals`): the real parts of every
+    BS's fading and the imaginary parts of the coordinated BSs', 8 bytes
+    each."""
     links = config.M * config.n_users * config.N
-    return max(1, BATCH_BYTES // (links * 32 * (config.Nt + config.K)))
+    normals = (N_UNCOORDINATED + 2 * config.M) * config.n_users * config.N * config.Nt
+    return max(1, BATCH_BYTES // (links * 32 * (config.Nt + config.K) + 8 * normals))
 
 
 def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
@@ -354,33 +359,41 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
     The full algorithm's count is deterministic. The reference-user variant
     depends on which references the channel draw selects, so its bit count is
     averaged over ``spec.trials`` independent realizations (reference
-    selection only needs channels, no solving). A trial's user drop depends
-    only on K, so each (K, trial) topology is built once and serves every
-    Nt; channels and noise are drawn per (Nt, K, trial). Trials run in
-    chunks sized for the largest Nt by BATCH_BYTES: each (K, Nt) cell ranks
-    a chunk's draws as one stack, with one :func:`refim.reference_map` call,
-    which ranks every draw bit for bit as it would alone.
+    selection only needs channels, no solving). A trial's user drop,
+    shadowing and noise depend only on K, so each (K, trial) topology and
+    long-term draw (:func:`draw_long_term`, :func:`compute_noise`) is made
+    once and serves every Nt; only the fading is drawn per (Nt, K, trial),
+    from the trial's stream just after its shadowing, so every draw equals
+    a fresh one bit for bit. Trials run in chunks sized for the largest Nt
+    by BATCH_BYTES: each (K, Nt) cell normalizes, ranks and counts a
+    chunk's draws as one stack, with one :func:`refim.reference_map` and one
+    :func:`refim.feedback_bits` call, which treat every draw bit for bit as
+    they would alone.
     """
     seeds = [trial_seeds(spec.seed, t) for t in range(spec.trials)]
     cells = {(nt, k): replace(config, K=int(k), Nt=int(nt), weights=None, assignment=None)
              for nt in spec.nt_list for k in spec.k_list}
     totals = {cell: [] for cell in cells}
     for k in spec.k_list:
+        first = cells[spec.nt_list[0], k]           # the drop and its long-term draw read no Nt
         size = min(_draws_per_stack(cells[nt, k]) for nt in spec.nt_list)
         for lo in range(0, spec.trials, size):
             chunk = seeds[lo:lo + size]
-            drops = [build_topology(cells[spec.nt_list[0], k], s_topo) for s_topo, _ in chunk]
-            for nt in spec.nt_list:
+            drops = [build_topology(first, s_topo) for s_topo, _ in chunk]
+            long_terms = [draw_long_term(topology, first, s_chan)
+                          for topology, (_, s_chan) in zip(drops, chunk)]
+            noise = np.stack([compute_noise(topology, first, ChannelState(shadow=lt.shadow))
+                              for topology, lt in zip(drops, long_terms)])
+            for nt in sorted(spec.nt_list, reverse=True):  # one draw of normals serves all
                 cfg = cells[nt, k]
-                h = np.stack([apply_noise(topology, cfg,
-                                          draw_channels(topology, cfg, s_chan)).normalized
-                              for topology, (_, s_chan) in zip(drops, chunk)])
+                raw = np.stack([draw_fading(lt, cfg) for lt in long_terms])
+                h = normalize_channels(ChannelState(raw=raw, noise=noise), cfg).normalized
                 counts = refim.out_of_cell_reference_counts(
                     cfg, refim.reference_map(h, cfg) < spec.refs)
-                totals[nt, k] += [refim.feedback_bits(cfg, "cb_refim", c, qbits=spec.qbits)
-                                  for c in counts]
+                totals[nt, k].append(refim.feedback_bits(cfg, "cb_refim", counts,
+                                                         qbits=spec.qbits))
     return [dict(K=cfg.K, Nt=cfg.Nt, icbf_bits=refim.feedback_bits(cfg, "icbf", qbits=spec.qbits),
-                 cb_refim_bits=float(np.mean(totals[cell])))
+                 cb_refim_bits=float(np.mean(np.concatenate(totals[cell]))))
             for cell, cfg in cells.items()]
 
 

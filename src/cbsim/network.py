@@ -21,11 +21,19 @@ received from the 24 uncoordinated BSs:
 
 Downstream modules consume noise-normalized channels h = h_raw / sqrt(noise),
 so their noise floor is exactly 1.
+
+A draw is made in two steps. The long-term part (:func:`draw_long_term`:
+the shadowing, the stream's first draw, and the coordinated amplitudes;
+then the noise of :func:`compute_noise`) depends on the drop and the seed
+but not on N or Nt. The fading (:func:`draw_fading`) reads the normals of
+the same stream after the shadowing, so one long-term draw serves every
+antenna count bit for bit as a fresh draw would. :func:`draw_channels` is
+the two steps at one config; the feedback table shares the first across Nt.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
@@ -68,14 +76,15 @@ class Topology:
 class ChannelState:
     """Raw channels, shadowing, long-term noise and normalized channels.
 
-    raw:        (M, M*K, N, Nt) complex, the coordinated BSs only; the
-                uncoordinated ring enters through the noise alone
+    raw:        (..., M, M*K, N, Nt) complex, the coordinated BSs only; the
+                uncoordinated ring enters through the noise alone; the
+                leading axes, if any, stack draws
     shadow:     (n_bs, M*K) linear shadowing gains L per link, every BS
                 (the ring's rows feed the noise)
     noise:      (..., M*K, N) linear noise power per (user, subchannel)
     normalized: (..., M, M*K, N, Nt) complex, coordinated BSs only,
                 normalized = raw / sqrt(noise); the leading axes, if any,
-                stack SNR points
+                stack SNR points or draws
 
     Every layer below this one takes the normalized array itself, ``h``,
     with any leading axes that stack SNR points or channel draws.
@@ -151,32 +160,77 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
     return Topology(bs_xy=bs_xy, user_xy=user_xy)
 
 
-def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> ChannelState:
-    """Draw shadowing for every (BS, user) link and small-scale fading for
-    every (coordinated BS, user, subchannel).
+@dataclass
+class LongTerm:
+    """The part of one channel draw that no antenna count changes.
 
-    The stream is that of a fading draw for every BS: shadowing, then the
-    real parts, then the imaginary parts, each over (n_bs, M*K, N, Nt). The
-    real parts are drawn in full to advance the generator, and the last
-    draw stops after the M coordinated rows, so ``raw`` equals the first M
-    rows of the full draw bit for bit. Returns a ChannelState with ``raw``
-    and ``shadow`` filled; noise and normalized channels are computed by
+    shadow: (n_bs, M*K) linear shadowing gains L per link, every BS
+    amp:    (M, M*K) sqrt((200 / d)^3.5 * L) of the coordinated links
+    rng:    the draw's generator, just past the standard normals drawn so far
+    drawn:  the standard normals the stream gave after the shadowing draw,
+            extended on demand by :meth:`normals`
+    """
+    shadow: np.ndarray
+    amp: np.ndarray
+    rng: np.random.Generator
+    drawn: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def normals(self, count: int) -> np.ndarray:
+        """The first ``count`` standard normals after the shadowing draw. Each
+        normal is drawn once: a longer request continues the stream, which
+        gives the same values as one draw of ``count`` normals."""
+        have = self.drawn.size
+        if count > have:
+            more = self.rng.standard_normal(count - have)
+            self.drawn = more if have == 0 else np.concatenate([self.drawn, more])
+        return self.drawn[:count]
+
+
+def draw_long_term(topology: Topology, config: NetworkConfig, seed: int) -> LongTerm:
+    """Shadowing for every (BS, user) link, the first draw of the seed's
+    stream, and the amplitudes of the M coordinated rows. Only M and K of
+    the config are read, so one long-term draw serves every N and Nt of a
+    (K, seed) drop; the ring's noise follows from its shadowing by
+    :func:`compute_noise`."""
+    rng = np.random.default_rng(seed)
+    m = config.M
+    shadow_db = rng.normal(0.0, SHADOWING_STD_DB,
+                           size=(topology.bs_xy.shape[0], config.n_users))
+    shadow = 10.0 ** (shadow_db / 10.0)
+    amp = np.sqrt(path_gain(topology.user_bs_distances(slice(None, m))) * shadow[:m])
+    return LongTerm(shadow=shadow, amp=amp, rng=rng)
+
+
+def draw_fading(long_term: LongTerm, config: NetworkConfig) -> np.ndarray:
+    """Raw channels (M, M*K, N, Nt) of the coordinated BSs at the config's N
+    and Nt: small-scale fading per (coordinated BS, user, subchannel), scaled
+    by the long-term amplitudes.
+
+    The fading is that of a draw for every BS, taken from the normals right
+    after the shadowing: the real parts, then the imaginary parts, each over
+    (n_bs, M*K, N, Nt). Only the M coordinated rows of each are read, and
+    the imaginary parts are drawn no further than those rows, so the result
+    equals the first M rows of the full draw bit for bit, and every Nt of a
+    long-term draw reads the same stream as a fresh draw would.
+    """
+    m = long_term.amp.shape[0]
+    shape = long_term.shadow.shape + (config.N, config.Nt)
+    size = int(np.prod(shape))
+    normals = long_term.normals(size + size // shape[0] * m)
+    real = normals[:size].reshape(shape)[:m]
+    imag = normals[size:].reshape((m,) + shape[1:])
+    fading = (real + 1j * imag) / np.sqrt(2.0)
+    return long_term.amp[:, :, None, None] * fading
+
+
+def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> ChannelState:
+    """One channel draw: :func:`draw_long_term`, then :func:`draw_fading` at
+    the config's N and Nt. Returns a ChannelState with ``raw`` and
+    ``shadow`` filled; noise and normalized channels are computed by
     :func:`compute_noise` and :func:`normalize_channels`.
     """
-    rng = np.random.default_rng(seed)
-    n_bs, m = topology.bs_xy.shape[0], config.M
-    n_users = config.n_users
-
-    shadow_db = rng.normal(0.0, SHADOWING_STD_DB, size=(n_bs, n_users))
-    shadow = 10.0 ** (shadow_db / 10.0)
-
-    shape = (n_bs, n_users, config.N, config.Nt)
-    real = rng.standard_normal(shape)[:m]
-    fading = (real + 1j * rng.standard_normal((m,) + shape[1:])) / np.sqrt(2.0)
-
-    amp = np.sqrt(path_gain(topology.user_bs_distances(slice(None, m))) * shadow[:m])
-    raw = amp[:, :, None, None] * fading
-    return ChannelState(raw=raw, shadow=shadow)
+    long_term = draw_long_term(topology, config, seed)
+    return ChannelState(raw=draw_fading(long_term, config), shadow=long_term.shadow)
 
 
 def compute_noise(topology: Topology, config: NetworkConfig,
@@ -201,13 +255,14 @@ def compute_noise(topology: Topology, config: NetworkConfig,
 
 def normalize_channels(channels: ChannelState, config: NetworkConfig) -> ChannelState:
     """Fill ``normalized`` with raw / sqrt(noise) for the M coordinated BSs,
-    with the leading axes of the noise."""
+    with the leading axes of the raw channels and the noise broadcast: one
+    raw draw at every thermal floor, or a stack of draws with a noise each."""
     if channels.raw is None or channels.noise is None:
         raise InvalidStateError("raw channels and noise must exist before normalization")
     if np.any(channels.noise <= 0):
         raise InvalidStateError("noise power must be strictly positive")
     scale = 1.0 / np.sqrt(channels.noise)                     # (..., MK, N)
-    normalized = channels.raw[:config.M] * scale[..., None, :, :, None]
+    normalized = channels.raw * scale[..., None, :, :, None]
     if not np.all(np.isfinite(normalized)):
         raise InvalidStateError("normalized channels contain non-finite entries")
     norms = np.linalg.norm(normalized, axis=-1)

@@ -48,8 +48,7 @@ def reference_map(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
                              own_links(h, config))) ** 2
     candidates = full_mask(config)
     order = np.argsort(np.where(candidates, -(gain * cross), np.inf), axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(config.n_users), axis=-1)
+    ranks = np.argsort(order, axis=-1)          # a permutation's one inverse
     return np.where(candidates, ranks, np.iinfo(ranks.dtype).max)
 
 
@@ -104,7 +103,7 @@ def out_of_cell_reference_counts(config: NetworkConfig,
 
 def feedback_bits(config: NetworkConfig, algo: str,
                   out_of_cell_refs: np.ndarray | None = None,
-                  qbits: int = 8) -> int:
+                  qbits: int = 8) -> int | np.ndarray:
     """Total inter-BS feedback bits for one scheduling interval.
 
     Four information classes flow between BSs for each out-of-cell neighbour
@@ -118,7 +117,9 @@ def feedback_bits(config: NetworkConfig, algo: str,
         cb_refim reals(m, n) = |U(m, n)| * 2*Nt + 3 * distinct_refs(m, n)
 
     where U(m, n) are the users scheduled on n and served by the other BSs
-    of the cluster. Bits = reals * qbits.
+    of the cluster. Bits = reals * qbits. The reference counts
+    ``out_of_cell_refs`` (..., M, N) may stack draws along leading axes:
+    cb_refim then returns one count per draw, an int for a single (M, N).
     """
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"no feedback model for algorithm '{algo}'")
@@ -128,5 +129,6 @@ def feedback_bits(config: NetworkConfig, algo: str,
         return users * (2 * config.Nt + SCALAR_FEEDBACK_REALS) * qbits
     if out_of_cell_refs is None:
         raise ConfigurationError("cb_refim feedback accounting needs reference counts")
-    refs = int(np.sum(out_of_cell_refs))
-    return (users * 2 * config.Nt + SCALAR_FEEDBACK_REALS * refs) * qbits
+    refs = np.sum(out_of_cell_refs, axis=(-2, -1))
+    bits = (users * 2 * config.Nt + SCALAR_FEEDBACK_REALS * refs) * qbits
+    return int(bits) if np.ndim(bits) == 0 else bits

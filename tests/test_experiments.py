@@ -13,7 +13,7 @@ from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.experiments import (ExperimentSpec, feedback_table,
                                run_experiment, run_solver_trials, trial_seeds)
 from cbsim.initializers import init_mslnr
-from cbsim.network import apply_noise, build_topology, draw_channels
+from cbsim.network import apply_noise, build_topology, draw_channels, draw_long_term
 from cbsim.refim import feedback_bits
 
 
@@ -122,9 +122,10 @@ def test_feedback_table_is_deterministic():
 
 
 def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
-    """Each (K, trial) topology is built once and serves every Nt, and the
-    table equals, bit for bit, a loop that builds the topology, channels,
-    noise and references anew for every (Nt, K, trial) cell."""
+    """Each (K, trial) topology and long-term draw is made once and serves
+    every Nt, and the table equals, bit for bit, a loop that builds the
+    topology, channels, noise and references anew for every (Nt, K, trial)
+    cell."""
     config = NetworkConfig()
     spec = small_spec("feedback", "unused.csv", trials=3, k_list=(2, 3), nt_list=(2, 3))
     expected = []
@@ -147,16 +148,25 @@ def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
         built[cfg.K, seed] += 1
         return build_topology(cfg, seed)
 
+    drawn = Counter()
+
+    def counting_draw_long_term(topology, cfg, seed):
+        drawn[cfg.K, seed] += 1
+        return draw_long_term(topology, cfg, seed)
+
     monkeypatch.setattr(experiments, "build_topology", counting_build_topology)
+    monkeypatch.setattr(experiments, "draw_long_term", counting_draw_long_term)
     assert feedback_table(config, spec) == expected
     assert len(built) == 6 and set(built.values()) == {1}
+    assert len(drawn) == 6 and set(drawn.values()) == {1}
 
 
 def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypatch):
     """Each (K, Nt) cell ranks all its trials' draws as one stack, in one
-    reference_map call. A budget too small for every trial at once splits a
-    K's trials into chunks sized for its largest Nt, each ranked per Nt as
-    one stack, and the table stays bit for bit the same."""
+    reference_map call, the largest Nt first. A budget too small for every
+    trial at once splits a K's trials into chunks sized for its largest Nt,
+    each ranked per Nt as one stack, and the table stays bit for bit the
+    same."""
     config = NetworkConfig()
     spec = small_spec("feedback", "unused.csv", trials=5, k_list=(2, 4), nt_list=(2, 3))
     real, stacks = refim.reference_map, []
@@ -167,14 +177,18 @@ def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypat
 
     monkeypatch.setattr(refim, "reference_map", counting)
     whole = feedback_table(config, spec)
-    assert stacks == [(2, 2, 5), (2, 3, 5), (4, 2, 5), (4, 3, 5)]
+    assert stacks == [(2, 3, 5), (2, 2, 5), (4, 3, 5), (4, 2, 5)]
     stacks.clear()
-    # two K=4, Nt=3 draws: 3 * 12 * 3 links of 32 * (3 + 4) bytes each
-    monkeypatch.setattr(experiments, "BATCH_BYTES", 2 * 108 * 224)
+    # two K=4, Nt=3 draws: 3 * 12 * 3 links of 32 * (3 + 4) bytes each, and
+    # (24 + 2 * 3) * 12 * 3 * 3 normals of 8 bytes each; four K=2 draws fit
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 2 * (108 * 224 + 3240 * 8))
     assert experiments._draws_per_stack(
         replace(config, K=4, Nt=3, weights=None, assignment=None)) == 2
+    assert experiments._draws_per_stack(
+        replace(config, K=2, Nt=3, weights=None, assignment=None)) == 4
     assert feedback_table(config, spec) == whole
-    assert stacks == [(2, 2, 5), (2, 3, 5)] + [(4, 2, 2), (4, 3, 2)] * 2 + [(4, 2, 1), (4, 3, 1)]
+    assert stacks == ([(2, 3, 4), (2, 2, 4), (2, 3, 1), (2, 2, 1)]
+                      + [(4, 3, 2), (4, 2, 2)] * 2 + [(4, 3, 1), (4, 2, 1)])
 
 
 def test_csv_byte_identical_reruns(tmp_path):

@@ -1,6 +1,7 @@
 """Topology, channel and noise model tests."""
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ import reference
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.network import (ChannelState, apply_noise, build_topology,
-                           compute_noise, draw_channels, dump_channels_csv,
-                           dump_topology_csv, normalize_channels, path_gain,
-                           realize_network)
+                           compute_noise, draw_channels, draw_fading, draw_long_term,
+                           dump_channels_csv, dump_topology_csv, normalize_channels,
+                           path_gain, realize_network)
 
 
 def small_config(**kw):
@@ -137,6 +138,31 @@ def test_draw_equals_the_coordinated_rows_of_a_full_draw(m):
             assert np.array_equal(compute_noise(topo, config, state),
                                   reference.noise_full(dist, shadow, m, n,
                                                        config.Pmax, config.sigma2))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_one_long_term_draw_serves_every_antenna_count(m):
+    """One long-term draw, then the fading at Nt = 1, 2 and 4 in either
+    order, gives at each Nt the first M rows of a full draw, its shadowing
+    and noise, and the normalized channels, bit for bit."""
+    for k, n, seed in [(1, 1, 0), (2, 3, 17), (10, 3, 2**32 - 1)]:
+        config = NetworkConfig(M=m, K=k, N=n, Nt=1, gamma_db=20.0)
+        topo = build_topology(config, seed)
+        for order in ((1, 2, 4), (4, 1, 2)):
+            long_term = draw_long_term(topo, config, seed ^ 1)
+            noise = compute_noise(topo, config, ChannelState(shadow=long_term.shadow))
+            for nt in order:
+                cfg = replace(config, Nt=nt, weights=None, assignment=None)
+                raw = draw_fading(long_term, cfg)
+                full, shadow, dist = reference.draw_channels_full(topo.bs_xy, topo.user_xy,
+                                                                  n, nt, seed ^ 1)
+                want_noise = reference.noise_full(dist, shadow, m, n, cfg.Pmax, cfg.sigma2)
+                assert np.array_equal(raw, full[:m])
+                assert np.array_equal(long_term.shadow, shadow)
+                assert np.array_equal(noise, want_noise)
+                h = normalize_channels(ChannelState(raw=raw, noise=noise), cfg).normalized
+                assert np.array_equal(
+                    h, full[:m] * (1.0 / np.sqrt(want_noise))[None, :, :, None])
 
 
 def test_channel_draw_deterministic():

@@ -437,6 +437,24 @@ def test_reference_counts_of_a_stack_of_draws():
                                                                                    refmap))
 
 
+def test_feedback_bits_of_a_stack_of_counts():
+    """A (2, 3, M, N) stack of reference counts gives one bit count per draw,
+    each equal to its own call, and the full algorithm's count ignores it."""
+    rng = np.random.default_rng(41)
+    for m, k, n, nt in [(1, 2, 1, 1), (2, 3, 2, 2), (3, 4, 3, 4)]:
+        config = NetworkConfig(M=m, K=k, N=n, Nt=nt)
+        config.assignment[:] = rng.random(config.assignment.shape) < 0.8
+        counts = rng.integers(0, (m - 1) * k + 1, size=(2, 3, m, n))
+        bits = feedback_bits(config, "cb_refim", counts, qbits=6)
+        assert bits.shape == (2, 3) and bits.dtype == np.int64
+        for index in np.ndindex(2, 3):
+            one = feedback_bits(config, "cb_refim", counts[index], qbits=6)
+            assert type(one) is int and bits[index] == one
+            assert one == reference.feedback_bits_loop(config, "cb_refim", counts[index], 6)
+        assert (feedback_bits(config, "icbf", counts, qbits=6)
+                == feedback_bits(config, "icbf", qbits=6))
+
+
 def test_feedback_requires_counts_for_reference_mode():
     config = NetworkConfig()
     with pytest.raises(Exception):
