@@ -13,8 +13,8 @@ from .experiments import ExperimentSpec, run_experiment
 from .initializers import init_cm, init_mslnr, init_zf, make_initial_beams
 from .metrics import (RateReport, bs_powers, power_feasible, rate_report,
                       weighted_sum_rate)
-from .network import (ChannelState, Topology, build_topology, compute_noise,
-                      draw_channels, normalize_channels, realize_network)
+from .network import (Topology, build_topology, compute_noise, draw_channels,
+                      normalize_channels, realize_network)
 from .refim import feedback_bits, invert_rank_r, reference_map
 from .solver import (DualEvaluator, KKTReport, SolverTrace, beta, gamma_direct,
                      gamma_sherman_morrison, kkt_report, lambda_bisection, solve,
@@ -27,7 +27,7 @@ __all__ = [
     "ExperimentSpec", "run_experiment",
     "init_cm", "init_zf", "init_mslnr", "make_initial_beams",
     "RateReport", "weighted_sum_rate", "bs_powers", "power_feasible", "rate_report",
-    "Topology", "ChannelState", "build_topology", "draw_channels",
+    "Topology", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
     "reference_map", "invert_rank_r", "feedback_bits",
     "DualEvaluator", "SolverTrace", "KKTReport", "gamma_direct",

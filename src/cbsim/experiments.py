@@ -31,9 +31,9 @@ from . import initializers, metrics, refim, solver
 from .config import (BOOLEAN, FINITE, PATH, NetworkConfig, check_settings, integer,
                      list_of, one_of, setting, setting_keys)
 from .errors import CbsimError, ConfigurationError, InvalidStateError
-from .network import (N_UNCOORDINATED, ChannelState, apply_noise, build_topology,
-                      compute_noise, draw_channels, draw_fading, draw_long_term,
-                      dump_channels_csv, dump_topology_csv, normalize_channels)
+from .network import (N_UNCOORDINATED, apply_noise, build_topology, compute_noise,
+                      draw_channels, draw_fading, draw_long_term, dump_channels_csv,
+                      dump_topology_csv, normalize_channels)
 
 EXPERIMENT_KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf", "feedback")
 SOLVER_ALGOS = set(solver.ALGORITHMS)
@@ -130,11 +130,11 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
     for t in trials:
         s_topo, s_chan = trial_seeds(spec.seed, t)
         topology = build_topology(config, s_topo)
-        noisy = apply_noise(topology, config, draw_channels(topology, config, s_chan), sigma2)
-        draws.append(noisy.normalized)
+        draws.append(apply_noise(topology, config, *draw_channels(topology, config, s_chan),
+                                 sigma2))
         if spec.dump_prefix and t == 0:
             dump_topology_csv(topology, f"{spec.dump_prefix}_topology.csv")
-            dump_channels_csv(noisy.normalized[0], f"{spec.dump_prefix}_channels.csv")
+            dump_channels_csv(draws[-1][0], f"{spec.dump_prefix}_channels.csv")
     h = np.stack(draws)
     shape = h.shape[:2]                                         # (trial, gamma)
     baselines = [algo for algo in spec.algos if algo in BASELINE_ALGOS]
@@ -382,12 +382,12 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
             drops = [build_topology(first, s_topo) for s_topo, _ in chunk]
             long_terms = [draw_long_term(topology, first, s_chan)
                           for topology, (_, s_chan) in zip(drops, chunk)]
-            noise = np.stack([compute_noise(topology, first, ChannelState(shadow=lt.shadow))
+            noise = np.stack([compute_noise(topology, first, lt.shadow)
                               for topology, lt in zip(drops, long_terms)])
             for nt in sorted(spec.nt_list, reverse=True):  # one draw of normals serves all
                 cfg = cells[nt, k]
                 raw = np.stack([draw_fading(lt, cfg) for lt in long_terms])
-                h = normalize_channels(ChannelState(raw=raw, noise=noise), cfg).normalized
+                h = normalize_channels(raw, noise)
                 counts = refim.out_of_cell_reference_counts(
                     cfg, refim.reference_map(h, cfg) < spec.refs)
                 totals[nt, k].append(refim.feedback_bits(cfg, "cb_refim", counts,

@@ -29,6 +29,11 @@ but not on N or Nt. The fading (:func:`draw_fading`) reads the normals of
 the same stream after the shadowing, so one long-term draw serves every
 antenna count bit for bit as a fresh draw would. :func:`draw_channels` is
 the two steps at one config; the feedback table shares the first across Nt.
+
+Each step is a function of arrays that writes none of its inputs:
+:func:`draw_channels` returns the raw channels and the shadowing,
+:func:`compute_noise` the noise, :func:`normalize_channels` the normalized
+channels h, and :func:`apply_noise` chains the last two.
 """
 from __future__ import annotations
 
@@ -70,29 +75,6 @@ class Topology:
         users = self.user_xy.reshape(-1, 2)
         diff = self.bs_xy[bs, None, :] - users[None, :, :]
         return np.linalg.norm(diff, axis=-1)
-
-
-@dataclass
-class ChannelState:
-    """Raw channels, shadowing, long-term noise and normalized channels.
-
-    raw:        (..., M, M*K, N, Nt) complex, the coordinated BSs only; the
-                uncoordinated ring enters through the noise alone; the
-                leading axes, if any, stack draws
-    shadow:     (n_bs, M*K) linear shadowing gains L per link, every BS
-                (the ring's rows feed the noise)
-    noise:      (..., M*K, N) linear noise power per (user, subchannel)
-    normalized: (..., M, M*K, N, Nt) complex, coordinated BSs only,
-                normalized = raw / sqrt(noise); the leading axes, if any,
-                stack SNR points or draws
-
-    Every layer below this one takes the normalized array itself, ``h``,
-    with any leading axes that stack SNR points or channel draws.
-    """
-    raw: np.ndarray | None = None
-    shadow: np.ndarray | None = None
-    noise: np.ndarray | None = None
-    normalized: np.ndarray | None = None
 
 
 def own_links(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -223,70 +205,66 @@ def draw_fading(long_term: LongTerm, config: NetworkConfig) -> np.ndarray:
     return long_term.amp[:, :, None, None] * fading
 
 
-def draw_channels(topology: Topology, config: NetworkConfig, seed: int) -> ChannelState:
+def draw_channels(topology: Topology, config: NetworkConfig,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One channel draw: :func:`draw_long_term`, then :func:`draw_fading` at
-    the config's N and Nt. Returns a ChannelState with ``raw`` and
-    ``shadow`` filled; noise and normalized channels are computed by
-    :func:`compute_noise` and :func:`normalize_channels`.
+    the config's N and Nt. Returns the raw channels (M, M*K, N, Nt) of the
+    coordinated BSs and the shadowing (n_bs, M*K) of every BS, whose ring
+    rows feed :func:`compute_noise`.
     """
     long_term = draw_long_term(topology, config, seed)
-    return ChannelState(raw=draw_fading(long_term, config), shadow=long_term.shadow)
+    return draw_fading(long_term, config), long_term.shadow
 
 
-def compute_noise(topology: Topology, config: NetworkConfig,
-                  channels: ChannelState, sigma2: list[float] | None = None) -> np.ndarray:
-    """Long-term noise map: thermal floor plus uncoordinated-BS interference.
+def compute_noise(topology: Topology, config: NetworkConfig, shadow: np.ndarray,
+                  sigma2: list[float] | None = None) -> np.ndarray:
+    """Long-term noise map (..., M*K, N): thermal floor plus uncoordinated-BS
+    interference, from a draw's shadowing ``shadow`` (n_bs, M*K).
 
     noise[g, n] = sigma^2 + sum over uncoordinated BSs of
     (200/d)^3.5 * L * Pmax / N, at ``config.sigma2`` or at each of the
     thermal floors ``sigma2`` along a leading axis. Only the ring's
-    distances are computed, from the positions at call time. Fills
-    ``channels.noise`` and returns it.
+    distances are computed, from the positions at call time.
     """
-    if channels.shadow is None:
-        raise InvalidStateError("draw_channels must run before compute_noise")
     dist = topology.user_bs_distances(slice(config.M, None))          # (24, MK)
-    gains = path_gain(dist) * channels.shadow[config.M:]
+    gains = path_gain(dist) * shadow[config.M:]
     out_power = gains.sum(axis=0) * config.Pmax / config.N           # (MK,)
     noise = (config.sigma2 if sigma2 is None else np.asarray(sigma2)[:, None]) + out_power
-    channels.noise = np.repeat(noise[..., None], config.N, axis=-1)
-    return channels.noise
+    return np.repeat(noise[..., None], config.N, axis=-1)
 
 
-def normalize_channels(channels: ChannelState, config: NetworkConfig) -> ChannelState:
-    """Fill ``normalized`` with raw / sqrt(noise) for the M coordinated BSs,
-    with the leading axes of the raw channels and the noise broadcast: one
-    raw draw at every thermal floor, or a stack of draws with a noise each."""
-    if channels.raw is None or channels.noise is None:
-        raise InvalidStateError("raw channels and noise must exist before normalization")
-    if np.any(channels.noise <= 0):
+def normalize_channels(raw: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The normalized channels h = raw / sqrt(noise) of the M coordinated
+    BSs, with the leading axes of the raw channels (..., M, M*K, N, Nt) and
+    the noise (..., M*K, N) broadcast: one raw draw at every thermal floor,
+    or a stack of draws with a noise each. The noise must be positive, and
+    h finite with no all-zero channel vector."""
+    if np.any(noise <= 0):
         raise InvalidStateError("noise power must be strictly positive")
-    scale = 1.0 / np.sqrt(channels.noise)                     # (..., MK, N)
-    normalized = channels.raw * scale[..., None, :, :, None]
-    if not np.all(np.isfinite(normalized)):
+    scale = 1.0 / np.sqrt(noise)                              # (..., MK, N)
+    h = raw * scale[..., None, :, :, None]
+    if not np.all(np.isfinite(h)):
         raise InvalidStateError("normalized channels contain non-finite entries")
-    norms = np.linalg.norm(normalized, axis=-1)
+    norms = np.linalg.norm(h, axis=-1)
     if np.any(norms == 0.0):
         raise DegenerateChannelError("all-zero channel vector encountered")
-    channels.normalized = normalized
-    return channels
+    return h
 
 
-def realize_network(config: NetworkConfig, seed: int) -> tuple[Topology, ChannelState]:
-    """Topology + fully normalized channels from a single master seed."""
+def realize_network(config: NetworkConfig, seed: int) -> tuple[Topology, np.ndarray]:
+    """Topology and normalized channels h (M, M*K, N, Nt) from a single
+    master seed."""
     s_topo, s_chan = np.random.SeedSequence(seed).generate_state(2)
     topology = build_topology(config, int(s_topo))
-    return topology, apply_noise(topology, config, draw_channels(topology, config, int(s_chan)))
+    return topology, apply_noise(topology, config, *draw_channels(topology, config, int(s_chan)))
 
 
-def apply_noise(topology: Topology, config: NetworkConfig,
-                channels: ChannelState, sigma2: list[float] | None = None) -> ChannelState:
-    """Noise + normalization of a fresh state sharing an existing raw draw:
-    at ``config.sigma2``, or at every thermal floor of ``sigma2`` in one
+def apply_noise(topology: Topology, config: NetworkConfig, raw: np.ndarray,
+                shadow: np.ndarray, sigma2: list[float] | None = None) -> np.ndarray:
+    """The normalized channels of one raw draw and its shadowing, at
+    ``config.sigma2`` or at every thermal floor of ``sigma2`` in one
     broadcast, one entry of a leading axis each."""
-    fresh = ChannelState(raw=channels.raw, shadow=channels.shadow)
-    compute_noise(topology, config, fresh, sigma2)
-    return normalize_channels(fresh, config)
+    return normalize_channels(raw, compute_noise(topology, config, shadow, sigma2))
 
 
 # ---------------------------------------------------------------------------

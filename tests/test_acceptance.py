@@ -65,10 +65,10 @@ def suite():
     for t in range(TRIALS):
         s_topo, s_chan = trial_seeds(MASTER_SEED, t)
         topology = build_topology(config0, s_topo)
-        raw = draw_channels(topology, config0, s_chan)
+        raw, shadow = draw_channels(topology, config0, s_chan)
         for gamma in GAMMAS:
             cfg = config0.with_gamma_db(gamma)
-            h = apply_noise(topology, cfg, raw).normalized
+            h = apply_noise(topology, cfg, raw, shadow)
             init = init_mslnr(h, cfg)
             acc["channels"].setdefault(gamma, []).append(h)
             acc["init"].setdefault(gamma, []).append(init)
@@ -135,7 +135,7 @@ def test_criterion_2_kkt_stationarity_and_gradient():
     point, and analytic-vs-finite-difference Lagrangian gradients."""
     config = NetworkConfig(L_in_max=200, L_out_max=100,
                            inner_tol=1e-10, outer_tol=1e-9)
-    h = realize_network(config, 7)[1].normalized
+    h = realize_network(config, 7)[1]
     init = init_mslnr(h, config)
     beams, trace = solve(h, config, init, "icbf")
     rep = kkt_report(h, beams, trace.duals, config)
@@ -225,7 +225,7 @@ def test_criterion_6_reference_count_sweep(suite):
     ratio = mean_wsr(suite, "cb_refim", 30.0) / mean_wsr(suite, "cb_refim_full", 30.0)
 
     config = NetworkConfig()
-    h = realize_network(config, 17)[1].normalized
+    h = realize_network(config, 17)[1]
     beams, _ = solve(h, config, init_mslnr(h, config), "icbf_wi")
     q = _q_from_link(config, link_state(h, beams, config))
     all_candidates = refim.reference_map(h, config) < config.M * config.K - 1
@@ -299,7 +299,7 @@ def test_criterion_8_brute_force_optimality():
     worst, details = 2.0, []
     for seed in range(20):
         config = NetworkConfig(M=2, K=1, N=1, Nt=2)
-        h = realize_network(config, seed)[1].normalized
+        h = realize_network(config, seed)[1]
         hmat = [[h[m, u, 0] for u in range(2)] for m in range(2)]
         best, n_points = reference.grid_search_two_cell(
             hmat, config.Pmax, float(config.weights[0, 0, 0]))
@@ -319,7 +319,7 @@ def test_criterion_9_power_feasibility_and_dual_monotonicity(suite):
     worst_increase = -np.inf
     for seed in (51, 52, 53):
         config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-        h = realize_network(config, seed)[1].normalized
+        h = realize_network(config, seed)[1]
         rng = np.random.default_rng(seed)
         shape = (config.M, config.K, config.N, config.Nt)
         beams = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

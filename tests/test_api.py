@@ -11,7 +11,7 @@ PUBLIC_NAMES = {
     "ExperimentSpec", "run_experiment",
     "init_cm", "init_zf", "init_mslnr", "make_initial_beams",
     "RateReport", "weighted_sum_rate", "bs_powers", "power_feasible", "rate_report",
-    "Topology", "ChannelState", "build_topology", "draw_channels",
+    "Topology", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
     "reference_map", "invert_rank_r", "feedback_bits",
     "DualEvaluator", "SolverTrace", "KKTReport", "gamma_direct",
@@ -21,7 +21,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(cbsim.__all__) == len(PUBLIC_NAMES) == 40
+    assert len(cbsim.__all__) == len(PUBLIC_NAMES) == 39
     assert set(cbsim.__all__) == PUBLIC_NAMES
     for name in cbsim.__all__:
         assert getattr(cbsim, name) is not None

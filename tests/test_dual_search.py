@@ -106,7 +106,7 @@ def test_search_matches_the_bisection_on_channel_draws():
     algorithm, cb_refim's on one reference."""
     for gamma_db in (10.0, 30.0, 50.0):
         config = NetworkConfig(gamma_db=gamma_db)
-        h = np.stack([realize_network(config, seed)[1].normalized for seed in (3, 4, 5)])
+        h = np.stack([realize_network(config, seed)[1] for seed in (3, 4, 5)])
         beams = init_mslnr(h, config)
         link = solver.link_state(h, beams, config)
         masks = np.stack([full_mask(config), reference_map(h[1], config) < 1,
@@ -244,7 +244,7 @@ def test_a_search_evaluates_f_a_few_times(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(solver, "_betas_power", counted)
     config = NetworkConfig()
-    h = realize_network(config, 1)[1].normalized
+    h = realize_network(config, 1)[1]
     _, trace = solver.solve(h, config, init_mslnr(h, config), "icbf")
     searches = len(trace.iteration_index)
     assert calls["exact"] == 0

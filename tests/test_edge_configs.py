@@ -68,7 +68,7 @@ def assert_clean(config, h, beams, trace):
 def test_edge_config_solves_cleanly(name, algo):
     for seed in SEEDS:
         config = EDGE_CONFIGS[name]()
-        h = realize_network(config, seed)[1].normalized
+        h = realize_network(config, seed)[1]
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             init = init_mslnr(h, config)
@@ -81,7 +81,7 @@ def test_edge_config_solves_cleanly(name, algo):
 def test_edge_config_batch_of_seeds_solves_cleanly(name, algo):
     """All seeds as one batch: each solve clean and equal to its own solve."""
     config = EDGE_CONFIGS[name]()
-    h = np.stack([realize_network(config, seed)[1].normalized for seed in SEEDS])
+    h = np.stack([realize_network(config, seed)[1] for seed in SEEDS])
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         inits = init_mslnr(h, config)

@@ -42,7 +42,7 @@ def trial_channels(config, seed, trial, gamma):
     s_topo, s_chan = trial_seeds(seed, trial)
     topology = build_topology(config, s_topo)
     cfg = config.with_gamma_db(gamma)
-    return apply_noise(topology, cfg, draw_channels(topology, config, s_chan)).normalized
+    return apply_noise(topology, cfg, *draw_channels(topology, config, s_chan))
 
 
 def test_trial_seed_mixing_is_deterministic_and_distinct():
@@ -136,7 +136,7 @@ def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
             for t in range(spec.trials):
                 s_topo, s_chan = trial_seeds(spec.seed, t)
                 topology = build_topology(cfg, s_topo)
-                h = apply_noise(topology, cfg, draw_channels(topology, cfg, s_chan)).normalized
+                h = apply_noise(topology, cfg, *draw_channels(topology, cfg, s_chan))
                 mask = refim.reference_map(h, cfg) < spec.refs
                 counts = refim.out_of_cell_reference_counts(cfg, mask)
                 totals.append(feedback_bits(cfg, "cb_refim", counts, qbits=spec.qbits))
@@ -284,10 +284,10 @@ def test_harness_matches_a_loop_of_single_solves():
         want = experiments.TrialResult(trial=t)
         s_topo, s_chan = trial_seeds(spec.seed, t)
         topology = build_topology(config, s_topo)
-        raw = draw_channels(topology, config, s_chan)
+        raw, shadow = draw_channels(topology, config, s_chan)
         for gamma in spec.gamma_db:
             cfg = config.with_gamma_db(gamma)
-            h = apply_noise(topology, cfg, raw).normalized
+            h = apply_noise(topology, cfg, raw, shadow)
             start = initializers.make_initial_beams(spec.init, h, cfg)
             for algo in spec.algos:
                 if algo not in solver.ALGORITHMS:

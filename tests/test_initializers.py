@@ -31,7 +31,7 @@ def test_cm_unit_power_and_direction():
 
 def test_cm_splits_power_exactly():
     config = NetworkConfig(Pmax=2.5)
-    h = realize_network(config, 1)[1].normalized
+    h = realize_network(config, 1)[1]
     beams = init_cm(h, config)
     assert np.allclose(bs_powers(beams), config.Pmax, rtol=1e-12)
 
@@ -62,7 +62,7 @@ def test_zf_keeps_orthogonal_channel():
 
 def test_zf_nulls_same_cell_channels():
     config = NetworkConfig(M=2, N=2, K=2, Nt=3)
-    h = realize_network(config, 3)[1].normalized
+    h = realize_network(config, 3)[1]
     beams = init_zf(h, config)
     for m in range(config.M):
         for n in range(config.N):
@@ -122,7 +122,7 @@ def test_initializers_on_a_stack_of_draws(init):
     cell and user."""
     config = NetworkConfig()
     config.assignment[0, 1, 2] = False
-    h = np.stack([realize_network(config, seed)[1].normalized for seed in range(4)])
+    h = np.stack([realize_network(config, seed)[1] for seed in range(4)])
     beams = init(h, config)
     assert beams.shape == (4, config.M, config.K, config.N, config.Nt)
     for draw, one in enumerate(h):
@@ -174,14 +174,14 @@ def test_mslnr_direction_maximizes_rayleigh_quotient():
 
 def test_mslnr_equal_split_power():
     config = NetworkConfig(Pmax=3.0)
-    h = realize_network(config, 8)[1].normalized
+    h = realize_network(config, 8)[1]
     beams = init_mslnr(h, config)
     assert np.allclose(bs_powers(beams), config.Pmax, rtol=1e-12)
 
 
 def test_all_initializers_power_feasible():
     config = NetworkConfig()
-    h = realize_network(config, 10)[1].normalized
+    h = realize_network(config, 10)[1]
     for name in ("cm", "zf", "mslnr"):
         beams = make_initial_beams(name, h, config)
         assert power_feasible(beams, config)
@@ -189,7 +189,7 @@ def test_all_initializers_power_feasible():
 
 def test_mslnr_dominates_cm_and_zf_in_slnr():
     config = NetworkConfig()
-    h = realize_network(config, 11)[1].normalized
+    h = realize_network(config, 11)[1]
     b_cm = init_cm(h, config)
     b_zf = init_zf(h, config)
     b_ms = init_mslnr(h, config)

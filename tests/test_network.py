@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import reference
 from cbsim.config import NetworkConfig
-from cbsim.errors import ConfigurationError, InvalidStateError
-from cbsim.network import (ChannelState, apply_noise, build_topology,
-                           compute_noise, draw_channels, draw_fading, draw_long_term,
-                           dump_channels_csv, dump_topology_csv, normalize_channels,
-                           path_gain, realize_network)
+from cbsim.errors import ConfigurationError, DegenerateChannelError, InvalidStateError
+from cbsim.network import (apply_noise, build_topology, compute_noise, draw_channels,
+                           draw_fading, draw_long_term, dump_channels_csv,
+                           dump_topology_csv, normalize_channels, path_gain,
+                           realize_network)
 
 
 def small_config(**kw):
@@ -100,8 +100,8 @@ def test_shadowing_statistics():
     # ~1e5 links: 27 BSs x 3702 users
     config = NetworkConfig(M=3, K=1234, N=1, Nt=1)
     topo = build_topology(config, seed=3)
-    state = draw_channels(topo, config, seed=4)
-    shadow_db = 10.0 * np.log10(state.shadow).ravel()
+    _, shadow = draw_channels(topo, config, seed=4)
+    shadow_db = 10.0 * np.log10(shadow).ravel()
     assert shadow_db.size >= 1e5 - 100
     assert abs(shadow_db.mean()) < 0.3
     assert abs(shadow_db.std() - 8.0) < 0.3
@@ -111,9 +111,9 @@ def test_rayleigh_component_statistics():
     # ~1e5 coordinated links: 3 BSs x 33,336 users
     config = NetworkConfig(M=3, K=11112, N=1, Nt=1)
     topo = build_topology(config, seed=5)
-    state = draw_channels(topo, config, seed=6)
-    amp2 = path_gain(topo.user_bs_distances()[:config.M]) * state.shadow[:config.M]
-    fading = state.raw[:, :, 0, 0] / np.sqrt(amp2)
+    raw, shadow = draw_channels(topo, config, seed=6)
+    amp2 = path_gain(topo.user_bs_distances()[:config.M]) * shadow[:config.M]
+    fading = raw[:, :, 0, 0] / np.sqrt(amp2)
     flat = fading.ravel()
     assert flat.size >= 1e5
     assert abs(flat.mean()) < 3.0 / np.sqrt(flat.size)
@@ -129,13 +129,13 @@ def test_draw_equals_the_coordinated_rows_of_a_full_draw(m):
         config = NetworkConfig(M=m, K=k, N=n, Nt=nt, gamma_db=20.0)
         for seed in (0, 17, 2**32 - 1):
             topo = build_topology(config, seed)
-            state = draw_channels(topo, config, seed ^ 1)
+            got_raw, got_shadow = draw_channels(topo, config, seed ^ 1)
             raw, shadow, dist = reference.draw_channels_full(topo.bs_xy, topo.user_xy,
                                                              n, nt, seed ^ 1)
-            assert state.raw.shape == (m, m * k, n, nt)
-            assert np.array_equal(state.raw, raw[:m])
-            assert np.array_equal(state.shadow, shadow)
-            assert np.array_equal(compute_noise(topo, config, state),
+            assert got_raw.shape == (m, m * k, n, nt)
+            assert np.array_equal(got_raw, raw[:m])
+            assert np.array_equal(got_shadow, shadow)
+            assert np.array_equal(compute_noise(topo, config, got_shadow),
                                   reference.noise_full(dist, shadow, m, n,
                                                        config.Pmax, config.sigma2))
 
@@ -150,7 +150,7 @@ def test_one_long_term_draw_serves_every_antenna_count(m):
         topo = build_topology(config, seed)
         for order in ((1, 2, 4), (4, 1, 2)):
             long_term = draw_long_term(topo, config, seed ^ 1)
-            noise = compute_noise(topo, config, ChannelState(shadow=long_term.shadow))
+            noise = compute_noise(topo, config, long_term.shadow)
             for nt in order:
                 cfg = replace(config, Nt=nt, weights=None, assignment=None)
                 raw = draw_fading(long_term, cfg)
@@ -160,7 +160,7 @@ def test_one_long_term_draw_serves_every_antenna_count(m):
                 assert np.array_equal(raw, full[:m])
                 assert np.array_equal(long_term.shadow, shadow)
                 assert np.array_equal(noise, want_noise)
-                h = normalize_channels(ChannelState(raw=raw, noise=noise), cfg).normalized
+                h = normalize_channels(raw, noise)
                 assert np.array_equal(
                     h, full[:m] * (1.0 / np.sqrt(want_noise))[None, :, :, None])
 
@@ -168,18 +168,18 @@ def test_one_long_term_draw_serves_every_antenna_count(m):
 def test_channel_draw_deterministic():
     config = small_config()
     topo = build_topology(config, seed=11)
-    a = draw_channels(topo, config, seed=22)
-    b = draw_channels(topo, config, seed=22)
-    assert np.array_equal(a.raw, b.raw)
-    assert np.array_equal(a.shadow, b.shadow)
+    raw_a, shadow_a = draw_channels(topo, config, seed=22)
+    raw_b, shadow_b = draw_channels(topo, config, seed=22)
+    assert np.array_equal(raw_a, raw_b)
+    assert np.array_equal(shadow_a, shadow_b)
 
 
 def test_noise_floor_without_interferers():
     config = small_config(gamma_db=20.0)
     topo = build_topology(config, seed=0)
-    state = draw_channels(topo, config, seed=1)
-    state.shadow[config.M:] = 0.0   # silence the uncoordinated ring
-    noise = compute_noise(topo, config, state)
+    _, shadow = draw_channels(topo, config, seed=1)
+    shadow[config.M:] = 0.0   # silence the uncoordinated ring
+    noise = compute_noise(topo, config, shadow)
     assert np.allclose(noise, config.sigma2)
 
 
@@ -187,100 +187,137 @@ def test_noise_single_interferer_contribution():
     # one uncoordinated BS at 200 m with unit shadowing and Pmax = N
     config = small_config(N=2, Pmax=2.0, gamma_db=30.0)
     topo = build_topology(config, seed=0)
-    state = draw_channels(topo, config, seed=1)
-    state.shadow[config.M:] = 0.0
-    state.shadow[config.M, 0] = 1.0
+    _, shadow = draw_channels(topo, config, seed=1)
+    shadow[config.M:] = 0.0
+    shadow[config.M, 0] = 1.0
     topo.bs_xy[config.M] = topo.user_xy[0, 0] + np.array([200.0, 0.0])
-    noise = compute_noise(topo, config, state)
+    noise = compute_noise(topo, config, shadow)
     assert noise[0, 0] == pytest.approx(config.sigma2 + 1.0)
 
 
 def test_noise_dominates_thermal_at_high_snr():
     config = small_config(gamma_db=200.0)
     topo = build_topology(config, seed=2)
-    state = draw_channels(topo, config, seed=3)
-    noise = compute_noise(topo, config, state)
-    gains = path_gain(topo.user_bs_distances()[config.M:]) * state.shadow[config.M:]
+    _, shadow = draw_channels(topo, config, seed=3)
+    noise = compute_noise(topo, config, shadow)
+    gains = path_gain(topo.user_bs_distances()[config.M:]) * shadow[config.M:]
     interference = gains.sum(axis=0) * config.Pmax / config.N
     assert np.allclose(noise[:, 0], interference, rtol=1e-10)
 
 
 def test_noise_at_least_thermal():
     config = small_config()
-    topo, state = realize_network(config, 8)
-    assert np.all(state.noise >= config.sigma2)
+    topo = build_topology(config, seed=7)
+    _, shadow = draw_channels(topo, config, seed=8)
+    assert np.all(compute_noise(topo, config, shadow) >= config.sigma2)
 
 
 def test_normalization_reconstruction_identity():
     config = small_config()
-    topo, state = realize_network(config, 13)
-    rebuilt = state.normalized * np.sqrt(state.noise)[None, :, :, None]
-    assert np.allclose(rebuilt, state.raw[:config.M], rtol=1e-12, atol=0)
-    norm_n = np.linalg.norm(state.normalized, axis=-1) ** 2 * state.noise[None]
-    norm_raw = np.linalg.norm(state.raw[:config.M], axis=-1) ** 2
+    topo = build_topology(config, seed=12)
+    raw, shadow = draw_channels(topo, config, seed=13)
+    noise = compute_noise(topo, config, shadow)
+    h = normalize_channels(raw, noise)
+    rebuilt = h * np.sqrt(noise)[None, :, :, None]
+    assert np.allclose(rebuilt, raw[:config.M], rtol=1e-12, atol=0)
+    norm_n = np.linalg.norm(h, axis=-1) ** 2 * noise[None]
+    norm_raw = np.linalg.norm(raw[:config.M], axis=-1) ** 2
     assert np.allclose(norm_n, norm_raw, rtol=1e-12)
 
 
 def test_unit_noise_leaves_channels_unchanged():
     config = small_config()
     topo = build_topology(config, seed=4)
-    state = draw_channels(topo, config, seed=5)
-    state.noise = np.ones((config.n_users, config.N))
-    normalize_channels(state, config)
-    assert np.array_equal(state.normalized, state.raw[:config.M])
+    raw, _ = draw_channels(topo, config, seed=5)
+    h = normalize_channels(raw, np.ones((config.n_users, config.N)))
+    assert np.array_equal(h, raw[:config.M])
 
 
 def test_scalar_noise_division():
-    state = ChannelState(
-        raw=np.array([[[[2.0 + 0j, 0.0, 0.0]]]]),
-        shadow=np.ones((1, 1)),
-        noise=np.full((1, 1), 4.0))
-    normalize_channels(state, NetworkConfig(M=1, N=1, K=1, Nt=3))
-    assert np.allclose(state.normalized[0, 0, 0], [1.0, 0.0, 0.0])
+    h = normalize_channels(np.array([[[[2.0 + 0j, 0.0, 0.0]]]]), np.full((1, 1), 4.0))
+    assert np.allclose(h[0, 0, 0], [1.0, 0.0, 0.0])
 
 
 def test_nonpositive_noise_rejected():
     config = small_config()
     topo = build_topology(config, seed=4)
-    state = draw_channels(topo, config, seed=5)
-    state.noise = np.zeros((config.n_users, config.N))
+    raw, _ = draw_channels(topo, config, seed=5)
     with pytest.raises(InvalidStateError):
-        normalize_channels(state, config)
+        normalize_channels(raw, np.zeros((config.n_users, config.N)))
 
 
-def test_normalize_requires_noise():
+def test_non_finite_and_all_zero_channels_rejected():
     config = small_config()
     topo = build_topology(config, seed=4)
-    state = draw_channels(topo, config, seed=5)
-    with pytest.raises(InvalidStateError):
-        normalize_channels(state, config)
+    raw, _ = draw_channels(topo, config, seed=5)
+    noise = np.ones((config.n_users, config.N))
+    bad = raw.copy()
+    bad[0, 1, 0, 0] = np.nan
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        normalize_channels(bad, noise)
+    bad = raw.copy()
+    bad[1, 2, 1] = 0.0
+    with pytest.raises(DegenerateChannelError, match="all-zero"):
+        normalize_channels(bad, noise)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_realization_deterministic(seed):
+    """Two realizations from one seed are equal, and each is the draw, the
+    noise of compute_noise and the normalization of the seed's two streams."""
     config = NetworkConfig(M=2, N=1, K=2, Nt=2)
     _, a = realize_network(config, seed)
-    _, b = realize_network(config, seed)
-    assert np.array_equal(a.normalized, b.normalized)
-    assert np.array_equal(a.noise, b.noise)
+    topo, b = realize_network(config, seed)
+    assert np.array_equal(a, b)
+    s_topo, s_chan = np.random.SeedSequence(seed).generate_state(2)
+    assert np.array_equal(topo.user_xy, build_topology(config, int(s_topo)).user_xy)
+    raw, shadow = draw_channels(topo, config, int(s_chan))
+    noise = compute_noise(topo, config, shadow)
+    assert np.array_equal(b, normalize_channels(raw, noise))
 
 
 def test_apply_noise_shares_raw_draw():
     config = small_config(gamma_db=10.0)
     topo = build_topology(config, seed=6)
-    raw = draw_channels(topo, config, seed=7)
-    lo = apply_noise(topo, config.with_gamma_db(10.0), raw)
-    hi = apply_noise(topo, config.with_gamma_db(40.0), raw)
-    assert lo.raw is raw.raw
-    assert np.all(hi.noise < lo.noise)
-    # every SNR point in one broadcast: each point's state bit for bit
+    raw, shadow = draw_channels(topo, config, seed=7)
+    lo_noise = compute_noise(topo, config.with_gamma_db(10.0), shadow)
+    hi_noise = compute_noise(topo, config.with_gamma_db(40.0), shadow)
+    assert np.all(hi_noise < lo_noise)
+    lo = apply_noise(topo, config.with_gamma_db(10.0), raw, shadow)
+    hi = apply_noise(topo, config.with_gamma_db(40.0), raw, shadow)
+    # every SNR point in one broadcast: each point's noise and channels bit for bit
     sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in (10.0, 40.0)]
-    both = apply_noise(topo, config, raw, sigma2)
-    assert both.raw is raw.raw
-    for point, alone in enumerate((lo, hi)):
-        assert np.array_equal(both.noise[point], alone.noise)
-        assert np.array_equal(both.normalized[point], alone.normalized)
+    both_noise = compute_noise(topo, config, shadow, sigma2)
+    both = apply_noise(topo, config, raw, shadow, sigma2)
+    for point, (alone, noise) in enumerate(((lo, lo_noise), (hi, hi_noise))):
+        assert np.array_equal(both_noise[point], noise)
+        assert np.array_equal(both[point], alone)
+        assert np.array_equal(alone, normalize_channels(raw, noise))
+
+
+def test_steps_write_none_of_their_inputs():
+    """compute_noise, normalize_channels and apply_noise on read-only raw
+    channels, shadowing and noise return the bits they return on writable
+    copies, at one thermal floor and at a list of them: any in-place write
+    to an input raises."""
+    config = small_config(gamma_db=10.0)
+    topo = build_topology(config, seed=6)
+    raw, shadow = draw_channels(topo, config, seed=7)
+    sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in (10.0, 40.0)]
+    for floors in (None, sigma2):
+        noise = compute_noise(topo, config, shadow.copy(), floors)
+        want = (noise,
+                normalize_channels(raw.copy(), noise.copy()),
+                apply_noise(topo, config, raw.copy(), shadow.copy(), floors))
+        frozen_raw, frozen_shadow, frozen_noise = raw.copy(), shadow.copy(), noise.copy()
+        for array in (frozen_raw, frozen_shadow, frozen_noise):
+            array.flags.writeable = False
+        got = (compute_noise(topo, config, frozen_shadow, floors),
+               normalize_channels(frozen_raw, frozen_noise),
+               apply_noise(topo, config, frozen_raw, frozen_shadow, floors))
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
 
 
 def test_csv_dumps(tmp_path):
@@ -288,8 +325,7 @@ def test_csv_dumps(tmp_path):
     and one channel row per (m, k, n) with re/im per antenna, h[0, 0, 0]
     first."""
     config = small_config()
-    topo, state = realize_network(config, 21)
-    h = state.normalized
+    topo, h = realize_network(config, 21)
     tpath = tmp_path / "topo.csv"
     cpath = tmp_path / "chan.csv"
     dump_topology_csv(topo, tpath)

@@ -141,7 +141,7 @@ def test_orthogonal_candidate_loses():
 
 def test_selection_matches_exhaustive_argmax():
     config = NetworkConfig()
-    h = realize_network(config, 2)[1].normalized
+    h = realize_network(config, 2)[1]
     for m in range(config.M):
         for k in range(config.K):
             for n in range(config.N):
@@ -230,7 +230,7 @@ def test_refim_leakage_empty_refs_is_selfish_mode():
 
 def test_refim_leakage_single_reference_is_rank_one():
     config = NetworkConfig()
-    h = realize_network(config, 9)[1].normalized
+    h = realize_network(config, 9)[1]
     beams = random_beams(config, 10, scale=0.2)
     leak = leakages(h, beams, config, reference_map(h, config) < 1)
     evals = np.sort(np.linalg.eigvalsh(leak), axis=-1)[..., ::-1]
@@ -240,7 +240,7 @@ def test_refim_leakage_single_reference_is_rank_one():
 
 def test_refim_leakage_all_candidates_equals_full():
     config = NetworkConfig()
-    h = realize_network(config, 11)[1].normalized
+    h = realize_network(config, 11)[1]
     beams = random_beams(config, 12, scale=0.2)
     truncated = leakages(h, beams, config,
                          reference_map(h, config) < config.M * config.K - 1)
@@ -326,7 +326,7 @@ def test_cb_refim_gamma_h_matches_the_rank_one_recursion(seed, gamma_db):
     eps cond(T) relative, and with fewer references than antennas cond(T)
     is near 1e12, so the bound there widens by 8 eps cond(T)."""
     config = NetworkConfig(gamma_db=gamma_db)
-    h = realize_network(config, seed)[1].normalized
+    h = realize_network(config, seed)[1]
     q = _q_from_link(config, link_state(h, init_mslnr(h, config), config))
     counts = np.arange(config.n_users)
     masks = reference_map(h, config) < counts[:, None, None, None, None]

@@ -13,7 +13,7 @@ from cbsim import solver
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_mslnr
-from cbsim.network import ChannelState, apply_noise, build_topology, draw_channels
+from cbsim.network import apply_noise, build_topology, draw_channels, realize_network
 from cbsim.solver import ALGORITHMS, solve, solve_batch, stationarity_residuals
 
 GAMMAS = (10.0, 30.0, 50.0)
@@ -23,11 +23,11 @@ def trial(seed, config=None):
     """(channels h, config, mslnr beams) at every gamma of one channel draw."""
     config = config or NetworkConfig()
     topology = build_topology(config, seed)
-    raw = draw_channels(topology, config, seed + 1)
+    raw, shadow = draw_channels(topology, config, seed + 1)
     out = []
     for gamma in GAMMAS:
         cfg = config.with_gamma_db(gamma)
-        h = apply_noise(topology, cfg, raw).normalized
+        h = apply_noise(topology, cfg, raw, shadow)
         out.append((h, cfg, init_mslnr(h, cfg)))
     return out
 
@@ -120,13 +120,14 @@ def test_batch_shape_mismatch_rejected():
         solve_batch(ch[None][:0], cfg, init[:0], "icbf")
     with pytest.raises(UsageError, match="need channels"):
         solve_batch(ch, cfg, init[None], "icbf")      # one draw, not a stack of them
-    # the channels are one array, not the ChannelState that holds them, nor a list
+    # the channels are one array, not the (topology, h) pair that
+    # realize_network returns, nor a list
     wanted = re.escape(f"need channels {(1,) + ch.shape}")
-    state = ChannelState(normalized=ch)
-    with pytest.raises(UsageError, match=wanted + ".*got ChannelState"):
-        solve_batch(state, cfg, init[None], "icbf")
-    with pytest.raises(UsageError, match=wanted + ".*got ChannelState"):
-        solve(state, cfg, init, "icbf")
+    pair = realize_network(cfg, 3)
+    with pytest.raises(UsageError, match=wanted + ".*got tuple"):
+        solve_batch(pair, cfg, init[None], "icbf")
+    with pytest.raises(UsageError, match=wanted + ".*got tuple"):
+        solve(pair, cfg, init, "icbf")
     with pytest.raises(UsageError, match=wanted + ".*got list"):
         solve_batch([ch], cfg, init[None], "icbf")
     with pytest.raises(UsageError, match="reference count"):

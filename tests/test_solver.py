@@ -271,7 +271,7 @@ def bisection_setup(seed, gamma_db=30.0, refs=None):
     """A channel draw, its leakages at the mslnr beams and the interference;
     with ``refs``, cb_refim's leakages truncated to that many references."""
     config = NetworkConfig(M=2, N=2, K=2, Nt=2, gamma_db=gamma_db)
-    h = realize_network(config, seed)[1].normalized
+    h = realize_network(config, seed)[1]
     beams = init_mslnr(h, config)
     mask = full_mask(config) if refs is None else reference_map(h, config) < refs
     leakages = _all_leakages(h, _q_from_link(config, link_state(h, beams, config)), mask)
@@ -510,7 +510,7 @@ def test_update_beams_stationarity_for_given_state():
 def test_solve_single_link_waterfilling_limit():
     config = NetworkConfig(M=1, K=1, N=1, Nt=2, gamma_db=10.0,
                            weights=np.ones((1, 1, 1)))
-    h = realize_network(config, 3)[1].normalized
+    h = realize_network(config, 3)[1]
     hk = h[0, 0, 0]
     # deliberately misaligned full-power start so the solver's own fixed
     # point (not the initializer) is returned
@@ -532,7 +532,7 @@ def test_solve_single_link_waterfilling_limit():
 @pytest.mark.parametrize("algo", ["icbf", "icbf_wi", "cb_refim"])
 def test_solve_improves_on_initializer_and_stays_feasible(algo):
     config = NetworkConfig()
-    h = realize_network(config, 31)[1].normalized
+    h = realize_network(config, 31)[1]
     init = init_mslnr(h, config)
     beams, trace = solve(h, config, init, algo, ref_count=1)
     assert trace.best_sum_rate >= trace.init_sum_rate
@@ -546,7 +546,7 @@ def test_solve_improves_on_initializer_and_stays_feasible(algo):
 
 def test_solve_outer_iterations_settle_quickly():
     config = NetworkConfig()
-    h = realize_network(config, 32)[1].normalized
+    h = realize_network(config, 32)[1]
     init = init_mslnr(h, config)
     _, trace = solve(h, config, init, "icbf")
     series = list(trace.outer_sum_rates)
@@ -569,7 +569,7 @@ def test_beams_live_in_channel_span(algo):
     """Solutions are combinations of the BS's channels to the co-subchannel
     users, visible when the antenna count exceeds the user count."""
     config = NetworkConfig(M=2, K=1, N=1, Nt=4)
-    h = realize_network(config, 34)[1].normalized
+    h = realize_network(config, 34)[1]
     init = init_mslnr(h, config)
     beams, _ = solve(h, config, init, algo)
     for m in range(config.M):
@@ -584,7 +584,7 @@ def test_beams_live_in_channel_span(algo):
 
 def test_trace_serialization(tmp_path):
     config = NetworkConfig(M=2, N=1, K=1, Nt=2)
-    h = realize_network(config, 35)[1].normalized
+    h = realize_network(config, 35)[1]
     _, trace = solve(h, config, init_cm(h, config), "icbf")
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
@@ -599,7 +599,7 @@ def test_trace_serialization(tmp_path):
 
 def test_complementary_slackness_at_dual_floor():
     config = NetworkConfig(M=2, N=1, K=1, Nt=2)
-    h = realize_network(config, 36)[1].normalized
+    h = realize_network(config, 36)[1]
     beams = init_cm(h, config) * 0.5   # slack power
     duals = np.full(config.M, config.lambda_min)
     rep = kkt_report(h, beams, duals, config)
@@ -608,7 +608,7 @@ def test_complementary_slackness_at_dual_floor():
 
 def test_gradient_matches_finite_differences_at_random_point():
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
-    h = realize_network(config, 37)[1].normalized
+    h = realize_network(config, 37)[1]
     rng = np.random.default_rng(38)
     beams = random_beams(config, 39, scale=0.1)
     beams *= np.sqrt(config.Pmax / max(bs_powers(beams).max(), 1e-12)) * 0.7
@@ -628,7 +628,7 @@ def test_gradient_zero_at_beam_off_point():
 
 def test_lagrangian_value_decomposition():
     config = NetworkConfig(M=2, N=1, K=1, Nt=2)
-    h = realize_network(config, 41)[1].normalized
+    h = realize_network(config, 41)[1]
     beams = init_cm(h, config) * 0.8
     duals = np.array([0.3, 0.7])
     expected = (weighted_sum_rate(h, beams, config)
@@ -683,7 +683,7 @@ def test_solve_with_partial_assignment(algo):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2)
     config.assignment[0, 1, 0] = False
     config.assignment[1, 0, 1] = False
-    h = realize_network(config, 44)[1].normalized
+    h = realize_network(config, 44)[1]
     init = init_mslnr(h, config)
     assert np.all(init[0, 1, 0] == 0.0)
     beams, trace = solve(h, config, init, algo, ref_count=1)
@@ -697,7 +697,7 @@ def test_solve_with_partial_assignment(algo):
 def test_solve_single_antenna_taxation_path(algo):
     """Scalar channels drive the 1/(lambda*ln2 + L) taxation form end to end."""
     config = NetworkConfig(M=2, N=2, K=1, Nt=1)
-    h = realize_network(config, 45)[1].normalized
+    h = realize_network(config, 45)[1]
     init = init_cm(h, config)
     beams, trace = solve(h, config, init, algo, ref_count=1)
     assert trace.best_sum_rate >= trace.init_sum_rate

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cbsim import refim, solver
+from cbsim import ExperimentSpec, experiments, refim, run_experiment, solver
 from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr
 from cbsim.network import realize_network
@@ -46,22 +46,40 @@ def test_traced_name_is_a_module_level_callable(mod, fn):
     assert callable(getattr(importlib.import_module(f"cbsim.{mod}"), fn, None))
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Replace ``module.name`` with a wrapper that counts into ``calls[name]``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("kind, per_trial", [("snr_sweep", 1), ("ref_sweep", 1),
+                                             ("feedback", 0)])
+def test_each_sweep_trial_calls_each_network_span_once(monkeypatch, tmp_path, kind, per_trial):
+    """The benchmark's network spans: each trial of a sweep calls
+    draw_channels once and apply_noise once, at every SNR point together;
+    the feedback table draws its channels in parts and calls neither. The
+    calls are counted through cbsim.experiments' names, which the tracer
+    replaces."""
+    calls = Counter()
+    for name in ("draw_channels", "apply_noise"):
+        count_calls(monkeypatch, calls, experiments, name)
+    spec = ExperimentSpec(kind=kind, trials=2, seed=1, gamma_db=(10.0, 30.0, 50.0),
+                          workers=1, timestamp=False, out=str(tmp_path / "out.csv"))
+    run_experiment(NetworkConfig(), spec)
+    assert calls["draw_channels"] == calls["apply_noise"] == per_trial * spec.trials
+
+
 def test_cb_refim_solve_reaches_the_traced_layers(monkeypatch):
     calls = Counter()
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
     for name in ("lambda_bisection", "update_beams", "_betas_power"):
-        count(solver, name)
-    count(refim, "invert_rank_r")
+        count_calls(monkeypatch, calls, solver, name)
+    count_calls(monkeypatch, calls, refim, "invert_rank_r")
     config = NetworkConfig()
-    h = realize_network(config, 1)[1].normalized
+    h = realize_network(config, 1)[1]
     _, trace = solver.solve(h, config, init_mslnr(h, config), "cb_refim")
     inner = len(trace.iteration_index)
     # one joint dual search and one beam update per inner iteration; each

@@ -23,7 +23,7 @@ ITERS = 200
 
 def _batch(config, seeds):
     """Stacked normalized channels and mslnr starting beams, one per seed."""
-    h = np.stack([realize_network(config, seed)[1].normalized for seed in seeds])
+    h = np.stack([realize_network(config, seed)[1] for seed in seeds])
     return h, init_mslnr(h, config)
 
 
