@@ -2,7 +2,7 @@
 """Run the full experiment set and drop the figure data under results/.
 
 Default is a quick pass (10 trials); use --full for the 100-trial runs,
-which take 6 to 9 s on a 2-core x86-64 VM with Python 3.11, numpy 2.4 and
+which take 6 to 8 s on a 2-core x86-64 VM with Python 3.11, numpy 2.4 and
 OpenBLAS on one thread (five runs; the spread is the host's load).
 """
 import argparse

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,7 +38,7 @@ EXPERIMENT_KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf", "feedback")
 SOLVER_ALGOS = set(solver.ALGORITHMS)
 BASELINE_ALGOS = set(initializers.INITIALIZERS)
 DEFAULT_ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
-#: Errors that exclude one trial; numpy's LinAlgError is also scipy.linalg's.
+#: Errors that exclude one trial: a cbsim error or a singular linear solve.
 TRIAL_ERRORS = (CbsimError, np.linalg.LinAlgError)
 #: Byte budget of one solver batch's victim weights and leakage matrices;
 #: it sets how many trials :func:`_run_trials` solves as one group, and
@@ -239,6 +238,7 @@ def _run_trials(config: NetworkConfig, spec: ExperimentSpec,
     groups = [tuple(range(lo, min(lo + size, spec.trials)))
               for lo in range(0, spec.trials, size)]
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor    # only workers need the pool
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             futures = [pool.submit(_run_group, config, spec, g, ref_counts) for g in groups]
             outcomes = [out for future in futures for out in future.result()]

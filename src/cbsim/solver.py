@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .config import NetworkConfig
 from .errors import BracketError, ConfigurationError, InvalidStateError, UsageError
@@ -127,10 +126,11 @@ def _all_leakages(h: np.ndarray, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def gamma_direct(leakage: np.ndarray, lam: float) -> np.ndarray:
-    """Exact Gamma = (L + lambda*ln2*I)^{-1} via a Hermitian PD solve."""
+    """Exact Gamma = (L + lambda*ln2*I)^{-1}, the dense reference: numpy's
+    LU solve ``np.linalg.solve(T, I)``, Hermitian-symmetrized."""
     nt = leakage.shape[0]
     t = leakage + lam * LN2 * np.eye(nt)
-    gamma = scipy.linalg.solve(t, np.eye(nt, dtype=complex), assume_a="pos")
+    gamma = np.linalg.solve(t, np.eye(nt, dtype=complex))
     return 0.5 * (gamma + gamma.conj().T)
 
 

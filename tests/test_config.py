@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +189,18 @@ def test_readme_lists_every_key_and_flag(capsys):
     assert flags_of(synopsis) == flags_of(help_text(capsys).split("options:")[0])
 
 
-def test_import_leaves_the_command_line_unloaded():
-    code = "import sys, cbsim; assert 'cbsim.cli' not in sys.modules"
+def test_import_leaves_the_command_line_unloaded(tmp_path):
+    """A one-process run loads neither the command line, nor scipy, nor the
+    process pool: one trial of snr_sweep and one of feedback at workers=1."""
+    code = textwrap.dedent("""
+        import sys
+        from cbsim import ExperimentSpec, NetworkConfig, run_experiment
+        for kind in ("snr_sweep", "feedback"):
+            run_experiment(NetworkConfig(), ExperimentSpec(
+                kind=kind, trials=1, workers=1, timestamp=False, out=f"{sys.argv[1]}/{kind}.csv"))
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m in (
+            "multiprocessing", "concurrent.futures.process", "cbsim.cli")]
+        assert not loaded, loaded
+    """)
     env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], check=True, env=env)
