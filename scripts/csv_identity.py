@@ -29,7 +29,10 @@ network size, and at (3, 3, 3, 4) also every other network and solver key
 (pmax, the iteration caps, lambda_min, both tolerances and refs) at a
 non-default value. One more feedback run reads its k_list, nt_list, qbits
 and refs from a config file, and one runs 40 trials at desk scale, so the
-K = 10 cells rank their draws in two stacks.
+K = 10 cells select references for their draws in two stacks. Two more
+desk feedback runs take 0 and 2 references, so the matrix covers both
+selection paths (one argmin per beam at up to one reference, the ranks
+above) at desk scale.
 
 The per-step solver traces join the check too: one desk snr_sweep and one
 desk ref_sweep at seed 1 also write their ``--dump-prefix`` files (trial 0's
@@ -151,6 +154,11 @@ def main() -> None:
     path = out / "feedback_t40_s1.csv"
     run(["feedback", "--trials", "40", "--seed", "1", "--no-timestamp", "--out", str(path)])
     csvs.append(path)
+    for refs in (0, 2):
+        path = out / f"feedback_r{refs}_s1.csv"
+        run(["feedback", "--trials", "4", "--seed", "1", "--refs", str(refs), "--no-timestamp",
+             "--out", str(path)])
+        csvs.append(path)
     write_sums(out / "SHA256SUMS", csvs)
     dumps = out / "dumps"
     dumps.mkdir(exist_ok=True)

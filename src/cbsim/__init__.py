@@ -15,7 +15,7 @@ from .metrics import (RateReport, bs_powers, power_feasible, rate_report,
                       weighted_sum_rate)
 from .network import (Topology, build_topology, compute_noise, draw_channels,
                       normalize_channels, realize_network)
-from .refim import feedback_bits, invert_rank_r, reference_map
+from .refim import feedback_bits, invert_rank_r, reference_mask
 from .solver import (DualEvaluator, KKTReport, SolverTrace, beta, gamma_direct,
                      gamma_sherman_morrison, kkt_report, lambda_bisection, solve,
                      solve_batch, update_beams)
@@ -29,7 +29,7 @@ __all__ = [
     "RateReport", "weighted_sum_rate", "bs_powers", "power_feasible", "rate_report",
     "Topology", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
-    "reference_map", "invert_rank_r", "feedback_bits",
+    "reference_mask", "invert_rank_r", "feedback_bits",
     "DualEvaluator", "SolverTrace", "KKTReport", "gamma_direct",
     "gamma_sherman_morrison", "beta", "lambda_bisection",
     "update_beams", "solve", "solve_batch", "kkt_report",

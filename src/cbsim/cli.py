@@ -3,8 +3,10 @@
 Experiments: convergence, snr_sweep, ref_sweep, cdf, feedback. Each flag is
 an ExperimentSpec setting (``sim <experiment> --help`` lists them with their
 defaults), and its text is parsed as a config-file line is. Flags override
-config-file values which override the built-in defaults. Exit code 0 on
-success, nonzero on any error.
+config-file values which override the built-in defaults. On success it
+prints one line, ``<kind>: <n> trials -> <out>``, with the count of trials
+excluded after errors if any, and exits with 0; on any error it exits
+nonzero.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import fields
 
 from .config import network_config_from_values, parse_config_file, parse_setting
 from .errors import CbsimError
-from .experiments import EXPERIMENT_KINDS, ExperimentSpec, run_experiment, spec_from_values
+from .experiments import EXPERIMENT_KINDS, ExperimentSpec, run_counted, spec_from_values
 
 #: The ExperimentSpec fields that have a flag.
 FLAG_FIELDS = [f for f in fields(ExperimentSpec) if f.metadata.get("flag")]
@@ -55,10 +57,12 @@ def main(argv: list[str] | None = None) -> int:
         overrides = {f.name: parse_setting(f, getattr(args, f.name)) for f in FLAG_FIELDS
                      if getattr(args, f.name) is not None}
         config, spec = parse_config(args.experiment, args.config, overrides)
-        run_experiment(config, spec)
+        _, used, excluded = run_counted(config, spec)
     except (CbsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    note = f" ({excluded} trials excluded after errors)" if excluded else ""
+    print(f"{spec.kind}: {used} trials -> {spec.out}{note}")
     return 0
 
 

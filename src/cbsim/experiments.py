@@ -42,7 +42,7 @@ DEFAULT_ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 TRIAL_ERRORS = (CbsimError, np.linalg.LinAlgError)
 #: Byte budget of one solver batch's victim weights and leakage matrices;
 #: it sets how many trials :func:`_run_trials` solves as one group, and
-#: how many draws :func:`feedback_table` ranks as one stack.
+#: for how many draws :func:`feedback_table` selects references as one stack.
 BATCH_BYTES = 4 * 2**20
 
 
@@ -265,7 +265,7 @@ def _open_csv(spec: ExperimentSpec):
     return fh
 
 
-def _run_convergence(config: NetworkConfig, spec: ExperimentSpec) -> Path:
+def _run_convergence(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """Columns: algo, gamma_db, outer_iter (1-based), mean_sum_rate, trials."""
     results, failures = _run_trials(config, spec)
     with _open_csv(spec) as fh:
@@ -278,11 +278,10 @@ def _run_convergence(config: NetworkConfig, spec: ExperimentSpec) -> Path:
                 for it in range(mean.shape[0]):
                     writer.writerow([algo, f"{gamma:g}", it + 1,
                                      f"{mean[it]:.12g}", len(results)])
-    _report(spec, len(results), failures)
-    return Path(spec.out)
+    return len(results), failures
 
 
-def _run_snr_sweep(config: NetworkConfig, spec: ExperimentSpec) -> Path:
+def _run_snr_sweep(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """Columns: algo, gamma_db, mean_sum_rate, std_sum_rate, trials."""
     results, failures = _run_trials(config, spec)
     with _open_csv(spec) as fh:
@@ -293,11 +292,10 @@ def _run_snr_sweep(config: NetworkConfig, spec: ExperimentSpec) -> Path:
                 vals = np.array([r.final_wsr[(algo, gamma)] for r in results])
                 writer.writerow([algo, f"{gamma:g}", f"{vals.mean():.12g}",
                                  f"{vals.std():.12g}", len(results)])
-    _report(spec, len(results), failures)
-    return Path(spec.out)
+    return len(results), failures
 
 
-def _run_ref_sweep(config: NetworkConfig, spec: ExperimentSpec) -> Path:
+def _run_ref_sweep(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """cb_refim swept over reference counts 0..MK-1 plus the requested
     baselines. Columns: algo, refs, gamma_db, mean_sum_rate, trials."""
     ref_counts = tuple(range(config.M * config.K))
@@ -317,11 +315,10 @@ def _run_ref_sweep(config: NetworkConfig, spec: ExperimentSpec) -> Path:
                                  for r in results])
                 writer.writerow(["cb_refim", refs, f"{gamma:g}",
                                  f"{vals.mean():.12g}", len(results)])
-    _report(spec, len(results), failures)
-    return Path(spec.out)
+    return len(results), failures
 
 
-def _run_cdf(config: NetworkConfig, spec: ExperimentSpec) -> Path:
+def _run_cdf(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """Columns: algo, gamma_db, user_rate, ecdf (sorted ascending per algo)."""
     results, failures = _run_trials(config, spec)
     with _open_csv(spec) as fh:
@@ -335,16 +332,16 @@ def _run_cdf(config: NetworkConfig, spec: ExperimentSpec) -> Path:
                 for idx, rate in enumerate(samples):
                     writer.writerow([algo, f"{gamma:g}", f"{rate:.12g}",
                                      f"{(idx + 1) / n:.8g}"])
-    _report(spec, len(results), failures)
-    return Path(spec.out)
+    return len(results), failures
 
 
 def _draws_per_stack(config: NetworkConfig) -> int:
-    """Channel draws per reference ranking of the feedback table: as many as
-    keep their working set within BATCH_BYTES, and at least one. Per link
+    """Channel draws per reference selection of the feedback table: as many
+    as keep their working set within BATCH_BYTES, and at least one. Per link
     that is two complex128 copies of its Nt channel entries (the draws and
     their stack) and, per (beam, candidate) pair, of which there are K per
-    link, about four 8-byte arrays of the ranking. Each draw also holds its
+    link, about four 8-byte arrays of the selection (its scores, keys and
+    mask, or the ranks above one reference). Each draw also holds its
     stream's normals (:meth:`LongTerm.normals`): the real parts of every
     BS's fading and the imaginary parts of the coordinated BSs', 8 bytes
     each."""
@@ -365,10 +362,11 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
     once and serves every Nt; only the fading is drawn per (Nt, K, trial),
     from the trial's stream just after its shadowing, so every draw equals
     a fresh one bit for bit. Trials run in chunks sized for the largest Nt
-    by BATCH_BYTES: each (K, Nt) cell normalizes, ranks and counts a
-    chunk's draws as one stack, with one :func:`refim.reference_map` and one
-    :func:`refim.feedback_bits` call, which treat every draw bit for bit as
-    they would alone.
+    by BATCH_BYTES: each (K, Nt) cell normalizes a chunk's draws, selects
+    their references and counts them as one stack, with one
+    :func:`refim.reference_mask` and one :func:`refim.feedback_bits` call,
+    which treat every draw bit for bit as they would alone. At the default
+    ``spec.refs`` of 1 the selection is one argmin per beam, not a ranking.
     """
     seeds = [trial_seeds(spec.seed, t) for t in range(spec.trials)]
     cells = {(nt, k): replace(config, K=int(k), Nt=int(nt), weights=None, assignment=None)
@@ -389,7 +387,7 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
                 raw = np.stack([draw_fading(lt, cfg) for lt in long_terms])
                 h = normalize_channels(raw, noise)
                 counts = refim.out_of_cell_reference_counts(
-                    cfg, refim.reference_map(h, cfg) < spec.refs)
+                    cfg, refim.reference_mask(h, cfg, spec.refs))
                 totals[nt, k].append(refim.feedback_bits(cfg, "cb_refim", counts,
                                                          qbits=spec.qbits))
     return [dict(K=cfg.K, Nt=cfg.Nt, icbf_bits=refim.feedback_bits(cfg, "icbf", qbits=spec.qbits),
@@ -397,7 +395,7 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
             for cell, cfg in cells.items()]
 
 
-def _run_feedback(config: NetworkConfig, spec: ExperimentSpec) -> Path:
+def _run_feedback(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """Columns: algo, K, Nt, bits (cb_refim bits are trial means)."""
     rows = feedback_table(config, spec)
     with _open_csv(spec) as fh:
@@ -408,15 +406,7 @@ def _run_feedback(config: NetworkConfig, spec: ExperimentSpec) -> Path:
         for row in rows:
             writer.writerow(["cb_refim", row["K"], row["Nt"],
                              f"{row['cb_refim_bits']:.6g}"])
-    _report(spec, spec.trials, 0)
-    return Path(spec.out)
-
-
-def _report(spec: ExperimentSpec, used: int, failures: int) -> None:
-    msg = f"{spec.kind}: {used} trials -> {spec.out}"
-    if failures:
-        msg += f" ({failures} trials excluded after errors)"
-    print(msg)
+    return spec.trials, 0
 
 
 _RUNNERS = {
@@ -428,6 +418,15 @@ _RUNNERS = {
 }
 
 
+def run_counted(config: NetworkConfig, spec: ExperimentSpec) -> tuple[Path, int, int]:
+    """Dispatch one experiment; returns the written CSV path, the trials
+    its aggregates use and the trials excluded after errors."""
+    used, excluded = _RUNNERS[spec.kind](config, spec)
+    return Path(spec.out), used, excluded
+
+
 def run_experiment(config: NetworkConfig, spec: ExperimentSpec) -> Path:
-    """Dispatch one experiment; returns the written CSV path."""
-    return _RUNNERS[spec.kind](config, spec)
+    """Dispatch one experiment; returns the written CSV path. Nothing goes
+    to stdout: each excluded trial is warned about on stderr, and
+    :func:`run_counted` returns the trial counts as well."""
+    return run_counted(config, spec)[0]

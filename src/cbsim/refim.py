@@ -13,6 +13,12 @@ beam's own cell included, since intra-cell leakage matters too). With
 single-antenna transmitters the alignment factor is common to all candidates
 and the rule degenerates to picking the strongest channel gain.
 
+Callers take the victim mask of r references per beam from
+:func:`reference_mask`. At the default r = 1 (and at 0) that is one argmin
+over each beam's candidates; only larger r ranks them all
+(:func:`reference_map`). Both read the same keys, so they agree bit for
+bit, and ties go to the lowest (cell, user) index.
+
 A BS can invert the truncated leakage plus lambda*ln2*I by one rank-one
 update per reference, with no dense inversion (:func:`invert_rank_r`). The
 solver takes the same inverse from the eigendecomposition its dual search
@@ -29,6 +35,27 @@ from .network import own_links
 from .solver import ALGORITHMS, LN2, full_mask
 
 
+def _keys(h: np.ndarray, config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sort keys of every (beam, candidate) pair, shape (..., M, N, K, MK), and
+    the candidate mask (M, N, K, MK) they are masked by: a candidate's key
+    is its negated score, every other key +inf.
+
+    Both operands of the |h_u^H h_k|^2 contraction are laid out contiguous
+    in (..., M, N, user, Nt), so each pair's sum runs over its Nt entries in
+    order, the same arithmetic for every candidate: duplicated users score
+    exactly alike, and every draw of a stack as it would alone. (A BLAS
+    matmul is faster, but can round a candidate by its column position and
+    so split exact ties.) Conjugating the own links rather than the channels
+    gives the conjugate sum, of the same modulus bit for bit.
+    """
+    own = np.ascontiguousarray(own_links(h, config).conj().swapaxes(-3, -2))  # (..., M, N, K, Nt)
+    h_n = np.ascontiguousarray(h.swapaxes(-3, -2))                            # (..., M, N, MK, Nt)
+    cross = np.abs(np.einsum("...ka,...ga->...kg", own, h_n)) ** 2             # (..., M, N, K, MK)
+    gain = (np.abs(h_n) ** 2).sum(axis=-1)[..., None, :]                       # (..., M, N, 1, MK)
+    candidates = full_mask(config).swapaxes(1, 2)
+    return np.where(candidates, -(gain * cross), np.inf), candidates
+
+
 def reference_map(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     """Place of every user in every beam's candidate order, shape (..., M, K, N, MK)
     with any leading batch axes of the channels h (a stack of draws).
@@ -37,19 +64,32 @@ def reference_map(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     candidate of beam (m, k, n), and the largest int when g is no candidate.
     Candidates are the users scheduled on n across the cluster minus (m, k)
     itself; an inactive beam has none. Ties break towards the lowest
-    (cell, user) index. ``ranks < r`` is the victim mask of r references (all
-    candidates when r exceeds their count), and
-    ``np.argsort(ranks, kind="stable")`` lists them in descending score. Every
-    score is computed in one pass, ||h_u||^2 first, then |h_u^H h_k|^2, and
-    sorted once per beam. Every draw of a stack gets its own ranks bit for bit.
+    (cell, user) index. ``np.argsort(ranks, kind="stable")`` lists a beam's
+    candidates in descending score. ``ranks < r`` is the victim mask of r
+    references, which :func:`reference_mask` gives without the ranks when r
+    is at most 1. Every draw of a stack gets its own ranks bit for bit.
     """
-    gain = np.sum(np.abs(h) ** 2, axis=-1).swapaxes(-1, -2)[..., None, :, :]  # (..., M, 1, N, MK)
-    cross = np.abs(np.einsum("...mgna,...mkna->...mkng", h.conj(),
-                             own_links(h, config))) ** 2
-    candidates = full_mask(config)
-    order = np.argsort(np.where(candidates, -(gain * cross), np.inf), axis=-1, kind="stable")
+    keys, candidates = _keys(h, config)
+    order = np.argsort(keys, axis=-1, kind="stable")
     ranks = np.argsort(order, axis=-1)          # a permutation's one inverse
-    return np.where(candidates, ranks, np.iinfo(ranks.dtype).max)
+    return np.where(candidates, ranks, np.iinfo(ranks.dtype).max).swapaxes(-3, -2)
+
+
+def reference_mask(h: np.ndarray, config: NetworkConfig, counts) -> np.ndarray:
+    """Victim mask of every beam's ``counts`` best candidates, shape
+    (..., M, K, N, MK): ``reference_map(h, config) < counts`` bit for bit,
+    so every candidate when a count exceeds theirs and none at 0.
+
+    ``counts`` is an int, or one count per draw along the leading axes of h.
+    When no count exceeds 1, each beam's reference is the first minimum of
+    its keys, the candidate a stable sort puts first, and nothing is ranked.
+    """
+    counts = np.asarray(counts)[..., None, None, None, None]
+    if counts.max() > 1:
+        return reference_map(h, config) < counts
+    keys, candidates = _keys(h, config)
+    best = np.arange(config.n_users) == np.argmin(keys, axis=-1)[..., None]
+    return (best & (candidates & (counts >= 1))).swapaxes(-3, -2)
 
 
 def invert_rank_r(coeffs: np.ndarray, vecs: np.ndarray, lam) -> np.ndarray:
@@ -89,8 +129,8 @@ SCALAR_FEEDBACK_REALS = 3
 def out_of_cell_reference_counts(config: NetworkConfig,
                                  mask: np.ndarray) -> np.ndarray:
     """Distinct reference users of BS m on subchannel n served by other BSs,
-    shape (..., M, N), from the victim mask (..., M, K, N, MK), ``ranks < r``
-    of :func:`reference_map`, with any leading axes of a stack of draws.
+    shape (..., M, N), from the victim mask (..., M, K, N, MK) of
+    :func:`reference_mask`, with any leading axes of a stack of draws.
 
     Intra-cell references cost nothing on the backhaul (the BS already knows
     its own users), and a user referenced by several of BS m's beams is

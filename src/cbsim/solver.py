@@ -727,8 +727,7 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
         counts = np.array(refs)[cb]
         if counts.min() < 0:
             raise ConfigurationError(f"reference count must be >= 0, got {counts.min()}")
-        ranks = refim.reference_map(h[cb], config)
-        masks[cb] = ranks < counts[:, None, None, None, None]
+        masks[cb] = refim.reference_mask(h[cb], config, counts)
 
     link = link_state(h, beams, config)
     # per solve, by batch position: latest and best sum-rate, best iterate, counters

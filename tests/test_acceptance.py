@@ -228,7 +228,7 @@ def test_criterion_6_reference_count_sweep(suite):
     h = realize_network(config, 17)[1]
     beams, _ = solve(h, config, init_mslnr(h, config), "icbf_wi")
     q = _q_from_link(config, link_state(h, beams, config))
-    all_candidates = refim.reference_map(h, config) < config.M * config.K - 1
+    all_candidates = refim.reference_mask(h, config, config.M * config.K - 1)
     truncated = _all_leakages(h, q, all_candidates)
     full = _all_leakages(h, q, full_mask(config))
     scale = np.maximum(np.linalg.norm(full, axis=(-2, -1)), 1e-300)
@@ -257,21 +257,21 @@ def test_criterion_7_feedback_accounting(monkeypatch):
     exact = (icbf_bits == hand_icbf) and (cb_bits == hand_cb)
 
     out_of_cell = {}                                   # (K, Nt) -> counts
-    select = refim.reference_map
+    select = refim.reference_mask
     spec = ExperimentSpec(kind="feedback", trials=30, seed=MASTER_SEED,
                           k_list=tuple(range(2, 11)), nt_list=(2, 3, 4))
 
-    def counting_reference_map(h, cfg):
-        ranks = select(h, cfg)
-        for mask in (ranks < spec.refs).reshape((-1,) + ranks.shape[-4:]):   # per draw
+    def counting_reference_mask(h, cfg, counts):
+        masks = select(h, cfg, counts)
+        for mask in masks.reshape((-1,) + masks.shape[-4:]):   # per draw
             for m in range(cfg.M):
                 for n in range(cfg.N):
                     refs = {g for k in range(cfg.K) for g in np.flatnonzero(mask[m, k, n])
                             if g // cfg.K != m}
                     out_of_cell.setdefault((cfg.K, cfg.Nt), []).append(len(refs))
-        return ranks
+        return masks
 
-    monkeypatch.setattr(refim, "reference_map", counting_reference_map)
+    monkeypatch.setattr(refim, "reference_mask", counting_reference_mask)
     rows = feedback_table(config, spec)
     out_of_band = [(r["K"], r["Nt"], r["cb_refim_bits"] / r["icbf_bits"])
                    for r in rows

@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "RateReport", "weighted_sum_rate", "bs_powers", "power_feasible", "rate_report",
     "Topology", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
-    "reference_map", "invert_rank_r", "feedback_bits",
+    "reference_mask", "invert_rank_r", "feedback_bits",
     "DualEvaluator", "SolverTrace", "KKTReport", "gamma_direct",
     "gamma_sherman_morrison", "beta", "lambda_bisection",
     "update_beams", "solve", "solve_batch", "kkt_report",

@@ -18,7 +18,7 @@ from cbsim import solver
 from cbsim.config import NetworkConfig
 from cbsim.initializers import init_mslnr
 from cbsim.network import realize_network
-from cbsim.refim import reference_map
+from cbsim.refim import reference_mask
 from cbsim.solver import DualEvaluator, _all_leakages, full_mask
 
 #: One solve per algorithm, in the evaluator's mode order: icbf's direct solve,
@@ -109,7 +109,7 @@ def test_search_matches_the_bisection_on_channel_draws():
         h = np.stack([realize_network(config, seed)[1] for seed in (3, 4, 5)])
         beams = init_mslnr(h, config)
         link = solver.link_state(h, beams, config)
-        masks = np.stack([full_mask(config), reference_map(h[1], config) < 1,
+        masks = np.stack([full_mask(config), reference_mask(h[1], config, 1),
                           full_mask(config)])
         leakages = _all_leakages(h, solver._q_from_link(config, link), masks)
         ev = DualEvaluator(h, leakages, config, list(ALGO_MODES))

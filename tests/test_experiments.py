@@ -137,7 +137,7 @@ def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
                 s_topo, s_chan = trial_seeds(spec.seed, t)
                 topology = build_topology(cfg, s_topo)
                 h = apply_noise(topology, cfg, *draw_channels(topology, cfg, s_chan))
-                mask = refim.reference_map(h, cfg) < spec.refs
+                mask = refim.reference_mask(h, cfg, spec.refs)
                 counts = refim.out_of_cell_reference_counts(cfg, mask)
                 totals.append(feedback_bits(cfg, "cb_refim", counts, qbits=spec.qbits))
             expected.append(dict(K=k, Nt=nt, icbf_bits=feedback_bits(cfg, "icbf", qbits=8),
@@ -162,20 +162,20 @@ def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
 
 
 def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypatch):
-    """Each (K, Nt) cell ranks all its trials' draws as one stack, in one
-    reference_map call, the largest Nt first. A budget too small for every
-    trial at once splits a K's trials into chunks sized for its largest Nt,
-    each ranked per Nt as one stack, and the table stays bit for bit the
-    same."""
+    """Each (K, Nt) cell selects the references of all its trials' draws as
+    one stack, in one reference_mask call, the largest Nt first. A budget
+    too small for every trial at once splits a K's trials into chunks sized
+    for its largest Nt, each selected per Nt as one stack, and the table
+    stays bit for bit the same."""
     config = NetworkConfig()
     spec = small_spec("feedback", "unused.csv", trials=5, k_list=(2, 4), nt_list=(2, 3))
-    real, stacks = refim.reference_map, []
+    real, stacks = refim.reference_mask, []
 
-    def counting(h, cfg):
+    def counting(h, cfg, counts):
         stacks.append((cfg.K, cfg.Nt, h.shape[0]))
-        return real(h, cfg)
+        return real(h, cfg, counts)
 
-    monkeypatch.setattr(refim, "reference_map", counting)
+    monkeypatch.setattr(refim, "reference_mask", counting)
     whole = feedback_table(config, spec)
     assert stacks == [(2, 3, 5), (2, 2, 5), (4, 3, 5), (4, 2, 5)]
     stacks.clear()
@@ -368,6 +368,27 @@ def test_cli_runs_and_writes_csv(tmp_path):
     header, rows = read_csv(out)
     assert header[0] == "algo"
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("kind", ["snr_sweep", "feedback"])
+def test_run_experiment_writes_nothing_to_stdout(tmp_path, capsys, kind):
+    out = tmp_path / f"{kind}.csv"
+    spec = small_spec(kind, out, k_list=(2,), nt_list=(2,))
+    assert run_experiment(small_config(), spec) == out
+    assert capsys.readouterr().out == ""
+    assert out.exists()
+
+
+def test_cli_prints_one_summary_line_with_the_exclusions(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "cli.csv"
+    flags = ["--trials", "3", "--algo", "cm", "--out", str(out), "--no-timestamp"]
+    assert main(["snr_sweep", *flags]) == 0
+    assert capsys.readouterr().out == f"snr_sweep: 3 trials -> {out}\n"
+    monkeypatch.setattr(experiments, "trial_seeds", failing_trial_seeds({1}))
+    assert main(["snr_sweep", *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"snr_sweep: 2 trials -> {out} (1 trials excluded after errors)\n"
+    assert captured.err == "warning: trial 1 failed: injected failure\n"
 
 
 def test_cli_reads_config_file(tmp_path):
@@ -571,7 +592,7 @@ def test_failed_trials_are_excluded_with_warning(tmp_path, monkeypatch, capsys):
     _, rows = read_csv(spec.out)
     assert rows[0][-1] == "2"          # one of three trials excluded
     captured = capsys.readouterr()
-    assert "1 trials excluded after errors" in captured.out
+    assert captured.out == ""          # the exclusion count is the CLI's to print
     assert captured.err == "warning: trial 1 failed: injected failure\n"
     kept, failures = experiments._run_trials(config, spec)
     assert failures == 1
@@ -600,7 +621,7 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
     _, rows = read_csv(spec.out)
     assert [r[-1] for r in rows] == ["2", "2"]
     captured = capsys.readouterr()
-    assert "1 trials excluded after errors" in captured.out
+    assert captured.out == ""
     assert captured.err == "warning: trial 1 failed: injected singular matrix\n"
     kept, failures = experiments._run_trials(config, spec)
     assert failures == 1

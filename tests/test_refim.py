@@ -12,7 +12,7 @@ from cbsim.initializers import init_mslnr
 from cbsim.metrics import link_state
 from cbsim.network import own_links, realize_network
 from cbsim.refim import (feedback_bits, invert_rank_r,
-                         out_of_cell_reference_counts, reference_map)
+                         out_of_cell_reference_counts, reference_map, reference_mask)
 from cbsim.solver import (LN2, DualEvaluator, _all_leakages, _q_from_link, _victim_weights,
                           full_mask, gamma_sherman_morrison, solve_batch)
 
@@ -112,6 +112,72 @@ def test_reference_map_on_a_stack_of_draws():
         assert ranks.shape == (2, 3, config.M, config.K, config.N, config.n_users)
         for d, one in enumerate(h):
             assert np.array_equal(ranks[divmod(d, 3)], reference_map(one, config))
+
+
+def random_config(rng, nt=None):
+    """A random small config with about 30% of its (user, subchannel) pairs
+    inactive."""
+    config = NetworkConfig(M=int(rng.integers(1, 4)), N=int(rng.integers(1, 4)),
+                           K=int(rng.integers(1, 5)),
+                           Nt=int(rng.integers(1, 5)) if nt is None else nt)
+    config.assignment[:] = rng.random(config.assignment.shape) < 0.7
+    return config
+
+
+@pytest.mark.parametrize("nt", [None, 1])
+def test_reference_mask_is_the_ranks_below_every_count(nt):
+    """reference_mask(h, config, r) is reference_map(h, config) < r bit for
+    bit for every r from 0 to MK, on random sizes (at Nt = 1 too) with
+    inactive triples: the argmin path at r <= 1, the ranks above."""
+    rng = np.random.default_rng(34)
+    for draw in range(60):
+        config = random_config(rng, nt)
+        h = synthetic_channels(config, draw)
+        ranks = reference_map(h, config)
+        for r_count in range(config.n_users + 1):
+            mask = reference_mask(h, config, r_count)
+            assert mask.shape == ranks.shape and mask.dtype == bool
+            assert np.array_equal(mask, ranks < r_count)
+
+
+def test_reference_mask_of_a_stack_with_one_count_per_draw():
+    """On 6 draws stacked along two leading axes, with one count per draw
+    (all at most 1, then up to MK) or one for all, every draw's mask is its
+    own ranks below its count."""
+    rng = np.random.default_rng(35)
+    for draw in range(50):
+        config = random_config(rng)
+        h = np.stack([synthetic_channels(config, 6 * draw + d) for d in range(6)])
+        h = h.reshape((2, 3) + h.shape[1:])
+        ranks = reference_map(h, config)
+        for counts in (rng.integers(0, 2, size=(2, 3)),
+                       rng.integers(0, config.n_users + 1, size=(2, 3)),
+                       int(rng.integers(0, 3))):
+            expected = ranks < np.reshape(counts, np.shape(counts) + (1, 1, 1, 1))
+            assert np.array_equal(reference_mask(h, config, counts), expected)
+
+
+@pytest.mark.parametrize("size", [(3, 3, 3, 3), (2, 1, 3, 2), (1, 2, 5, 4), (3, 2, 2, 1)])
+def test_duplicated_users_tie_to_the_lowest_index_on_both_paths(size):
+    """Two users with the same channel from every BS on every subchannel
+    score exactly alike for every beam that has both as candidates. The
+    lower index ranks just before the higher one, and one reference is the
+    lower one on the argmin path as on the ranks; made the strongest users,
+    they are every other beam's single reference."""
+    m_bs, n_sub, k_users, nt = size
+    config = NetworkConfig(M=m_bs, N=n_sub, K=k_users, Nt=nt)
+    rng = np.random.default_rng(36)
+    for draw in range(20):
+        h = synthetic_channels(config, 100 + draw)
+        low, high = sorted(rng.choice(config.n_users, size=2, replace=False))
+        h[:, high] = h[:, low] = 1e3 * h[:, low]
+        ranks = reference_map(h, config)
+        both = full_mask(config)[..., low] & full_mask(config)[..., high]
+        assert both.any()
+        assert np.array_equal(ranks[..., high][both], ranks[..., low][both] + 1)
+        mask = reference_mask(h, config, 1)
+        assert np.array_equal(mask, ranks < 1)
+        assert np.all(mask[..., low][both]) and not np.any(mask[..., high][both])
 
 
 def test_negative_reference_count_rejected():
@@ -224,7 +290,7 @@ def leakages(h, beams, config, mask):
 def test_refim_leakage_empty_refs_is_selfish_mode():
     config = NetworkConfig(M=2, N=1, K=2, Nt=2)
     h = synthetic_channels(config, 7)
-    leak = leakages(h, random_beams(config, 8), config, reference_map(h, config) < 0)
+    leak = leakages(h, random_beams(config, 8), config, reference_mask(h, config, 0))
     assert np.all(leak == 0.0)
 
 
@@ -232,7 +298,7 @@ def test_refim_leakage_single_reference_is_rank_one():
     config = NetworkConfig()
     h = realize_network(config, 9)[1]
     beams = random_beams(config, 10, scale=0.2)
-    leak = leakages(h, beams, config, reference_map(h, config) < 1)
+    leak = leakages(h, beams, config, reference_mask(h, config, 1))
     evals = np.sort(np.linalg.eigvalsh(leak), axis=-1)[..., ::-1]
     assert np.all(evals[..., 0] > 0.0)
     assert np.all(evals[..., 1] <= 1e-10 * np.trace(leak, axis1=-2, axis2=-1).real)
@@ -243,7 +309,7 @@ def test_refim_leakage_all_candidates_equals_full():
     h = realize_network(config, 11)[1]
     beams = random_beams(config, 12, scale=0.2)
     truncated = leakages(h, beams, config,
-                         reference_map(h, config) < config.M * config.K - 1)
+                         reference_mask(h, config, config.M * config.K - 1))
     full = leakages(h, beams, config, full_mask(config))
     dev = np.linalg.norm(truncated - full, axis=(-2, -1))
     assert np.all(dev <= 1e-12 * np.maximum(np.linalg.norm(full, axis=(-2, -1)), 1e-300))
@@ -329,8 +395,8 @@ def test_cb_refim_gamma_h_matches_the_rank_one_recursion(seed, gamma_db):
     h = realize_network(config, seed)[1]
     q = _q_from_link(config, link_state(h, init_mslnr(h, config), config))
     counts = np.arange(config.n_users)
-    masks = reference_map(h, config) < counts[:, None, None, None, None]
     stack = np.broadcast_to(h, counts.shape + h.shape)
+    masks = reference_mask(stack, config, counts)
     leak = _all_leakages(stack, q, masks)                      # (count, M, K, N, Nt, Nt)
     ev = DualEvaluator(stack, leak, config, "direct")
     coeffs = _victim_weights(masks, q)                         # (count, M, K, N, MK)

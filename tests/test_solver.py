@@ -10,7 +10,7 @@ from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_cm, init_mslnr
 from cbsim.metrics import bs_powers, link_state, sinr_of_link, weighted_sum_rate
 from cbsim.network import realize_network
-from cbsim.refim import reference_map
+from cbsim.refim import reference_mask
 from cbsim.solver import (LN2, DualEvaluator, _all_leakages, _betas_power,
                           _q_from_link, beta, finite_difference_gradient, full_mask,
                           gamma_direct, gamma_sherman_morrison, interference_all,
@@ -273,7 +273,7 @@ def bisection_setup(seed, gamma_db=30.0, refs=None):
     config = NetworkConfig(M=2, N=2, K=2, Nt=2, gamma_db=gamma_db)
     h = realize_network(config, seed)[1]
     beams = init_mslnr(h, config)
-    mask = full_mask(config) if refs is None else reference_map(h, config) < refs
+    mask = full_mask(config) if refs is None else reference_mask(h, config, refs)
     leakages = _all_leakages(h, _q_from_link(config, link_state(h, beams, config)), mask)
     return config, h, leakages, interference_all(h, beams, config)
 
