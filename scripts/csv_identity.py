@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Write a fixed matrix of experiment CSVs and their SHA256SUMS into OUTDIR.
 
-A change that must not move any result is checked by running this script
-from two checkouts into two directories and comparing the sums:
+A change that must not move any result is checked by running one copy of
+this script (the change's, so both sides write the same matrix) against
+each tree's sources into two directories and comparing the sums:
 
-    PYTHONPATH=src python3 scripts/csv_identity.py /tmp/before    # parent
-    PYTHONPATH=src python3 scripts/csv_identity.py /tmp/after     # change
+    PYTHONPATH=<parent>/src python3 scripts/csv_identity.py /tmp/before
+    PYTHONPATH=src python3 scripts/csv_identity.py /tmp/after
     diff /tmp/before/SHA256SUMS /tmp/after/SHA256SUMS
     diff /tmp/before/dumps/DUMPSUMS /tmp/after/dumps/DUMPSUMS
 
@@ -22,8 +23,12 @@ The matrix: convergence, snr_sweep, ref_sweep and cdf at desk scale and at
 the single cell (1, 2, 2, 2), plus the feedback table, each at seeds 1 and
 2 with 4 trials, gamma = 10, 30 and 50 dB and no timestamp line. The four
 solver kinds run once more at desk scale with ``--workers 2``, so the
-trials are split into groups and across processes. zf is left out where a
-cell has more users than antennas.
+trials are split into groups and across processes, and once more at desk
+scale with 24 trials at seed 1: numpy adds fewer than 8 terms one by one
+but more in eight interleaved partial sums, so these runs put the second
+path under the check too (a reordered sum shows only where its last-bit
+change reaches the 12 significant digits the CSVs print). zf is left out
+where a cell has more users than antennas.
 Every run goes through the ``sim`` command line; a config file sets the
 network size, and at (3, 3, 3, 4) also every other network and solver key
 (pmax, the iteration caps, lambda_min, both tolerances and refs) at a
@@ -141,6 +146,11 @@ def main() -> None:
             run([kind, *COMMON, "--workers", "2", "--seed", str(seed), "--algo", ",".join(ALGOS),
                  "--out", str(path)])
             csvs.append(path)
+    for kind in KINDS:                       # the later --trials wins over COMMON's
+        path = out / f"{kind}_desk_t24_s1.csv"
+        run([kind, *COMMON, "--trials", "24", "--seed", "1", "--algo", ",".join(ALGOS),
+             "--out", str(path)])
+        csvs.append(path)
     for seed in SEEDS:
         path = out / f"feedback_s{seed}.csv"
         run(["feedback", "--trials", "4", "--seed", str(seed), "--no-timestamp",

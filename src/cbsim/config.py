@@ -58,12 +58,18 @@ def one_of(names) -> Rule:
     return Rule(str.strip, lambda v: isinstance(v, str) and v in names, f"one of {sorted(names)}")
 
 
-def list_of(rule: Rule) -> Rule:
-    """Comma-separated entries, each by ``rule``; empty items are skipped."""
+def list_of(rule: Rule, fmt: str | None = None) -> Rule:
+    """Comma-separated entries, each by ``rule``; empty items are skipped.
+    No two entries may be equal, nor, given ``fmt``, print alike in it."""
+    def label(v):
+        return v if fmt is None else format(v, fmt)
+
     return Rule(lambda text: tuple(rule.parse(tok) for tok in text.split(",") if tok.strip()),
                 lambda v: (isinstance(v, (tuple, list)) and len(v) > 0
-                           and all(map(rule.check, v)) and len(set(v)) == len(v)),
-                f"a non-empty list of distinct entries, each {rule.wants}")
+                           and all(map(rule.check, v)) and len(set(map(label, v))) == len(v)),
+                f"a non-empty list of "
+                f"{'distinct entries' if fmt is None else f'entries distinct in format {fmt!r}'}, "
+                f"each {rule.wants}")
 
 
 FINITE = Rule(float, is_finite_number, "a finite number")

@@ -8,6 +8,12 @@ Five experiment kinds are supported:
   cdf          sorted per-user total rates (empirical CDF support)
   feedback     inter-BS feedback bits versus users-per-cell and antennas
 
+The four solver kinds share one table: a row is one algorithm, or in a
+ref_sweep cb_refim at one reference count (:func:`_rows`), and the results
+are arrays with leading (row, trial, SNR) axes -- the weighted sum-rate,
+the sum-rate after each outer iteration and the per-user rates -- from the
+solve batch through the stacking of kept trials to the CSV writers.
+
 Reproducibility: trial t derives its RNG state from
 ``numpy.random.SeedSequence((master_seed, t))``, and a solve's result does
 not depend on the batch it shares with other trials, so results are
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import MISSING, dataclass, field, replace
+from dataclasses import MISSING, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,7 +58,8 @@ class ExperimentSpec:
     kind: str = setting(MISSING, one_of(EXPERIMENT_KINDS), key=None)
     trials: int = setting(100, integer(1), flag="--trials", help="Monte-Carlo trials")
     seed: int = setting(0, integer(0), flag="--seed", help="master seed")
-    gamma_db: tuple[float, ...] = setting((30.0,), list_of(FINITE), flag="--gamma-db",
+    # ":g" labels each SNR point in the CSVs and the trace file names
+    gamma_db: tuple[float, ...] = setting((30.0,), list_of(FINITE, "g"), flag="--gamma-db",
                                           help="comma separated transmit SNR list in dB")
     algos: tuple[str, ...] = setting(DEFAULT_ALGOS, list_of(one_of(SOLVER_ALGOS | BASELINE_ALGOS)),
                                      flag="--algo", help="comma separated algorithm list")
@@ -91,38 +98,31 @@ def trial_seeds(master_seed: int, trial: int) -> tuple[int, int]:
     return int(s_topo), int(s_chan)
 
 
-@dataclass
-class TrialResult:
-    """Everything one channel realization contributes to the aggregates."""
-    trial: int
-    final_wsr: dict = field(default_factory=dict)        # (algo, gamma|refs) -> float
-    outer_traces: dict = field(default_factory=dict)     # (algo, gamma) -> list[float]
-    user_rates: dict = field(default_factory=dict)       # (algo, gamma) -> (M*K,) array
+def _rows(config: NetworkConfig, spec: ExperimentSpec) -> list[tuple[str, int | None]]:
+    """The rows of a run, in CSV order: (algorithm, swept reference count or
+    None). A ref_sweep lists the algorithms other than cb_refim, then
+    cb_refim once per reference count 0..MK-1; every other kind lists
+    ``spec.algos``."""
+    if spec.kind != "ref_sweep":
+        return [(algo, None) for algo in spec.algos]
+    return ([(algo, None) for algo in spec.algos if algo != "cb_refim"]
+            + [("cb_refim", refs) for refs in range(config.M * config.K)])
 
 
-def _solves(spec: ExperimentSpec, ref_counts: tuple[int, ...] | None
-            ) -> list[tuple[str, int]]:
-    """The (solver, reference count) solves of one draw: each solver of
-    ``spec.algos`` at ``spec.refs``, cb_refim at every one of ``ref_counts``
-    instead when given."""
-    return [(algo, refs) for algo in spec.algos if algo in SOLVER_ALGOS
-            for refs in (ref_counts if algo == "cb_refim" and ref_counts is not None
-                         else (spec.refs,))]
-
-
-def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
-                      trials: tuple[int, ...],
-                      ref_counts: tuple[int, ...] | None = None) -> list[TrialResult]:
+def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec, trials: tuple[int, ...]
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Channel realizations ``trials`` as one stack with leading (trial,
-    gamma) axes. Returns one result per trial, in order.
+    gamma) axes. Returns three arrays with leading (row, trial, gamma) axes,
+    the rows those of :func:`_rows`: the weighted sum-rate, the sum-rate
+    after each of the L_out_max outer iterations (continued past the end of
+    a solve, flat for a baseline) and the MK user rates.
 
     Each trial's raw draw is normalized at every SNR point in one broadcast.
     Each initializer runs once on the stack, for its baseline row and every
-    solver start; one :func:`solver.solve_batch` runs every (algorithm, trial,
-    gamma) solve, cb_refim at every one of ``ref_counts`` when given; one
-    batched link state rates every row. A solve's result does not depend on
-    its batch, so each trial's result is bit-identical to a call on that
-    trial alone.
+    solver start; one :func:`solver.solve_batch` runs every (solver row,
+    trial, gamma) solve; one batched link state rates every row. A solve's
+    result does not depend on its batch, so each trial's slice is
+    bit-identical to a call on that trial alone.
     """
     sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in spec.gamma_db]
     draws = []
@@ -136,51 +136,44 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec,
             dump_channels_csv(draws[-1][0], f"{spec.dump_prefix}_channels.csv")
     h = np.stack(draws)
     shape = h.shape[:2]                                         # (trial, gamma)
-    baselines = [algo for algo in spec.algos if algo in BASELINE_ALGOS]
-    solves = _solves(spec, ref_counts)
+    rows = _rows(config, spec)
+    solves = [i for i, (algo, _) in enumerate(rows) if algo in SOLVER_ALGOS]
     inits = {name: initializers.make_initial_beams(name, h, config)
-             for name in dict.fromkeys(baselines + ([spec.init] if solves else []))}
-    # one row per baseline and per solve: algo, the reference count of a
-    # ref_sweep key or None, and beams and traces by (trial, gamma)
-    rows = [(algo, None, inits[algo], None) for algo in baselines]
+             for name in dict.fromkeys([algo for algo, _ in rows if algo in BASELINE_ALGOS]
+                                       + ([spec.init] if solves else []))}
+    beams = [inits.get(algo) for algo, _ in rows]               # a solver's filled in below
+    traces = []
     if solves:
         def per_solve(x):       # (trial, gamma, ...) -> (solve * trial * gamma, ...)
             return np.concatenate([x] * len(solves)).reshape((-1,) + x.shape[2:])
 
         each = shape[0] * shape[1]
-        beams, traces = solver.solve_batch(
+        solved, traces = solver.solve_batch(
             per_solve(h), config, per_solve(inits[spec.init]),
-            [algo for algo, _ in solves for _ in range(each)],
-            [refs for _, refs in solves for _ in range(each)])
-        beams = beams.reshape((len(solves),) + shape + beams.shape[1:])
-        traces = np.array(traces, dtype=object).reshape((len(solves),) + shape)
-        rows += [(algo, refs if algo == "cb_refim" and ref_counts is not None else None,
-                  beams[s], traces[s]) for s, (algo, refs) in enumerate(solves)]
-    link = metrics.link_state(h, np.stack([row[2] for row in rows]), config)
-    wsr = metrics.sum_rate_of_link(config, link).tolist()
+            [rows[i][0] for i in solves for _ in range(each)],
+            [spec.refs if rows[i][1] is None else rows[i][1] for i in solves for _ in range(each)])
+        solved = solved.reshape((len(solves),) + shape + solved.shape[1:])
+        for s, i in enumerate(solves):
+            beams[i] = solved[s]
+    traces = np.array(traces, dtype=object).reshape((len(solves),) + shape)
+    link = metrics.link_state(h, np.stack(beams), config)
+    wsr = metrics.sum_rate_of_link(config, link)
     user_rates = np.sum(np.log2(1.0 + metrics.sinr_of_link(config, link))
                         * config.assignment, axis=-1)
-    results = [TrialResult(trial=t) for t in trials]
     cap = config.L_out_max
-    for (algo, refs, _, row_traces), row_wsr, row_rates in zip(rows, wsr, user_rates):
-        for i, (t, result) in enumerate(zip(trials, results)):
-            for j, gamma in enumerate(spec.gamma_db):
-                trace = None if row_traces is None else row_traces[i, j]
-                key = (algo, gamma) if refs is None else (algo, gamma, refs)
-                result.final_wsr[key] = row_wsr[i][j]
-                # the sum-rate after each outer iteration, continued past the
-                # end of the solve so that every row has L_out_max points
-                series = [row_wsr[i][j]] if trace is None else trace.outer_sum_rates
-                result.outer_traces[(algo, gamma)] = (series + series[-1:] * cap)[:cap]
-                result.user_rates[(algo, gamma)] = row_rates[i, j].ravel()
-                if spec.dump_prefix and t == 0 and trace is not None:
-                    suffix = "" if refs is None else f"_r{refs}"
-                    trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
-    return results
+    outer = np.repeat(wsr[..., None], cap, axis=-1)
+    outer[solves] = np.reshape([(t.outer_sum_rates + t.outer_sum_rates[-1:] * cap)[:cap]
+                                for t in traces.flat], traces.shape + (cap,))
+    if spec.dump_prefix and 0 in trials:
+        for i, row_traces in zip(solves, traces[:, trials.index(0)]):
+            algo, refs = rows[i]
+            suffix = "" if refs is None else f"_r{refs}"
+            for gamma, trace in zip(spec.gamma_db, row_traces):
+                trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
+    return wsr, outer, user_rates.reshape(wsr.shape + (-1,))
 
 
-def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec,
-                      ref_counts: tuple[int, ...] | None) -> int:
+def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec) -> int:
     """Trials per group: the fewest near-equal groups whose solver batch (every
     solver solve of its trials) keeps its victim weights (float64, MK per
     triple) and leakage matrices (complex128, Nt^2 per triple) within
@@ -188,33 +181,37 @@ def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec,
     one trial."""
     triples = config.M * config.K * config.N
     per_solve = triples * (8 * config.M * config.K + 16 * config.Nt ** 2)
-    per_trial = per_solve * len(spec.gamma_db) * len(_solves(spec, ref_counts))
+    solves = sum(algo in SOLVER_ALGOS for algo, _ in _rows(config, spec))
+    per_trial = per_solve * len(spec.gamma_db) * solves
     cap = max(1, BATCH_BYTES // max(per_trial, 1))
     groups = max(-(-spec.trials // cap), min(spec.workers, spec.trials))
     return -(-spec.trials // groups)
 
 
-def _run_group(config: NetworkConfig, spec: ExperimentSpec, trials: tuple[int, ...],
-               ref_counts: tuple[int, ...] | None) -> list[TrialResult | str]:
-    """Each trial's result, or its error text if it raised one of TRIAL_ERRORS.
+def _run_group(config: NetworkConfig, spec: ExperimentSpec, trials: tuple[int, ...]
+               ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray] | str]:
+    """Each trial's slice of the :func:`run_solver_trials` arrays, or its
+    error text if it raised one of TRIAL_ERRORS.
 
     The group runs as one; if it raises, each trial runs again on its own,
     so a failure excludes only the trial that raised it.
     """
     try:
-        return run_solver_trials(config, spec, trials, ref_counts)
+        arrays = run_solver_trials(config, spec, trials)
     except TRIAL_ERRORS as exc:
         if len(trials) == 1:
             return [str(exc)]
-    return [out for t in trials for out in _run_group(config, spec, (t,), ref_counts)]
+        return [out for t in trials for out in _run_group(config, spec, (t,))]
+    return [tuple(a[:, i] for a in arrays) for i in range(len(trials))]
 
 
 def _check_zero_forcing(config: NetworkConfig, spec: ExperimentSpec) -> None:
-    """Fail before any trial runs if the run uses zero-forcing, as a baseline
+    """Fail before any trial runs if a row uses zero-forcing, as a baseline
     or as the solvers' start, where the assignment crowds a cell."""
-    if "zf" in spec.algos:
+    algos = {algo for algo, _ in _rows(config, spec)}
+    if "zf" in algos:
         use = "algos lists zf"
-    elif spec.init == "zf" and SOLVER_ALGOS.intersection(spec.algos):
+    elif spec.init == "zf" and SOLVER_ALGOS & algos:
         use = "init = zf"
     else:
         return
@@ -224,35 +221,36 @@ def _check_zero_forcing(config: NetworkConfig, spec: ExperimentSpec) -> None:
         raise ConfigurationError(f"{use}, but {exc}") from None
 
 
-def _run_trials(config: NetworkConfig, spec: ExperimentSpec,
-                ref_counts: tuple[int, ...] | None = None) -> tuple[list[TrialResult], int]:
-    """Run all trials in contiguous groups (optionally in worker processes);
-    order is by trial index.
+def _run_trials(config: NetworkConfig, spec: ExperimentSpec
+                ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]:
+    """The :func:`run_solver_trials` arrays of every kept trial, stacked
+    along the trial axis in trial order, and the number of failed trials.
+    Trials run in contiguous groups, optionally in worker processes.
 
     Failed trials (a cbsim error or a singular linear solve) are excluded
     from the aggregates; the exclusion count is reported so the statistics
     stay honest. Any other exception ends the run.
     """
     _check_zero_forcing(config, spec)
-    size = _trials_per_group(config, spec, ref_counts)
+    size = _trials_per_group(config, spec)
     groups = [tuple(range(lo, min(lo + size, spec.trials)))
               for lo in range(0, spec.trials, size)]
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor    # only workers need the pool
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = [pool.submit(_run_group, config, spec, g, ref_counts) for g in groups]
+            futures = [pool.submit(_run_group, config, spec, g) for g in groups]
             outcomes = [out for future in futures for out in future.result()]
     else:
-        outcomes = [out for g in groups for out in _run_group(config, spec, g, ref_counts)]
+        outcomes = [out for g in groups for out in _run_group(config, spec, g)]
     failures = 0
     for t, outcome in enumerate(outcomes):
         if isinstance(outcome, str):
             failures += 1
             print(f"warning: trial {t} failed: {outcome}", file=sys.stderr)
-    kept = [r for r in outcomes if not isinstance(r, str)]
+    kept = [out for out in outcomes if not isinstance(out, str)]
     if not kept:
         raise InvalidStateError(f"every trial failed ({failures} errors)")
-    return kept, failures
+    return tuple(np.stack(parts, axis=1) for parts in zip(*kept)), failures
 
 
 def _open_csv(spec: ExperimentSpec):
@@ -267,72 +265,61 @@ def _open_csv(spec: ExperimentSpec):
 
 def _run_convergence(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """Columns: algo, gamma_db, outer_iter (1-based), mean_sum_rate, trials."""
-    results, failures = _run_trials(config, spec)
+    (_, outer, _), failures = _run_trials(config, spec)
+    used = outer.shape[1]
     with _open_csv(spec) as fh:
         writer = csv.writer(fh)
         writer.writerow(["algo", "gamma_db", "outer_iter", "mean_sum_rate", "trials"])
-        for algo in spec.algos:
-            for gamma in spec.gamma_db:
-                series = np.array([r.outer_traces[(algo, gamma)] for r in results])
-                mean = series.mean(axis=0)
-                for it in range(mean.shape[0]):
-                    writer.writerow([algo, f"{gamma:g}", it + 1,
-                                     f"{mean[it]:.12g}", len(results)])
-    return len(results), failures
+        for (algo, _), row in zip(_rows(config, spec), outer):
+            for j, gamma in enumerate(spec.gamma_db):
+                for it, mean in enumerate(row[:, j].mean(axis=0)):
+                    writer.writerow([algo, f"{gamma:g}", it + 1, f"{mean:.12g}", used])
+    return used, failures
 
 
 def _run_snr_sweep(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """Columns: algo, gamma_db, mean_sum_rate, std_sum_rate, trials."""
-    results, failures = _run_trials(config, spec)
+    (wsr, _, _), failures = _run_trials(config, spec)
+    used = wsr.shape[1]
     with _open_csv(spec) as fh:
         writer = csv.writer(fh)
         writer.writerow(["algo", "gamma_db", "mean_sum_rate", "std_sum_rate", "trials"])
-        for algo in spec.algos:
-            for gamma in spec.gamma_db:
-                vals = np.array([r.final_wsr[(algo, gamma)] for r in results])
+        for (algo, _), row in zip(_rows(config, spec), wsr):
+            for gamma, vals in zip(spec.gamma_db, row.T):
                 writer.writerow([algo, f"{gamma:g}", f"{vals.mean():.12g}",
-                                 f"{vals.std():.12g}", len(results)])
-    return len(results), failures
+                                 f"{vals.std():.12g}", used])
+    return used, failures
 
 
 def _run_ref_sweep(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
-    """cb_refim swept over reference counts 0..MK-1 plus the requested
-    baselines. Columns: algo, refs, gamma_db, mean_sum_rate, trials."""
-    ref_counts = tuple(range(config.M * config.K))
-    baselines = tuple(a for a in spec.algos if a != "cb_refim")
-    sweep_spec = replace(spec, algos=baselines + ("cb_refim",))
-    results, failures = _run_trials(config, sweep_spec, ref_counts=ref_counts)
+    """cb_refim swept over reference counts 0..MK-1 plus the other requested
+    algorithms, per SNR point. Columns: algo, refs (empty but for the
+    sweep), gamma_db, mean_sum_rate, trials."""
+    (wsr, _, _), failures = _run_trials(config, spec)
+    used = wsr.shape[1]
     with _open_csv(spec) as fh:
         writer = csv.writer(fh)
         writer.writerow(["algo", "refs", "gamma_db", "mean_sum_rate", "trials"])
-        for gamma in spec.gamma_db:
-            for algo in baselines:
-                vals = np.array([r.final_wsr[(algo, gamma)] for r in results])
-                writer.writerow([algo, "", f"{gamma:g}", f"{vals.mean():.12g}",
-                                 len(results)])
-            for refs in ref_counts:
-                vals = np.array([r.final_wsr[("cb_refim", gamma, refs)]
-                                 for r in results])
-                writer.writerow(["cb_refim", refs, f"{gamma:g}",
-                                 f"{vals.mean():.12g}", len(results)])
-    return len(results), failures
+        for j, gamma in enumerate(spec.gamma_db):
+            for (algo, refs), vals in zip(_rows(config, spec), wsr[:, :, j]):
+                writer.writerow([algo, refs, f"{gamma:g}", f"{vals.mean():.12g}", used])
+    return used, failures
 
 
 def _run_cdf(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
     """Columns: algo, gamma_db, user_rate, ecdf (sorted ascending per algo)."""
-    results, failures = _run_trials(config, spec)
+    (_, _, rates), failures = _run_trials(config, spec)
     with _open_csv(spec) as fh:
         writer = csv.writer(fh)
         writer.writerow(["algo", "gamma_db", "user_rate", "ecdf"])
-        for algo in spec.algos:
-            for gamma in spec.gamma_db:
-                samples = np.sort(np.concatenate(
-                    [r.user_rates[(algo, gamma)] for r in results]))
+        for (algo, _), row in zip(_rows(config, spec), rates):
+            for j, gamma in enumerate(spec.gamma_db):
+                samples = np.sort(row[:, j].ravel())
                 n = samples.size
                 for idx, rate in enumerate(samples):
                     writer.writerow([algo, f"{gamma:g}", f"{rate:.12g}",
                                      f"{(idx + 1) / n:.8g}"])
-    return len(results), failures
+    return rates.shape[1], failures
 
 
 def _draws_per_stack(config: NetworkConfig) -> int:

@@ -212,12 +212,12 @@ def test_grouping_does_not_change_results(tmp_path, monkeypatch, kind):
     the same bytes."""
     config = small_config()
     spec = dict(trials=3, gamma_db=(10.0, 30.0), algos=("cm", "icbf", "cb_refim"))
-    assert experiments._trials_per_group(config, small_spec(kind, "x", **spec), None) == 3
+    assert experiments._trials_per_group(config, small_spec(kind, "x", **spec)) == 3
     one_group, two_workers = tmp_path / "one.csv", tmp_path / "w2.csv"
     run_experiment(config, small_spec(kind, one_group, **spec))
     run_experiment(config, small_spec(kind, two_workers, workers=2, **spec))
     monkeypatch.setattr(experiments, "BATCH_BYTES", 1)
-    assert experiments._trials_per_group(config, small_spec(kind, "x", **spec), None) == 1
+    assert experiments._trials_per_group(config, small_spec(kind, "x", **spec)) == 1
     solo = tmp_path / "solo.csv"
     run_experiment(config, small_spec(kind, solo, **spec))
     assert one_group.read_bytes() == solo.read_bytes() == two_workers.read_bytes()
@@ -232,11 +232,11 @@ def test_group_budget_counts_every_solver_solve(monkeypatch):
     one_algo, all_algos = 3 * per_solve, 9 * per_solve   # per trial: 17,496 and 52,488
     monkeypatch.setattr(experiments, "BATCH_BYTES", 40_000)
     assert one_algo < experiments.BATCH_BYTES < all_algos
-    assert experiments._trials_per_group(config, spec, None) == 1
+    assert experiments._trials_per_group(config, spec) == 1
     monkeypatch.setattr(experiments, "BATCH_BYTES", 2 * all_algos)
-    assert experiments._trials_per_group(config, spec, None) == 2
+    assert experiments._trials_per_group(config, spec) == 2
     baselines = ExperimentSpec(kind="snr_sweep", trials=6, algos=("cm", "zf"))
-    assert experiments._trials_per_group(config, baselines, None) == 6
+    assert experiments._trials_per_group(config, baselines) == 6
 
 
 def test_one_solve_batch_per_group(tmp_path, monkeypatch):
@@ -265,46 +265,46 @@ def test_one_solve_batch_per_group(tmp_path, monkeypatch):
 def test_trial_results_independent_of_other_trials():
     config = small_config()
     spec3 = small_spec("snr_sweep", "unused.csv", trials=3)
-    solo = run_solver_trials(config, spec3, (2,))[0]
-    again = run_solver_trials(config, small_spec("snr_sweep", "unused.csv", trials=9), (2,))[0]
-    key = ("icbf", 20.0)
-    assert solo.final_wsr[key] == again.final_wsr[key]
+    solo, _, _ = run_solver_trials(config, spec3, (2,))
+    again, _, _ = run_solver_trials(config, small_spec("snr_sweep", "unused.csv", trials=9), (2,))
+    icbf_at_20 = (1, 0, 0)                        # (row, trial, gamma)
+    assert solo[icbf_at_20] == again[icbf_at_20]
 
 
 def test_harness_matches_a_loop_of_single_solves():
     """run_solver_trials on 3 trials at 2 SNR points, with cb_refim swept over
-    0, 1 and 2 references, equals bit for bit a loop over (trial, gamma) that
-    normalizes, initializes, solves and rates each draw on its own."""
+    0..MK-1 = 0..3 references, equals bit for bit a loop over (trial, gamma)
+    that normalizes, initializes, solves and rates each draw on its own."""
     config = small_config()
     spec = small_spec("ref_sweep", "unused.csv", trials=3, gamma_db=(10.0, 30.0),
                       algos=("cm", "mslnr", "icbf", "icbf_wi", "cb_refim"))
-    ref_counts = (0, 1, 2)
-    got = experiments.run_solver_trials(config, spec, (0, 1, 2), ref_counts)
-    for t, result in zip((0, 1, 2), got, strict=True):
-        want = experiments.TrialResult(trial=t)
+    rows = [(algo, None) for algo in ("cm", "mslnr", "icbf", "icbf_wi")]
+    rows += [("cb_refim", r) for r in range(4)]
+    assert experiments._rows(config, spec) == rows
+    shape = (len(rows), 3, len(spec.gamma_db))
+    want = (np.zeros(shape), np.zeros(shape + (config.L_out_max,)),
+            np.zeros(shape + (config.M * config.K,)))
+    for t in range(3):
         s_topo, s_chan = trial_seeds(spec.seed, t)
         topology = build_topology(config, s_topo)
         raw, shadow = draw_channels(topology, config, s_chan)
-        for gamma in spec.gamma_db:
+        for j, gamma in enumerate(spec.gamma_db):
             cfg = config.with_gamma_db(gamma)
             h = apply_noise(topology, cfg, raw, shadow)
             start = initializers.make_initial_beams(spec.init, h, cfg)
-            for algo in spec.algos:
+            for row, (algo, refs) in enumerate(rows):
                 if algo not in solver.ALGORITHMS:
-                    runs = [(None, initializers.make_initial_beams(algo, h, cfg), None)]
-                elif algo == "cb_refim":
-                    runs = [(r, *solver.solve(h, cfg, start, algo, r)) for r in ref_counts]
+                    beams, trace = initializers.make_initial_beams(algo, h, cfg), None
                 else:
-                    runs = [(None, *solver.solve(h, cfg, start, algo, spec.refs))]
-                for refs, beams, trace in runs:
-                    report = metrics.rate_report(h, beams, cfg)
-                    key = (algo, gamma) if refs is None else (algo, gamma, refs)
-                    want.final_wsr[key] = report.weighted_sum_rate
-                    series = trace.outer_sum_rates if trace else [report.weighted_sum_rate]
-                    pad = [series[-1]] * (cfg.L_out_max - len(series))
-                    want.outer_traces[(algo, gamma)] = series + pad
-                    want.user_rates[(algo, gamma)] = report.user_rates.ravel()
-        assert_same_results(result, want)
+                    beams, trace = solver.solve(h, cfg, start, algo,
+                                                spec.refs if refs is None else refs)
+                report = metrics.rate_report(h, beams, cfg)
+                want[0][row, t, j] = report.weighted_sum_rate
+                series = trace.outer_sum_rates if trace else [report.weighted_sum_rate]
+                pad = [series[-1]] * (cfg.L_out_max - len(series))
+                want[1][row, t, j] = series + pad
+                want[2][row, t, j] = report.user_rates.ravel()
+    assert_same_results(experiments.run_solver_trials(config, spec, (0, 1, 2)), want)
 
 
 def test_each_initializer_runs_once_per_group(monkeypatch):
@@ -322,7 +322,7 @@ def test_each_initializer_runs_once_per_group(monkeypatch):
         monkeypatch.setitem(initializers.INITIALIZERS, name, counting(name, init))
     spec = small_spec("ref_sweep", "unused.csv", trials=3, gamma_db=(10.0, 30.0),
                       algos=("cm", "mslnr", "icbf", "cb_refim"))
-    experiments.run_solver_trials(small_config(), spec, (0, 1, 2), ref_counts=(0, 1, 2))
+    experiments.run_solver_trials(small_config(), spec, (0, 1, 2))
     assert calls == [("cm", (3, 2)), ("mslnr", (3, 2))]
 
 
@@ -335,7 +335,7 @@ def test_spec_validation():
                        ("workers", -4), ("qbits", 0), ("k_list", ()), ("nt_list", ()),
                        ("algos", ()), ("gamma_db", (10.0, 30.0, 10.0)),
                        ("algos", ("cm", "icbf", "icbf")), ("k_list", (2, 3, 2)),
-                       ("nt_list", (2, 2))]:
+                       ("nt_list", (2, 2)), ("gamma_db", (10.0, 10.0000001))]:
         with pytest.raises(ConfigurationError, match=key):
             ExperimentSpec(kind="feedback", **{key: value})
     for key, value, bad in [("k_list", (2, 2.5), "2.5"), ("nt_list", (2, 2.9), "2.9"),
@@ -438,6 +438,7 @@ def test_cli_rejects_bad_config(tmp_path):
     ("init", ["--init", "mrc"], ""),
     ("seed", ["--seed", "abc"], ""),
     ("trials", ["--trials", "2.5"], ""),
+    ("gamma_db", ["--gamma-db", "10,10.0000001"], ""),
 ])
 def test_cli_rejects_bad_value_naming_its_key(tmp_path, capsys, key, flags, lines):
     cfg = tmp_path / "run.cfg"
@@ -477,18 +478,21 @@ def test_cli_rejects_unsupported_cluster_size_at_config_time(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("algos, init, use", [
-    ("cm,zf,icbf", "mslnr", "algos lists zf"),
-    ("cm,icbf", "zf", "init = zf"),
-], ids=["baseline", "start"])
+@pytest.mark.parametrize("kind, algos, init, use", [
+    ("snr_sweep", "cm,zf,icbf", "mslnr", "algos lists zf"),
+    ("snr_sweep", "cm,icbf", "zf", "init = zf"),
+    ("ref_sweep", "cm", "zf", "init = zf"),
+], ids=["baseline", "start", "ref_sweep_start"])
 def test_crowded_zero_forcing_fails_before_any_trial(tmp_path, monkeypatch, capsys,
-                                                      algos, init, use):
+                                                      kind, algos, init, use):
     """K=4 users per cell on Nt=2 antennas cannot be zero-forced: the run fails
-    at once, naming the setting and the crowded cell, with no trial run."""
+    at once, naming the setting and the crowded cell, with no trial run. A
+    ref_sweep always solves cb_refim, so it starts from zf whatever its
+    algos."""
     monkeypatch.setattr(experiments, "trial_seeds", failing_trial_seeds(set(range(3))))
     want = (f"{use}, but zero-forcing needs Nt >= active users per cell; "
             f"cell 0 subchannel 0 has 4 > Nt=2")
-    spec = small_spec("snr_sweep", tmp_path / "lib.csv", trials=3,
+    spec = small_spec(kind, tmp_path / "lib.csv", trials=3,
                       algos=tuple(algos.split(",")), init=init)
     with pytest.raises(ConfigurationError) as raised:
         run_experiment(NetworkConfig(K=4, Nt=2), spec)
@@ -496,7 +500,7 @@ def test_crowded_zero_forcing_fails_before_any_trial(tmp_path, monkeypatch, caps
     cfg = tmp_path / "crowded.cfg"
     cfg.write_text("K = 4\nNt = 2\n")
     out = tmp_path / "cli.csv"
-    code = main(["snr_sweep", "--config", str(cfg), "--algo", algos, "--init", init,
+    code = main([kind, "--config", str(cfg), "--algo", algos, "--init", init,
                  "--trials", "3", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {want}\n"
@@ -565,12 +569,16 @@ def test_ref_sweep_dump_names_each_reference_count(tmp_path):
 
 
 def assert_same_results(got, want):
-    assert got.trial == want.trial
-    assert got.final_wsr == want.final_wsr
-    assert got.outer_traces == want.outer_traces
-    assert got.user_rates.keys() == want.user_rates.keys()
-    for key, rates in want.user_rates.items():
-        assert np.array_equal(got.user_rates[key], rates)
+    """The (sum-rate, outer series, user rates) arrays of run_solver_trials,
+    (row, trial, gamma) leading, are equal bit for bit."""
+    assert len(got) == len(want) == 3
+    for got_array, want_array in zip(got, want):
+        assert np.array_equal(got_array, want_array)
+
+
+def stacked(results):
+    """Single-trial run_solver_trials results joined along the trial axis."""
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*results))
 
 
 def failing_trial_seeds(doomed):
@@ -585,8 +593,8 @@ def failing_trial_seeds(doomed):
 def test_failed_trials_are_excluded_with_warning(tmp_path, monkeypatch, capsys):
     config = small_config()
     spec = small_spec("snr_sweep", tmp_path / "flaky.csv", trials=3, algos=("cm", "icbf"))
-    solo = [run_solver_trials(config, spec, (t,))[0] for t in (0, 2)]
-    assert experiments._trials_per_group(config, spec, None) == 3
+    solo = stacked(run_solver_trials(config, spec, (t,)) for t in (0, 2))
+    assert experiments._trials_per_group(config, spec) == 3
     monkeypatch.setattr(experiments, "trial_seeds", failing_trial_seeds({1}))
     run_experiment(config, spec)
     _, rows = read_csv(spec.out)
@@ -596,8 +604,7 @@ def test_failed_trials_are_excluded_with_warning(tmp_path, monkeypatch, capsys):
     assert captured.err == "warning: trial 1 failed: injected failure\n"
     kept, failures = experiments._run_trials(config, spec)
     assert failures == 1
-    for got, want in zip(kept, solo, strict=True):
-        assert_same_results(got, want)
+    assert_same_results(kept, solo)
 
 
 def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
@@ -605,7 +612,7 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
     config = small_config()
     spec = small_spec("snr_sweep", tmp_path / "singular.csv", trials=3, algos=("icbf",),
                       gamma_db=(20.0, 30.0))
-    solo = [run_solver_trials(config, spec, (t,))[0] for t in (0, 2)]
+    solo = stacked(run_solver_trials(config, spec, (t,)) for t in (0, 2))
     doomed = trial_channels(config, spec.seed, 1, 30.0)
     real_solve, batches = solver.solve_batch, []
 
@@ -625,8 +632,7 @@ def test_singular_solve_excludes_only_its_trial(tmp_path, monkeypatch, capsys):
     assert captured.err == "warning: trial 1 failed: injected singular matrix\n"
     kept, failures = experiments._run_trials(config, spec)
     assert failures == 1
-    for got, want in zip(kept, solo, strict=True):
-        assert_same_results(got, want)
+    assert_same_results(kept, solo)
 
 
 def test_other_exceptions_end_the_run(tmp_path, monkeypatch):

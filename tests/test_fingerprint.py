@@ -49,13 +49,11 @@ def compute_fingerprint() -> dict:
     for t in range(FP_TRIALS):
         entry = {}
         for label, spec in _runs():
-            result = run_solver_trials(config, spec, (t,))[0]
-            for (algo, gamma), wsr in result.final_wsr.items():
+            wsr, _, user_rates = run_solver_trials(config, spec, (t,))
+            for algo, row_wsr, row_rates in zip(spec.algos, wsr[:, 0], user_rates[:, 0]):
                 name = algo if label == "all" else f"{algo}_{label}"
-                entry[f"{name}@{gamma:g}"] = {
-                    "wsr": wsr,
-                    "user_rates": result.user_rates[(algo, gamma)].tolist(),
-                }
+                for gamma, w, rates in zip(spec.gamma_db, row_wsr, row_rates):
+                    entry[f"{name}@{gamma:g}"] = {"wsr": float(w), "user_rates": rates.tolist()}
         trials.append(entry)
     rings = {str(m): build_topology(NetworkConfig(M=m, K=1), seed=0).bs_xy[m:].tolist()
              for m in (1, 2, 3)}
