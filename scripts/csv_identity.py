@@ -42,7 +42,9 @@ above) at desk scale.
 The per-step solver traces join the check too: one desk snr_sweep and one
 desk ref_sweep at seed 1 also write their ``--dump-prefix`` files (trial 0's
 topology, channels and one trace per solve) under OUTDIR/dumps, summed in
-OUTDIR/dumps/DUMPSUMS, so SHA256SUMS keeps its matrix of CSVs.
+OUTDIR/dumps/DUMPSUMS, so SHA256SUMS keeps its matrix of CSVs. So does one
+desk convergence run at seed 1 whose config file sets L_in_max = 2 and
+L_out_max = 2, so the dumps also hold traces whose loops end on the caps.
 """
 import argparse
 import contextlib
@@ -64,8 +66,10 @@ ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 TUNED = ("m3n3k3t4", "pmax = 2.5\nL_in_max = 25\nL_out_max = 3\nlambda_min = 1e-9\n"
                      "inner_tol = 1e-5\nouter_tol = 1e-3\nrefs = 2\n")
 FEEDBACK_LISTS = "k_list = 2, 4, 7\nnt_list = 1,3\nqbits = 6\nrefs = 3\n"
-#: The runs whose --dump-prefix files go under OUTDIR/dumps.
-DUMPED = ("snr_sweep", "ref_sweep")
+#: The runs whose --dump-prefix files go under OUTDIR/dumps: name, kind and
+#: the lines of its config file (none when empty).
+DUMPED = (("snr_sweep", "snr_sweep", ""), ("ref_sweep", "ref_sweep", ""),
+          ("convergence_capped", "convergence", "L_in_max = 2\nL_out_max = 2\n"))
 
 
 def write_sums(path: Path, files: list[Path]) -> None:
@@ -172,10 +176,15 @@ def main() -> None:
     write_sums(out / "SHA256SUMS", csvs)
     dumps = out / "dumps"
     dumps.mkdir(exist_ok=True)
-    for kind in DUMPED:
-        run([kind, *COMMON, "--seed", "1", "--algo", ",".join(ALGOS),
-             "--out", str(dumps / f"{kind}.csv"), "--dump-prefix", str(dumps / kind)])
-    dumped = sorted(p for kind in DUMPED for p in dumps.glob(f"{kind}_*.csv"))
+    for name, kind, lines in DUMPED:
+        flags = []
+        if lines:
+            cfg = dumps / f"{name}.cfg"
+            cfg.write_text(lines)
+            flags = ["--config", str(cfg)]
+        run([kind, *flags, *COMMON, "--seed", "1", "--algo", ",".join(ALGOS),
+             "--out", str(dumps / f"{name}.csv"), "--dump-prefix", str(dumps / name)])
+    dumped = sorted(p for name, _, _ in DUMPED for p in dumps.glob(f"{name}_*.csv"))
     write_sums(dumps / "DUMPSUMS", dumped)
     print(f"{len(csvs)} CSVs and SHA256SUMS, {len(dumped)} dumps and dumps/DUMPSUMS "
           f"written under {out}/")

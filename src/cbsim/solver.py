@@ -37,9 +37,9 @@ that share the network size and the config, each with its own algorithm
 (say every solver at every SNR point of a group of channel draws, or every
 reference count). The link state, leakages, evaluator and dual search carry
 a leading batch axis, so each inner step costs one set of numpy calls for
-all B solves whatever their algorithms; every solve keeps its own stop tests
-and leaves the batch when they say so, and its result is bit for bit what it
-would be alone. :func:`solve` is the B = 1 case.
+all B solves whatever their algorithms. Per-solve state lives in arrays, the
+stop tests are array comparisons, each result is bit for bit what it would
+be alone, and the traces are built after the loop. :func:`solve` is B = 1.
 """
 from __future__ import annotations
 
@@ -682,16 +682,17 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
     dual search, one beam update and one link-state pass over all of them,
     whatever their algorithms. Internally the solves run in a stable order of
     their Gamma modes (:data:`GAMMA_MODES`), so each mode is one block of the
-    evaluator's rows. Each solve keeps its own counters, stop tests and best
-    iterate, starts its next outer iteration (leakage and evaluator rebuilt
-    for it alone) when its own inner loop ends, and leaves the batch when its
-    outer loop ends, so it takes exactly the steps it would take alone.
-    Returns the best beams (B, M, K, N, Nt) and one :class:`SolverTrace` per
-    solve, both in the caller's order.
+    evaluator's rows. Each solve's counters, sum rates and best iterate are
+    entries of arrays, and its stop tests are array comparisons over the
+    running solves: it starts its next outer iteration (leakage and
+    evaluator rebuilt for it alone) when its own inner loop ends and leaves
+    the batch when its outer loop ends, so it takes exactly the steps it
+    would take alone. Returns the best beams (B, M, K, N, Nt) and one
+    :class:`SolverTrace` per solve, both in the caller's order.
 
-    The stationarity residual is not computed on the inner steps: once every
-    solve has ended, one batched pass takes each solve's
-    ``SolverTrace.final_residual`` at its returned beams and duals.
+    Each step logs its values as arrays, without the stationarity residual.
+    After the loop, one batched pass takes each solve's ``final_residual`` at
+    its returned beams and duals, and each trace is built once from the log.
     """
     beams = np.array(inits)
     is_array = isinstance(h, np.ndarray) and h.ndim > 0
@@ -730,25 +731,25 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
         masks[cb] = refim.reference_mask(h[cb], config, counts)
 
     link = link_state(h, beams, config)
-    # per solve, by batch position: latest and best sum-rate, best iterate, counters
-    wsr = sum_rate_of_link(config, link).tolist()
-    traces = [SolverTrace(algo=name, init_sum_rate=w) for name, w in zip(algos, wsr)]
-    best_wsr, best_beams = list(wsr), list(beams)
-    best_duals = np.full((n_solves, config.M), config.lambda_min)
-    h_all = h
-    prev_outer, outer, inner = list(wsr), [0] * n_solves, [0] * n_solves
+    now = sum_rate_of_link(config, link)
+    # per solve, by batch position: initial and best sum rate, best iterate, outer test
+    init_wsr, best_wsr = now.tolist(), now.copy()
+    best_beams, best_duals = beams, np.full((n_solves, config.M), config.lambda_min)
+    converged_outer = np.zeros(n_solves, dtype=bool)
+    h_all, mode_of, log = h, np.array(modes), []   # log: one tuple of arrays per step
 
-    # live lists the solves still running; h, link, ev and fresh follow its order
-    live = np.arange(n_solves)
-    fresh = [True] * n_solves                # starting an outer iteration
+    # live lists the running solves; every per-step array below follows its order
+    live, start = np.arange(n_solves), now
+    outer, inner = np.zeros((2, n_solves), dtype=int)
+    fresh = np.ones(n_solves, dtype=bool)    # starting an outer iteration
     ev = duals = None                        # duals: the previous step's, a warm start
     while live.size:
-        if any(fresh):
+        if fresh.any():
             pos = np.flatnonzero(fresh)
             sub, q = h[pos], _q_from_link(config, tuple(a[pos] for a in link))
             leakages = _all_leakages(sub, q, masks[live[pos]])
-            new = DualEvaluator(sub, leakages, config, [modes[b] for b in live[pos]])
-            if all(fresh):
+            new = DualEvaluator(sub, leakages, config, mode_of[live[pos]].tolist())
+            if fresh.all():
                 ev = new
             else:
                 ev.put(pos, new)
@@ -756,47 +757,45 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
         duals, betas = lambda_bisection(ev, _interference_of_link(config, link), config, duals)
         beams = update_beams(ev, duals, betas)
         link = link_state(h, beams, config)
-        now = sum_rate_of_link(config, link).tolist()
-        powers = bs_powers(beams)
-        fresh, done = [], []
-        for i, b in enumerate(live.tolist()):
-            trace, before = traces[b], wsr[b]
-            wsr[b] = now[i]
-            trace.iteration_index.append((outer[b], inner[b]))
-            trace.sum_rates.append(now[i])
-            trace.bs_power_trace.append(powers[i])
-            if now[i] < before * (1.0 - 1e-12):
-                trace.non_monotone_steps += 1
-            if now[i] > best_wsr[b]:
-                # a copy: a view would keep the whole batch's beams of this step alive
-                best_wsr[b], best_beams[b], best_duals[b] = now[i], beams[i].copy(), duals[i]
-            inner[b] += 1
-            converged = abs(now[i] - before) <= config.inner_tol * max(abs(before), 1e-12)
-            ended = converged or inner[b] == config.L_in_max
-            stop = False
-            if ended:
-                trace.inner_converged.append(converged)
-                trace.outer_sum_rates.append(now[i])
-                trace.converged_outer = (abs(now[i] - prev_outer[b])
-                                         <= config.outer_tol * max(abs(prev_outer[b]), 1e-12))
-                prev_outer[b] = now[i]
-                outer[b] += 1
-                inner[b] = 0
-                stop = trace.converged_outer or outer[b] == config.L_out_max
-                if stop:
-                    trace.best_sum_rate = best_wsr[b]
-            fresh.append(ended and not stop)
-            done.append(stop)
-        if any(done):
-            keep = np.flatnonzero(np.logical_not(done))
-            live, fresh = live[keep], [fresh[i] for i in keep]
-            h, link = h[keep], tuple(a[keep] for a in link)
-            ev, duals = ev.select(keep), duals[keep]
-    best_beams = np.stack(best_beams)
+        before, now = now, sum_rate_of_link(config, link)
+        better = now > best_wsr[live]
+        up = live[better]
+        best_wsr[up], best_beams[up], best_duals[up] = now[better], beams[better], duals[better]
+        converged = np.abs(now - before) <= config.inner_tol * np.maximum(np.abs(before), 1e-12)
+        counted = inner + 1
+        ended = converged | (counted == config.L_in_max)
+        log.append((live, outer, inner, before, now, bs_powers(beams), ended, converged))
+        # new arrays, not in-place updates: the log holds the old ones
+        inner, fresh = np.where(ended, 0, counted), ended
+        if ended.any():
+            settled = np.abs(now - start) <= config.outer_tol * np.maximum(np.abs(start), 1e-12)
+            outer, start = outer + ended, np.where(ended, now, start)
+            done = ended & (settled | (outer == config.L_out_max))
+            fresh = ended & ~done
+            if done.any():
+                converged_outer[live[done]] = settled[done]
+                keep = np.flatnonzero(~done)
+                live, fresh, now, start, outer, inner = (
+                    a[keep] for a in (live, fresh, now, start, outer, inner))
+                h, link = h[keep], tuple(a[keep] for a in link)
+                ev, duals = ev.select(keep), duals[keep]
     res = _residuals_of_link(h_all, best_beams, best_duals, config,
                              link_state(h_all, best_beams, config))
-    for trace, duals, value in zip(traces, best_duals, np.max(res, axis=(-3, -2, -1)).tolist()):
-        trace.duals, trace.final_residual = duals, value      # each trace its own row
+    # the log grouped by solve: a stable sort keeps each solve's steps in order
+    pos, *columns = (np.concatenate(c) for c in zip(*log))
+    by_solve = np.argsort(pos, kind="stable")
+    cuts = np.cumsum(np.bincount(pos)).tolist()
+    steps = zip(*([grouped[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
+                  for grouped in (c[by_solve] for c in columns)))
+    traces = [SolverTrace(algo=name, iteration_index=list(zip(o.tolist(), i.tolist())),
+                          sum_rates=r.tolist(), bs_power_trace=list(p),
+                          outer_sum_rates=r[e].tolist(), init_sum_rate=w0,
+                          inner_converged=c[e].tolist(), converged_outer=conv,
+                          non_monotone_steps=int(np.count_nonzero(r < b * (1.0 - 1e-12))),
+                          duals=duals, best_sum_rate=best, final_residual=value)
+              for name, (o, i, b, r, p, e, c), w0, conv, duals, best, value in zip(
+                  algos, steps, init_wsr, converged_outer.tolist(), best_duals,
+                  best_wsr.tolist(), np.max(res, axis=(-3, -2, -1)).tolist())]
     back = np.argsort(order)      # batch position of each solve in the caller's order
     return best_beams[back], [traces[b] for b in back]
 

@@ -315,6 +315,24 @@ def test_refim_leakage_all_candidates_equals_full():
     assert np.all(dev <= 1e-12 * np.maximum(np.linalg.norm(full, axis=(-2, -1)), 1e-300))
 
 
+@pytest.mark.parametrize("size", [{}, {"M": 3, "K": 4, "N": 2, "Nt": 2}],
+                         ids=["desk", "m3k4n2t2"])
+def test_cb_refim_with_every_reference_is_icbf(size):
+    """At r = MK - 1 every other user is a reference, the truncated leakage is
+    the full one, and a cb_refim solve is an icbf solve bit for bit, in beams
+    and in every step's sum rate, the two interleaved in one batch."""
+    config = NetworkConfig(**size)
+    draws = [realize_network(config, seed)[1] for seed in range(4)]
+    h = np.stack([ch for ch in draws for _ in range(2)])
+    inits = np.stack([init_mslnr(ch, config) for ch in h])
+    beams, traces = solve_batch(h, config, inits, ["icbf", "cb_refim"] * len(draws),
+                                config.M * config.K - 1)
+    for j in range(0, len(h), 2):
+        assert np.array_equal(beams[j], beams[j + 1])
+        assert traces[j].sum_rates == traces[j + 1].sum_rates
+        assert traces[j].iteration_index == traces[j + 1].iteration_index
+
+
 # ---------------------------------------------------------------------------
 # sequential rank-one inversion
 # ---------------------------------------------------------------------------

@@ -188,3 +188,64 @@ def test_each_trace_owns_its_duals():
         for trace, duals in zip(traces[1:], before[1:]):
             assert trace.duals is not traces[0].duals
             assert np.array_equal(trace.duals, duals)
+
+
+def closes_inner_loop(trace):
+    """Per step: whether it is the last step of its outer iteration."""
+    index = trace.iteration_index
+    return [j + 1 == len(index) or index[j + 1][0] != outer
+            for j, (outer, _) in enumerate(index)]
+
+
+def within(now, before, tol):
+    return abs(now - before) <= tol * max(abs(before), 1e-12)
+
+
+@pytest.mark.parametrize("caps", [{}, {"L_in_max": 2, "L_out_max": 2}],
+                         ids=["default caps", "caps hit"])
+def test_traces_match_a_recomputation_from_their_steps(caps):
+    """icbf, icbf_wi and cb_refim at 0 and 1 references over three draws in
+    one batch: every trace field that the solve derives from its steps equals
+    a scalar recomputation from the logged steps themselves."""
+    config = NetworkConfig(**caps)
+    solves = [(ch, init, algo, r) for seed in (3, 5, 8) for ch, _, init in trial(seed, config)
+              for algo, r in (("icbf", 1), ("icbf_wi", 1), ("cb_refim", 0), ("cb_refim", 1))]
+    _, traces = solve_batch(np.stack([s[0] for s in solves]), config,
+                            np.stack([s[1] for s in solves]),
+                            [s[2] for s in solves], [s[3] for s in solves])
+    for trace in traces:
+        steps = len(trace.iteration_index)
+        assert steps == len(trace.sum_rates) == len(trace.bs_power_trace) > 0
+        outers = [outer for outer, _ in trace.iteration_index]
+        inners = [inner for _, inner in trace.iteration_index]
+        assert outers == sorted(outers) and outers[0] == 0
+        closing = closes_inner_loop(trace)
+        # each inner loop counts up from 0, at most to the cap
+        assert all(i == (0 if j == 0 or closing[j - 1] else inners[j - 1] + 1)
+                   for j, i in enumerate(inners))
+        assert max(inners) < config.L_in_max
+        assert trace.outer_sum_rates == [w for w, end in zip(trace.sum_rates, closing) if end]
+        assert len(trace.inner_converged) == len(trace.outer_sum_rates) == outers[-1] + 1
+        rates = [trace.init_sum_rate] + trace.sum_rates
+        assert trace.non_monotone_steps == sum(now < before * (1.0 - 1e-12)
+                                               for before, now in zip(rates, rates[1:]))
+        assert trace.best_sum_rate == max(rates)
+        # an inner loop ends on its tolerance or its cap, and only there
+        ends = [j for j, end in enumerate(closing) if end]
+        assert trace.inner_converged == [within(rates[j + 1], rates[j], config.inner_tol)
+                                         for j in ends]
+        assert all(c or inners[j] + 1 == config.L_in_max
+                   for j, c in zip(ends, trace.inner_converged))
+        assert not any(within(rates[j + 1], rates[j], config.inner_tol)
+                       for j, end in enumerate(closing) if not end)
+        # the outer loop likewise
+        starts = [trace.init_sum_rate] + trace.outer_sum_rates
+        settled = [within(now, before, config.outer_tol)
+                   for before, now in zip(starts, starts[1:])]
+        assert trace.converged_outer == settled[-1]
+        assert not any(settled[:-1])
+        if not trace.converged_outer:
+            assert len(trace.outer_sum_rates) == config.L_out_max
+    if caps:
+        assert any(not t.converged_outer for t in traces)
+        assert any(False in t.inner_converged for t in traces)
