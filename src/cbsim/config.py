@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -203,16 +204,17 @@ def config_schema() -> dict:
 def parse_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` text file into typed values.
 
-    Lines starting with ``#`` and blank lines are ignored. Unknown keys, a
-    key set twice and malformed values raise :class:`ConfigurationError`
-    naming the key.
+    A comment runs from a ``#`` that opens the line or follows whitespace to
+    the end of the line, so ``out = run#2.csv`` keeps its ``#``; blank and
+    comment-only lines are ignored. Unknown keys, a key set twice and
+    malformed values raise :class:`ConfigurationError` naming the key.
     """
     values: dict = {}
     set_on: dict = {}      # key -> the line that set it
     schema = config_schema()
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

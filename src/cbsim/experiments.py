@@ -1,6 +1,7 @@
 """Monte-Carlo experiment harness producing the figure data as CSV.
 
-Five experiment kinds are supported:
+Five experiment kinds are supported, each with its CSV columns in
+:data:`COLUMNS`:
 
   convergence  mean weighted sum-rate per outer iteration and algorithm
   snr_sweep    mean weighted sum-rate at convergence versus transmit SNR
@@ -12,7 +13,8 @@ The four solver kinds share one table: a row is one algorithm, or in a
 ref_sweep cb_refim at one reference count (:func:`_rows`), and the results
 are arrays with leading (row, trial, SNR) axes -- the weighted sum-rate,
 the sum-rate after each outer iteration and the per-user rates -- from the
-solve batch through the stacking of kept trials to the CSV writers.
+solve batch through the stacking of kept trials to the CSV lines. One
+writer, :func:`run_counted`, writes every kind's file.
 
 Reproducibility: trial t derives its RNG state from
 ``numpy.random.SeedSequence((master_seed, t))``, and a solve's result does
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import sys
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,7 +43,17 @@ from .network import (N_UNCOORDINATED, apply_noise, build_topology, compute_nois
                       draw_channels, draw_fading, draw_long_term, dump_channels_csv,
                       dump_topology_csv, normalize_channels)
 
-EXPERIMENT_KINDS = ("convergence", "snr_sweep", "ref_sweep", "cdf", "feedback")
+#: Each experiment kind and its CSV columns. outer_iter counts from 1; refs
+#: is empty but on a ref_sweep's cb_refim rows; cdf rows are sorted by
+#: user_rate per (algo, gamma_db); cb_refim's feedback bits are trial means.
+COLUMNS = {
+    "convergence": ("algo", "gamma_db", "outer_iter", "mean_sum_rate", "trials"),
+    "snr_sweep": ("algo", "gamma_db", "mean_sum_rate", "std_sum_rate", "trials"),
+    "ref_sweep": ("algo", "refs", "gamma_db", "mean_sum_rate", "trials"),
+    "cdf": ("algo", "gamma_db", "user_rate", "ecdf"),
+    "feedback": ("algo", "K", "Nt", "bits"),
+}
+EXPERIMENT_KINDS = tuple(COLUMNS)
 SOLVER_ALGOS = set(solver.ALGORITHMS)
 BASELINE_ALGOS = set(initializers.INITIALIZERS)
 DEFAULT_ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
@@ -253,75 +266,6 @@ def _run_trials(config: NetworkConfig, spec: ExperimentSpec
     return tuple(np.stack(parts, axis=1) for parts in zip(*kept)), failures
 
 
-def _open_csv(spec: ExperimentSpec):
-    path = Path(spec.out)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    fh = open(path, "w", newline="")
-    if spec.timestamp:
-        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    return fh
-
-
-def _run_convergence(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
-    """Columns: algo, gamma_db, outer_iter (1-based), mean_sum_rate, trials."""
-    (_, outer, _), failures = _run_trials(config, spec)
-    used = outer.shape[1]
-    with _open_csv(spec) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "gamma_db", "outer_iter", "mean_sum_rate", "trials"])
-        for (algo, _), row in zip(_rows(config, spec), outer):
-            for j, gamma in enumerate(spec.gamma_db):
-                for it, mean in enumerate(row[:, j].mean(axis=0)):
-                    writer.writerow([algo, f"{gamma:g}", it + 1, f"{mean:.12g}", used])
-    return used, failures
-
-
-def _run_snr_sweep(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
-    """Columns: algo, gamma_db, mean_sum_rate, std_sum_rate, trials."""
-    (wsr, _, _), failures = _run_trials(config, spec)
-    used = wsr.shape[1]
-    with _open_csv(spec) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "gamma_db", "mean_sum_rate", "std_sum_rate", "trials"])
-        for (algo, _), row in zip(_rows(config, spec), wsr):
-            for gamma, vals in zip(spec.gamma_db, row.T):
-                writer.writerow([algo, f"{gamma:g}", f"{vals.mean():.12g}",
-                                 f"{vals.std():.12g}", used])
-    return used, failures
-
-
-def _run_ref_sweep(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
-    """cb_refim swept over reference counts 0..MK-1 plus the other requested
-    algorithms, per SNR point. Columns: algo, refs (empty but for the
-    sweep), gamma_db, mean_sum_rate, trials."""
-    (wsr, _, _), failures = _run_trials(config, spec)
-    used = wsr.shape[1]
-    with _open_csv(spec) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "refs", "gamma_db", "mean_sum_rate", "trials"])
-        for j, gamma in enumerate(spec.gamma_db):
-            for (algo, refs), vals in zip(_rows(config, spec), wsr[:, :, j]):
-                writer.writerow([algo, refs, f"{gamma:g}", f"{vals.mean():.12g}", used])
-    return used, failures
-
-
-def _run_cdf(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
-    """Columns: algo, gamma_db, user_rate, ecdf (sorted ascending per algo)."""
-    (_, _, rates), failures = _run_trials(config, spec)
-    with _open_csv(spec) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "gamma_db", "user_rate", "ecdf"])
-        for (algo, _), row in zip(_rows(config, spec), rates):
-            for j, gamma in enumerate(spec.gamma_db):
-                samples = np.sort(row[:, j].ravel())
-                n = samples.size
-                for idx, rate in enumerate(samples):
-                    writer.writerow([algo, f"{gamma:g}", f"{rate:.12g}",
-                                     f"{(idx + 1) / n:.8g}"])
-    return rates.shape[1], failures
-
-
 def _draws_per_stack(config: NetworkConfig) -> int:
     """Channel draws per reference selection of the feedback table: as many
     as keep their working set within BATCH_BYTES, and at least one. Per link
@@ -382,34 +326,57 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
             for cell, cfg in cells.items()]
 
 
-def _run_feedback(config: NetworkConfig, spec: ExperimentSpec) -> tuple[int, int]:
-    """Columns: algo, K, Nt, bits (cb_refim bits are trial means)."""
-    rows = feedback_table(config, spec)
-    with _open_csv(spec) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algo", "K", "Nt", "bits"])
-        for row in rows:
-            writer.writerow(["icbf", row["K"], row["Nt"], row["icbf_bits"]])
-        for row in rows:
-            writer.writerow(["cb_refim", row["K"], row["Nt"],
-                             f"{row['cb_refim_bits']:.6g}"])
-    return spec.trials, 0
-
-
-_RUNNERS = {
-    "convergence": _run_convergence,
-    "snr_sweep": _run_snr_sweep,
-    "ref_sweep": _run_ref_sweep,
-    "cdf": _run_cdf,
-    "feedback": _run_feedback,
-}
+def _lines(config: NetworkConfig, spec: ExperimentSpec) -> tuple[Iterator[list], int, int]:
+    """Run the ``spec.kind`` experiment: its CSV rows, made one at a time in
+    :data:`COLUMNS` order, the trials its aggregates use and the trials
+    excluded after errors."""
+    if spec.kind == "feedback":
+        table = feedback_table(config, spec)
+        lines = ([algo, row["K"], row["Nt"],
+                  row["icbf_bits"] if algo == "icbf" else f"{row['cb_refim_bits']:.6g}"]
+                 for algo in ("icbf", "cb_refim") for row in table)
+        return lines, spec.trials, 0
+    (wsr, outer, rates), excluded = _run_trials(config, spec)
+    used = wsr.shape[1]
+    rows = _rows(config, spec)
+    gammas = [f"{gamma:g}" for gamma in spec.gamma_db]
+    if spec.kind == "convergence":
+        lines = ([algo, gamma, it + 1, f"{mean:.12g}", used]
+                 for (algo, _), row in zip(rows, outer)
+                 for j, gamma in enumerate(gammas)
+                 for it, mean in enumerate(row[:, j].mean(axis=0)))
+    elif spec.kind == "snr_sweep":
+        lines = ([algo, gamma, f"{vals.mean():.12g}", f"{vals.std():.12g}", used]
+                 for (algo, _), row in zip(rows, wsr)
+                 for gamma, vals in zip(gammas, row.T))
+    elif spec.kind == "ref_sweep":                  # by SNR point first
+        lines = ([algo, refs, gamma, f"{vals.mean():.12g}", used]
+                 for j, gamma in enumerate(gammas)
+                 for (algo, refs), vals in zip(rows, wsr[:, :, j]))
+    else:                                           # cdf
+        lines = ([algo, gamma, f"{rate:.12g}", f"{(idx + 1) / samples.size:.8g}"]
+                 for (algo, _), row in zip(rows, rates)
+                 for j, gamma in enumerate(gammas)
+                 for samples in [np.sort(row[:, j].ravel())]
+                 for idx, rate in enumerate(samples))
+    return lines, used, excluded
 
 
 def run_counted(config: NetworkConfig, spec: ExperimentSpec) -> tuple[Path, int, int]:
-    """Dispatch one experiment; returns the written CSV path, the trials
-    its aggregates use and the trials excluded after errors."""
-    used, excluded = _RUNNERS[spec.kind](config, spec)
-    return Path(spec.out), used, excluded
+    """Run one experiment and write its CSV: the optional timestamp comment
+    line, the kind's :data:`COLUMNS` header and its rows. Returns the written
+    CSV path, the trials its aggregates use and the trials excluded after
+    errors."""
+    lines, used, excluded = _lines(config, spec)
+    path = Path(spec.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if spec.timestamp:          # through the writer, so it ends in CRLF like every row
+            writer.writerow([f"# generated {datetime.now(timezone.utc).isoformat()}"])
+        writer.writerow(COLUMNS[spec.kind])
+        writer.writerows(lines)
+    return path, used, excluded
 
 
 def run_experiment(config: NetworkConfig, spec: ExperimentSpec) -> Path:

@@ -288,7 +288,9 @@ def dump_topology_csv(topology: Topology, path: str | Path) -> None:
 
 def dump_channels_csv(h: np.ndarray, path: str | Path) -> None:
     """Normalized channels h (M, MK, N, Nt) of one draw, one row per (m, k, n):
-    m, k, n, re/im per antenna."""
+    m, k, n, re/im per antenna. m is the coordinated BS and k the global user
+    index 0..MK-1 (:meth:`NetworkConfig.user_id`), not the in-cell index.
+    The experiment harness dumps trial 0's draw at the first gamma_db point."""
     m_count, n_users, n_sub, nt = h.shape
     header = ["m", "k", "n"]
     for a in range(nt):

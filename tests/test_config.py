@@ -13,6 +13,7 @@ from cbsim.cli import main
 from cbsim.config import (NetworkConfig, config_schema, network_config_from_values,
                           parse_config_file)
 from cbsim.errors import ConfigurationError
+from cbsim.experiments import COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: The config-file keys and sim flags; a change to either set is a change to
@@ -136,18 +137,20 @@ def test_parse_full_file(tmp_path):
     path.write_text("""
 # experiment setup
 M = 2
-K = 2
+K = 2 # users
 Nt = 2
 gamma_db = 20
 trials = 7
 algos = cm, icbf
 seed = 123
+out = a#b.csv  # note
 """)
     values = parse_config_file(path)
     config = network_config_from_values(values)
     assert config.M == 2 and config.K == 2
     assert values["algos"] == ("cm", "icbf")
     assert values["trials"] == 7
+    assert values["out"] == "a#b.csv"
 
 
 def test_with_gamma_db_copies_arrays():
@@ -187,6 +190,9 @@ def test_readme_lists_every_key_and_flag(capsys):
     assert set(keys.split()) == set(config_schema())
     synopsis = re.search(r"```\nsim <experiment>(.*?)```", text, re.S).group(1)
     assert flags_of(synopsis) == flags_of(help_text(capsys).split("options:")[0])
+    table = re.findall(r"^\| `(\w+)` +\| `([^`]*)`", text, re.M)
+    assert {kind: tuple(columns.split(", ")) for kind, columns in table} == COLUMNS
+    assert len(table) == len(COLUMNS)
 
 
 def test_import_leaves_the_command_line_unloaded(tmp_path):

@@ -13,7 +13,8 @@ from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.experiments import (ExperimentSpec, feedback_table,
                                run_experiment, run_solver_trials, trial_seeds)
 from cbsim.initializers import init_mslnr
-from cbsim.network import apply_noise, build_topology, draw_channels, draw_long_term
+from cbsim.network import (apply_noise, build_topology, draw_channels, draw_long_term,
+                           dump_channels_csv)
 from cbsim.refim import feedback_bits
 
 
@@ -200,10 +201,18 @@ def test_csv_byte_identical_reruns(tmp_path):
 
 
 def test_timestamp_comment_present_when_enabled(tmp_path):
+    """Every kind's timestamp line ends in CRLF like the rows, and the rest of
+    the file is the timestamp=False file byte for byte."""
     config = small_config()
-    out = tmp_path / "t.csv"
-    run_experiment(config, small_spec("snr_sweep", out, trials=1, timestamp=True))
-    assert out.read_text().startswith("# generated ")
+    for kind in experiments.COLUMNS:
+        stamped, plain = tmp_path / f"{kind}_t.csv", tmp_path / f"{kind}.csv"
+        for out, timestamp in ((stamped, True), (plain, False)):
+            run_experiment(config, small_spec(kind, out, trials=1, timestamp=timestamp,
+                                              k_list=(2,), nt_list=(2,)))
+        lines = stamped.read_bytes().splitlines(keepends=True)
+        assert lines[0].startswith(b"# generated ")
+        assert all(line.endswith(b"\r\n") for line in lines), kind
+        assert b"".join(lines[1:]) == plain.read_bytes(), kind
 
 
 @pytest.mark.parametrize("kind", ["convergence", "snr_sweep", "ref_sweep", "cdf"])
@@ -539,13 +548,18 @@ def test_cli_dump_prefix_writes_debug_csvs(tmp_path):
                  "--no-timestamp", "--dump-prefix", str(prefix)])
     assert code == 0
     assert (tmp_path / "dbg_topology.csv").exists()
-    assert (tmp_path / "dbg_channels.csv").exists()
     # trial 0's solver traces: one per solve, none for a baseline
     assert sorted(p.name for p in tmp_path.glob("dbg_trace_*")) == [
         "dbg_trace_icbf_20.csv", "dbg_trace_icbf_30.csv"]
     config, spec = parse_config("snr_sweep", None, {"trials": 2, "algos": ("icbf",),
                                                    "gamma_db": (20.0, 30.0)})
     h = np.stack([trial_channels(config, spec.seed, 0, gamma) for gamma in (20.0, 30.0)])
+    # trial 0's channels at the first gamma_db point
+    dump_channels_csv(h[0], tmp_path / "want_channels.csv")
+    assert (tmp_path / "dbg_channels.csv").read_bytes() == (
+        tmp_path / "want_channels.csv").read_bytes()
+    _, rows = read_csv(tmp_path / "dbg_channels.csv")       # k is the global user index
+    assert sorted({int(row[1]) for row in rows}) == list(range(config.M * config.K))
     inits = init_mslnr(h, config)
     _, traces = solver.solve_batch(h, config, inits, "icbf")
     for gamma, trace in zip(("20", "30"), traces):
