@@ -32,10 +32,16 @@ where a cell has more users than antennas.
 Every run goes through the ``sim`` command line; a config file sets the
 network size, and at (3, 3, 3, 4) also every other network and solver key
 (pmax, the iteration caps, lambda_min, both tolerances and refs) at a
-non-default value. One more feedback run reads its k_list, nt_list, qbits
-and refs from a config file, and one runs 40 trials at desk scale, so the
-K = 10 cells select references for their draws in two stacks. Two more
-desk feedback runs take 0 and 2 references, so the matrix covers both
+non-default value. The feedback table also runs, at seeds 1 and 2 with 4
+trials, at (M, N) = (1, 2) and (2, 3) from the (1, 2, 2, 2) and
+(2, 3, 2, 1) config files: a trial's streams are read at offsets that
+depend on M and N (M * K * (M + 24) shadowing values, then
+(M + 24 + M) * M * K * N * Nt fading values), so these runs check the
+prefixes beyond the desk. One more feedback run reads its k_list, nt_list,
+qbits and refs from a config file, once at desk scale and once at
+(2, 3, 2, 1), and one runs 40 trials at desk scale, so the trials are
+drawn and their references selected in three chunks. Two more desk
+feedback runs take 0 and 2 references, so the matrix covers both
 selection paths (one argmin per beam at up to one reference, the ranks
 above) at desk scale.
 
@@ -66,6 +72,8 @@ ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 TUNED = ("m3n3k3t4", "pmax = 2.5\nL_in_max = 25\nL_out_max = 3\nlambda_min = 1e-9\n"
                      "inner_tol = 1e-5\nouter_tol = 1e-3\nrefs = 2\n")
 FEEDBACK_LISTS = "k_list = 2, 4, 7\nnt_list = 1,3\nqbits = 6\nrefs = 3\n"
+#: The sizes, besides the desk, whose config files the feedback table runs at.
+FEEDBACK_SIZES = ("m1n2k2t2", "m2n3k2t1")
 #: The runs whose --dump-prefix files go under OUTDIR/dumps: name, kind and
 #: the lines of its config file (none when empty).
 DUMPED = (("snr_sweep", "snr_sweep", ""), ("ref_sweep", "ref_sweep", ""),
@@ -160,11 +168,18 @@ def main() -> None:
         run(["feedback", "--trials", "4", "--seed", str(seed), "--no-timestamp",
              "--out", str(path)])
         csvs.append(path)
-    cfg, path = out / "feedback_lists.cfg", out / "feedback_lists_s1.csv"
-    cfg.write_text(FEEDBACK_LISTS)
-    run(["feedback", "--config", str(cfg), "--trials", "4", "--seed", "1", "--no-timestamp",
-         "--out", str(path)])
-    csvs.append(path)
+    for label in FEEDBACK_SIZES:
+        for seed in SEEDS:
+            path = out / f"feedback_{label}_s{seed}.csv"
+            run(["feedback", "--config", str(out / f"{label}.cfg"), "--trials", "4",
+                 "--seed", str(seed), "--no-timestamp", "--out", str(path)])
+            csvs.append(path)
+    for label, size_lines in (("", ""), ("_m2n3k2t1", (out / "m2n3k2t1.cfg").read_text())):
+        cfg, path = out / f"feedback_lists{label}.cfg", out / f"feedback_lists{label}_s1.csv"
+        cfg.write_text(size_lines + FEEDBACK_LISTS)
+        run(["feedback", "--config", str(cfg), "--trials", "4", "--seed", "1", "--no-timestamp",
+             "--out", str(path)])
+        csvs.append(path)
     path = out / "feedback_t40_s1.csv"
     run(["feedback", "--trials", "40", "--seed", "1", "--no-timestamp", "--out", str(path)])
     csvs.append(path)

@@ -3,7 +3,9 @@
 Experiments: convergence, snr_sweep, ref_sweep, cdf, feedback. Each flag is
 an ExperimentSpec setting (``sim <experiment> --help`` lists them with their
 defaults), and its text is parsed as a config-file line is. Flags override
-config-file values which override the built-in defaults. On success it
+config-file values which override the built-in defaults. ``sim feedback``
+rejects the flags its table does not read and a --gamma-db list of more
+than one entry; config-file keys stay accepted. On success it
 prints one line, ``<kind>: <n> trials -> <out>``, with the count of trials
 excluded after errors if any, and exits with 0; on any error it exits
 nonzero.
@@ -15,11 +17,13 @@ import sys
 from dataclasses import fields
 
 from .config import network_config_from_values, parse_config_file, parse_setting
-from .errors import CbsimError
+from .errors import CbsimError, ConfigurationError
 from .experiments import EXPERIMENT_KINDS, ExperimentSpec, run_counted, spec_from_values
 
 #: The ExperimentSpec fields that have a flag.
 FLAG_FIELDS = [f for f in fields(ExperimentSpec) if f.metadata.get("flag")]
+#: The flagged settings the feedback table does not read (of gamma_db, one entry).
+FEEDBACK_UNREAD = ("workers", "algos", "init", "dump_prefix")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,6 +60,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         overrides = {f.name: parse_setting(f, getattr(args, f.name)) for f in FLAG_FIELDS
                      if getattr(args, f.name) is not None}
+        for f in FLAG_FIELDS if args.experiment == "feedback" else ():
+            flag = f.metadata["flag"]
+            if f.name in FEEDBACK_UNREAD and f.name in overrides:
+                raise ConfigurationError(f"feedback does not read {flag}")
+            if f.name == "gamma_db" and len(overrides.get(f.name, ())) > 1:
+                raise ConfigurationError(f"feedback reads one {flag} entry, not a list")
         config, spec = parse_config(args.experiment, args.config, overrides)
         _, used, excluded = run_counted(config, spec)
     except (CbsimError, OSError) as exc:

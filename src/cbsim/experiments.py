@@ -39,9 +39,9 @@ from . import initializers, metrics, refim, solver
 from .config import (BOOLEAN, FINITE, PATH, NetworkConfig, check_settings, integer,
                      list_of, one_of, setting, setting_keys)
 from .errors import CbsimError, ConfigurationError, InvalidStateError
-from .network import (N_UNCOORDINATED, apply_noise, build_topology, compute_noise,
-                      draw_channels, draw_fading, draw_long_term, dump_channels_csv,
-                      dump_topology_csv, normalize_channels)
+from .network import (apply_noise, build_topology, compute_noise, draw_channels, draw_fading,
+                      draw_streams, dump_channels_csv, dump_topology_csv, long_term_of,
+                      normalize_channels, place_users, stream_lengths)
 
 #: Each experiment kind and its CSV columns. outer_iter counts from 1; refs
 #: is empty but on a ref_sweep's cb_refim rows; cdf rows are sorted by
@@ -267,18 +267,17 @@ def _run_trials(config: NetworkConfig, spec: ExperimentSpec
 
 
 def _draws_per_stack(config: NetworkConfig) -> int:
-    """Channel draws per reference selection of the feedback table: as many
-    as keep their working set within BATCH_BYTES, and at least one. Per link
-    that is two complex128 copies of its Nt channel entries (the draws and
-    their stack) and, per (beam, candidate) pair, of which there are K per
-    link, about four 8-byte arrays of the selection (its scores, keys and
-    mask, or the ranks above one reference). Each draw also holds its
-    stream's normals (:meth:`LongTerm.normals`): the real parts of every
-    BS's fading and the imaginary parts of the coordinated BSs', 8 bytes
-    each."""
+    """Trials per chunk of the feedback table, sized for its largest (K, Nt)
+    cell ``config``: as many draws as keep their working set within
+    BATCH_BYTES, and at least one. Per link that is two complex128 copies of
+    its Nt channel entries (the draws and their stack) and, per (beam,
+    candidate) pair, of which there are K per link, about four 8-byte arrays
+    of the selection (its scores, keys and mask, or the ranks above one
+    reference). Each draw also holds its trial's two streams, drawn to the
+    largest cell's :func:`stream_lengths`, 8 bytes a value."""
     links = config.M * config.n_users * config.N
-    normals = (N_UNCOORDINATED + 2 * config.M) * config.n_users * config.N * config.Nt
-    return max(1, BATCH_BYTES // (links * 32 * (config.Nt + config.K) + 8 * normals))
+    streams = 8 * sum(stream_lengths(config))
+    return max(1, BATCH_BYTES // (links * 32 * (config.Nt + config.K) + streams))
 
 
 def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
@@ -287,36 +286,34 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
     The full algorithm's count is deterministic. The reference-user variant
     depends on which references the channel draw selects, so its bit count is
     averaged over ``spec.trials`` independent realizations (reference
-    selection only needs channels, no solving). A trial's user drop,
-    shadowing and noise depend only on K, so each (K, trial) topology and
-    long-term draw (:func:`draw_long_term`, :func:`compute_noise`) is made
-    once and serves every Nt; only the fading is drawn per (Nt, K, trial),
-    from the trial's stream just after its shadowing, so every draw equals
-    a fresh one bit for bit. Trials run in chunks sized for the largest Nt
-    by BATCH_BYTES: each (K, Nt) cell normalizes a chunk's draws, selects
-    their references and counts them as one stack, with one
+    selection only needs channels, no solving). Each trial's two streams are
+    drawn once (:func:`draw_streams`), as long as the largest cell reads them,
+    and every cell reads its prefix, so every draw equals a fresh one bit for
+    bit. Trials run in chunks sized for the largest cell by BATCH_BYTES. Per
+    chunk, each K places the users and makes the long-term draw and noise of
+    the stack once for every Nt; each (K, Nt) cell draws the fading,
+    normalizes, selects references and counts them for the stack, with one
     :func:`refim.reference_mask` and one :func:`refim.feedback_bits` call,
     which treat every draw bit for bit as they would alone. At the default
     ``spec.refs`` of 1 the selection is one argmin per beam, not a ranking.
     """
-    seeds = [trial_seeds(spec.seed, t) for t in range(spec.trials)]
     cells = {(nt, k): replace(config, K=int(k), Nt=int(nt), weights=None, assignment=None)
              for nt in spec.nt_list for k in spec.k_list}
+    largest = cells[max(spec.nt_list), max(spec.k_list)]
+    size = _draws_per_stack(largest)
     totals = {cell: [] for cell in cells}
-    for k in spec.k_list:
-        first = cells[spec.nt_list[0], k]           # the drop and its long-term draw read no Nt
-        size = min(_draws_per_stack(cells[nt, k]) for nt in spec.nt_list)
-        for lo in range(0, spec.trials, size):
-            chunk = seeds[lo:lo + size]
-            drops = [build_topology(first, s_topo) for s_topo, _ in chunk]
-            long_terms = [draw_long_term(topology, first, s_chan)
-                          for topology, (_, s_chan) in zip(drops, chunk)]
-            noise = np.stack([compute_noise(topology, first, lt.shadow)
-                              for topology, lt in zip(drops, long_terms)])
-            for nt in sorted(spec.nt_list, reverse=True):  # one draw of normals serves all
+    for lo in range(0, spec.trials, size):
+        uniforms, normals = map(np.stack, zip(*[
+            draw_streams(largest, trial_seeds(spec.seed, t))
+            for t in range(lo, min(lo + size, spec.trials))]))
+        for k in spec.k_list:
+            first = cells[spec.nt_list[0], k]       # the drop and its long-term draw read no Nt
+            drops = place_users(first, uniforms)
+            long_term = long_term_of(drops, first, normals)
+            noise = compute_noise(drops, first, long_term.shadow)
+            for nt in sorted(spec.nt_list, reverse=True):
                 cfg = cells[nt, k]
-                raw = np.stack([draw_fading(lt, cfg) for lt in long_terms])
-                h = normalize_channels(raw, noise)
+                h = normalize_channels(draw_fading(long_term, cfg), noise)
                 counts = refim.out_of_cell_reference_counts(
                     cfg, refim.reference_mask(h, cfg, spec.refs))
                 totals[nt, k].append(refim.feedback_bits(cfg, "cb_refim", counts,

@@ -22,13 +22,17 @@ received from the 24 uncoordinated BSs:
 Downstream modules consume noise-normalized channels h = h_raw / sqrt(noise),
 so their noise floor is exactly 1.
 
-A draw is made in two steps. The long-term part (:func:`draw_long_term`:
-the shadowing, the stream's first draw, and the coordinated amplitudes;
-then the noise of :func:`compute_noise`) depends on the drop and the seed
-but not on N or Nt. The fading (:func:`draw_fading`) reads the normals of
-the same stream after the shadowing, so one long-term draw serves every
-antenna count bit for bit as a fresh draw would. :func:`draw_channels` is
-the two steps at one config; the feedback table shares the first across Nt.
+A trial reads two streams: the topology generator's uniforms (the radii,
+then the angles) and the channel generator's standard normals (the
+shadowing, then the fading). A smaller drop or draw reads a prefix of each,
+so the streams that :func:`draw_streams` draws once for the largest serve
+every smaller K and Nt as fresh draws would. :func:`place_users` and
+:func:`long_term_of` read them; the seed forms :func:`build_topology` and
+:func:`draw_long_term` draw them and run the same code. A draw is made in
+two steps: the long-term part (shadowing, coordinated amplitudes,
+:func:`compute_noise`) reads no N or Nt, so one serves the fading
+(:func:`draw_fading`) of every antenna count. Each step also takes a stack
+of drops along leading axes.
 
 Each step is a function of arrays that writes none of its inputs:
 :func:`draw_channels` returns the raw channels and the shadowing,
@@ -38,7 +42,7 @@ channels h, and :func:`apply_noise` chains the last two.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
@@ -63,17 +67,18 @@ class Topology:
     bs_xy: (M + 24, 2); rows 0..M-1 are the coordinated cluster, the rest are
            the uncoordinated interferers ordered by distance from the cluster
            centroid.
-    user_xy: (M, K, 2); user (m, k) is served by BS m.
+    user_xy: (..., M, K, 2); user (m, k) is served by BS m. Leading axes
+             are a stack of drops, which share the sites.
     """
     bs_xy: np.ndarray
     user_xy: np.ndarray
 
     def user_bs_distances(self, bs: slice = slice(None)) -> np.ndarray:
-        """Distance matrix of shape (n, M*K) from the BSs ``bs_xy[bs]``, every
-        BS by default, to every user. Computed from the positions at call
-        time, row by row as the full matrix, so a moved BS is seen at once."""
-        users = self.user_xy.reshape(-1, 2)
-        diff = self.bs_xy[bs, None, :] - users[None, :, :]
+        """Distance matrix of shape (..., n, M*K) from the BSs ``bs_xy[bs]``, every
+        BS by default, to every user of each drop. Computed from the positions at
+        call time, row by row as the full matrix, so a moved BS is seen at once."""
+        users = self.user_xy.reshape(self.user_xy.shape[:-3] + (-1, 2))
+        diff = self.bs_xy[bs, None, :] - users[..., None, :, :]
         return np.linalg.norm(diff, axis=-1)
 
 
@@ -130,42 +135,78 @@ def build_topology(config: NetworkConfig, seed: int) -> Topology:
     call returns its own writable ``bs_xy``, so moving a BS in one topology
     leaves every other one as it was.
     """
-    rng = np.random.default_rng(seed)
-    bs_xy = _base_stations(config.M).copy()
-    cluster = bs_xy[:config.M]
+    return place_users(config, np.random.default_rng(seed).random(2 * config.n_users))
 
-    radius = rng.uniform(USER_RADIUS_MIN_M, USER_RADIUS_MAX_M, size=(config.M, config.K))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=(config.M, config.K))
+
+def place_users(config: NetworkConfig, uniforms: np.ndarray) -> Topology:
+    """The drops read from topology streams ``uniforms`` (..., >= 2*M*K) in
+    [0, 1): M*K radii, then M*K angles, each low + (high - low) * u as
+    ``Generator.uniform`` makes it. Leading axes are a stack of drops."""
+    u = uniforms[..., :2 * config.n_users].reshape(uniforms.shape[:-1]
+                                                   + (2, config.M, config.K))
+    radius = USER_RADIUS_MIN_M + (USER_RADIUS_MAX_M - USER_RADIUS_MIN_M) * u[..., 0, :, :]
+    angle = 2.0 * np.pi * u[..., 1, :, :]
     offsets = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
-    user_xy = cluster[:, None, :] + offsets
+    bs_xy = _base_stations(config.M).copy()
+    return Topology(bs_xy=bs_xy, user_xy=bs_xy[:config.M, None, :] + offsets)
 
-    return Topology(bs_xy=bs_xy, user_xy=user_xy)
+
+def stream_lengths(config: NetworkConfig) -> tuple[int, int]:
+    """The uniforms and normals a drop and draw at the config read: 2*M*K, and
+    every link's shadowing, then the fading's real (all BSs) and imaginary (M) parts."""
+    n_bs = config.M + N_UNCOORDINATED
+    fading = config.n_users * config.N * config.Nt
+    return 2 * config.n_users, n_bs * config.n_users + (n_bs + config.M) * fading
+
+
+def draw_streams(config: NetworkConfig, seeds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Both streams of a trial from its (topology, channel) seeds, one generator
+    each, drawn once to the config's :func:`stream_lengths`."""
+    uniforms, normals = stream_lengths(config)
+    return (np.random.default_rng(seeds[0]).random(uniforms),
+            np.random.default_rng(seeds[1]).standard_normal(normals))
 
 
 @dataclass
 class LongTerm:
-    """The part of one channel draw that no antenna count changes.
+    """The part of a channel draw, or of a stack of draws along leading axes,
+    that no antenna count changes.
 
-    shadow: (n_bs, M*K) linear shadowing gains L per link, every BS
-    amp:    (M, M*K) sqrt((200 / d)^3.5 * L) of the coordinated links
-    rng:    the draw's generator, just past the standard normals drawn so far
-    drawn:  the standard normals the stream gave after the shadowing draw,
-            extended on demand by :meth:`normals`
+    shadow: (..., n_bs, M*K) linear shadowing gains L per link, every BS
+    amp:    (..., M, M*K) sqrt((200 / d)^3.5 * L) of the coordinated links
+    drawn:  (..., count) the stream's standard normals after the shadowing
+    rng:    the generator past ``drawn``, which :meth:`normals` extends on
+            demand; None where the stream is drawn in full
     """
     shadow: np.ndarray
     amp: np.ndarray
-    rng: np.random.Generator
-    drawn: np.ndarray = field(default_factory=lambda: np.empty(0))
+    drawn: np.ndarray
+    rng: np.random.Generator | None = None
 
     def normals(self, count: int) -> np.ndarray:
         """The first ``count`` standard normals after the shadowing draw. Each
         normal is drawn once: a longer request continues the stream, which
         gives the same values as one draw of ``count`` normals."""
-        have = self.drawn.size
+        have = self.drawn.shape[-1]
         if count > have:
             more = self.rng.standard_normal(count - have)
             self.drawn = more if have == 0 else np.concatenate([self.drawn, more])
-        return self.drawn[:count]
+        return self.drawn[..., :count]
+
+
+def long_term_of(topology: Topology, config: NetworkConfig, normals: np.ndarray,
+                 rng: np.random.Generator | None = None) -> LongTerm:
+    """The long-term draw read from channel streams ``normals`` (..., >=
+    n_bs*M*K), one per drop of the topology: the shadowing in dB is 8 times
+    each of the first n_bs*M*K, as ``Generator.normal(0, 8)`` makes it; the
+    rest, continued by ``rng`` if given, is for the fading."""
+    n_bs, m = topology.bs_xy.shape[0], config.M
+    count = n_bs * config.n_users
+    shadow_db = SHADOWING_STD_DB * normals[..., :count].reshape(
+        normals.shape[:-1] + (n_bs, config.n_users))
+    shadow = 10.0 ** (shadow_db / 10.0)
+    amp = np.sqrt(path_gain(topology.user_bs_distances(slice(None, m))) * shadow[..., :m, :])
+    return LongTerm(shadow=shadow, amp=amp, drawn=normals[..., count:], rng=rng)
 
 
 def draw_long_term(topology: Topology, config: NetworkConfig, seed: int) -> LongTerm:
@@ -175,18 +216,15 @@ def draw_long_term(topology: Topology, config: NetworkConfig, seed: int) -> Long
     (K, seed) drop; the ring's noise follows from its shadowing by
     :func:`compute_noise`."""
     rng = np.random.default_rng(seed)
-    m = config.M
-    shadow_db = rng.normal(0.0, SHADOWING_STD_DB,
-                           size=(topology.bs_xy.shape[0], config.n_users))
-    shadow = 10.0 ** (shadow_db / 10.0)
-    amp = np.sqrt(path_gain(topology.user_bs_distances(slice(None, m))) * shadow[:m])
-    return LongTerm(shadow=shadow, amp=amp, rng=rng)
+    return long_term_of(topology, config,
+                        rng.standard_normal(topology.bs_xy.shape[0] * config.n_users), rng)
 
 
 def draw_fading(long_term: LongTerm, config: NetworkConfig) -> np.ndarray:
-    """Raw channels (M, M*K, N, Nt) of the coordinated BSs at the config's N
-    and Nt: small-scale fading per (coordinated BS, user, subchannel), scaled
-    by the long-term amplitudes.
+    """Raw channels (..., M, M*K, N, Nt) of the coordinated BSs at the
+    config's N and Nt, with the leading axes of the long-term draw:
+    small-scale fading per (coordinated BS, user, subchannel), scaled by the
+    long-term amplitudes.
 
     The fading is that of a draw for every BS, taken from the normals right
     after the shadowing: the real parts, then the imaginary parts, each over
@@ -195,14 +233,15 @@ def draw_fading(long_term: LongTerm, config: NetworkConfig) -> np.ndarray:
     equals the first M rows of the full draw bit for bit, and every Nt of a
     long-term draw reads the same stream as a fresh draw would.
     """
-    m = long_term.amp.shape[0]
-    shape = long_term.shadow.shape + (config.N, config.Nt)
+    m = long_term.amp.shape[-2]
+    shape = long_term.shadow.shape[-2:] + (config.N, config.Nt)
     size = int(np.prod(shape))
     normals = long_term.normals(size + size // shape[0] * m)
-    real = normals[:size].reshape(shape)[:m]
-    imag = normals[size:].reshape((m,) + shape[1:])
+    lead = normals.shape[:-1]
+    real = normals[..., :size].reshape(lead + shape)[..., :m, :, :, :]
+    imag = normals[..., size:].reshape(lead + (m,) + shape[1:])
     fading = (real + 1j * imag) / np.sqrt(2.0)
-    return long_term.amp[:, :, None, None] * fading
+    return long_term.amp[..., None, None] * fading
 
 
 def draw_channels(topology: Topology, config: NetworkConfig,
@@ -219,16 +258,18 @@ def draw_channels(topology: Topology, config: NetworkConfig,
 def compute_noise(topology: Topology, config: NetworkConfig, shadow: np.ndarray,
                   sigma2: list[float] | None = None) -> np.ndarray:
     """Long-term noise map (..., M*K, N): thermal floor plus uncoordinated-BS
-    interference, from a draw's shadowing ``shadow`` (n_bs, M*K).
+    interference, from the shadowing ``shadow`` (..., n_bs, M*K) of a draw or
+    a stack of draws.
 
     noise[g, n] = sigma^2 + sum over uncoordinated BSs of
     (200/d)^3.5 * L * Pmax / N, at ``config.sigma2`` or at each of the
-    thermal floors ``sigma2`` along a leading axis. Only the ring's
-    distances are computed, from the positions at call time.
+    thermal floors ``sigma2`` along a leading axis (of one drop). Only the
+    ring's distances are computed, from the positions at call time, and the
+    ring is summed BS by BS along its own axis, so a stack sums as one drop.
     """
-    dist = topology.user_bs_distances(slice(config.M, None))          # (24, MK)
-    gains = path_gain(dist) * shadow[config.M:]
-    out_power = gains.sum(axis=0) * config.Pmax / config.N           # (MK,)
+    dist = topology.user_bs_distances(slice(config.M, None))          # (..., 24, MK)
+    gains = path_gain(dist) * shadow[..., config.M:, :]
+    out_power = gains.sum(axis=-2) * config.Pmax / config.N          # (..., MK)
     noise = (config.sigma2 if sigma2 is None else np.asarray(sigma2)[:, None]) + out_power
     return np.repeat(noise[..., None], config.N, axis=-1)
 

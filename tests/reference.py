@@ -88,6 +88,17 @@ def leakage_scalar(h, beams, config, m, k, n):
     return mat
 
 
+def drop_users(bs_xy, M, K, seed):
+    """User positions (M, K, 2) around the first M sites of bs_xy: a radius
+    uniform in [500, 1100] m for every user, then an angle uniform in
+    [0, 2 pi), each drawn with Generator.uniform over (M, K)."""
+    rng = np.random.default_rng(seed)
+    radius = rng.uniform(500.0, 1100.0, size=(M, K))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=(M, K))
+    offsets = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+    return bs_xy[:M, None, :] + offsets
+
+
 def draw_channels_full(bs_xy, user_xy, N, Nt, seed):
     """One channel draw of every BS, the uncoordinated ring included:
     log-normal shadowing (8 dB), then the real and the imaginary parts of

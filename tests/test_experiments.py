@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from cbsim import experiments, initializers, metrics, refim, solver
 from cbsim.cli import main, parse_config
 from cbsim.config import NetworkConfig
@@ -13,8 +14,7 @@ from cbsim.errors import ConfigurationError, InvalidStateError
 from cbsim.experiments import (ExperimentSpec, feedback_table,
                                run_experiment, run_solver_trials, trial_seeds)
 from cbsim.initializers import init_mslnr
-from cbsim.network import (apply_noise, build_topology, draw_channels, draw_long_term,
-                           dump_channels_csv)
+from cbsim.network import apply_noise, build_topology, draw_channels, dump_channels_csv
 from cbsim.refim import feedback_bits
 
 
@@ -123,10 +123,9 @@ def test_feedback_table_is_deterministic():
 
 
 def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
-    """Each (K, trial) topology and long-term draw is made once and serves
-    every Nt, and the table equals, bit for bit, a loop that builds the
-    topology, channels, noise and references anew for every (Nt, K, trial)
-    cell."""
+    """Each trial's two generators are made once per run, and the table
+    equals, bit for bit, a loop that builds the topology, channels, noise
+    and references anew for every (Nt, K, trial) cell."""
     config = NetworkConfig()
     spec = small_spec("feedback", "unused.csv", trials=3, k_list=(2, 3), nt_list=(2, 3))
     expected = []
@@ -143,31 +142,55 @@ def test_feedback_table_matches_a_fresh_drop_per_cell(monkeypatch):
                 totals.append(feedback_bits(cfg, "cb_refim", counts, qbits=spec.qbits))
             expected.append(dict(K=k, Nt=nt, icbf_bits=feedback_bits(cfg, "icbf", qbits=8),
                                  cb_refim_bits=float(np.mean(totals))))
-    built = Counter()
+    generators = Counter()
+    real_rng = np.random.default_rng
 
-    def counting_build_topology(cfg, seed):
-        built[cfg.K, seed] += 1
-        return build_topology(cfg, seed)
+    def counting_rng(seed):
+        generators[seed] += 1
+        return real_rng(seed)
 
-    drawn = Counter()
-
-    def counting_draw_long_term(topology, cfg, seed):
-        drawn[cfg.K, seed] += 1
-        return draw_long_term(topology, cfg, seed)
-
-    monkeypatch.setattr(experiments, "build_topology", counting_build_topology)
-    monkeypatch.setattr(experiments, "draw_long_term", counting_draw_long_term)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
     assert feedback_table(config, spec) == expected
-    assert len(built) == 6 and set(built.values()) == {1}
-    assert len(drawn) == 6 and set(drawn.values()) == {1}
+    assert set(generators) == {s for t in range(spec.trials) for s in trial_seeds(spec.seed, t)}
+    assert set(generators.values()) == {1}
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (2, 2), (1, 1)])
+@pytest.mark.parametrize("refs", [1, 2])
+def test_feedback_table_matches_the_oracle_draws(m, n, refs):
+    """The table equals, bit for bit, a per-cell loop over the oracle draws
+    of tests/reference.py (users dropped with Generator.uniform, every BS's
+    channels, the noise from the full distance matrix), at unsorted K and
+    Nt lists."""
+    config = NetworkConfig(M=m, N=n)
+    spec = small_spec("feedback", "unused.csv", trials=3, refs=refs, k_list=(3, 1, 2),
+                      nt_list=(1, 3))
+    expected = []
+    for nt in spec.nt_list:
+        for k in spec.k_list:
+            cfg = replace(config, K=k, Nt=nt, weights=None, assignment=None)
+            bs_xy = build_topology(cfg, 0).bs_xy            # the sites, which no seed moves
+            totals = []
+            for t in range(spec.trials):
+                s_topo, s_chan = trial_seeds(spec.seed, t)
+                user_xy = reference.drop_users(bs_xy, m, k, s_topo)
+                raw, shadow, dist = reference.draw_channels_full(bs_xy, user_xy, n, nt, s_chan)
+                noise = reference.noise_full(dist, shadow, m, n, cfg.Pmax, cfg.sigma2)
+                h = raw[:m] * (1.0 / np.sqrt(noise))[None, :, :, None]
+                counts = refim.out_of_cell_reference_counts(
+                    cfg, refim.reference_mask(h, cfg, refs))
+                totals.append(feedback_bits(cfg, "cb_refim", counts, qbits=spec.qbits))
+            expected.append(dict(K=k, Nt=nt, icbf_bits=feedback_bits(cfg, "icbf", qbits=8),
+                                 cb_refim_bits=float(np.mean(totals))))
+    assert feedback_table(config, spec) == expected
 
 
 def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypatch):
     """Each (K, Nt) cell selects the references of all its trials' draws as
     one stack, in one reference_mask call, the largest Nt first. A budget
-    too small for every trial at once splits a K's trials into chunks sized
-    for its largest Nt, each selected per Nt as one stack, and the table
-    stays bit for bit the same."""
+    too small for every trial at once splits the trials into chunks sized
+    for the largest cell, each selected per (K, Nt) cell as one stack, and
+    the table stays bit for bit the same."""
     config = NetworkConfig()
     spec = small_spec("feedback", "unused.csv", trials=5, k_list=(2, 4), nt_list=(2, 3))
     real, stacks = refim.reference_mask, []
@@ -180,16 +203,16 @@ def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypat
     whole = feedback_table(config, spec)
     assert stacks == [(2, 3, 5), (2, 2, 5), (4, 3, 5), (4, 2, 5)]
     stacks.clear()
-    # two K=4, Nt=3 draws: 3 * 12 * 3 links of 32 * (3 + 4) bytes each, and
-    # (24 + 2 * 3) * 12 * 3 * 3 normals of 8 bytes each; four K=2 draws fit
-    monkeypatch.setattr(experiments, "BATCH_BYTES", 2 * (108 * 224 + 3240 * 8))
+    # two draws of the largest cell, K=4 and Nt=3: 3 * 12 * 3 links of
+    # 32 * (3 + 4) bytes each, and streams of 24 uniforms and 27 * 12 +
+    # 30 * 12 * 3 * 3 normals, 8 bytes a value; three do not fit
+    per_draw = 108 * 224 + 8 * (24 + 324 + 3240)
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 3 * per_draw - 1)
     assert experiments._draws_per_stack(
         replace(config, K=4, Nt=3, weights=None, assignment=None)) == 2
-    assert experiments._draws_per_stack(
-        replace(config, K=2, Nt=3, weights=None, assignment=None)) == 4
     assert feedback_table(config, spec) == whole
-    assert stacks == ([(2, 3, 4), (2, 2, 4), (2, 3, 1), (2, 2, 1)]
-                      + [(4, 3, 2), (4, 2, 2)] * 2 + [(4, 3, 1), (4, 2, 1)])
+    assert stacks == [(2, 3, 2), (2, 2, 2), (4, 3, 2), (4, 2, 2)] * 2 + [
+        (2, 3, 1), (2, 2, 1), (4, 3, 1), (4, 2, 1)]
 
 
 def test_csv_byte_identical_reruns(tmp_path):
@@ -459,6 +482,38 @@ def test_cli_rejects_bad_value_naming_its_key(tmp_path, capsys, key, flags, line
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--workers", "2"),
+    ("--algo", "cm"),
+    ("--init", "cm"),
+    ("--dump-prefix", "P"),
+    ("--gamma-db", "10,50"),
+])
+def test_cli_feedback_rejects_flags_it_does_not_read(tmp_path, capsys, flag, value):
+    """The feedback table reads no worker count, algorithm list, start or
+    dump prefix, and one SNR point: naming any of them, or a list of SNR
+    points, fails before any trial, naming the flag."""
+    out = tmp_path / "x.csv"
+    code = main(["feedback", "--trials", "1", "--out", str(out), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not out.exists()
+
+
+def test_cli_feedback_reads_config_keys_it_does_not_use(tmp_path):
+    """A config file serves every kind: its workers, algos, init and
+    gamma_db list are accepted by feedback, which reads gamma_db's first
+    entry as --gamma-db with that one entry does."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers = 2\nalgos = cm\ninit = cm\ngamma_db = 10, 50\n")
+    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    common = ["--trials", "1", "--no-timestamp"]
+    assert main(["feedback", "--config", str(cfg), *common, "--out", str(from_file)]) == 0
+    assert main(["feedback", "--gamma-db", "10", *common, "--out", str(from_flag)]) == 0
+    assert from_file.read_bytes() == from_flag.read_bytes()
 
 
 def test_cli_list_flags_parse_like_config_files(tmp_path):

@@ -13,9 +13,9 @@ import reference
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, DegenerateChannelError, InvalidStateError
 from cbsim.network import (apply_noise, build_topology, compute_noise, draw_channels,
-                           draw_fading, draw_long_term, dump_channels_csv,
-                           dump_topology_csv, normalize_channels, path_gain,
-                           realize_network)
+                           draw_fading, draw_long_term, draw_streams, dump_channels_csv,
+                           dump_topology_csv, long_term_of, normalize_channels, path_gain,
+                           place_users, realize_network)
 
 
 def small_config(**kw):
@@ -163,6 +163,51 @@ def test_one_long_term_draw_serves_every_antenna_count(m):
                 h = normalize_channels(raw, noise)
                 assert np.array_equal(
                     h, full[:m] * (1.0 / np.sqrt(want_noise))[None, :, :, None])
+
+
+def test_generator_draws_are_their_stream_values():
+    """The numpy rules that let a drop and a draw read stream values:
+    Generator.uniform(a, b) is a + (b - a) * random() and
+    Generator.normal(0, 8) is 0 + 8 * standard_normal(), one stream value per
+    output, and a later call continues the stream where the last one
+    stopped. A numpy release that changed them would move every table."""
+    for seed in range(1000):
+        uniforms = np.random.default_rng(seed).random(60)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(rng.uniform(500.0, 1100.0, size=(3, 10)).ravel(),
+                              500.0 + (1100.0 - 500.0) * uniforms[:30])
+        assert np.array_equal(rng.uniform(0.0, 2.0 * np.pi, size=(3, 10)).ravel(),
+                              0.0 + (2.0 * np.pi - 0.0) * uniforms[30:])
+        normals = np.random.default_rng(seed).standard_normal(100)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(rng.normal(0.0, 8.0, size=(3, 20)).ravel(), 0.0 + 8.0 * normals[:60])
+        assert np.array_equal(rng.standard_normal(40), normals[60:])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_smaller_cell_reads_a_prefix_of_the_streams(m):
+    """For K = 1, 2, 10, N = 1, 3 and Nt = 1, 4, the drops, long-term draws,
+    noise and fading read from a stack of two trials' streams drawn for
+    K = 12 and Nt = 5 equal, for each trial, build_topology, draw_long_term,
+    compute_noise and draw_fading at the cell, bit for bit."""
+    seeds = [(0, 1), (17, 2**32 - 1)]
+    for k, n, nt in itertools.product((1, 2, 10), (1, 3), (1, 4)):
+        config = NetworkConfig(M=m, K=k, N=n, Nt=nt, gamma_db=20.0)
+        larger = replace(config, K=12, Nt=5, weights=None, assignment=None)
+        uniforms, normals = map(np.stack, zip(*[draw_streams(larger, s) for s in seeds]))
+        drops = place_users(config, uniforms)
+        long_term = long_term_of(drops, config, normals)
+        noise = compute_noise(drops, config, long_term.shadow)
+        raw = draw_fading(long_term, config)
+        for i, (s_topo, s_chan) in enumerate(seeds):
+            topo = build_topology(config, s_topo)
+            alone = draw_long_term(topo, config, s_chan)
+            assert np.array_equal(drops.bs_xy, topo.bs_xy)
+            assert np.array_equal(drops.user_xy[i], topo.user_xy)
+            assert np.array_equal(long_term.shadow[i], alone.shadow)
+            assert np.array_equal(long_term.amp[i], alone.amp)
+            assert np.array_equal(noise[i], compute_noise(topo, config, alone.shadow))
+            assert np.array_equal(raw[i], draw_fading(alone, config))
 
 
 def test_channel_draw_deterministic():
