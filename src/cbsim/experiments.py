@@ -133,9 +133,9 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec, trials: tuple
     Each trial's raw draw is normalized at every SNR point in one broadcast.
     Each initializer runs once on the stack, for its baseline row and every
     solver start; one :func:`solver.solve_batch` runs every (solver row,
-    trial, gamma) solve; one batched link state rates every row. A solve's
-    result does not depend on its batch, so each trial's slice is
-    bit-identical to a call on that trial alone.
+    trial, gamma) solve; one batched :func:`metrics.rate_report` rates every
+    row. A solve's result does not depend on its batch, so each trial's
+    slice is bit-identical to a call on that trial alone.
     """
     sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in spec.gamma_db]
     draws = []
@@ -169,10 +169,8 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec, trials: tuple
         for s, i in enumerate(solves):
             beams[i] = solved[s]
     traces = np.array(traces, dtype=object).reshape((len(solves),) + shape)
-    link = metrics.link_state(h, np.stack(beams), config)
-    wsr = metrics.sum_rate_of_link(config, link)
-    user_rates = np.sum(np.log2(1.0 + metrics.sinr_of_link(config, link))
-                        * config.assignment, axis=-1)
+    report = metrics.rate_report(h, np.stack(beams), config)
+    wsr = report.weighted_sum_rate
     cap = config.L_out_max
     outer = np.repeat(wsr[..., None], cap, axis=-1)
     outer[solves] = np.reshape([(t.outer_sum_rates + t.outer_sum_rates[-1:] * cap)[:cap]
@@ -183,7 +181,7 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec, trials: tuple
             suffix = "" if refs is None else f"_r{refs}"
             for gamma, trace in zip(spec.gamma_db, row_traces):
                 trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
-    return wsr, outer, user_rates.reshape(wsr.shape + (-1,))
+    return wsr, outer, report.user_rates.reshape(wsr.shape + (-1,))
 
 
 def _trials_per_group(config: NetworkConfig, spec: ExperimentSpec) -> int:

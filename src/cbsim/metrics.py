@@ -52,7 +52,12 @@ def sinr_of_link(config: NetworkConfig, link: tuple) -> np.ndarray:
 def sum_rate_of_link(config: NetworkConfig, link: tuple) -> float | np.ndarray:
     """Weighted sum-rate from a :func:`link_state`: a float, or one per
     solve of a batched link state."""
-    rates = np.log2(1.0 + sinr_of_link(config, link))
+    return _weighted_sum(config, np.log2(1.0 + sinr_of_link(config, link)))
+
+
+def _weighted_sum(config: NetworkConfig, rates: np.ndarray) -> float | np.ndarray:
+    """sum over active (m, k, n) of w_k(n) * rates (..., M, K, N): a float,
+    or one per leading index."""
     terms = config.weights * rates * config.assignment
     wsr = np.sum(terms.reshape(terms.shape[:-3] + (-1,)), axis=-1)
     return float(wsr) if wsr.ndim == 0 else wsr
@@ -75,19 +80,21 @@ def power_feasible(beams: np.ndarray, config: NetworkConfig) -> bool:
 
 @dataclass
 class RateReport:
-    """Per-triple SINRs/rates plus the aggregates the experiments record."""
-    sinr: np.ndarray          # (M, K, N)
-    rate: np.ndarray          # (M, K, N), log2(1 + SINR)
-    weighted_sum_rate: float
-    user_rates: np.ndarray    # (M, K), total rate per user across subchannels
-    powers: np.ndarray        # (M,)
+    """Per-triple SINRs/rates plus the aggregates the experiments record,
+    each with the leading axes of the link state."""
+    sinr: np.ndarray          # (..., M, K, N)
+    rate: np.ndarray          # (..., M, K, N), log2(1 + SINR)
+    weighted_sum_rate: float | np.ndarray   # a float, or (...)
+    user_rates: np.ndarray    # (..., M, K), total rate per user across subchannels
+    powers: np.ndarray        # (..., M)
 
 
 def rate_report(h: np.ndarray, beams: np.ndarray,
                 config: NetworkConfig) -> RateReport:
+    """The rates of beams for channels h, which may carry leading axes that
+    broadcast together as in :func:`link_state`."""
     s = sinr_of_link(config, link_state(h, beams, config))
     r = np.log2(1.0 + s)
-    wsr = float(np.sum(config.weights * r * config.assignment))
-    user_rates = np.sum(r * config.assignment, axis=2)
-    return RateReport(sinr=s, rate=r, weighted_sum_rate=wsr,
-                      user_rates=user_rates, powers=bs_powers(beams))
+    return RateReport(sinr=s, rate=r, weighted_sum_rate=_weighted_sum(config, r),
+                      user_rates=np.sum(r * config.assignment, axis=-1),
+                      powers=bs_powers(beams))

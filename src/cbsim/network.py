@@ -26,13 +26,14 @@ A trial reads two streams: the topology generator's uniforms (the radii,
 then the angles) and the channel generator's standard normals (the
 shadowing, then the fading). A smaller drop or draw reads a prefix of each,
 so the streams that :func:`draw_streams` draws once for the largest serve
-every smaller K and Nt as fresh draws would. :func:`place_users` and
-:func:`long_term_of` read them; the seed forms :func:`build_topology` and
-:func:`draw_long_term` draw them and run the same code. A draw is made in
-two steps: the long-term part (shadowing, coordinated amplitudes,
-:func:`compute_noise`) reads no N or Nt, so one serves the fading
-(:func:`draw_fading`) of every antenna count. Each step also takes a stack
-of drops along leading axes.
+every smaller K and Nt as fresh draws would. :func:`place_users`,
+:func:`long_term_of` and :func:`draw_fading` read them and draw nothing;
+the seed forms :func:`build_topology` and :func:`draw_channels` draw their
+stream in one call, to :func:`stream_lengths`, and run the same readers.
+A draw is made in two steps: the long-term part (shadowing, coordinated
+amplitudes, :func:`compute_noise`) reads no N or Nt, so one serves the
+fading (:func:`draw_fading`) of every antenna count its stream holds. Each
+step also takes a stack of drops along leading axes.
 
 Each step is a function of arrays that writes none of its inputs:
 :func:`draw_channels` returns the raw channels and the shadowing,
@@ -49,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import NetworkConfig
-from .errors import DegenerateChannelError, InvalidStateError
+from .errors import DegenerateChannelError, InvalidStateError, UsageError
 
 INTER_SITE_M = 2000.0
 USER_RADIUS_MIN_M = 500.0
@@ -167,57 +168,34 @@ def draw_streams(config: NetworkConfig, seeds: tuple[int, int]) -> tuple[np.ndar
             np.random.default_rng(seeds[1]).standard_normal(normals))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LongTerm:
     """The part of a channel draw, or of a stack of draws along leading axes,
-    that no antenna count changes.
+    that no antenna count changes, and the stream's normals that follow it.
 
     shadow: (..., n_bs, M*K) linear shadowing gains L per link, every BS
     amp:    (..., M, M*K) sqrt((200 / d)^3.5 * L) of the coordinated links
-    drawn:  (..., count) the stream's standard normals after the shadowing
-    rng:    the generator past ``drawn``, which :meth:`normals` extends on
-            demand; None where the stream is drawn in full
+    fading: (..., count) the stream's standard normals after the shadowing,
+            of which :func:`draw_fading` reads the prefix its cell needs
     """
     shadow: np.ndarray
     amp: np.ndarray
-    drawn: np.ndarray
-    rng: np.random.Generator | None = None
-
-    def normals(self, count: int) -> np.ndarray:
-        """The first ``count`` standard normals after the shadowing draw. Each
-        normal is drawn once: a longer request continues the stream, which
-        gives the same values as one draw of ``count`` normals."""
-        have = self.drawn.shape[-1]
-        if count > have:
-            more = self.rng.standard_normal(count - have)
-            self.drawn = more if have == 0 else np.concatenate([self.drawn, more])
-        return self.drawn[..., :count]
+    fading: np.ndarray
 
 
-def long_term_of(topology: Topology, config: NetworkConfig, normals: np.ndarray,
-                 rng: np.random.Generator | None = None) -> LongTerm:
+def long_term_of(topology: Topology, config: NetworkConfig, normals: np.ndarray) -> LongTerm:
     """The long-term draw read from channel streams ``normals`` (..., >=
     n_bs*M*K), one per drop of the topology: the shadowing in dB is 8 times
     each of the first n_bs*M*K, as ``Generator.normal(0, 8)`` makes it; the
-    rest, continued by ``rng`` if given, is for the fading."""
+    rest is for the fading. Only M and K of the config are read, so one
+    long-term draw serves every N and Nt its stream holds."""
     n_bs, m = topology.bs_xy.shape[0], config.M
     count = n_bs * config.n_users
     shadow_db = SHADOWING_STD_DB * normals[..., :count].reshape(
         normals.shape[:-1] + (n_bs, config.n_users))
     shadow = 10.0 ** (shadow_db / 10.0)
     amp = np.sqrt(path_gain(topology.user_bs_distances(slice(None, m))) * shadow[..., :m, :])
-    return LongTerm(shadow=shadow, amp=amp, drawn=normals[..., count:], rng=rng)
-
-
-def draw_long_term(topology: Topology, config: NetworkConfig, seed: int) -> LongTerm:
-    """Shadowing for every (BS, user) link, the first draw of the seed's
-    stream, and the amplitudes of the M coordinated rows. Only M and K of
-    the config are read, so one long-term draw serves every N and Nt of a
-    (K, seed) drop; the ring's noise follows from its shadowing by
-    :func:`compute_noise`."""
-    rng = np.random.default_rng(seed)
-    return long_term_of(topology, config,
-                        rng.standard_normal(topology.bs_xy.shape[0] * config.n_users), rng)
+    return LongTerm(shadow=shadow, amp=amp, fading=normals[..., count:])
 
 
 def draw_fading(long_term: LongTerm, config: NetworkConfig) -> np.ndarray:
@@ -236,7 +214,12 @@ def draw_fading(long_term: LongTerm, config: NetworkConfig) -> np.ndarray:
     m = long_term.amp.shape[-2]
     shape = long_term.shadow.shape[-2:] + (config.N, config.Nt)
     size = int(np.prod(shape))
-    normals = long_term.normals(size + size // shape[0] * m)
+    count = size + size // shape[0] * m
+    have = long_term.fading.shape[-1]
+    if have < count:
+        raise UsageError(f"the fading at N = {config.N}, Nt = {config.Nt} reads {count} "
+                         f"normals after the shadowing, but the stream holds {have}")
+    normals = long_term.fading[..., :count]
     lead = normals.shape[:-1]
     real = normals[..., :size].reshape(lead + shape)[..., :m, :, :, :]
     imag = normals[..., size:].reshape(lead + (m,) + shape[1:])
@@ -246,12 +229,14 @@ def draw_fading(long_term: LongTerm, config: NetworkConfig) -> np.ndarray:
 
 def draw_channels(topology: Topology, config: NetworkConfig,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One channel draw: :func:`draw_long_term`, then :func:`draw_fading` at
-    the config's N and Nt. Returns the raw channels (M, M*K, N, Nt) of the
-    coordinated BSs and the shadowing (n_bs, M*K) of every BS, whose ring
-    rows feed :func:`compute_noise`.
+    """One channel draw: the seed's stream of normals, drawn in one call to
+    the config's :func:`stream_lengths`, read by :func:`long_term_of` and
+    then :func:`draw_fading`. Returns the raw channels (M, M*K, N, Nt) of
+    the coordinated BSs and the shadowing (n_bs, M*K) of every BS, whose
+    ring rows feed :func:`compute_noise`.
     """
-    long_term = draw_long_term(topology, config, seed)
+    normals = np.random.default_rng(seed).standard_normal(stream_lengths(config)[1])
+    long_term = long_term_of(topology, config, normals)
     return draw_fading(long_term, config), long_term.shadow
 
 

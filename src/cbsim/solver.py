@@ -149,8 +149,7 @@ def gamma_sherman_morrison(leakage: np.ndarray, lam: float) -> np.ndarray:
 
 
 def beta(h: np.ndarray, config: NetworkConfig, m: int, k: int, n: int,
-         gamma: np.ndarray, interference_value: float,
-         weight: float | None = None) -> float:
+         gamma: np.ndarray, interference_value: float) -> float:
     """Beam power scalar: beta^2 = [w*u - i - 1]^+ / u^2 with u = h^H Gamma h.
 
     beta = 0 switches the beam off. Gamma must be Hermitian PD, which makes
@@ -158,8 +157,7 @@ def beta(h: np.ndarray, config: NetworkConfig, m: int, k: int, n: int,
     numerical state.
     """
     check_active(config, m, k, n)
-    if weight is None:
-        weight = float(config.weights[m, k, n])
+    weight = float(config.weights[m, k, n])
     own = h[m, config.user_id(m, k), n]
     u_c = np.vdot(own, gamma @ own)
     u = float(u_c.real)
@@ -898,18 +896,18 @@ class KKTReport:
 
 
 def kkt_report(h: np.ndarray, beams: np.ndarray, duals: np.ndarray,
-               config: NetworkConfig, fd_step: float = 1e-5) -> KKTReport:
+               config: NetworkConfig) -> KKTReport:
     """Evaluate all first-order conditions at (beams, duals).
 
     Includes a cross-check of the analytic Lagrangian gradient against
-    central finite differences at step ``fd_step``.
+    central finite differences at :func:`finite_difference_gradient`'s step.
     """
     powers = bs_powers(beams)
     violation = float(np.max(np.maximum(powers - config.Pmax, 0.0)))
     comp = float(np.max(np.abs(duals * (config.Pmax - powers))))
     res = float(np.max(stationarity_residuals(h, beams, duals, config)))
     g_an = lagrangian_gradient(h, beams, duals, config)
-    g_fd = finite_difference_gradient(h, beams, duals, config, step=fd_step)
+    g_fd = finite_difference_gradient(h, beams, duals, config)
     dev = np.abs(g_an - g_fd)
     rel = float(np.linalg.norm(g_an - g_fd) / max(np.linalg.norm(g_fd), 1e-300))
     return KKTReport(

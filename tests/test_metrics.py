@@ -93,6 +93,26 @@ def test_wsr_matches_scalar_oracle():
     assert got == pytest.approx(reference.wsr_scalar(h, beams, config), rel=1e-12)
 
 
+def test_rate_report_of_a_stack_is_each_report_alone():
+    """A rate report of beam sets (set, draw, ...) against channel draws
+    (draw, ...) leads every field with (set, draw), and each slice is the
+    report of that pair alone, bit for bit, its sum-rate that of
+    weighted_sum_rate."""
+    config = NetworkConfig(M=2, N=2, K=2, Nt=2)
+    h = np.stack([synthetic_channels(config, seed) for seed in (1, 2)])
+    rng = np.random.default_rng(3)
+    beams = (rng.standard_normal((3, 2, 2, 2, 2, 2))
+             + 1j * rng.standard_normal((3, 2, 2, 2, 2, 2))) * 0.4
+    stack = rate_report(h, beams, config)
+    assert stack.weighted_sum_rate.shape == (3, 2)
+    for s, d in np.ndindex(3, 2):
+        alone = rate_report(h[d], beams[s, d], config)
+        assert stack.weighted_sum_rate[s, d] == alone.weighted_sum_rate
+        assert alone.weighted_sum_rate == weighted_sum_rate(h[d], beams[s, d], config)
+        for field in ("sinr", "rate", "user_rates", "powers"):
+            assert np.array_equal(getattr(stack, field)[s, d], getattr(alone, field))
+
+
 def test_wsr_invariant_to_user_relabel():
     config = NetworkConfig(M=2, N=2, K=3, Nt=2)
     h = synthetic_channels(config, seed=9)

@@ -1,7 +1,7 @@
 """Topology, channel and noise model tests."""
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 import reference
 from cbsim.config import NetworkConfig
-from cbsim.errors import ConfigurationError, DegenerateChannelError, InvalidStateError
+from cbsim.errors import (ConfigurationError, DegenerateChannelError, InvalidStateError,
+                          UsageError)
 from cbsim.network import (apply_noise, build_topology, compute_noise, draw_channels,
-                           draw_fading, draw_long_term, draw_streams, dump_channels_csv,
-                           dump_topology_csv, long_term_of, normalize_channels, path_gain,
-                           place_users, realize_network)
+                           draw_fading, draw_streams, dump_channels_csv, dump_topology_csv,
+                           long_term_of, normalize_channels, path_gain, place_users,
+                           realize_network, stream_lengths)
 
 
 def small_config(**kw):
@@ -142,14 +143,17 @@ def test_draw_equals_the_coordinated_rows_of_a_full_draw(m):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_one_long_term_draw_serves_every_antenna_count(m):
-    """One long-term draw, then the fading at Nt = 1, 2 and 4 in either
-    order, gives at each Nt the first M rows of a full draw, its shadowing
-    and noise, and the normalized channels, bit for bit."""
+    """One long-term draw read from a stream drawn for Nt = 4, then the
+    fading at Nt = 1, 2 and 4 in either order, gives at each Nt the first M
+    rows of a full draw, its shadowing and noise, and the normalized
+    channels, bit for bit."""
     for k, n, seed in [(1, 1, 0), (2, 3, 17), (10, 3, 2**32 - 1)]:
         config = NetworkConfig(M=m, K=k, N=n, Nt=1, gamma_db=20.0)
         topo = build_topology(config, seed)
+        largest = replace(config, Nt=4, weights=None, assignment=None)
+        _, normals = draw_streams(largest, (seed, seed ^ 1))
         for order in ((1, 2, 4), (4, 1, 2)):
-            long_term = draw_long_term(topo, config, seed ^ 1)
+            long_term = long_term_of(topo, config, normals)
             noise = compute_noise(topo, config, long_term.shadow)
             for nt in order:
                 cfg = replace(config, Nt=nt, weights=None, assignment=None)
@@ -188,8 +192,9 @@ def test_generator_draws_are_their_stream_values():
 def test_a_smaller_cell_reads_a_prefix_of_the_streams(m):
     """For K = 1, 2, 10, N = 1, 3 and Nt = 1, 4, the drops, long-term draws,
     noise and fading read from a stack of two trials' streams drawn for
-    K = 12 and Nt = 5 equal, for each trial, build_topology, draw_long_term,
-    compute_noise and draw_fading at the cell, bit for bit."""
+    K = 12 and Nt = 5 equal, for each trial, build_topology, the long-term
+    draw of streams drawn for the cell, compute_noise and draw_channels at
+    the cell, bit for bit."""
     seeds = [(0, 1), (17, 2**32 - 1)]
     for k, n, nt in itertools.product((1, 2, 10), (1, 3), (1, 4)):
         config = NetworkConfig(M=m, K=k, N=n, Nt=nt, gamma_db=20.0)
@@ -201,13 +206,15 @@ def test_a_smaller_cell_reads_a_prefix_of_the_streams(m):
         raw = draw_fading(long_term, config)
         for i, (s_topo, s_chan) in enumerate(seeds):
             topo = build_topology(config, s_topo)
-            alone = draw_long_term(topo, config, s_chan)
+            alone = long_term_of(topo, config, draw_streams(config, (s_topo, s_chan))[1])
+            raw_alone, shadow_alone = draw_channels(topo, config, s_chan)
             assert np.array_equal(drops.bs_xy, topo.bs_xy)
             assert np.array_equal(drops.user_xy[i], topo.user_xy)
             assert np.array_equal(long_term.shadow[i], alone.shadow)
+            assert np.array_equal(long_term.shadow[i], shadow_alone)
             assert np.array_equal(long_term.amp[i], alone.amp)
-            assert np.array_equal(noise[i], compute_noise(topo, config, alone.shadow))
-            assert np.array_equal(raw[i], draw_fading(alone, config))
+            assert np.array_equal(noise[i], compute_noise(topo, config, shadow_alone))
+            assert np.array_equal(raw[i], raw_alone)
 
 
 def test_channel_draw_deterministic():
@@ -341,28 +348,79 @@ def test_apply_noise_shares_raw_draw():
         assert np.array_equal(alone, normalize_channels(raw, noise))
 
 
+def frozen(array):
+    """A read-only copy of ``array``: an in-place write to it raises."""
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 def test_steps_write_none_of_their_inputs():
-    """compute_noise, normalize_channels and apply_noise on read-only raw
-    channels, shadowing and noise return the bits they return on writable
+    """place_users, long_term_of and draw_fading on read-only streams, and
+    compute_noise, normalize_channels and apply_noise on read-only raw
+    channels, shadowing and noise, return the bits they return on writable
     copies, at one thermal floor and at a list of them: any in-place write
     to an input raises."""
     config = small_config(gamma_db=10.0)
-    topo = build_topology(config, seed=6)
-    raw, shadow = draw_channels(topo, config, seed=7)
+    uniforms, normals = draw_streams(config, (6, 7))
+    topo = place_users(config, frozen(uniforms))
+    long_term = long_term_of(topo, config, frozen(normals))
+    raw, shadow = draw_fading(long_term, config), long_term.shadow
+    assert np.array_equal(topo.user_xy, place_users(config, uniforms.copy()).user_xy)
+    fresh = long_term_of(topo, config, normals.copy())
+    assert np.array_equal(shadow, fresh.shadow)
+    assert np.array_equal(long_term.amp, fresh.amp)
+    assert np.array_equal(raw, draw_fading(fresh, config))
     sigma2 = [config.with_gamma_db(gamma).sigma2 for gamma in (10.0, 40.0)]
     for floors in (None, sigma2):
         noise = compute_noise(topo, config, shadow.copy(), floors)
         want = (noise,
                 normalize_channels(raw.copy(), noise.copy()),
                 apply_noise(topo, config, raw.copy(), shadow.copy(), floors))
-        frozen_raw, frozen_shadow, frozen_noise = raw.copy(), shadow.copy(), noise.copy()
-        for array in (frozen_raw, frozen_shadow, frozen_noise):
-            array.flags.writeable = False
+        frozen_raw, frozen_shadow, frozen_noise = frozen(raw), frozen(shadow), frozen(noise)
         got = (compute_noise(topo, config, frozen_shadow, floors),
                normalize_channels(frozen_raw, frozen_noise),
                apply_noise(topo, config, frozen_raw, frozen_shadow, floors))
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
+
+
+def test_a_long_term_draw_keeps_its_arrays():
+    """A long-term draw is frozen. Read at Nt = 4, then 1, then 2, and at
+    each again, it keeps the very arrays it was made with, unchanged, and
+    gives the same bits at each Nt every time."""
+    config = small_config(Nt=4)
+    topo = build_topology(config, seed=3)
+    _, normals = draw_streams(config, (3, 4))
+    long_term = long_term_of(topo, config, normals)
+    with pytest.raises(FrozenInstanceError):
+        long_term.fading = normals
+
+    def arrays():
+        return long_term.shadow, long_term.amp, long_term.fading
+
+    kept = arrays()
+    copies = [a.copy() for a in kept]
+    seen = {}
+    for nt in (4, 1, 2, 4, 1, 2):
+        raw = draw_fading(long_term, replace(config, Nt=nt, weights=None, assignment=None))
+        assert np.array_equal(seen.setdefault(nt, raw), raw)
+        for array, was, copy in zip(arrays(), kept, copies, strict=True):
+            assert array is was
+            assert np.array_equal(array, copy)
+
+
+def test_a_short_stream_names_its_length():
+    """Fading asked of a stream too short for its cell fails before it
+    reads, naming the normals it needs and the normals it got."""
+    config = small_config(Nt=2)
+    topo = build_topology(config, seed=3)
+    _, normals = draw_streams(replace(config, Nt=1, weights=None, assignment=None), (3, 4))
+    long_term = long_term_of(topo, config, normals)
+    have = long_term.fading.shape[-1]
+    need = stream_lengths(config)[1] - long_term.shadow.size
+    with pytest.raises(UsageError, match=f"reads {need} normals .* holds {have}$"):
+        draw_fading(long_term, config)
 
 
 def test_csv_dumps(tmp_path):
