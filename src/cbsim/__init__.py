@@ -16,7 +16,7 @@ from .metrics import (RateReport, bs_powers, power_feasible, rate_report,
 from .network import (Topology, build_topology, compute_noise, draw_channels,
                       normalize_channels, realize_network)
 from .refim import feedback_bits, invert_rank_r, reference_mask
-from .solver import (DualEvaluator, KKTReport, SolverTrace, beta, gamma_direct,
+from .solver import (BatchTrace, DualEvaluator, KKTReport, SolverTrace, beta, gamma_direct,
                      gamma_sherman_morrison, kkt_report, lambda_bisection, solve,
                      solve_batch, update_beams)
 
@@ -30,7 +30,7 @@ __all__ = [
     "Topology", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
     "reference_mask", "invert_rank_r", "feedback_bits",
-    "DualEvaluator", "SolverTrace", "KKTReport", "gamma_direct",
+    "DualEvaluator", "SolverTrace", "BatchTrace", "KKTReport", "gamma_direct",
     "gamma_sherman_morrison", "beta", "lambda_bisection",
     "update_beams", "solve", "solve_batch", "kkt_report",
 ]

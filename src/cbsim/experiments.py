@@ -155,32 +155,29 @@ def run_solver_trials(config: NetworkConfig, spec: ExperimentSpec, trials: tuple
              for name in dict.fromkeys([algo for algo, _ in rows if algo in BASELINE_ALGOS]
                                        + ([spec.init] if solves else []))}
     beams = [inits.get(algo) for algo, _ in rows]               # a solver's filled in below
-    traces = []
     if solves:
         def per_solve(x):       # (trial, gamma, ...) -> (solve * trial * gamma, ...)
             return np.concatenate([x] * len(solves)).reshape((-1,) + x.shape[2:])
 
         each = shape[0] * shape[1]
-        solved, traces = solver.solve_batch(
+        solved, record = solver.solve_batch(
             per_solve(h), config, per_solve(inits[spec.init]),
             [rows[i][0] for i in solves for _ in range(each)],
             [spec.refs if rows[i][1] is None else rows[i][1] for i in solves for _ in range(each)])
         solved = solved.reshape((len(solves),) + shape + solved.shape[1:])
         for s, i in enumerate(solves):
             beams[i] = solved[s]
-    traces = np.array(traces, dtype=object).reshape((len(solves),) + shape)
     report = metrics.rate_report(h, np.stack(beams), config)
     wsr = report.weighted_sum_rate
-    cap = config.L_out_max
-    outer = np.repeat(wsr[..., None], cap, axis=-1)
-    outer[solves] = np.reshape([(t.outer_sum_rates + t.outer_sum_rates[-1:] * cap)[:cap]
-                                for t in traces.flat], traces.shape + (cap,))
+    outer = np.repeat(wsr[..., None], config.L_out_max, axis=-1)
+    if solves:
+        outer[solves] = record.outer_sum_rates.reshape(solved.shape[:3] + (-1,))
     if spec.dump_prefix and 0 in trials:
-        for i, row_traces in zip(solves, traces[:, trials.index(0)]):
-            algo, refs = rows[i]
+        for s, (algo, refs) in enumerate(rows[i] for i in solves):
             suffix = "" if refs is None else f"_r{refs}"
-            for gamma, trace in zip(spec.gamma_db, row_traces):
-                trace.to_csv(f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
+            for j, gamma in enumerate(spec.gamma_db):    # solve (s, trial 0, gamma j)
+                record.trace((s * shape[0] + trials.index(0)) * shape[1] + j).to_csv(
+                    f"{spec.dump_prefix}_trace_{algo}_{gamma:g}{suffix}.csv")
     return wsr, outer, report.user_rates.reshape(wsr.shape + (-1,))
 
 
@@ -309,7 +306,7 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
             drops = place_users(first, uniforms)
             long_term = long_term_of(drops, first, normals)
             noise = compute_noise(drops, first, long_term.shadow)
-            for nt in sorted(spec.nt_list, reverse=True):
+            for nt in spec.nt_list:
                 cfg = cells[nt, k]
                 h = normalize_channels(draw_fading(long_term, cfg), noise)
                 counts = refim.out_of_cell_reference_counts(

@@ -39,14 +39,14 @@ reference count). The link state, leakages, evaluator and dual search carry
 a leading batch axis, so each inner step costs one set of numpy calls for
 all B solves whatever their algorithms. Per-solve state lives in arrays, the
 stop tests are array comparisons, each result is bit for bit what it would
-be alone, and the traces are built after the loop. :func:`solve` is B = 1.
+be alone, and one :class:`BatchTrace` records them. :func:`solve` is B = 1.
 """
 from __future__ import annotations
 
 import copy
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -624,17 +624,17 @@ class SolverTrace:
     triples (:func:`stationarity_residuals`) at those beams and duals.
     """
     algo: str
-    iteration_index: list[tuple[int, int]] = field(default_factory=list)
-    sum_rates: list[float] = field(default_factory=list)
-    bs_power_trace: list[np.ndarray] = field(default_factory=list)
-    outer_sum_rates: list[float] = field(default_factory=list)
-    init_sum_rate: float = 0.0
-    inner_converged: list[bool] = field(default_factory=list)
-    converged_outer: bool = False
-    non_monotone_steps: int = 0
-    duals: np.ndarray | None = None
-    best_sum_rate: float = 0.0
-    final_residual: float = math.nan
+    iteration_index: list[tuple[int, int]]
+    sum_rates: list[float]
+    bs_power_trace: list[np.ndarray]
+    outer_sum_rates: list[float]
+    init_sum_rate: float
+    inner_converged: list[bool]
+    converged_outer: bool
+    non_monotone_steps: int
+    duals: np.ndarray
+    best_sum_rate: float
+    final_residual: float
 
     @property
     def stop_reason(self) -> str:
@@ -656,9 +656,45 @@ class SolverTrace:
                 writer.writerow(row)
 
 
+@dataclass(frozen=True)
+class BatchTrace:
+    """One :func:`solve_batch` call's diagnostics as arrays, solves in caller
+    order: per solve, the :class:`SolverTrace` values, ``inner_iters`` steps,
+    ``outer_iters`` and ``outer_sum_rates`` (B, L_out_max) padded with its last;
+    then the step log by solve (``step_index``: (outer, inner); ``step_ends``: ends a loop)."""
+    algo: np.ndarray
+    init_sum_rate: np.ndarray
+    best_sum_rate: np.ndarray
+    duals: np.ndarray
+    final_residual: np.ndarray
+    converged_outer: np.ndarray
+    inner_iters: np.ndarray
+    outer_iters: np.ndarray
+    non_monotone_steps: np.ndarray
+    outer_sum_rates: np.ndarray
+    step_index: np.ndarray
+    step_sum_rate: np.ndarray
+    step_powers: np.ndarray
+    step_ends: np.ndarray
+    step_converged: np.ndarray
+
+    def trace(self, b: int) -> SolverTrace:
+        """Solve b's :class:`SolverTrace`, with duals of its own."""
+        lo = int(self.inner_iters[:b].sum())
+        index, rates, powers, ends, converged = (a[lo:lo + self.inner_iters[b]] for a in (
+            self.step_index, self.step_sum_rate, self.step_powers, self.step_ends,
+            self.step_converged))
+        return SolverTrace(
+            iteration_index=list(map(tuple, index.tolist())), sum_rates=rates.tolist(),
+            bs_power_trace=list(powers), outer_sum_rates=rates[ends].tolist(),
+            inner_converged=converged[ends].tolist(), duals=self.duals[b].copy(),
+            **{name: getattr(self, name)[b].item() for name in ("algo", "init_sum_rate",
+               "converged_outer", "non_monotone_steps", "best_sum_rate", "final_residual")})
+
+
 def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
                 algo: str | list[str], ref_counts: int | list[int] = 1
-                ) -> tuple[np.ndarray, list[SolverTrace]]:
+                ) -> tuple[np.ndarray, BatchTrace]:
     """Run the double-loop coordinated beamforming algorithm on B independent solves.
 
     The solves share ``config``. Each has its own noise-normalized channels,
@@ -686,11 +722,11 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
     evaluator rebuilt for it alone) when its own inner loop ends and leaves
     the batch when its outer loop ends, so it takes exactly the steps it
     would take alone. Returns the best beams (B, M, K, N, Nt) and one
-    :class:`SolverTrace` per solve, both in the caller's order.
+    :class:`BatchTrace` of the batch, both in the caller's order.
 
     Each step logs its values as arrays, without the stationarity residual.
     After the loop, one batched pass takes each solve's ``final_residual`` at
-    its returned beams and duals, and each trace is built once from the log.
+    its returned beams and duals, and array operations turn the log into the record.
     """
     beams = np.array(inits)
     is_array = isinstance(h, np.ndarray) and h.ndim > 0
@@ -715,7 +751,7 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
     if over.any():
         raise UsageError(f"initial beams violate the power budget: {powers0[np.argmax(over)]}")
     modes = [_ALGO_GAMMA[name] for name in algos]
-    order = sorted(range(n_solves), key=lambda b: GAMMA_MODES.index(modes[b]))
+    order = np.argsort([GAMMA_MODES.index(mode) for mode in modes], kind="stable")
     h = h[order]
     beams = beams[order]
     algos, refs, modes = ([seq[b] for b in order] for seq in (algos, refs, modes))
@@ -731,7 +767,7 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
     link = link_state(h, beams, config)
     now = sum_rate_of_link(config, link)
     # per solve, by batch position: initial and best sum rate, best iterate, outer test
-    init_wsr, best_wsr = now.tolist(), now.copy()
+    init_wsr, best_wsr = now, now.copy()
     best_beams, best_duals = beams, np.full((n_solves, config.M), config.lambda_min)
     converged_outer = np.zeros(n_solves, dtype=bool)
     h_all, mode_of, log = h, np.array(modes), []   # log: one tuple of arrays per step
@@ -779,31 +815,28 @@ def solve_batch(h: np.ndarray, config: NetworkConfig, inits: np.ndarray,
                 ev, duals = ev.select(keep), duals[keep]
     res = _residuals_of_link(h_all, best_beams, best_duals, config,
                              link_state(h_all, best_beams, config))
-    # the log grouped by solve: a stable sort keeps each solve's steps in order
-    pos, *columns = (np.concatenate(c) for c in zip(*log))
-    by_solve = np.argsort(pos, kind="stable")
-    cuts = np.cumsum(np.bincount(pos)).tolist()
-    steps = zip(*([grouped[lo:hi] for lo, hi in zip([0] + cuts, cuts)]
-                  for grouped in (c[by_solve] for c in columns)))
-    traces = [SolverTrace(algo=name, iteration_index=list(zip(o.tolist(), i.tolist())),
-                          sum_rates=r.tolist(), bs_power_trace=list(p),
-                          outer_sum_rates=r[e].tolist(), init_sum_rate=w0,
-                          inner_converged=c[e].tolist(), converged_outer=conv,
-                          non_monotone_steps=int(np.count_nonzero(r < b * (1.0 - 1e-12))),
-                          duals=duals, best_sum_rate=best, final_residual=value)
-              for name, (o, i, b, r, p, e, c), w0, conv, duals, best, value in zip(
-                  algos, steps, init_wsr, converged_outer.tolist(), best_duals,
-                  best_wsr.tolist(), np.max(res, axis=(-3, -2, -1)).tolist())]
     back = np.argsort(order)      # batch position of each solve in the caller's order
-    return best_beams[back], [traces[b] for b in back]
+    at, *columns = (np.concatenate(c) for c in zip(*log))
+    by_solve = np.argsort(order[at], kind="stable")     # the log by solve, in caller order
+    at, o, i, b, r, p, e, c = (a[by_solve] for a in [order[at]] + columns)
+    outers = np.bincount(at[e])     # every solve ends at least one outer iteration
+    first = np.cumsum(outers) - outers          # where each solve's series starts in r[e]
+    last = np.minimum(np.arange(config.L_out_max), outers[:, None] - 1)
+    return best_beams[back], BatchTrace(
+        algo=np.array(algos)[back], init_sum_rate=init_wsr[back], best_sum_rate=best_wsr[back],
+        duals=best_duals[back], final_residual=np.max(res, axis=(-3, -2, -1))[back],
+        converged_outer=converged_outer[back], inner_iters=np.bincount(at), outer_iters=outers,
+        non_monotone_steps=np.bincount(at[r < b * (1.0 - 1e-12)], minlength=n_solves),
+        outer_sum_rates=r[e][first[:, None] + last], step_index=np.stack([o, i], axis=-1),
+        step_sum_rate=r, step_powers=p, step_ends=e, step_converged=c)
 
 
 def solve(h: np.ndarray, config: NetworkConfig, init: np.ndarray,
           algo: str, ref_count: int = 1) -> tuple[np.ndarray, SolverTrace]:
     """One solve of the channels h (M, MK, N, Nt): :func:`solve_batch` with B = 1."""
-    beams, traces = solve_batch(h[None] if isinstance(h, np.ndarray) else h,
+    beams, record = solve_batch(h[None] if isinstance(h, np.ndarray) else h,
                                 config, init[None], algo, ref_count)
-    return beams[0], traces[0]
+    return beams[0], record.trace(0)
 
 
 # ---------------------------------------------------------------------------

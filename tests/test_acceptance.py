@@ -52,12 +52,9 @@ def suite():
         "max_power": 0.0,
     }
 
-    def record(algo, gamma, rep, trace, cfg):
+    def record(algo, gamma, rep, series):
         acc["wsr"].setdefault((algo, gamma), []).append(rep.weighted_sum_rate)
-        if trace is not None:
-            series = list(trace.outer_sum_rates)
-            while len(series) < cfg.L_out_max:
-                series.append(series[-1])
+        if series is not None:
             acc["outer"].setdefault((algo, gamma), []).append(series)
         acc["user_rates"].setdefault((algo, gamma), []).append(rep.user_rates.ravel())
         acc["max_power"] = max(acc["max_power"], float(rep.powers.max()))
@@ -74,7 +71,7 @@ def suite():
             acc["init"].setdefault(gamma, []).append(init)
             for base in BASELINES:
                 beams = init if base == "mslnr" else make_initial_beams(base, h, cfg)
-                record(base, gamma, rate_report(h, beams, cfg), None, cfg)
+                record(base, gamma, rate_report(h, beams, cfg), None)
 
     # one batched solve per (algorithm, gamma) over all trials
     runs = [(algo, gamma, algo, 1) for gamma in GAMMAS for algo in SOLVER_ALGOS]
@@ -83,9 +80,9 @@ def suite():
         cfg = config0.with_gamma_db(gamma)
         inits = np.stack(acc["init"][gamma])
         h = np.stack(acc["channels"][gamma])
-        beams, traces = solve_batch(h, cfg, inits, algo, refs)
-        for one, best, trace in zip(h, beams, traces):
-            record(name, gamma, rate_report(one, best, cfg), trace, cfg)
+        beams, batch = solve_batch(h, cfg, inits, algo, refs)
+        for one, best, series in zip(h, beams, batch.outer_sum_rates):
+            record(name, gamma, rate_report(one, best, cfg), series)
     return acc
 
 

@@ -14,14 +14,14 @@ PUBLIC_NAMES = {
     "Topology", "build_topology", "draw_channels",
     "compute_noise", "normalize_channels", "realize_network",
     "reference_mask", "invert_rank_r", "feedback_bits",
-    "DualEvaluator", "SolverTrace", "KKTReport", "gamma_direct",
+    "DualEvaluator", "SolverTrace", "BatchTrace", "KKTReport", "gamma_direct",
     "gamma_sherman_morrison", "beta", "lambda_bisection",
     "update_beams", "solve", "solve_batch", "kkt_report",
 }
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(cbsim.__all__) == len(PUBLIC_NAMES) == 39
+    assert len(cbsim.__all__) == len(PUBLIC_NAMES) == 40
     assert set(cbsim.__all__) == PUBLIC_NAMES
     for name in cbsim.__all__:
         assert getattr(cbsim, name) is not None
@@ -38,6 +38,6 @@ def test_readme_library_snippets_run(capsys):
         exec(compile(code, "README.md", "exec"), namespace)
     wsr, reason = capsys.readouterr().out.split()
     assert float(wsr) > 0.0 and reason in ("outer_tol", "outer_cap")
-    config, beams, traces = namespace["config"], namespace["beams"], namespace["traces"]
+    config, beams, record = namespace["config"], namespace["beams"], namespace["record"]
     assert beams.shape == (8, config.M, config.K, config.N, config.Nt)
-    assert [t.algo for t in traces] == ["icbf", "icbf_wi", "cb_refim", "icbf"] * 2
+    assert record.algo.tolist() == ["icbf", "icbf_wi", "cb_refim", "icbf"] * 2

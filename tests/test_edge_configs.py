@@ -85,8 +85,9 @@ def test_edge_config_batch_of_seeds_solves_cleanly(name, algo):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         inits = init_mslnr(h, config)
-        beams, traces = solve_batch(h, config, inits, algo, ref_counts=1)
+        beams, record = solve_batch(h, config, inits, algo, ref_counts=1)
         alone = [solve(one, config, init, algo, ref_count=1) for one, init in zip(h, inits)]
+    traces = [record.trace(b) for b in range(len(h))]
     for one, best, trace, (beams_1, trace_1) in zip(h, beams, traces, alone):
         assert_clean(config, one, best, trace)
         assert np.array_equal(best, beams_1) and trace.sum_rates == trace_1.sum_rates

@@ -187,7 +187,7 @@ def test_feedback_table_matches_the_oracle_draws(m, n, refs):
 
 def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypatch):
     """Each (K, Nt) cell selects the references of all its trials' draws as
-    one stack, in one reference_mask call, the largest Nt first. A budget
+    one stack, in one reference_mask call, in nt_list order. A budget
     too small for every trial at once splits the trials into chunks sized
     for the largest cell, each selected per (K, Nt) cell as one stack, and
     the table stays bit for bit the same."""
@@ -201,7 +201,7 @@ def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypat
 
     monkeypatch.setattr(refim, "reference_mask", counting)
     whole = feedback_table(config, spec)
-    assert stacks == [(2, 3, 5), (2, 2, 5), (4, 3, 5), (4, 2, 5)]
+    assert stacks == [(2, 2, 5), (2, 3, 5), (4, 2, 5), (4, 3, 5)]
     stacks.clear()
     # two draws of the largest cell, K=4 and Nt=3: 3 * 12 * 3 links of
     # 32 * (3 + 4) bytes each, and streams of 24 uniforms and 27 * 12 +
@@ -211,8 +211,8 @@ def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypat
     assert experiments._draws_per_stack(
         replace(config, K=4, Nt=3, weights=None, assignment=None)) == 2
     assert feedback_table(config, spec) == whole
-    assert stacks == [(2, 3, 2), (2, 2, 2), (4, 3, 2), (4, 2, 2)] * 2 + [
-        (2, 3, 1), (2, 2, 1), (4, 3, 1), (4, 2, 1)]
+    assert stacks == [(2, 2, 2), (2, 3, 2), (4, 2, 2), (4, 3, 2)] * 2 + [
+        (2, 2, 1), (2, 3, 1), (4, 2, 1), (4, 3, 1)]
 
 
 def test_csv_byte_identical_reruns(tmp_path):
@@ -616,8 +616,8 @@ def test_cli_dump_prefix_writes_debug_csvs(tmp_path):
     _, rows = read_csv(tmp_path / "dbg_channels.csv")       # k is the global user index
     assert sorted({int(row[1]) for row in rows}) == list(range(config.M * config.K))
     inits = init_mslnr(h, config)
-    _, traces = solver.solve_batch(h, config, inits, "icbf")
-    for gamma, trace in zip(("20", "30"), traces):
+    _, record = solver.solve_batch(h, config, inits, "icbf")
+    for gamma, trace in zip(("20", "30"), map(record.trace, range(2))):
         want = tmp_path / f"want_{gamma}.csv"
         trace.to_csv(want)
         got = (tmp_path / f"dbg_trace_icbf_{gamma}.csv").read_text()
@@ -635,6 +635,31 @@ def test_ref_sweep_dump_names_each_reference_count(tmp_path):
     assert names == ["dbg_trace_cb_refim_20_r0.csv", "dbg_trace_cb_refim_20_r1.csv",
                      "dbg_trace_cb_refim_20_r2.csv", "dbg_trace_cb_refim_20_r3.csv",
                      "dbg_trace_icbf_20.csv"]
+
+
+@pytest.mark.parametrize("kind, algos, gammas", [
+    ("snr_sweep", ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim"), (10.0, 30.0, 50.0)),
+    ("ref_sweep", ("cm", "zf", "mslnr", "icbf_wi", "cb_refim"), (30.0,)),
+], ids=["snr_sweep", "ref_sweep"])
+def test_a_trace_is_built_only_for_a_dump(tmp_path, monkeypatch, kind, algos, gammas):
+    """A 2-trial desk run reads every solve's outer series from the batch's
+    record and builds no SolverTrace; with a dump prefix it builds one per
+    dumped file, a solver row's solve of trial 0 at one SNR point."""
+    real_init, built = solver.SolverTrace.__init__, []
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver.SolverTrace, "__init__", counting)
+    config = NetworkConfig(M=3, N=3, K=3, Nt=3)
+    spec = small_spec(kind, tmp_path / "run.csv", algos=algos, gamma_db=gammas)
+    run_experiment(config, spec)
+    assert built == []
+    run_experiment(config, replace(spec, dump_prefix=str(tmp_path / "dbg")))
+    dumped = list(tmp_path.glob("dbg_trace_*"))
+    rows = [row for row in experiments._rows(config, spec) if row[0] in experiments.SOLVER_ALGOS]
+    assert len(built) == len(dumped) == len(rows) * len(gammas) > 0
 
 
 def assert_same_results(got, want):

@@ -325,12 +325,13 @@ def test_cb_refim_with_every_reference_is_icbf(size):
     draws = [realize_network(config, seed)[1] for seed in range(4)]
     h = np.stack([ch for ch in draws for _ in range(2)])
     inits = np.stack([init_mslnr(ch, config) for ch in h])
-    beams, traces = solve_batch(h, config, inits, ["icbf", "cb_refim"] * len(draws),
+    beams, record = solve_batch(h, config, inits, ["icbf", "cb_refim"] * len(draws),
                                 config.M * config.K - 1)
     for j in range(0, len(h), 2):
+        icbf, cb_refim = record.trace(j), record.trace(j + 1)
         assert np.array_equal(beams[j], beams[j + 1])
-        assert traces[j].sum_rates == traces[j + 1].sum_rates
-        assert traces[j].iteration_index == traces[j + 1].iteration_index
+        assert icbf.sum_rates == cb_refim.sum_rates
+        assert icbf.iteration_index == cb_refim.iteration_index
 
 
 # ---------------------------------------------------------------------------

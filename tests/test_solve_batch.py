@@ -13,6 +13,7 @@ from cbsim import solver
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError, UsageError
 from cbsim.initializers import init_mslnr
+from cbsim.metrics import weighted_sum_rate
 from cbsim.network import apply_noise, build_topology, draw_channels, realize_network
 from cbsim.solver import ALGORITHMS, solve, solve_batch, stationarity_residuals
 
@@ -50,6 +51,23 @@ def assert_same_solve(batched, alone):
     assert np.array_equal(beams_b, beams_a)
 
 
+def assert_record_entry(record, b, alone):
+    """Entry b of every per-solve array of a batch's record equals that of
+    the solve alone, so a record left in the batch's internal order fails."""
+    cap = len(record.outer_sum_rates[b])
+    series = (alone.outer_sum_rates + alone.outer_sum_rates[-1:] * cap)[:cap]
+    assert record.algo[b] == alone.algo
+    assert record.outer_sum_rates[b].tolist() == series
+    assert record.inner_iters[b] == len(alone.iteration_index)
+    assert record.outer_iters[b] == len(alone.outer_sum_rates)
+    assert record.non_monotone_steps[b] == alone.non_monotone_steps
+    assert record.converged_outer[b] == alone.converged_outer
+    assert record.init_sum_rate[b] == alone.init_sum_rate
+    assert record.best_sum_rate[b] == alone.best_sum_rate
+    assert record.final_residual[b] == alone.final_residual
+    assert np.array_equal(record.duals[b], alone.duals)
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_mixed_batch_matches_each_solve(algo, reverse):
@@ -58,12 +76,14 @@ def test_mixed_batch_matches_each_solve(algo, reverse):
     solves = [(ch, cfg, init, r) for ch, cfg, init in trial(3) for r in refs]
     if reverse:
         solves.reverse()
-    beams, traces = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
+    beams, record = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
                                 np.stack([s[2] for s in solves]), algo,
                                 [s[3] for s in solves])
-    assert len(traces) == beams.shape[0] == len(solves)
-    for (ch, cfg, init, r), best, trace in zip(solves, beams, traces):
-        assert_same_solve((best, trace), solve(ch, cfg, init, algo, ref_count=r))
+    assert len(record.algo) == beams.shape[0] == len(solves)
+    for b, ((ch, cfg, init, r), best) in enumerate(zip(solves, beams)):
+        alone = solve(ch, cfg, init, algo, ref_count=r)
+        assert_same_solve((best, record.trace(b)), alone)
+        assert_record_entry(record, b, alone[1])
 
 
 def test_mixed_algorithm_batch_matches_each_solve():
@@ -77,13 +97,15 @@ def test_mixed_algorithm_batch_matches_each_solve():
               for algo, r in (("cb_refim", j % 3), ("icbf_wi", 1), ("icbf", 2),
                               ("cb_refim", 8 - j))]
     solves = solves[1::2] + solves[::2]          # mix the order of the algorithms
-    beams, traces = solve_batch(np.stack([s[0] for s in solves]), NetworkConfig(),
+    beams, record = solve_batch(np.stack([s[0] for s in solves]), NetworkConfig(),
                                 np.stack([s[2] for s in solves]),
                                 [s[3] for s in solves], [s[4] for s in solves])
-    assert [t.algo for t in traces] == [s[3] for s in solves]
-    for (ch, cfg, init, algo, r), best, trace in zip(solves, beams, traces):
-        assert_same_solve((best, trace), solve(ch, cfg, init, algo, ref_count=r))
-    steps = [len(t.iteration_index) for t in traces]
+    assert record.algo.tolist() == [s[3] for s in solves]
+    for b, ((ch, cfg, init, algo, r), best) in enumerate(zip(solves, beams)):
+        alone = solve(ch, cfg, init, algo, ref_count=r)
+        assert_same_solve((best, record.trace(b)), alone)
+        assert_record_entry(record, b, alone[1])
+    steps = record.inner_iters.tolist()
     assert len(set(steps)) > 3, steps
 
 
@@ -106,10 +128,11 @@ def test_stop_reason_alone_and_in_a_batch(seed, outer_cap, reasons):
     config = NetworkConfig(L_out_max=outer_cap)
     solves = trial(seed, config)
     alone = [solve(ch, cfg, init, "icbf_wi")[1] for ch, cfg, init in solves]
-    _, batched = solve_batch(np.stack([s[0] for s in solves]), config,
-                             np.stack([s[2] for s in solves]), "icbf_wi")
+    _, record = solve_batch(np.stack([s[0] for s in solves]), config,
+                            np.stack([s[2] for s in solves]), "icbf_wi")
+    batched = [record.trace(b) for b in range(len(solves))]
     assert [t.stop_reason for t in alone] == [t.stop_reason for t in batched] == reasons
-    assert [t.converged_outer for t in batched] == [r == "outer_tol" for r in reasons]
+    assert record.converged_outer.tolist() == [r == "outer_tol" for r in reasons]
 
 
 def test_batch_shape_mismatch_rejected():
@@ -139,11 +162,12 @@ def test_final_residual_is_the_stationarity_residual_at_the_returned_iterate(alg
     """At 10, 30 and 50 dB in one batch, bit for bit the largest residual
     over the triples at the returned beams and duals."""
     solves = trial(3)
-    beams, traces = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
+    beams, record = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
                                 np.stack([s[2] for s in solves]), algo)
-    for (ch, cfg, _), best, trace in zip(solves, beams, traces):
-        want = np.max(stationarity_residuals(ch, best, trace.duals, cfg))
-        assert trace.final_residual == want
+    for (ch, cfg, _), best, duals, residual in zip(solves, beams, record.duals,
+                                                   record.final_residual):
+        want = np.max(stationarity_residuals(ch, best, duals, cfg))
+        assert residual == want
         assert np.isfinite(want) and want > 0.0
 
 
@@ -163,31 +187,33 @@ def test_residual_is_computed_once_per_batch(monkeypatch):
     for name in calls:
         count(name)
     solves = trial(3)
-    _, traces = solve_batch(np.stack([s[0] for s in solves] * 3), solves[0][1],
+    _, record = solve_batch(np.stack([s[0] for s in solves] * 3), solves[0][1],
                             np.stack([s[2] for s in solves] * 3),
                             ["icbf"] * 3 + ["icbf_wi"] * 3 + ["cb_refim"] * 3)
-    steps = max(len(t.iteration_index) for t in traces)
+    steps = int(record.inner_iters.max())
     assert calls == {"_residuals_of_link": 1, "lambda_bisection": steps}
     assert steps > 1
 
 
 def test_each_trace_owns_its_duals():
     """Solves that never beat their start, and solves that do, each hold
-    their own duals: writing one changes no other."""
+    their own duals: writing one trace's changes no other, nor the record."""
     config = NetworkConfig(weights=np.zeros((3, 3, 3)))
     (ch, cfg, init), = trial(3, config)[:1]
     _, stuck = solve_batch(np.stack([ch, ch]), cfg, np.stack([init, init]), "icbf")
-    assert all(t.best_sum_rate == t.init_sum_rate for t in stuck)
+    assert np.array_equal(stuck.best_sum_rate, stuck.init_sum_rate)
     solves = trial(3)
     _, improved = solve_batch(np.stack([s[0] for s in solves]), solves[0][1],
                               np.stack([s[2] for s in solves]), "icbf")
-    assert all(t.best_sum_rate > t.init_sum_rate for t in improved)
-    for traces in (stuck, improved):
-        before = [t.duals.copy() for t in traces]
+    assert np.all(improved.best_sum_rate > improved.init_sum_rate)
+    for record in (stuck, improved):
+        recorded = record.duals.copy()
+        traces = [record.trace(b) for b in range(len(recorded))]
         traces[0].duals[0] = -1.0
-        for trace, duals in zip(traces[1:], before[1:]):
+        for trace, duals in zip(traces[1:], recorded[1:]):
             assert trace.duals is not traces[0].duals
             assert np.array_equal(trace.duals, duals)
+        assert np.array_equal(record.duals, recorded)
 
 
 def closes_inner_loop(trace):
@@ -205,15 +231,16 @@ def within(now, before, tol):
                          ids=["default caps", "caps hit"])
 def test_traces_match_a_recomputation_from_their_steps(caps):
     """icbf, icbf_wi and cb_refim at 0 and 1 references over three draws in
-    one batch: every trace field that the solve derives from its steps equals
-    a scalar recomputation from the logged steps themselves."""
+    one batch: every trace field and record entry that the solve derives from
+    its steps equals a scalar recomputation from the logged steps themselves."""
     config = NetworkConfig(**caps)
     solves = [(ch, init, algo, r) for seed in (3, 5, 8) for ch, _, init in trial(seed, config)
               for algo, r in (("icbf", 1), ("icbf_wi", 1), ("cb_refim", 0), ("cb_refim", 1))]
-    _, traces = solve_batch(np.stack([s[0] for s in solves]), config,
+    _, record = solve_batch(np.stack([s[0] for s in solves]), config,
                             np.stack([s[1] for s in solves]),
                             [s[2] for s in solves], [s[3] for s in solves])
-    for trace in traces:
+    traces = [record.trace(b) for b in range(len(solves))]
+    for b, trace in enumerate(traces):
         steps = len(trace.iteration_index)
         assert steps == len(trace.sum_rates) == len(trace.bs_power_trace) > 0
         outers = [outer for outer, _ in trace.iteration_index]
@@ -224,12 +251,19 @@ def test_traces_match_a_recomputation_from_their_steps(caps):
         assert all(i == (0 if j == 0 or closing[j - 1] else inners[j - 1] + 1)
                    for j, i in enumerate(inners))
         assert max(inners) < config.L_in_max
-        assert trace.outer_sum_rates == [w for w, end in zip(trace.sum_rates, closing) if end]
-        assert len(trace.inner_converged) == len(trace.outer_sum_rates) == outers[-1] + 1
+        series = [w for w, end in zip(trace.sum_rates, closing) if end]
+        assert trace.outer_sum_rates == series
+        assert len(trace.inner_converged) == len(series) == outers[-1] + 1
+        assert record.inner_iters[b] == steps and record.outer_iters[b] == len(series)
+        # the record continues the series past its last outer iteration
+        cap = config.L_out_max
+        assert record.outer_sum_rates[b].tolist() == (series + series[-1:] * cap)[:cap]
+        start = weighted_sum_rate(*solves[b][:2], config)
+        assert record.init_sum_rate[b] == trace.init_sum_rate == start
         rates = [trace.init_sum_rate] + trace.sum_rates
-        assert trace.non_monotone_steps == sum(now < before * (1.0 - 1e-12)
-                                               for before, now in zip(rates, rates[1:]))
-        assert trace.best_sum_rate == max(rates)
+        non_monotone = sum(now < before * (1.0 - 1e-12) for before, now in zip(rates, rates[1:]))
+        assert trace.non_monotone_steps == record.non_monotone_steps[b] == non_monotone
+        assert trace.best_sum_rate == record.best_sum_rate[b] == max(rates)
         # an inner loop ends on its tolerance or its cap, and only there
         ends = [j for j, end in enumerate(closing) if end]
         assert trace.inner_converged == [within(rates[j + 1], rates[j], config.inner_tol)
@@ -242,7 +276,7 @@ def test_traces_match_a_recomputation_from_their_steps(caps):
         starts = [trace.init_sum_rate] + trace.outer_sum_rates
         settled = [within(now, before, config.outer_tol)
                    for before, now in zip(starts, starts[1:])]
-        assert trace.converged_outer == settled[-1]
+        assert trace.converged_outer == record.converged_outer[b] == settled[-1]
         assert not any(settled[:-1])
         if not trace.converged_outer:
             assert len(trace.outer_sum_rates) == config.L_out_max
