@@ -40,10 +40,13 @@ depend on M and N (M * K * (M + 24) shadowing values, then
 prefixes beyond the desk. One more feedback run reads its k_list, nt_list,
 qbits and refs from a config file, once at desk scale and once at
 (2, 3, 2, 1), and one runs 40 trials at desk scale, so the trials are
-drawn and their references selected in three chunks. Two more desk
+drawn and their references selected in four chunks. Two more desk
 feedback runs take 0 and 2 references, so the matrix covers both
 selection paths (one argmin per beam at up to one reference, the ranks
-above) at desk scale.
+above) at desk scale. Two more, at seeds 1 and 2, read nt_list = 4, 1, 3
+and refs = 2 from a config file, so the order in which each K stacks its
+antenna counts' scores for one selection runs through the ranks too.
+The matrix is 73 CSVs.
 
 The per-step solver traces join the check too: one desk snr_sweep and one
 desk ref_sweep at seed 1 also write their ``--dump-prefix`` files (trial 0's
@@ -72,6 +75,9 @@ ALGOS = ("cm", "zf", "mslnr", "icbf", "icbf_wi", "cb_refim")
 TUNED = ("m3n3k3t4", "pmax = 2.5\nL_in_max = 25\nL_out_max = 3\nlambda_min = 1e-9\n"
                      "inner_tol = 1e-5\nouter_tol = 1e-3\nrefs = 2\n")
 FEEDBACK_LISTS = "k_list = 2, 4, 7\nnt_list = 1,3\nqbits = 6\nrefs = 3\n"
+#: Config lines of the desk feedback runs whose unsorted antenna counts stack
+#: in one ranked selection per K.
+FEEDBACK_ORDER = "nt_list = 4, 1, 3\nrefs = 2\n"
 #: The sizes, besides the desk, whose config files the feedback table runs at.
 FEEDBACK_SIZES = ("m1n2k2t2", "m2n3k2t1")
 #: The runs whose --dump-prefix files go under OUTDIR/dumps: name, kind and
@@ -187,6 +193,13 @@ def main() -> None:
         path = out / f"feedback_r{refs}_s1.csv"
         run(["feedback", "--trials", "4", "--seed", "1", "--refs", str(refs), "--no-timestamp",
              "--out", str(path)])
+        csvs.append(path)
+    cfg = out / "feedback_order.cfg"
+    cfg.write_text(FEEDBACK_ORDER)
+    for seed in SEEDS:
+        path = out / f"feedback_order_s{seed}.csv"
+        run(["feedback", "--config", str(cfg), "--trials", "4", "--seed", str(seed),
+             "--no-timestamp", "--out", str(path)])
         csvs.append(path)
     write_sums(out / "SHA256SUMS", csvs)
     dumps = out / "dumps"

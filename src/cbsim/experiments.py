@@ -261,18 +261,19 @@ def _run_trials(config: NetworkConfig, spec: ExperimentSpec
     return tuple(np.stack(parts, axis=1) for parts in zip(*kept)), failures
 
 
-def _draws_per_stack(config: NetworkConfig) -> int:
+def _draws_per_stack(config: NetworkConfig, antennas: int) -> int:
     """Trials per chunk of the feedback table, sized for its largest (K, Nt)
-    cell ``config``: as many draws as keep their working set within
-    BATCH_BYTES, and at least one. Per link that is two complex128 copies of
-    its Nt channel entries (the draws and their stack) and, per (beam,
-    candidate) pair, of which there are K per link, about four 8-byte arrays
-    of the selection (its scores, keys and mask, or the ranks above one
-    reference). Each draw also holds its trial's two streams, drawn to the
-    largest cell's :func:`stream_lengths`, 8 bytes a value."""
+    cell ``config`` and its ``antennas`` antenna counts: as many draws as
+    keep their working set within BATCH_BYTES, and at least one. Per link
+    that is two complex128 copies of its Nt channel entries (the draws and
+    their stack) and, per (beam, candidate) pair, of which there are K per
+    link, about four 8-byte arrays of the selection (the keys, their masked
+    copy and the mask, or the ranks above one reference) per antenna count,
+    as one selection holds them all. Each draw also holds its trial's two
+    streams, drawn to the largest cell's :func:`stream_lengths`, 8 bytes a value."""
     links = config.M * config.n_users * config.N
     streams = 8 * sum(stream_lengths(config))
-    return max(1, BATCH_BYTES // (links * 32 * (config.Nt + config.K) + streams))
+    return max(1, BATCH_BYTES // (links * 32 * (config.Nt + antennas * config.K) + streams))
 
 
 def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
@@ -284,34 +285,36 @@ def feedback_table(config: NetworkConfig, spec: ExperimentSpec) -> list[dict]:
     selection only needs channels, no solving). Each trial's two streams are
     drawn once (:func:`draw_streams`), as long as the largest cell reads them,
     and every cell reads its prefix, so every draw equals a fresh one bit for
-    bit. Trials run in chunks sized for the largest cell by BATCH_BYTES. Per
-    chunk, each K places the users and makes the long-term draw and noise of
-    the stack once for every Nt; each (K, Nt) cell draws the fading,
-    normalizes, selects references and counts them for the stack, with one
-    :func:`refim.reference_mask` and one :func:`refim.feedback_bits` call,
-    which treat every draw bit for bit as they would alone. At the default
-    ``spec.refs`` of 1 the selection is one argmin per beam, not a ranking.
+    bit. Trials run in chunks sized by BATCH_BYTES for the largest cell and
+    every Nt. Per chunk, each K places the users and makes the long-term
+    draw and noise once, then draws the fading, normalizes and scores
+    (:func:`refim.reference_keys`) each Nt in ``spec.nt_list`` order. The
+    keys have no Nt axis, so they stack, and per K one
+    :func:`refim.select_references` call (one argmin per beam at the default
+    ``spec.refs`` of 1) and one out-of-cell count serve every Nt, each draw
+    treated bit for bit as alone; the bits are counted per Nt.
     """
     cells = {(nt, k): replace(config, K=int(k), Nt=int(nt), weights=None, assignment=None)
              for nt in spec.nt_list for k in spec.k_list}
     largest = cells[max(spec.nt_list), max(spec.k_list)]
-    size = _draws_per_stack(largest)
+    size = _draws_per_stack(largest, len(spec.nt_list))
     totals = {cell: [] for cell in cells}
     for lo in range(0, spec.trials, size):
         uniforms, normals = map(np.stack, zip(*[
             draw_streams(largest, trial_seeds(spec.seed, t))
             for t in range(lo, min(lo + size, spec.trials))]))
         for k in spec.k_list:
-            first = cells[spec.nt_list[0], k]       # the drop and its long-term draw read no Nt
+            first = cells[spec.nt_list[0], k]   # drop, long-term draw and candidates read no Nt
             drops = place_users(first, uniforms)
             long_term = long_term_of(drops, first, normals)
             noise = compute_noise(drops, first, long_term.shadow)
-            for nt in spec.nt_list:
-                cfg = cells[nt, k]
-                h = normalize_channels(draw_fading(long_term, cfg), noise)
-                counts = refim.out_of_cell_reference_counts(
-                    cfg, refim.reference_mask(h, cfg, spec.refs))
-                totals[nt, k].append(refim.feedback_bits(cfg, "cb_refim", counts,
+            keys = np.stack([refim.reference_keys(
+                normalize_channels(draw_fading(long_term, cells[nt, k]), noise), cells[nt, k])
+                for nt in spec.nt_list])
+            counts = refim.out_of_cell_reference_counts(
+                first, refim.select_references(keys, first, spec.refs))
+            for nt, per_nt in zip(spec.nt_list, counts):
+                totals[nt, k].append(refim.feedback_bits(cells[nt, k], "cb_refim", per_nt,
                                                          qbits=spec.qbits))
     return [dict(K=cfg.K, Nt=cfg.Nt, icbf_bits=refim.feedback_bits(cfg, "icbf", qbits=spec.qbits),
                  cb_refim_bits=float(np.mean(np.concatenate(totals[cell]))))

@@ -13,11 +13,13 @@ beam's own cell included, since intra-cell leakage matters too). With
 single-antenna transmitters the alignment factor is common to all candidates
 and the rule degenerates to picking the strongest channel gain.
 
-Callers take the victim mask of r references per beam from
-:func:`reference_mask`. At the default r = 1 (and at 0) that is one argmin
-over each beam's candidates; only larger r ranks them all
-(:func:`reference_map`). Both read the same keys, so they agree bit for
-bit, and ties go to the lowest (cell, user) index.
+Selection is two steps: :func:`reference_keys` scores a draw's (beam,
+candidate) pairs, with no antenna axis, and :func:`select_references`
+takes the victim mask of r references per beam over any stack of keys:
+one argmin per beam at r <= 1, a ranking above (:func:`reference_map`).
+:func:`reference_mask` is both steps on one draw or stack. Both paths read
+the same keys, so they agree bit for bit, and ties go to the lowest
+(cell, user) index.
 
 A BS can invert the truncated leakage plus lambda*ln2*I by one rank-one
 update per reference, with no dense inversion (:func:`invert_rank_r`). The
@@ -35,10 +37,10 @@ from .network import own_links
 from .solver import ALGORITHMS, LN2, full_mask
 
 
-def _keys(h: np.ndarray, config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sort keys of every (beam, candidate) pair, shape (..., M, N, K, MK), and
-    the candidate mask (M, N, K, MK) they are masked by: a candidate's key
-    is its negated score, every other key +inf.
+def reference_keys(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
+    """The score step: every (beam, candidate) pair's sort key, its negated
+    score, shape (..., M, N, K, MK) with any leading batch axes of the
+    channels h. With no Nt axis, the keys of several antenna counts stack.
 
     Both operands of the |h_u^H h_k|^2 contraction are laid out contiguous
     in (..., M, N, user, Nt), so each pair's sum runs over its Nt entries in
@@ -46,14 +48,34 @@ def _keys(h: np.ndarray, config: NetworkConfig) -> tuple[np.ndarray, np.ndarray]
     exactly alike, and every draw of a stack as it would alone. (A BLAS
     matmul is faster, but can round a candidate by its column position and
     so split exact ties.) Conjugating the own links rather than the channels
-    gives the conjugate sum, of the same modulus bit for bit.
+    gives the conjugate sum, of the same modulus bit for bit, and negating
+    the gain rather than the product gives the same bits in one pass less.
     """
     own = np.ascontiguousarray(own_links(h, config).conj().swapaxes(-3, -2))  # (..., M, N, K, Nt)
     h_n = np.ascontiguousarray(h.swapaxes(-3, -2))                            # (..., M, N, MK, Nt)
     cross = np.abs(np.einsum("...ka,...ga->...kg", own, h_n)) ** 2             # (..., M, N, K, MK)
     gain = (np.abs(h_n) ** 2).sum(axis=-1)[..., None, :]                       # (..., M, N, 1, MK)
+    return -gain * cross
+
+
+def select_references(keys: np.ndarray, config: NetworkConfig, counts=None) -> np.ndarray:
+    """The selection step over any stack of :func:`reference_keys` of
+    ``config``'s cells, users and assignment, at any antenna counts: the
+    victim mask (..., M, K, N, MK) of every beam's ``counts`` best
+    candidates (an int or one per draw along the leading axes), or without
+    counts the ranks of :func:`reference_map`. When no count exceeds 1, each
+    beam's reference is the first minimum of its keys (a non-candidate's is
+    +inf), the candidate a stable sort puts first, and nothing is ranked.
+    """
     candidates = full_mask(config).swapaxes(1, 2)
-    return np.where(candidates, -(gain * cross), np.inf), candidates
+    keys = np.where(candidates, keys, np.inf)
+    if counts is None or np.max(counts) > 1:
+        ranks = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)  # order's inverse
+        ranks = np.where(candidates, ranks, np.iinfo(ranks.dtype).max).swapaxes(-3, -2)
+        return ranks if counts is None else ranks < np.asarray(counts)[..., None, None, None, None]
+    best = np.arange(config.n_users) == np.argmin(keys, axis=-1)[..., None]
+    return (best & (candidates & (np.asarray(counts)[..., None, None, None, None] >= 1))
+            ).swapaxes(-3, -2)
 
 
 def reference_map(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
@@ -69,10 +91,7 @@ def reference_map(h: np.ndarray, config: NetworkConfig) -> np.ndarray:
     references, which :func:`reference_mask` gives without the ranks when r
     is at most 1. Every draw of a stack gets its own ranks bit for bit.
     """
-    keys, candidates = _keys(h, config)
-    order = np.argsort(keys, axis=-1, kind="stable")
-    ranks = np.argsort(order, axis=-1)          # a permutation's one inverse
-    return np.where(candidates, ranks, np.iinfo(ranks.dtype).max).swapaxes(-3, -2)
+    return select_references(reference_keys(h, config), config)
 
 
 def reference_mask(h: np.ndarray, config: NetworkConfig, counts) -> np.ndarray:
@@ -81,15 +100,8 @@ def reference_mask(h: np.ndarray, config: NetworkConfig, counts) -> np.ndarray:
     so every candidate when a count exceeds theirs and none at 0.
 
     ``counts`` is an int, or one count per draw along the leading axes of h.
-    When no count exceeds 1, each beam's reference is the first minimum of
-    its keys, the candidate a stable sort puts first, and nothing is ranked.
     """
-    counts = np.asarray(counts)[..., None, None, None, None]
-    if counts.max() > 1:
-        return reference_map(h, config) < counts
-    keys, candidates = _keys(h, config)
-    best = np.arange(config.n_users) == np.argmin(keys, axis=-1)[..., None]
-    return (best & (candidates & (counts >= 1))).swapaxes(-3, -2)
+    return select_references(reference_keys(h, config), config, counts)
 
 
 def invert_rank_r(coeffs: np.ndarray, vecs: np.ndarray, lam) -> np.ndarray:
@@ -163,8 +175,7 @@ def feedback_bits(config: NetworkConfig, algo: str,
     """
     if algo not in ALGORITHMS:
         raise ConfigurationError(f"no feedback model for algorithm '{algo}'")
-    others = ~np.eye(config.M, dtype=bool)                            # (M, M)
-    users = int(np.sum(others @ config.assignment.sum(axis=1)))     # sum of |U(m, n)|
+    users = (config.M - 1) * int(config.assignment.sum())            # sum of |U(m, n)|
     if algo != "cb_refim":
         return users * (2 * config.Nt + SCALAR_FEEDBACK_REALS) * qbits
     if out_of_cell_refs is None:

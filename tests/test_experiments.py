@@ -185,34 +185,36 @@ def test_feedback_table_matches_the_oracle_draws(m, n, refs):
     assert feedback_table(config, spec) == expected
 
 
-def test_feedback_table_ranks_each_cell_as_one_stack_within_the_budget(monkeypatch):
-    """Each (K, Nt) cell selects the references of all its trials' draws as
-    one stack, in one reference_mask call, in nt_list order. A budget
-    too small for every trial at once splits the trials into chunks sized
-    for the largest cell, each selected per (K, Nt) cell as one stack, and
-    the table stays bit for bit the same."""
+def test_feedback_table_selects_each_k_as_one_stack_within_the_budget(monkeypatch):
+    """Each K selects the references of all its trials' draws at every
+    antenna count as one stack of keys, (Nt, draw, M, N, K, MK), in one
+    select_references call. A budget too small for every trial at once
+    splits the trials into chunks sized for the largest cell and every
+    antenna count, each selected per K as one stack, and the table stays
+    bit for bit the same."""
     config = NetworkConfig()
-    spec = small_spec("feedback", "unused.csv", trials=5, k_list=(2, 4), nt_list=(2, 3))
-    real, stacks = refim.reference_mask, []
+    spec = small_spec("feedback", "unused.csv", trials=5, k_list=(2, 4), nt_list=(3, 2))
+    real, stacks = refim.select_references, []
 
-    def counting(h, cfg, counts):
-        stacks.append((cfg.K, cfg.Nt, h.shape[0]))
-        return real(h, cfg, counts)
+    def counting(keys, cfg, counts):
+        stacks.append((cfg.K, keys.shape))
+        return real(keys, cfg, counts)
 
-    monkeypatch.setattr(refim, "reference_mask", counting)
+    monkeypatch.setattr(refim, "select_references", counting)
     whole = feedback_table(config, spec)
-    assert stacks == [(2, 2, 5), (2, 3, 5), (4, 2, 5), (4, 3, 5)]
+    assert stacks == [(2, (2, 5, 3, 3, 2, 6)), (4, (2, 5, 3, 3, 4, 12))]
     stacks.clear()
-    # two draws of the largest cell, K=4 and Nt=3: 3 * 12 * 3 links of
-    # 32 * (3 + 4) bytes each, and streams of 24 uniforms and 27 * 12 +
-    # 30 * 12 * 3 * 3 normals, 8 bytes a value; three do not fit
-    per_draw = 108 * 224 + 8 * (24 + 324 + 3240)
+    # two draws of the largest cell, K=4 and Nt=3, at both antenna counts:
+    # 3 * 12 * 3 links of 32 * (3 + 2 * 4) bytes each, and streams of 24
+    # uniforms and 27 * 12 + 30 * 12 * 3 * 3 normals, 8 bytes a value;
+    # three do not fit
+    per_draw = 108 * 352 + 8 * (24 + 324 + 3240)
     monkeypatch.setattr(experiments, "BATCH_BYTES", 3 * per_draw - 1)
     assert experiments._draws_per_stack(
-        replace(config, K=4, Nt=3, weights=None, assignment=None)) == 2
+        replace(config, K=4, Nt=3, weights=None, assignment=None), 2) == 2
     assert feedback_table(config, spec) == whole
-    assert stacks == [(2, 2, 2), (2, 3, 2), (4, 2, 2), (4, 3, 2)] * 2 + [
-        (2, 2, 1), (2, 3, 1), (4, 2, 1), (4, 3, 1)]
+    assert [(k, shape[:2]) for k, shape in stacks] == [(2, (2, 2)), (4, (2, 2))] * 2 + [
+        (2, (2, 1)), (4, (2, 1))]
 
 
 def test_csv_byte_identical_reruns(tmp_path):

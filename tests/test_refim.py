@@ -1,11 +1,14 @@
 """Reference-user selection, truncated leakage, the rank-one recursion and
 cb_refim's Gamma against it, feedback."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from cbsim import refim
 from cbsim.config import NetworkConfig
 from cbsim.errors import ConfigurationError
 from cbsim.initializers import init_mslnr
@@ -155,6 +158,28 @@ def test_reference_mask_of_a_stack_with_one_count_per_draw():
                        int(rng.integers(0, 3))):
             expected = ranks < np.reshape(counts, np.shape(counts) + (1, 1, 1, 1))
             assert np.array_equal(reference_mask(h, config, counts), expected)
+
+
+def test_one_selection_over_the_keys_of_several_antenna_counts():
+    """The keys of 3 draws at each of Nt = 3, 1, 4 and 2, stacked along a
+    leading antenna axis and selected in one select_references call: every
+    draw's slice is reference_mask of that draw alone, bit for bit, at
+    counts 0, 1, 2 and MK - 1 for all and at one count per draw (all at most
+    1, then up to MK), on random sizes and partial assignments."""
+    rng = np.random.default_rng(37)
+    for draw in range(40):
+        config = random_config(rng)
+        cfgs = [replace(config, Nt=nt) for nt in (3, 1, 4, 2)]
+        h = [np.stack([synthetic_channels(cfg, 12 * draw + 3 * i + d) for d in range(3)])
+             for i, cfg in enumerate(cfgs)]
+        keys = np.stack([refim.reference_keys(one, cfg) for one, cfg in zip(h, cfgs)])
+        assert keys.shape == (4, 3, config.M, config.N, config.K, config.n_users)
+        for counts in (0, 1, 2, config.n_users - 1, rng.integers(0, 2, size=(4, 3)),
+                       rng.integers(0, config.n_users + 1, size=(4, 3))):
+            mask = refim.select_references(keys, config, counts)
+            each = np.broadcast_to(counts, (4, 3))
+            for (i, d), count in np.ndenumerate(each):
+                assert np.array_equal(mask[i, d], reference_mask(h[i][d], cfgs[i], count))
 
 
 @pytest.mark.parametrize("size", [(3, 3, 3, 3), (2, 1, 3, 2), (1, 2, 5, 4), (3, 2, 2, 1)])
